@@ -308,6 +308,29 @@ fn result_tables_are_cleaned_up() {
 }
 
 #[test]
+fn persisted_selects_reuse_dropped_result_pages() {
+    let server = server_with_rows(20);
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+    let run = |n: usize| {
+        for _ in 0..n {
+            px.exec("SELECT k, v FROM items").unwrap();
+            assert_eq!(px.fetch_all().unwrap().len(), 20);
+        }
+    };
+    // Warm up: the first result tables grow the disk, later ones take
+    // the pages their dropped predecessors gave back.
+    run(10);
+    let disk = &server.durable().disk;
+    let warm = disk.num_pages();
+    run(1000);
+    assert_eq!(disk.num_pages(), warm, "persisted SELECTs leak pages");
+}
+
+#[test]
 fn phoenix_gives_up_when_server_never_returns() {
     let server = server_with_rows(2000);
     let mut cfg = cfg_with(RepositionMode::Server, CacheMode::Disabled);

@@ -394,7 +394,9 @@ mod tests {
 
     #[test]
     fn disabled_hits_are_noops() {
-        // No session: must not record or fire anything.
+        // Hold the session guard without arming it: sibling tests arm
+        // the global state, so asserting on it unguarded races them.
+        let _s = session();
         run_scenario();
         assert!(matches!(*state(), State::Off));
     }

@@ -4,7 +4,7 @@
 //! comes from checkpoint snapshots plus redo of DDL / page-allocation log
 //! records. Table names are case-insensitive (stored lowercased).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
@@ -136,6 +136,16 @@ impl Catalog {
             .tables
             .values()
             .map(|t| t.read().schema.name.clone())
+            .collect()
+    }
+
+    /// Every page some table's heap owns.
+    pub fn owned_pages(&self) -> HashSet<PageId> {
+        self.inner
+            .read()
+            .tables
+            .values()
+            .flat_map(|t| t.read().pages.clone())
             .collect()
     }
 

@@ -2,7 +2,7 @@
 //! (a dirty page is never written to disk before the log is flushed
 //! through that page's LSN).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -201,8 +201,8 @@ impl BufferPool {
         Ok(buf)
     }
 
-    /// Allocate a brand-new page on disk, format it for `table_id`, and
-    /// return it pinned and dirty.
+    /// Allocate a page on disk (fresh or reused), format it for
+    /// `table_id`, and return it pinned and dirty.
     pub fn new_page(&self, table_id: u32) -> Result<(PageId, PageGuard)> {
         let id = self.disk.allocate(self.epoch)?;
         let si = self.shard_of(id);
@@ -210,6 +210,19 @@ impl BufferPool {
         let _lw = obskit::lockcheck::held("BufferPool::shards");
         shard.tick += 1;
         let tick = shard.tick;
+        if let Some(frame) = shard.frames.get(&id) {
+            // A reused page whose old image is still cached: format the
+            // same frame in place. Replacing it would let a flush that
+            // already holds the old frame write the dropped table's
+            // image over the new one.
+            frame.pins.fetch_add(1, Ordering::AcqRel);
+            frame.last_used.store(tick, Ordering::Relaxed);
+            let guard = PageGuard {
+                frame: Arc::clone(frame),
+            };
+            Page::init(&mut guard.write(), table_id);
+            return Ok((id, guard));
+        }
         self.make_room(&mut shard)?;
         let mut buf = Box::new([0u8; PAGE_SIZE]);
         Page::init(&mut buf, table_id);
@@ -222,6 +235,16 @@ impl BufferPool {
         });
         shard.frames.insert(id, Arc::clone(&frame));
         Ok((id, PageGuard { frame }))
+    }
+
+    /// Return pages no table owns any more to the disk's free list.
+    pub fn release_pages(&self, ids: &[PageId]) -> Result<()> {
+        self.disk.release(ids, self.epoch)
+    }
+
+    /// Restart path: every page outside `owned` becomes free.
+    pub fn rebuild_free_list(&self, owned: &HashSet<PageId>) -> Result<()> {
+        self.disk.rebuild_free_list(owned, self.epoch)
     }
 
     /// Evict an unpinned frame if this stripe is at capacity.
@@ -514,6 +537,29 @@ mod tests {
                 assert_eq!(p.get(0).unwrap(), format!("keep{i}").as_bytes());
             });
         }
+    }
+
+    #[test]
+    fn reused_page_is_formatted_in_its_cached_frame() {
+        let pool = pool(16);
+        let (pid, g) = pool.new_page(1).unwrap();
+        with_page_mut(&g, 1, |p| {
+            p.insert(b"dropped").unwrap();
+            Ok(())
+        })
+        .unwrap();
+        drop(g);
+        // Stands in for a flush that already holds the old frame.
+        let old = pool.fetch(pid).unwrap();
+        pool.release_pages(&[pid]).unwrap();
+        let (reused, g) = pool.new_page(2).unwrap();
+        assert_eq!(reused, pid);
+        assert!(Arc::ptr_eq(&old.frame, &g.frame));
+        with_page(&old, |p| {
+            assert_eq!(p.table_id(), 2);
+            assert_eq!(p.slot_count(), 0);
+        });
+        assert_eq!(pool.cached(), 1);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! busy-time accounting from which the benchmark harness derives the paper's
 //! DISK UTIL column.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -115,7 +116,8 @@ impl IoStats {
 }
 
 /// In-memory "durable" disk: survives simulated crashes because the server
-/// keeps it in its durable half. Pages are allocated monotonically.
+/// keeps it in its durable half. Allocation reuses freed pages before it
+/// grows the disk.
 ///
 /// **Epoch fencing.** Every server incarnation writes under an epoch; a
 /// simulated crash bumps the epoch, so stragglers from the dead
@@ -131,6 +133,11 @@ pub struct MemDisk {
     /// installed before a simulated crash keeps firing after recovery.
     /// Never held across another lock: the draw happens before `pages`.
     faults: Mutex<Option<DiskSchedule>>,
+    /// Pages no table owns, handed out by `allocate` before the disk
+    /// grows. Volatile: each incarnation fills it through
+    /// [`MemDisk::release`] and restart rebuilds it with
+    /// [`MemDisk::rebuild_free_list`]. Never held across `pages`.
+    free: Mutex<Vec<PageId>>,
 }
 
 impl MemDisk {
@@ -142,6 +149,7 @@ impl MemDisk {
             stats: IoStats::default(),
             epoch: AtomicU64::new(0),
             faults: Mutex::new(None),
+            free: Mutex::new(Vec::new()),
         }
     }
 
@@ -196,13 +204,62 @@ impl MemDisk {
         self.pages.read().len() as u32
     }
 
-    /// Allocate a fresh zeroed page and return its id.
+    /// Allocate a page and return its id: a freed page if one is
+    /// waiting, else a fresh zeroed page at the end of the disk. A reused
+    /// page keeps its old durable image until the caller's `AllocPage`
+    /// redo (or first flush) re-initializes it. Counts
+    /// `storage.pages.allocated` for every page handed out and
+    /// `storage.pages.reused` for those that came off the free list.
     pub fn allocate(&self, epoch: u64) -> Result<PageId> {
-        let mut pages = self.pages.write();
-        let _lw = obskit::lockcheck::held("MemDisk::pages");
+        let metrics = obskit::metrics::global();
+        let reused = {
+            let mut free = self.free.lock();
+            let _lw = obskit::lockcheck::held("MemDisk::free");
+            self.check_epoch(epoch)?;
+            free.pop()
+        };
+        let id = match reused {
+            Some(id) => {
+                metrics.counter("storage.pages.reused").incr();
+                id
+            }
+            None => {
+                let mut pages = self.pages.write();
+                let _lw = obskit::lockcheck::held("MemDisk::pages");
+                self.check_epoch(epoch)?;
+                pages.push(Box::new([0u8; PAGE_SIZE]));
+                (pages.len() - 1) as PageId
+            }
+        };
+        metrics.counter("storage.pages.allocated").incr();
+        Ok(id)
+    }
+
+    /// Return pages no table owns any more to the free list. Rejects
+    /// stale epochs, so a straggler of a crashed incarnation cannot free
+    /// pages into the list restart rebuilt.
+    pub fn release(&self, ids: &[PageId], epoch: u64) -> Result<()> {
+        let mut free = self.free.lock();
+        let _lw = obskit::lockcheck::held("MemDisk::free");
         self.check_epoch(epoch)?;
-        pages.push(Box::new([0u8; PAGE_SIZE]));
-        Ok((pages.len() - 1) as PageId)
+        free.extend_from_slice(ids);
+        Ok(())
+    }
+
+    /// Restart path: the free list becomes every page not in `owned`.
+    pub fn rebuild_free_list(&self, owned: &HashSet<PageId>, epoch: u64) -> Result<()> {
+        let n = self.num_pages();
+        let mut free = self.free.lock();
+        let _lw = obskit::lockcheck::held("MemDisk::free");
+        self.check_epoch(epoch)?;
+        // Descending, so `allocate` pops the lowest free page first.
+        *free = (0..n).rev().filter(|id| !owned.contains(id)).collect();
+        Ok(())
+    }
+
+    /// Number of pages on the free list.
+    pub fn free_pages(&self) -> usize {
+        self.free.lock().len()
     }
 
     /// Ensure the disk has at least `n` pages (used by recovery when
@@ -437,6 +494,44 @@ mod tests {
         let mut out = [0u8; PAGE_SIZE];
         disk.read_page(p, &mut out).unwrap();
         assert!(!page_image_ok(&out));
+    }
+
+    #[test]
+    fn allocate_reuses_released_pages_before_growing() {
+        let disk = MemDisk::new(DiskModel::default());
+        for _ in 0..4 {
+            disk.allocate(0).unwrap();
+        }
+        disk.release(&[1, 2], 0).unwrap();
+        assert_eq!(disk.free_pages(), 2);
+        let mut got = [disk.allocate(0).unwrap(), disk.allocate(0).unwrap()];
+        got.sort_unstable();
+        assert_eq!(got, [1, 2]);
+        assert_eq!(disk.num_pages(), 4);
+        // Free list empty: the disk grows again.
+        assert_eq!(disk.allocate(0).unwrap(), 4);
+    }
+
+    #[test]
+    fn free_list_is_epoch_fenced_and_rebuilt_at_restart() {
+        let disk = MemDisk::new(DiskModel::default());
+        for _ in 0..6 {
+            disk.allocate(0).unwrap();
+        }
+        disk.release(&[5], 0).unwrap();
+        assert_eq!(disk.bump_epoch(), 1);
+        // A straggler of the crashed incarnation can neither free nor
+        // take pages.
+        assert!(disk.release(&[0], 0).is_err());
+        assert!(disk.allocate(0).is_err());
+        let owned: HashSet<PageId> = [0, 2, 3].into_iter().collect();
+        disk.rebuild_free_list(&owned, 1).unwrap();
+        assert_eq!(disk.free_pages(), 3);
+        // Lowest free page first.
+        assert_eq!(disk.allocate(1).unwrap(), 1);
+        assert_eq!(disk.allocate(1).unwrap(), 4);
+        assert_eq!(disk.allocate(1).unwrap(), 5);
+        assert_eq!(disk.allocate(1).unwrap(), 6);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use parking_lot::{Mutex, RwLock};
 use super::buffer::{with_page, with_page_mut, BufferPool};
 use super::disk::PageId;
 use super::page::Page;
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableMeta};
 use crate::error::{Error, Result};
 use crate::schema::{decode_row, encode_row, TableId, TableSchema};
 use crate::txn::locks::{LockManager, LockMode, LockTarget};
@@ -90,6 +90,9 @@ pub struct Storage {
     /// Transaction-id issuer.
     pub txns: TxnManager,
     indexes: IndexManager,
+    /// Dropped tables whose pages wait for the last transaction holding
+    /// a lock on the table to end (see [`Storage::drop_table`]).
+    dropped: Mutex<Vec<Arc<RwLock<TableMeta>>>>,
 }
 
 impl Storage {
@@ -107,6 +110,7 @@ impl Storage {
             locks: LockManager::default(),
             txns,
             indexes: IndexManager::default(),
+            dropped: Mutex::new(Vec::new()),
         }
     }
 
@@ -121,13 +125,30 @@ impl Storage {
 
     /// Commit: log, force the log (possibly riding a group-commit
     /// batch leader's fsync), release locks.
+    ///
+    /// Only a transaction that logged an update forces the log. A
+    /// read-only one (an empty undo list: a SELECT, or the wrapper of a
+    /// DDL top action, which flushed itself) has nothing to make durable:
+    /// under strict 2PL every writer it read from forced its own commit
+    /// before releasing its locks. Its Commit record rides the next flush;
+    /// if a crash loses it, restart finds a loser with nothing to undo.
     pub fn commit(&self, txn: &TxnHandle) -> Result<()> {
+        let wrote = txn.undo_len() > 0;
         let lsn = self.log.append(&LogRecord::Commit { txn: txn.id });
-        self.log.commit_flush(lsn)?;
+        if wrote {
+            self.log.commit_flush(lsn)?;
+        }
         // Undo info no longer needed.
         txn.take_undo_reversed();
-        self.locks.release_all(txn.id, txn.take_locks());
+        self.end(txn);
         Ok(())
+    }
+
+    /// Release a finished transaction's locks, then free the pages of
+    /// dropped tables it was the last to hold a lock on.
+    fn end(&self, txn: &TxnHandle) {
+        self.locks.release_all(txn.id, txn.take_locks());
+        self.reclaim_dropped();
     }
 
     /// Abort: apply undo actions (logging CLRs), log Abort, release locks.
@@ -137,7 +158,7 @@ impl Storage {
         }
         let lsn = self.log.append(&LogRecord::Abort { txn: txn.id });
         self.log.flush_to(lsn)?;
-        self.locks.release_all(txn.id, txn.take_locks());
+        self.end(txn);
         Ok(())
     }
 
@@ -205,6 +226,14 @@ impl Storage {
     }
 
     /// Drop a table by name (top action).
+    ///
+    /// Takes no table lock: a reader may still hold one (Phoenix drops a
+    /// result table while the application transaction that read it is
+    /// open). Once the DropTable record is durable the table's pages
+    /// wait in `dropped` and reach the free list when no transaction
+    /// holds a lock on the table any more. A transaction
+    /// that resolved the table before the drop and locks it afterwards
+    /// fails the existence check in [`Storage::lock_table`].
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let meta = self
             .catalog
@@ -215,7 +244,38 @@ impl Storage {
         self.indexes.drop_table(id);
         let lsn = self.log.append(&LogRecord::DropTable { table_id: id });
         self.log.flush_to(lsn)?;
+        self.dropped.lock().push(meta);
+        self.reclaim_dropped();
         Ok(())
+    }
+
+    /// Move the pages of every dropped table that no transaction holds a
+    /// lock on to the disk's free list. Row locks always sit under an
+    /// intention lock on the table, so the table target alone decides.
+    /// The page list is read here, not at drop time: a writer holding
+    /// the table lock may still have been extending it.
+    fn reclaim_dropped(&self) {
+        let ready: Vec<PageId> = {
+            let mut waiting = self.dropped.lock();
+            let _lw = obskit::lockcheck::held("Storage::dropped");
+            if waiting.is_empty() {
+                return;
+            }
+            let mut ready = Vec::new();
+            waiting.retain(|meta| {
+                let m = meta.read();
+                let busy = !self.locks.holders(LockTarget::table(m.id)).is_empty();
+                if !busy {
+                    ready.extend_from_slice(&m.pages);
+                }
+                busy
+            });
+            ready
+        };
+        if !ready.is_empty() {
+            // lint:allow(discard): fails only once this incarnation is fenced; restart rebuilds the free list
+            let _ = self.pool.release_pages(&ready);
+        }
     }
 
     /// Create (or replace) a stored procedure (top action).
@@ -516,10 +576,16 @@ impl Storage {
     // -- lock helpers ----------------------------------------------------------
 
     /// Table-granularity lock, remembered on the transaction for release.
+    /// Callers resolve the table before locking it, so the table is
+    /// checked again under the lock: a DROP in between may already have
+    /// handed its pages to another table.
     pub fn lock_table(&self, txn: &TxnHandle, table: TableId, mode: LockMode) -> Result<()> {
         let target = LockTarget::table(table);
         self.locks.lock(txn.id, target, mode)?;
         txn.note_lock(target);
+        if self.catalog.get(table).is_none() {
+            return Err(Error::NotFound(format!("table id {table}")));
+        }
         Ok(())
     }
 

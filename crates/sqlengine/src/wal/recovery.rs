@@ -326,6 +326,13 @@ pub fn recover(
         stats.scrub_repaired = report.repaired;
     }
 
+    // The free list is volatile: every page no surviving table owns —
+    // dropped tables' pages, whether or not they had reached the list
+    // before the crash, and pages whose AllocPage never became durable —
+    // is free again. A reused page needs nothing more: its AllocPage
+    // redo (or `repair_page`) re-initializes it.
+    pool.rebuild_free_list(&catalog.owned_pages())?;
+
     let storage = Storage::new(catalog, pool, log, TxnManager::starting_at(max_txn + 1));
     storage.rebuild_indexes()?;
     Ok((storage, stats))
