@@ -3,6 +3,7 @@
 //! server's bounded output buffer; materialized pipeline for everything
 //! else).
 
+mod access;
 pub mod binding;
 pub mod eval;
 pub mod select;
@@ -300,22 +301,18 @@ fn try_lazy_select(ctx: &ExecCtx, q: &crate::sql::ast::SelectStmt) -> Result<Opt
     let TableSource::Base { meta, schema } = src else {
         return Ok(None);
     };
-    // Primary-key point queries go through the materialized path, which
-    // uses the PK index under IS + a row S lock instead of a full scan
-    // under a table S lock.
-    if !schema.primary_key.is_empty() {
-        let conjuncts: Vec<&crate::sql::ast::Expr> = q
-            .filter
-            .as_ref()
-            .map(eval::split_conjuncts)
-            .unwrap_or_default();
-        if select::pk_probe(ctx, &schema, &conjuncts)?.is_some() {
-            return Ok(None);
-        }
+    // Primary-key point queries go through the materialized path: a lazy
+    // cursor would keep its row lock until the client drains it.
+    let conjuncts: Vec<&crate::sql::ast::Expr> = q
+        .filter
+        .as_ref()
+        .map(eval::split_conjuncts)
+        .unwrap_or_default();
+    let path = access::choose(ctx, &schema, &conjuncts);
+    if matches!(path, access::AccessPath::Point(_)) {
+        return Ok(None);
     }
     let table_id = meta.read().id;
-    ctx.storage
-        .lock_table(&ctx.txn, table_id, LockMode::Shared)?;
 
     let qual = alias.clone().unwrap_or_else(|| table.name.clone());
     let cols: Vec<BoundCol> = schema
@@ -375,7 +372,7 @@ fn try_lazy_select(ctx: &ExecCtx, q: &crate::sql::ast::SelectStmt) -> Result<Opt
         .map(|(e, n)| Column::new(n.clone(), e.dtype()))
         .collect();
 
-    let mut scan = ctx.storage.scan(table_id)?;
+    let mut scan = access::open(ctx, table_id, &schema, &path, LockMode::Shared)?;
     // The iterator owns clones of everything it needs. `Storage` is kept
     // alive through the context clone. `from_fn` (rather than filter_map)
     // so a satisfied TOP-N stops the scan instead of draining the table.
@@ -593,61 +590,16 @@ fn exec_update(
         .ok_or_else(|| Error::NotFound(format!("table {}", table.name)))?;
     let table_id = meta.read().id;
 
-    // PK-targeted update (not touching key columns): IX + row X, point
-    // lookup instead of a scan.
-    let touches_pk = bsets.iter().any(|(i, _)| schema.primary_key.contains(i));
-    let mut targets: Vec<(crate::storage::RowId, Row)> = Vec::new();
+    // Collect matches first (updates relocate rows).
     let conjuncts: Vec<&crate::sql::ast::Expr> =
         filter.map(eval::split_conjuncts).unwrap_or_default();
-    if !touches_pk && !schema.primary_key.is_empty() {
-        if let Some(key_vals) = select::pk_probe(ctx, &schema, &conjuncts)? {
-            ctx.storage
-                .lock_table(&ctx.txn, table_id, LockMode::IntentionExclusive)?;
-            let kb = crate::storage::heap::pk_lookup_bytes(&schema, &key_vals)?;
-            ctx.storage.lock_row(
-                &ctx.txn,
-                table_id,
-                crate::storage::heap::row_key_hash(&kb),
-                LockMode::Exclusive,
-            )?;
-            if let Some(rid) = ctx.storage.pk_lookup(table_id, &key_vals)? {
-                if let Some(row) = ctx.storage.fetch_row(rid)? {
-                    let keep = match &bfilter {
-                        Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
-                        None => true,
-                    };
-                    if keep {
-                        targets.push((rid, row));
-                    }
-                }
-            }
-            let n = targets.len();
-            for (rid, row) in targets {
-                let mut new_row = row.clone();
-                for (idx, e) in &bsets {
-                    new_row[*idx] =
-                        eval(ctx, &Env::base(&row), e)?.coerce(schema.columns[*idx].dtype)?;
-                }
-                ctx.storage.update_row(&ctx.txn, table_id, rid, &new_row)?;
-            }
-            return Ok(StmtOutcome::Affected(n as u64));
-        }
-    }
-
-    ctx.storage
-        .lock_table(&ctx.txn, table_id, LockMode::Exclusive)?;
-
-    // Collect matches first (updates relocate rows).
-    for item in ctx.storage.scan(table_id)? {
-        let (rid, row) = item?;
-        let keep = match &bfilter {
-            Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
-            None => true,
-        };
-        if keep {
-            targets.push((rid, row));
-        }
-    }
+    let touches_pk = bsets.iter().any(|(i, _)| schema.primary_key.contains(i));
+    let path = match access::choose(ctx, &schema, &conjuncts) {
+        // The new key's row lock is not taken: lock the table instead.
+        access::AccessPath::Point(key) if touches_pk => access::AccessPath::Prefix(key),
+        path => path,
+    };
+    let targets = matching_rows(ctx, table_id, &schema, &path, bfilter.as_ref())?;
     let n = targets.len();
     for (rid, row) in targets {
         let mut new_row = row.clone();
@@ -657,6 +609,28 @@ fn exec_update(
         ctx.storage.update_row(&ctx.txn, table_id, rid, &new_row)?;
     }
     Ok(StmtOutcome::Affected(n as u64))
+}
+
+/// Write-lock the rows `path` reaches and return those `filter` accepts.
+fn matching_rows(
+    ctx: &ExecCtx,
+    table_id: crate::schema::TableId,
+    schema: &TableSchema,
+    path: &access::AccessPath,
+    filter: Option<&BExpr>,
+) -> Result<Vec<(crate::storage::RowId, Row)>> {
+    let mut targets = Vec::new();
+    for item in access::open(ctx, table_id, schema, path, LockMode::Exclusive)? {
+        let (rid, row) = item?;
+        let keep = match filter {
+            Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
+            None => true,
+        };
+        if keep {
+            targets.push((rid, row));
+        }
+    }
+    Ok(targets)
 }
 
 fn exec_delete(
@@ -709,55 +683,12 @@ fn exec_delete(
         .ok_or_else(|| Error::NotFound(format!("table {}", table.name)))?;
     let table_id = meta.read().id;
 
-    // PK-targeted delete: IX + row X, point lookup.
-    let mut targets = Vec::new();
     let conjuncts: Vec<&crate::sql::ast::Expr> =
         filter.map(eval::split_conjuncts).unwrap_or_default();
-    if !schema.primary_key.is_empty() {
-        if let Some(key_vals) = select::pk_probe(ctx, &schema, &conjuncts)? {
-            ctx.storage
-                .lock_table(&ctx.txn, table_id, LockMode::IntentionExclusive)?;
-            let kb = crate::storage::heap::pk_lookup_bytes(&schema, &key_vals)?;
-            ctx.storage.lock_row(
-                &ctx.txn,
-                table_id,
-                crate::storage::heap::row_key_hash(&kb),
-                LockMode::Exclusive,
-            )?;
-            if let Some(rid) = ctx.storage.pk_lookup(table_id, &key_vals)? {
-                if let Some(row) = ctx.storage.fetch_row(rid)? {
-                    let keep = match &bfilter {
-                        Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
-                        None => true,
-                    };
-                    if keep {
-                        targets.push(rid);
-                    }
-                }
-            }
-            let n = targets.len();
-            for rid in targets {
-                ctx.storage.delete_row(&ctx.txn, table_id, rid)?;
-            }
-            return Ok(StmtOutcome::Affected(n as u64));
-        }
-    }
-
-    ctx.storage
-        .lock_table(&ctx.txn, table_id, LockMode::Exclusive)?;
-
-    for item in ctx.storage.scan(table_id)? {
-        let (rid, row) = item?;
-        let keep = match &bfilter {
-            Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
-            None => true,
-        };
-        if keep {
-            targets.push(rid);
-        }
-    }
+    let path = access::choose(ctx, &schema, &conjuncts);
+    let targets = matching_rows(ctx, table_id, &schema, &path, bfilter.as_ref())?;
     let n = targets.len();
-    for rid in targets {
+    for (rid, _) in targets {
         ctx.storage.delete_row(&ctx.txn, table_id, rid)?;
     }
     Ok(StmtOutcome::Affected(n as u64))

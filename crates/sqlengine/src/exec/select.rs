@@ -1,5 +1,5 @@
-//! SELECT execution: scan with predicate pushdown and primary-key fast
-//! path, greedy hash-join planning, grouping/aggregation, HAVING,
+//! SELECT execution: scan with predicate pushdown and primary-key access
+//! paths, greedy hash-join planning, grouping/aggregation, HAVING,
 //! DISTINCT, ORDER BY, TOP, and projection — plus static output-schema
 //! inference, which is what makes the Phoenix `WHERE 0=1` metadata probe
 //! metadata-only on this engine too (constant-false predicates are folded
@@ -12,7 +12,7 @@ use super::eval::{
     conjoin, eval, key_encode, normalize, split_conjuncts, truthy, Accumulator, AggContext, Binder,
     Env,
 };
-use super::{ExecCtx, TableSource};
+use super::{access, ExecCtx, TableSource};
 use crate::error::{Error, Result};
 use crate::schema::Column;
 use crate::sql::ast::{BinOp, Expr, OrderItem, SelectItem, SelectStmt, TableRef};
@@ -157,8 +157,8 @@ fn default_name(e: &Expr, idx: usize) -> String {
 // Scanning with pushdown
 // ---------------------------------------------------------------------------
 
-/// Scan a base/temp table applying pushed-down conjuncts, using the PK
-/// hash index when the conjuncts pin every key column to a constant.
+/// Scan a base/temp table applying pushed-down conjuncts, through the
+/// access path they allow on a base table (see [`access`]).
 fn scan_filtered(
     ctx: &ExecCtx,
     table: &crate::sql::ast::TableName,
@@ -183,45 +183,11 @@ fn scan_filtered(
     };
 
     match &src {
-        TableSource::Base { meta, .. } => {
-            let (table_id, schema) = {
-                let m = meta.read();
-                (m.id, m.schema.clone())
-            };
-
-            // PK fast path: every key column pinned by an equality
-            // constant — point read under IS + a row S lock.
-            if !schema.primary_key.is_empty() {
-                if let Some(key_vals) = pk_probe(ctx, &schema, pushed)? {
-                    ctx.storage
-                        .lock_table(&ctx.txn, table_id, LockMode::IntentionShared)?;
-                    let key_bytes = crate::storage::heap::pk_lookup_bytes(&schema, &key_vals)?;
-                    ctx.storage.lock_row(
-                        &ctx.txn,
-                        table_id,
-                        crate::storage::heap::row_key_hash(&key_bytes),
-                        LockMode::Shared,
-                    )?;
-                    let mut rows = Vec::new();
-                    if let Some(rid) = ctx.storage.pk_lookup(table_id, &key_vals)? {
-                        if let Some(row) = ctx.storage.fetch_row(rid)? {
-                            let keep = match &filter {
-                                Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
-                                None => true,
-                            };
-                            if keep {
-                                rows.push(row);
-                            }
-                        }
-                    }
-                    return Ok(Rel { cols, rows });
-                }
-            }
-
-            ctx.storage
-                .lock_table(&ctx.txn, table_id, LockMode::Shared)?;
+        TableSource::Base { meta, schema } => {
+            let table_id = meta.read().id;
+            let path = access::choose(ctx, schema, pushed);
             let mut rows = Vec::new();
-            for item in ctx.storage.scan(table_id)? {
+            for item in access::open(ctx, table_id, schema, &path, LockMode::Shared)? {
                 let (_, row) = item?;
                 let keep = match &filter {
                     Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
@@ -246,58 +212,6 @@ fn scan_filtered(
             }
             Ok(Rel { cols, rows })
         }
-    }
-}
-
-/// If `pushed` pins every PK column with `col = literal`, return the key.
-pub(crate) fn pk_probe(
-    ctx: &ExecCtx,
-    schema: &crate::schema::TableSchema,
-    pushed: &[&Expr],
-) -> Result<Option<Vec<Value>>> {
-    let mut found: HashMap<usize, Value> = HashMap::new();
-    for c in pushed {
-        let Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = c
-        else {
-            continue;
-        };
-        let (col, lit) = match (&**left, &**right) {
-            (Expr::Column { name, .. }, other) => match const_value(ctx, other) {
-                Some(v) => (name, v),
-                None => continue,
-            },
-            (other, Expr::Column { name, .. }) => match const_value(ctx, other) {
-                Some(v) => (name, v),
-                None => continue,
-            },
-            _ => continue,
-        };
-        if let Some(i) = schema.col_index(col) {
-            found.entry(i).or_insert(lit);
-        }
-    }
-    let key: Option<Vec<Value>> = schema
-        .primary_key
-        .iter()
-        .map(|i| found.get(i).cloned())
-        .collect();
-    Ok(key)
-}
-
-fn const_value(ctx: &ExecCtx, e: &Expr) -> Option<Value> {
-    match e {
-        Expr::Literal(v) => Some(v.clone()),
-        Expr::Neg(inner) => match const_value(ctx, inner)? {
-            Value::Int(i) => Some(Value::Int(-i)),
-            Value::Float(f) => Some(Value::Float(-f)),
-            _ => None,
-        },
-        Expr::Param(p) => ctx.params.get(&p.to_ascii_lowercase()).cloned(),
-        _ => None,
     }
 }
 

@@ -31,7 +31,7 @@ impl Column {
 pub type TableId = u32;
 
 /// A table schema: ordered columns plus an optional primary key
-/// (column indexes) used to maintain a unique hash index.
+/// (column indexes) used to maintain a unique ordered index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     /// Table name.

@@ -1,8 +1,9 @@
-//! Heap-file row operations, primary-key hash indexes, and the [`Storage`]
+//! Heap-file row operations, ordered primary-key indexes, and the [`Storage`]
 //! kernel that ties the catalog, buffer pool, WAL, locks and transactions
 //! together.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -27,9 +28,10 @@ pub struct RowId {
     pub slot: u16,
 }
 
-/// Volatile unique hash indexes over primary keys. Rebuilt at recovery.
-/// One table's PK index: encoded key bytes → row location.
-type PkIndex = Arc<Mutex<HashMap<Vec<u8>, RowId>>>;
+/// Volatile unique ordered indexes over primary keys. Rebuilt at recovery.
+/// One table's PK index: encoded key bytes → row location, in byte order,
+/// so the keys sharing a leading-column prefix form one contiguous range.
+type PkIndex = Arc<Mutex<BTreeMap<Vec<u8>, RowId>>>;
 
 #[derive(Default)]
 pub struct IndexManager {
@@ -61,19 +63,24 @@ pub fn pk_key_bytes(schema: &TableSchema, row: &[Value]) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Encode lookup values (already in PK column order) as index-key bytes,
-/// coercing to the key columns' types.
-pub fn pk_lookup_bytes(schema: &TableSchema, key_vals: &[Value]) -> Result<Vec<u8>> {
-    if key_vals.len() != schema.primary_key.len() {
-        return Err(Error::Internal("pk lookup arity mismatch".into()));
+/// Encode the leading `vals.len()` primary-key values (in PK column order)
+/// as index-key bytes, coercing to the key columns' types. The arity
+/// written is the full key's, and every value encodes self-delimited, so
+/// the bytes of a prefix are a byte prefix of exactly the keys that start
+/// with those values; a full-length prefix is the key itself.
+pub fn pk_prefix_bytes(schema: &TableSchema, vals: &[Value]) -> Result<Vec<u8>> {
+    if vals.len() > schema.primary_key.len() {
+        return Err(Error::Internal("pk prefix longer than the key".into()));
     }
-    let key: Row = key_vals
+    let key: Row = vals
         .iter()
         .zip(&schema.primary_key)
         .map(|(v, &i)| v.clone().coerce(schema.columns[i].dtype))
         .collect::<Result<_>>()?;
     let mut out = Vec::new();
     encode_row(&key, &mut out);
+    // `encode_row` leads with the prefix's arity; a key leads with its own.
+    out[..2].copy_from_slice(&(schema.primary_key.len() as u16).to_be_bytes());
     Ok(out)
 }
 
@@ -450,27 +457,6 @@ impl Storage {
 
     // -- reads ----------------------------------------------------------------
 
-    /// Fetch a single live row.
-    pub fn fetch_row(&self, rid: RowId) -> Result<Option<Row>> {
-        let guard = self.pool.fetch(rid.page)?;
-        let bytes = with_page(&guard, |p| p.get(rid.slot).map(|b| b.to_vec()));
-        match bytes {
-            Some(b) => Ok(Some(decode_row(&b)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Primary-key point lookup.
-    pub fn pk_lookup(&self, table: TableId, key_vals: &[Value]) -> Result<Option<RowId>> {
-        let meta = self
-            .catalog
-            .get(table)
-            .ok_or_else(|| Error::NotFound(format!("table id {table}")))?;
-        let schema = meta.read().schema.clone();
-        let k = pk_lookup_bytes(&schema, key_vals)?;
-        Ok(self.indexes.index_for(table).lock().get(&k).copied())
-    }
-
     /// Sequential scan. Materializes one page at a time; the iterator owns
     /// a reference to the storage so it can outlive the calling frame
     /// (lazy result-set streaming).
@@ -479,14 +465,70 @@ impl Storage {
             .catalog
             .get(table)
             .ok_or_else(|| Error::NotFound(format!("table id {table}")))?;
-        let pages = meta.read().pages.clone();
-        Ok(ScanIter {
-            storage: Arc::clone(self),
-            pages,
-            page_idx: 0,
-            buffered: Vec::new(),
-            buf_idx: 0,
-        })
+        let pages = meta.read().pages.iter().map(|&p| (p, None)).collect();
+        Ok(ScanIter::new(Arc::clone(self), pages))
+    }
+
+    /// Scan of the rows whose leading primary-key columns equal `prefix`
+    /// (coerced as [`pk_prefix_bytes`] does), found through the PK index.
+    /// Rows come in heap order, the order [`Storage::scan`] yields them
+    /// in, and are read a page at a time, so a prefix that matches every
+    /// row costs no more page reads than the scan it replaces.
+    pub fn scan_key_prefix(self: &Arc<Self>, table: TableId, prefix: &[Value]) -> Result<ScanIter> {
+        let meta = self
+            .catalog
+            .get(table)
+            .ok_or_else(|| Error::NotFound(format!("table id {table}")))?;
+        let lo = pk_prefix_bytes(&meta.read().schema, prefix)?;
+        // The index mutex is released before any page is pinned.
+        let rids: Vec<RowId> = self
+            .indexes
+            .index_for(table)
+            .lock()
+            .range::<[u8], _>((Bound::Included(&lo[..]), Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(&lo))
+            .map(|(_, &rid)| rid)
+            .collect();
+        let mut by_page: HashMap<PageId, Vec<u16>> = HashMap::new();
+        for rid in rids {
+            by_page.entry(rid.page).or_default().push(rid.slot);
+        }
+        let mut pages = Vec::with_capacity(by_page.len());
+        if by_page.len() == 1 {
+            pages.extend(by_page.drain());
+        } else {
+            // Heap order is the table's page-list order, which page reuse
+            // makes differ from page-id order.
+            for &pid in &meta.read().pages {
+                if by_page.is_empty() {
+                    break;
+                }
+                if let Some(slots) = by_page.remove(&pid) {
+                    pages.push((pid, slots));
+                }
+            }
+        }
+        let pages = pages
+            .into_iter()
+            .map(|(pid, mut slots)| {
+                slots.sort_unstable();
+                (pid, Some(slots))
+            })
+            .collect();
+        Ok(ScanIter::new(Arc::clone(self), pages))
+    }
+
+    /// Copy out the live rows of one page: every live slot, or only the
+    /// listed ones that are still live.
+    fn page_rows(&self, pid: PageId, slots: Option<&[u16]>) -> Result<Vec<(RowId, Vec<u8>)>> {
+        let guard = self.pool.fetch(pid)?;
+        let row = |p: &super::page::PageRef<'_>, slot: u16| {
+            p.get(slot).map(|b| (RowId { page: pid, slot }, b.to_vec()))
+        };
+        Ok(with_page(&guard, |p| match slots {
+            None => p.live_slots().filter_map(|s| row(p, s)).collect(),
+            Some(slots) => slots.iter().filter_map(|&s| row(p, s)).collect(),
+        }))
     }
 
     /// Convenience: scan fully into memory (does not require `Arc`).
@@ -498,14 +540,8 @@ impl Storage {
         let pages = meta.read().pages.clone();
         let mut out = Vec::new();
         for pid in pages {
-            let guard = self.pool.fetch(pid)?;
-            let entries: Vec<(u16, Vec<u8>)> = with_page(&guard, |p| {
-                p.live_slots()
-                    .filter_map(|s| p.get(s).map(|b| (s, b.to_vec())))
-                    .collect()
-            });
-            for (slot, bytes) in entries {
-                out.push((RowId { page: pid, slot }, decode_row(&bytes)?));
+            for (rid, bytes) in self.page_rows(pid, None)? {
+                out.push((rid, decode_row(&bytes)?));
             }
         }
         Ok(out)
@@ -526,23 +562,17 @@ impl Storage {
             if schema.primary_key.is_empty() {
                 continue;
             }
-            let idx = self.indexes.index_for(id);
-            let mut map = idx.lock();
-            map.clear();
+            let mut entries = Vec::new();
             for pid in pages {
-                let guard = self.pool.fetch(pid)?;
-                let entries: Vec<(u16, Vec<u8>)> = with_page(&guard, |p| {
-                    p.live_slots()
-                        .filter_map(|s| p.get(s).map(|b| (s, b.to_vec())))
-                        .collect()
-                });
-                for (slot, bytes) in entries {
+                for (rid, bytes) in self.page_rows(pid, None)? {
                     let row = decode_row(&bytes)?;
                     if let Some(k) = pk_key_bytes(&schema, &row) {
-                        map.insert(k, RowId { page: pid, slot });
+                        entries.push((k, rid));
                     }
                 }
             }
+            // Collecting sorts once and bulk-builds the tree.
+            *self.indexes.index_for(id).lock() = entries.into_iter().collect();
         }
         Ok(())
     }
@@ -615,14 +645,27 @@ pub fn row_key_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Page-at-a-time scan iterator. Owns its storage handle so lazy result
-/// cursors can carry it across call frames.
+/// Page-at-a-time scan iterator over a list of pages, each with every
+/// live slot (`None`) or only the listed slots. Owns its storage handle so
+/// lazy result cursors can carry it across call frames.
 pub struct ScanIter {
     storage: Arc<Storage>,
-    pages: Vec<PageId>,
+    pages: Vec<(PageId, Option<Vec<u16>>)>,
     page_idx: usize,
     buffered: Vec<(RowId, Vec<u8>)>,
     buf_idx: usize,
+}
+
+impl ScanIter {
+    fn new(storage: Arc<Storage>, pages: Vec<(PageId, Option<Vec<u16>>)>) -> Self {
+        ScanIter {
+            storage,
+            pages,
+            page_idx: 0,
+            buffered: Vec::new(),
+            buf_idx: 0,
+        }
+    }
 }
 
 impl Iterator for ScanIter {
@@ -635,20 +678,12 @@ impl Iterator for ScanIter {
                 self.buf_idx += 1;
                 return Some(decode_row(bytes).map(|r| (*rid, r)));
             }
-            if self.page_idx >= self.pages.len() {
-                return None;
-            }
-            let pid = self.pages[self.page_idx];
+            let (pid, slots) = self.pages.get(self.page_idx)?;
             self.page_idx += 1;
-            let guard = match self.storage.pool.fetch(pid) {
-                Ok(g) => g,
+            self.buffered = match self.storage.page_rows(*pid, slots.as_deref()) {
+                Ok(rows) => rows,
                 Err(e) => return Some(Err(e)),
             };
-            self.buffered = with_page(&guard, |p| {
-                p.live_slots()
-                    .filter_map(|s| p.get(s).map(|b| (RowId { page: pid, slot: s }, b.to_vec())))
-                    .collect()
-            });
             self.buf_idx = 0;
         }
     }

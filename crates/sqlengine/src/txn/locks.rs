@@ -1,9 +1,10 @@
 //! Multi-granularity locking with wait-die deadlock handling.
 //!
 //! Two levels: table locks (S/X plus intention modes IS/IX) and row locks
-//! (S/X on a key derived from the row's primary key). Scans take table S;
-//! point reads take table IS + row S; PK-targeted DML takes table IX + row
-//! X; non-targeted DML falls back to table X. Strict two-phase: all locks
+//! (S/X on a key derived from the row's primary key). Scans, full or
+//! primary-key prefix, take table S; point reads take table IS + row S;
+//! PK-targeted DML takes table IX + row X; other DML takes table X (see
+//! `exec/access.rs`). Strict two-phase: all locks
 //! release at commit/abort.
 //!
 //! Deadlocks are resolved by wait-die using the transaction id as age

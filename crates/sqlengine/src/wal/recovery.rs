@@ -397,11 +397,11 @@ mod tests {
         let rows = st2.scan_all(tid).unwrap();
         assert_eq!(rows.len(), 100);
         // Index rebuilt too.
-        let rid = st2.pk_lookup(tid, &[Value::Int(42)]).unwrap().unwrap();
-        assert_eq!(
-            st2.fetch_row(rid).unwrap().unwrap()[1],
-            Value::Str("row-42".into())
-        );
+        let st2 = Arc::new(st2);
+        let mut hits = st2.scan_key_prefix(tid, &[Value::Int(42)]).unwrap();
+        let (_, found) = hits.next().unwrap().unwrap();
+        assert_eq!(found[1], Value::Str("row-42".into()));
+        assert!(hits.next().is_none());
     }
 
     #[test]
@@ -409,7 +409,9 @@ mod tests {
         let (disk, store) = fresh_durable();
         let tid;
         {
-            let st = bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
+            let st = Arc::new(
+                bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap(),
+            );
             tid = st.create_table(schema()).unwrap();
             let t1 = st.begin();
             st.insert_row(&t1, tid, &row(1)).unwrap();
@@ -417,12 +419,13 @@ mod tests {
 
             let t2 = st.begin();
             st.insert_row(&t2, tid, &row(2)).unwrap();
-            st.delete_row(
-                &t2,
-                tid,
-                st.pk_lookup(tid, &[Value::Int(1)]).unwrap().unwrap(),
-            )
-            .unwrap();
+            let (rid, _) = st
+                .scan_key_prefix(tid, &[Value::Int(1)])
+                .unwrap()
+                .next()
+                .unwrap()
+                .unwrap();
+            st.delete_row(&t2, tid, rid).unwrap();
             // Force the loser's records durable so recovery actually has
             // work to undo.
             st.log.flush_all().unwrap();
