@@ -41,9 +41,10 @@ pub struct ReconnectPolicy {
     /// Overall wall-clock budget for one recovery. Counted from the
     /// moment recovery starts; once spent, `RecoveryExhausted`.
     pub deadline: Duration,
-    /// How many times a *statement* is transparently re-executed across
-    /// successful recoveries before the underlying error is surfaced
-    /// (the masking-retry cap formerly hardcoded as `3`).
+    /// How many times one application call (`exec` or `fetch`) may re-run
+    /// a failed step — after a recovery, or after backing off from a
+    /// deadlock at a replay-safe step — before the error is surfaced.
+    /// All the steps of the call share this budget, nested ones included.
     pub masking_retries: u32,
     /// Seed for the deterministic jitter mixed into each backoff delay,
     /// decorrelating concurrent reconnect storms while keeping every

@@ -272,21 +272,16 @@ impl PhoenixConnection {
             "CREATE TABLE {STATUS_TABLE} (app_key VARCHAR(64), req_id INT, affected INT, \
              PRIMARY KEY (app_key, req_id))"
         )) {
-            Ok(_) => Ok(()),
-            Err(Error::AlreadyExists(_)) => Ok(()),
+            Ok(_) | Err(Error::AlreadyExists(_)) => Ok(()),
             Err(e) => Err(e),
         }
-    }
-
-    fn status_key(&self) -> String {
-        format!("phx_{}", self.conn_id)
     }
 
     /// The key this connection's wrapped modifications are ledgered under
     /// in `phx_status` — lets a test (or an auditor) read exactly this
     /// session's exactly-once history.
     pub fn app_key(&self) -> String {
-        self.status_key()
+        format!("phx_{}", self.conn_id)
     }
 
     // -- observability --------------------------------------------------------
@@ -341,115 +336,64 @@ impl PhoenixConnection {
         let class = classify(sql)?;
         let parse_time = t_parse.elapsed();
 
-        let mut inner = self.inner.lock();
-        self.retire_active(&mut inner);
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        self.retire_active(inner);
+        let budget = &mut self.budget();
+        let run = |i: &mut Inner| i.app.exec_direct(sql);
 
         match class {
             RequestClass::TxnBegin => {
-                self.masked_passthrough(&mut inner, sql)?;
+                self.masked(inner, budget, false, run)?;
                 inner.in_app_txn = true;
                 Ok(ExecKind::Ok)
             }
             RequestClass::TxnCommit | RequestClass::TxnRollback => {
-                let r = inner.app.exec_direct(sql);
+                // A COMMIT or ROLLBACK lost to a crash leaves its
+                // transaction's outcome unknown: the policy treats it as
+                // inside that transaction and surfaces the abort.
+                inner.in_app_txn = true;
+                let r = self.masked(inner, budget, false, run);
                 inner.in_app_txn = false;
-                match r {
-                    Ok(_) => Ok(ExecKind::Ok),
-                    Err(e) if e.is_connection_fatal() => {
-                        // Transaction outcome unknown/aborted: recover the
-                        // session, surface the abort to the application.
-                        self.recover(&mut inner)?;
-                        self.metrics.txn_aborts_surfaced.incr();
-                        Err(Error::TxnAborted(
-                            "server failure during transaction".into(),
-                        ))
-                    }
-                    Err(e) => Err(e),
-                }
+                r.map(|_| ExecKind::Ok)
             }
             RequestClass::Passthrough => {
-                if inner.in_app_txn {
-                    self.in_txn_exec(&mut inner, sql)
-                        .map(|st| match st.row_count() {
-                            Some(n) => ExecKind::RowCount(n),
-                            None => ExecKind::Ok,
-                        })
-                } else {
-                    let st = self.masked_passthrough(&mut inner, sql)?;
-                    Ok(match st.row_count() {
-                        Some(n) => ExecKind::RowCount(n),
-                        None => ExecKind::Ok,
-                    })
-                }
+                let st = self.masked(inner, budget, false, run)?;
+                Ok(st.row_count().map_or(ExecKind::Ok, ExecKind::RowCount))
             }
-            RequestClass::Modification => {
-                if inner.in_app_txn {
-                    let st = self.in_txn_exec(&mut inner, sql)?;
-                    Ok(ExecKind::RowCount(st.row_count().unwrap_or(0)))
-                } else {
-                    let n = self.wrapped_modification(&mut inner, sql)?;
-                    Ok(ExecKind::RowCount(n))
-                }
+            RequestClass::Modification if inner.in_app_txn => {
+                let st = self.masked(inner, budget, false, run)?;
+                Ok(ExecKind::RowCount(st.row_count().unwrap_or(0)))
             }
-            RequestClass::ResultGenerating => self.open_result(&mut inner, sql, parse_time),
+            RequestClass::Modification => self
+                .wrapped_modification(inner, budget, sql)
+                .map(ExecKind::RowCount),
+            RequestClass::ResultGenerating => self.open_result(inner, budget, sql, parse_time),
         }
     }
 
     /// Fetch the next row of the open result set. Server failures during
-    /// delivery are masked: Phoenix recovers the session, repositions, and
-    /// returns the row as if nothing happened.
+    /// delivery are masked within the call's `masking_retries` budget:
+    /// Phoenix recovers the session, repositions, and returns the row as
+    /// if nothing happened.
     pub fn fetch(&self) -> Result<Option<Row>> {
-        enum Step {
-            Row(Option<Row>),
-            Recover,
-            TxnDead,
-            Fail(Error),
-        }
-        let mut guard = self.inner.lock();
-        loop {
-            let inner = &mut *guard;
-            let Some(active) = inner.active.as_mut() else {
+        let mut inner = self.inner.lock();
+        self.masked(&mut inner, &mut self.budget(), false, |i| {
+            let Some(active) = i.active.as_mut() else {
                 return Err(Error::Semantic("no open result set".into()));
             };
-            let in_txn = inner.in_app_txn;
-            let step = match &mut active.source {
-                ActiveSource::Cached(rows) => Step::Row(rows.pop_front()),
-                ActiveSource::Persisted { stmt, .. } => match stmt.fetch() {
-                    Ok(row) => Step::Row(row),
-                    Err(e) if e.is_connection_fatal() => {
-                        if in_txn {
-                            Step::TxnDead
-                        } else {
-                            Step::Recover
-                        }
-                    }
-                    Err(e) => Step::Fail(e),
-                },
+            let row = match &mut active.source {
+                ActiveSource::Cached(rows) => rows.pop_front(),
+                // After a recovery the reopened, repositioned statement
+                // resumes delivery seamlessly.
+                ActiveSource::Persisted { stmt, .. } => stmt.fetch()?,
             };
-            match step {
-                Step::Row(Some(row)) => {
-                    active.delivered += 1;
-                    self.metrics.rows_delivered.incr();
-                    return Ok(Some(row));
-                }
-                Step::Row(None) => return Ok(None),
-                Step::Recover => {
-                    self.recover(&mut guard)?;
-                    // Loop: the reopened, repositioned statement resumes
-                    // delivery seamlessly.
-                }
-                Step::TxnDead => {
-                    self.recover(&mut guard)?;
-                    guard.in_app_txn = false;
-                    guard.active = None;
-                    self.metrics.txn_aborts_surfaced.incr();
-                    return Err(Error::TxnAborted(
-                        "server failure during transaction".into(),
-                    ));
-                }
-                Step::Fail(e) => return Err(e),
+            if row.is_some() {
+                active.delivered += 1;
+                self.metrics.rows_delivered.incr();
             }
-        }
+            Ok(row)
+        })
     }
 
     /// Fetch up to `n` rows.
@@ -486,14 +430,69 @@ impl PhoenixConnection {
 
     /// Orderly close: drop pending result tables, clear status rows.
     pub fn close(self) {
-        let mut inner = self.inner.lock();
-        self.retire_active(&mut inner);
-        self.process_pending_drops(&mut inner);
+        self.close_result();
+        let inner = self.inner.lock();
         // lint:allow(discard): close is best-effort; stale status rows are reclaimed on next connect
         let _ = inner.private.exec_direct(&format!(
             "DELETE FROM {STATUS_TABLE} WHERE app_key = '{}'",
-            self.status_key()
+            self.app_key()
         ));
+    }
+
+    // -- masking policy (Section 2.3) --------------------------------------------
+
+    /// A fresh budget for one application call.
+    fn budget(&self) -> Budget {
+        Budget {
+            retries_left: self.cfg.reconnect.masking_retries,
+            backoff: Backoff::for_stream(&self.cfg.reconnect, self.conn_id),
+        }
+    }
+
+    /// Run `step` until it succeeds or the masking policy surfaces its
+    /// error. `replay_safe`: the step may run again after losing a
+    /// wait-die conflict.
+    fn masked<T>(
+        &self,
+        inner: &mut Inner,
+        budget: &mut Budget,
+        replay_safe: bool,
+        mut step: impl FnMut(&mut Inner) -> Result<T>,
+    ) -> Result<T> {
+        loop {
+            let e = match step(inner) {
+                Ok(v) => return Ok(v),
+                Err(e) => e,
+            };
+            let action = classify_failure(&e, inner.in_app_txn, replay_safe);
+            self.apply(inner, budget, action, e)?;
+        }
+    }
+
+    /// Carry out `action` for a step that failed with `e`: `Ok` means run
+    /// the step again, `Err` is what the application sees. The budget is
+    /// checked before recovering, so a spent call surfaces `e` as is.
+    fn apply(
+        &self,
+        inner: &mut Inner,
+        budget: &mut Budget,
+        action: Action,
+        e: Error,
+    ) -> Result<()> {
+        match action {
+            Action::RecoverRetry if budget.spend() => self.recover(inner),
+            Action::RecoverAbort => {
+                self.recover(inner)?;
+                inner.in_app_txn = false;
+                inner.active = None;
+                self.metrics.txn_aborts_surfaced.incr();
+                Err(Error::TxnAborted(
+                    "server failure during transaction".into(),
+                ))
+            }
+            Action::BackoffRetry if budget.spend() && budget.backoff.wait() => Ok(()),
+            _ => Err(e),
+        }
     }
 
     // -- internals --------------------------------------------------------------
@@ -524,171 +523,71 @@ impl PhoenixConnection {
         }
     }
 
-    /// Run a passthrough statement with failure masking: on a fatal error,
-    /// recover and re-execute (safe for DDL-style requests, which are
-    /// idempotent under `IF EXISTS`/`OR REPLACE` or fail cleanly).
-    fn masked_passthrough(&self, inner: &mut Inner, sql: &str) -> Result<OdbcStatement> {
-        let mut attempts = 0;
-        loop {
-            match inner.app.exec_direct(sql) {
-                Ok(st) => return Ok(st),
-                Err(e)
-                    if e.is_connection_fatal() && attempts < self.cfg.reconnect.masking_retries =>
-                {
-                    attempts += 1;
-                    self.recover(inner)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Statement inside an application transaction: no masking beyond
-    /// session recovery (crash ⇒ transaction abort surfaced to the app).
-    fn in_txn_exec(&self, inner: &mut Inner, sql: &str) -> Result<OdbcStatement> {
-        match inner.app.exec_direct(sql) {
-            Ok(st) => Ok(st),
-            Err(e) if e.is_connection_fatal() => {
-                self.recover(inner)?;
-                inner.in_app_txn = false;
-                self.metrics.txn_aborts_surfaced.incr();
-                Err(Error::TxnAborted(
-                    "server failure during transaction".into(),
-                ))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// Section 2.1 + 4.1: open a result set recoverably.
-    fn open_result(&self, inner: &mut Inner, sql: &str, parse_time: Duration) -> Result<ExecKind> {
+    fn open_result(
+        &self,
+        inner: &mut Inner,
+        budget: &mut Budget,
+        sql: &str,
+        parse_time: Duration,
+    ) -> Result<ExecKind> {
         self.process_pending_drops(inner);
 
         // Client caching first (Section 4): execute the original statement
         // and pull the whole result into the client cache.
         if let CacheMode::Enabled { capacity_bytes } = self.cfg.cache {
-            match self.try_cache_result(inner, sql, capacity_bytes)? {
-                CacheAttempt::Cached { columns, rows } => {
+            match self.try_cache_result(inner, budget, sql, capacity_bytes)? {
+                Some((columns, rows)) => {
                     self.metrics.results_cached.incr();
-                    let columns2 = columns.clone();
-                    inner.active = Some(Active {
-                        sql: sql.to_string(),
-                        columns,
-                        delivered: 0,
-                        source: ActiveSource::Cached(rows),
-                        needs_reinstall: false,
-                    });
-                    return Ok(ExecKind::ResultSet { columns: columns2 });
+                    return Ok(activate(inner, sql, columns, ActiveSource::Cached(rows)));
                 }
-                CacheAttempt::Overflow => {
-                    self.metrics.cache_overflows.incr();
-                    // Fall through to server-side persistence.
-                }
+                // Fall through to server-side persistence.
+                None => self.metrics.cache_overflows.incr(),
             }
         }
 
-        // Server-side persistence with masking: a failure at any step
-        // restarts the whole sequence (fresh table name ⇒ idempotent).
-        // Inside an application transaction a server failure cannot be
-        // masked (the transaction is gone): recover the session and
-        // surface the abort.
-        let mut attempts = 0;
-        loop {
-            let table = format!("phx_res_{}_{}", self.conn_id, inner.next_result);
-            inner.next_result += 1;
-            match persist_result(&inner.app, &inner.private, &table, sql, parse_time) {
-                Ok(pr) => {
-                    self.metrics.results_persisted.incr();
-                    inner.last_persist = Some(pr.timing);
-                    let columns = pr.columns.clone();
-                    inner.active = Some(Active {
-                        sql: sql.to_string(),
-                        columns: pr.columns,
-                        delivered: 0,
-                        source: ActiveSource::Persisted {
-                            table: pr.table,
-                            stmt: pr.stmt,
-                        },
-                        needs_reinstall: false,
-                    });
-                    return Ok(ExecKind::ResultSet { columns });
-                }
-                Err(e) if e.is_connection_fatal() => {
-                    inner.pending_drop.push(table);
-                    self.recover(inner)?;
-                    if inner.in_app_txn {
-                        inner.in_app_txn = false;
-                        self.metrics.txn_aborts_surfaced.incr();
-                        return Err(Error::TxnAborted(
-                            "server failure during transaction".into(),
-                        ));
-                    }
-                    if attempts >= self.cfg.reconnect.masking_retries {
-                        return Err(e);
-                    }
-                    attempts += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        // Server-side persistence: a failure at any step restarts the
+        // whole sequence under a fresh table name, so a re-run is
+        // idempotent. Every failed attempt queues its table for DROP
+        // (`IF EXISTS`: the failure may have come before the CREATE).
+        let pr = self.masked(inner, budget, false, |i| {
+            let table = format!("phx_res_{}_{}", self.conn_id, i.next_result);
+            i.next_result += 1;
+            persist_result(&i.app, &i.private, &table, sql, parse_time)
+                .inspect_err(|_| i.pending_drop.push(table))
+        })?;
+        self.metrics.results_persisted.incr();
+        inner.last_persist = Some(pr.timing);
+        let source = ActiveSource::Persisted {
+            table: pr.table,
+            stmt: pr.stmt,
+        };
+        Ok(activate(inner, sql, pr.columns, source))
     }
 
+    /// Execute the query and pull the whole result to the client; `None`
+    /// when it overflows `capacity`. If the server fails before the full
+    /// result arrives, the usual recovery runs and the query is
+    /// re-executed (Section 4.1).
     fn try_cache_result(
         &self,
         inner: &mut Inner,
+        budget: &mut Budget,
         sql: &str,
         capacity: usize,
-    ) -> Result<CacheAttempt> {
-        let mut attempts = 0;
-        'retry: loop {
-            let mut stmt = match inner.app.exec_direct(sql) {
-                Ok(s) => s,
-                Err(e)
-                    if e.is_connection_fatal() && attempts < self.cfg.reconnect.masking_retries =>
-                {
-                    self.recover(inner)?;
-                    if inner.in_app_txn {
-                        inner.in_app_txn = false;
-                        self.metrics.txn_aborts_surfaced.incr();
-                        return Err(Error::TxnAborted(
-                            "server failure during transaction".into(),
-                        ));
-                    }
-                    attempts += 1;
-                    continue 'retry;
-                }
-                Err(e) => return Err(e),
-            };
+    ) -> Result<Option<CachedResult>> {
+        self.masked(inner, budget, false, |i| {
+            let mut stmt = i.app.exec_direct(sql)?;
             let columns = stmt.columns().to_vec();
             let mut rows = VecDeque::new();
             let mut bytes = 0usize;
             loop {
                 // Single block-cursor read per driver call.
-                let batch = match stmt.fetch_block(256) {
-                    Ok(b) => b,
-                    Err(e)
-                        if e.is_connection_fatal()
-                            && attempts < self.cfg.reconnect.masking_retries =>
-                    {
-                        // Full result never arrived: usual recovery, then
-                        // re-execute the query (Section 4.1).
-                        self.recover(inner)?;
-                        if inner.in_app_txn {
-                            inner.in_app_txn = false;
-                            self.metrics.txn_aborts_surfaced.incr();
-                            return Err(Error::TxnAborted(
-                                "server failure during transaction".into(),
-                            ));
-                        }
-                        attempts += 1;
-                        continue 'retry;
-                    }
-                    Err(e) => return Err(e),
-                };
+                let batch = stmt.fetch_block(256)?;
                 if batch.is_empty() {
                     // Entire result now at the client: deliverability is
                     // guaranteed regardless of later server failures.
-                    return Ok(CacheAttempt::Cached { columns, rows });
+                    return Ok(Some((columns, rows)));
                 }
                 for r in batch {
                     let mut tmp = Vec::new();
@@ -699,25 +598,33 @@ impl PhoenixConnection {
                 if bytes > capacity {
                     // lint:allow(discard): overflow abandons the probe; statement cleanup is advisory
                     let _ = stmt.close();
-                    return Ok(CacheAttempt::Overflow);
+                    return Ok(None);
                 }
             }
-        }
+        })
     }
 
     /// Modification statement with exactly-once semantics: wrap in a
     /// transaction that also records the affected count in the status
     /// table; on failure, the status row tells recovery whether the
     /// statement completed.
-    fn wrapped_modification(&self, inner: &mut Inner, sql: &str) -> Result<u64> {
+    fn wrapped_modification(
+        &self,
+        inner: &mut Inner,
+        budget: &mut Budget,
+        sql: &str,
+    ) -> Result<u64> {
         self.metrics.updates_wrapped.incr();
         let req_id = inner.next_req;
         inner.next_req += 1;
-        let key = self.status_key();
+        let key = self.app_key();
+        let ledger = format!(
+            "SELECT affected FROM {STATUS_TABLE} WHERE app_key = '{key}' AND req_id = {req_id}"
+        );
 
-        let mut attempts = 0u32;
         loop {
-            let r = (|| -> Result<u64> {
+            let mut status_sent = false;
+            let e = match (|| -> Result<u64> {
                 inner.app.exec_direct("BEGIN TRAN")?;
                 let st = inner.app.exec_direct(sql)?;
                 let n = st.row_count().unwrap_or(0);
@@ -726,100 +633,49 @@ impl PhoenixConnection {
                 // re-execute) and crash after commit but before the client
                 // learns of it (status row says "done", don't re-execute).
                 faultkit::crashpoint!("phoenix.status.write");
+                status_sent = true;
                 inner.app.exec_direct(&format!(
                     "INSERT INTO {STATUS_TABLE} VALUES ('{key}', {req_id}, {n})"
                 ))?;
                 faultkit::crashpoint!("phoenix.status.commit");
                 inner.app.exec_direct("COMMIT")?;
                 Ok(n)
-            })();
-            match r {
+            })() {
                 Ok(n) => return Ok(n),
-                Err(e) if e.is_connection_fatal() => {
-                    if attempts >= self.cfg.reconnect.masking_retries {
-                        return Err(e);
-                    }
-                    attempts += 1;
-                    self.recover(inner)?;
-                    // Did the wrapped transaction commit before the crash?
-                    // The check itself runs over the network and can hit
-                    // the next fault — keep it inside the masking loop.
-                    let committed = loop {
-                        match query_all(
-                            &inner.private,
-                            &format!(
-                                "SELECT affected FROM {STATUS_TABLE} \
-                                 WHERE app_key = '{key}' AND req_id = {req_id}"
-                            ),
-                        ) {
-                            Ok(check) => {
-                                break check.first().and_then(|row| match row.first() {
-                                    Some(Value::Int(n)) => Some(*n as u64),
-                                    _ => None,
-                                })
-                            }
-                            Err(e) if e.is_connection_fatal() => {
-                                if attempts >= self.cfg.reconnect.masking_retries {
-                                    return Err(e);
-                                }
-                                attempts += 1;
-                                self.recover(inner)?;
-                            }
-                            Err(Error::Deadlock) => {
-                                // The ledger read lost a wait-die conflict
-                                // (e.g. against another session's status
-                                // write mid-storm): reads are safe to
-                                // retry after a decorrelated pause.
-                                if attempts >= self.cfg.reconnect.masking_retries {
-                                    return Err(Error::Deadlock);
-                                }
-                                attempts += 1;
-                                // lint:allow(sleep): deadlock-retry spacing, bounded by the policy's max_backoff
-                                std::thread::sleep(
-                                    self.cfg
-                                        .reconnect
-                                        .backoff_delay_stream(self.conn_id, attempts),
-                                );
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    };
-                    if let Some(n) = committed {
-                        return Ok(n);
-                    }
-                    // Not recorded ⇒ the transaction aborted; re-execute.
-                }
-                Err(Error::Deadlock) => {
-                    // Wait-die victim: retry the wrapped transaction.
-                    // lint:allow(discard): the victim txn is already rolled back server-side
-                    let _ = inner.app.exec_direct("ROLLBACK");
-                    if attempts >= self.cfg.reconnect.masking_retries {
-                        // The victim transaction aborted, so this request
-                        // definitively did not apply (its status row cannot
-                        // exist). Return the req_id to the pool: an
-                        // application-level retry keeps the ledger dense.
-                        inner.next_req = req_id;
-                        return Err(Error::Deadlock);
-                    }
-                    attempts += 1;
-                    // A fresh BEGIN is always the *youngest* transaction, so
-                    // under heavy contention an immediate retry just dies
-                    // again (victim livelock). Space retries out with the
-                    // session's own jittered backoff stream, the same
-                    // decorrelation that spreads a reconnect storm.
-                    // lint:allow(sleep): deadlock-retry spacing, bounded by the policy's max_backoff
-                    std::thread::sleep(
-                        self.cfg
-                            .reconnect
-                            .backoff_delay_stream(self.conn_id, attempts),
-                    );
-                }
-                Err(e) => {
-                    // lint:allow(discard): ROLLBACK after a failed txn is best-effort; the error to surface is `e`
-                    let _ = inner.app.exec_direct("ROLLBACK");
-                    return Err(e);
-                }
+                Err(e) => e,
+            };
+            // A wait-die victim is rolled back, and an attempt that failed
+            // before its status INSERT cannot have committed: either way no
+            // status row exists for `req_id`.
+            let not_applied = !status_sent || matches!(e, Error::Deadlock);
+            let action = classify_failure(&e, false, true);
+            let committed = if action == Action::RecoverRetry {
+                // Did the wrapped transaction commit before the crash? The
+                // check itself runs over the network and can hit the next
+                // fault, so it is masked too, on the same budget.
+                self.apply(inner, budget, action, e)
+                    .and_then(|()| {
+                        self.masked(inner, budget, true, |i| query_all(&i.private, &ledger))
+                    })
+                    .map(|check| match check.first().and_then(|row| row.first()) {
+                        Some(Value::Int(n)) => Some(*n as u64),
+                        _ => None,
+                    })
+            } else {
+                // lint:allow(discard): ROLLBACK after a failed txn is best-effort; the error to act on is `e`
+                let _ = inner.app.exec_direct("ROLLBACK");
+                self.apply(inner, budget, action, e).map(|()| None)
+            };
+            // A request that definitively did not apply returns its req_id
+            // to the pool: an application-level retry keeps the ledger dense.
+            if committed.is_err() && not_applied {
+                inner.next_req = req_id;
             }
+            if let Some(n) = committed? {
+                return Ok(n);
+            }
+            // Not recorded (the transaction aborted) or a wait-die victim
+            // backed off: re-execute.
         }
     }
 
@@ -831,7 +687,6 @@ impl PhoenixConnection {
     /// session intact so the *next* application call resumes recovery
     /// instead of failing permanently.
     fn recover(&self, inner: &mut Inner) -> Result<()> {
-        let policy = self.cfg.reconnect;
         let t0 = Instant::now();
         let mut phases = RecoveryPhases::default();
 
@@ -873,20 +728,11 @@ impl PhoenixConnection {
 
         // One budget governs both phases; a connection-fatal error in
         // phase 2 re-enters phase 1 on the same Backoff, so a crash during
-        // recovery cannot leak `ServerShutdown` past this function.
-        // Budget-exhausted exits flow through `exhausted` so the abandoned
-        // attempt still lands on the timeline. The backoff draws jitter
-        // from this session's own stream (keyed by connection id): one
-        // configured seed, decorrelated schedules across a storm.
-        let mut backoff = Backoff::for_stream(&policy, self.conn_id);
-        let exhausted = || {
-            obskit::event!("phoenix.recovery.exhausted");
-            Err(Error::RecoveryExhausted)
-        };
-        // When the server sheds a reconnect (`ServerBusy`), its
-        // `retry_after` hint steers the next wait instead of the pure
-        // backoff schedule — still jittered, still inside the one budget.
-        let mut busy_hint: Option<Duration> = None;
+        // recovery cannot leak `ServerShutdown` past this function. The
+        // backoff draws jitter from this session's own stream (keyed by
+        // connection id): one configured seed, decorrelated schedules
+        // across a storm.
+        let mut backoff = Backoff::for_stream(&self.cfg.reconnect, self.conn_id);
         let (virtual_session, sql_state) = loop {
             // Phase 1: re-establish connections and the virtual session
             // (skipped when the links survived and only phase 2 remains).
@@ -903,90 +749,43 @@ impl PhoenixConnection {
                             .is_ok();
                         // (In this substrate a broken link always implies a
                         // dead session, so the probe is informational.)
-                        Some((app, private))
+                        Ok((app, private))
                     }
-                    Err(Error::ServerBusy { retry_after }) => {
-                        // Shed by admission control: a maskable phase-1
-                        // outcome, like the server still being down — but
-                        // the next wait honors the server's hint.
-                        obskit::event!("phoenix.recovery.shed");
-                        busy_hint = Some(retry_after);
-                        None
-                    }
-                    _ => None,
+                    // Shed by admission control: the next wait honors the
+                    // server's hint.
+                    Err(busy @ Error::ServerBusy { .. }) => Err(busy),
+                    // Any other phase-1 failure: the server is still down.
+                    _ => Err(Error::ServerShutdown),
                 };
                 phases.reconnect += t_reconnect.elapsed();
-                let Some((app, private)) = fresh else {
-                    let t_wait = Instant::now();
-                    let retry = match busy_hint.take() {
-                        Some(hint) => backoff.wait_shed(hint),
-                        None => backoff.wait(),
-                    };
-                    phases.reconnect += t_wait.elapsed();
-                    if !retry {
-                        return exhausted();
+                let rebound = fresh.and_then(|(app, private)| {
+                    let t_rebind = Instant::now();
+                    let r = Self::install_session_context(&app, &private);
+                    phases.rebind += t_rebind.elapsed();
+                    r.map(|()| (app, private))
+                });
+                match rebound {
+                    Ok((app, private)) => {
+                        inner.app = app;
+                        inner.private = private;
+                        self.metrics.recoveries.incr();
                     }
-                    continue;
-                };
-                let t_rebind = Instant::now();
-                let rebound = Self::install_session_context(&app, &private);
-                phases.rebind += t_rebind.elapsed();
-                if let Err(e) = rebound {
-                    // Maskable rebind outcomes: the link died again, the
-                    // server shed us, or the context statements lost a
-                    // wait-die conflict with another recovering session —
-                    // all retryable inside the one budget.
-                    if e.is_connection_fatal()
-                        || matches!(e, Error::ServerBusy { .. } | Error::Deadlock)
-                    {
-                        if let Error::ServerBusy { retry_after } = e {
-                            obskit::event!("phoenix.recovery.shed");
-                            busy_hint = Some(retry_after);
-                        }
-                        let t_wait = Instant::now();
-                        let retry = match busy_hint.take() {
-                            Some(hint) => backoff.wait_shed(hint),
-                            None => backoff.wait(),
-                        };
-                        phases.reconnect += t_wait.elapsed();
-                        if !retry {
-                            return exhausted();
-                        }
+                    Err(e) => {
+                        recovery_wait(&mut backoff, &mut phases, e)?;
                         continue;
                     }
-                    return Err(e);
                 }
-                inner.app = app;
-                inner.private = private;
-                self.metrics.recoveries.incr();
             }
             let virtual_session = t0.elapsed();
 
             // Phase 2: reinstall SQL state for the interrupted request.
+            // On a retryable failure `needs_reinstall` stays set, so the
+            // loop retries the reinstall (after phase 1 if the link died
+            // again).
             let t1 = Instant::now();
             match self.reinstall_sql_state(inner, &mut phases) {
                 Ok(()) => break (virtual_session, t1.elapsed()),
-                Err(e)
-                    if e.is_connection_fatal()
-                        || matches!(e, Error::ServerBusy { .. } | Error::Deadlock) =>
-                {
-                    if let Error::ServerBusy { retry_after } = e {
-                        obskit::event!("phoenix.recovery.shed");
-                        busy_hint = Some(retry_after);
-                    }
-                    let t_wait = Instant::now();
-                    let retry = match busy_hint.take() {
-                        Some(hint) => backoff.wait_shed(hint),
-                        None => backoff.wait(),
-                    };
-                    phases.reconnect += t_wait.elapsed();
-                    if !retry {
-                        return exhausted();
-                    }
-                    // Loop: `needs_reinstall` stays set, so we retry the
-                    // reinstall (after phase 1 if the link died again).
-                }
-                Err(e) => return Err(e),
+                Err(e) => recovery_wait(&mut backoff, &mut phases, e)?,
             }
         };
 
@@ -1028,85 +827,166 @@ impl PhoenixConnection {
             // The transaction died with the server; the caller surfaces
             // TxnAborted. Nothing to reinstall.
             *active = None;
-            phases.reinstall += t_reinstall.elapsed();
-            return Ok(());
         }
-        let Some(a) = active.as_mut() else {
+        // No result open, or one held entirely at the client: no server
+        // state to reinstall.
+        let Some(Active {
+            sql,
+            delivered,
+            source: ActiveSource::Persisted { table, stmt },
+            needs_reinstall,
+            ..
+        }) = active.as_mut()
+        else {
             phases.reinstall += t_reinstall.elapsed();
             return Ok(());
         };
-        a.needs_reinstall = true;
-        match &mut a.source {
-            // Entire result is client-side; no server state needed.
-            ActiveSource::Cached(_) => {
-                a.needs_reinstall = false;
-                phases.reinstall += t_reinstall.elapsed();
-                Ok(())
+        *needs_reinstall = true;
+        // Verify database recovery restored the result table. If it is
+        // somehow gone (it was dropped out of band, or never reached
+        // commit), redo the whole persistence from the remembered request
+        // — the result is recomputed, not lost.
+        let verified = match private.exec_direct(&format!("SELECT * FROM {table} WHERE 0=1")) {
+            Ok(_) => Ok(()),
+            Err(Error::NotFound(_)) => {
+                let fresh = format!("phx_res_{}_{}", self.conn_id, *next_result);
+                *next_result += 1;
+                persist_result(app, private, &fresh, sql, Duration::ZERO).map(|pr| {
+                    // lint:allow(discard): the persisted table is what matters; the probe stmt is disposable
+                    let _ = pr.stmt.close();
+                    *table = fresh;
+                })
             }
-            ActiveSource::Persisted { table, stmt } => {
-                // Verify database recovery restored the result table. If it
-                // is somehow gone (it was dropped out of band, or never
-                // reached commit), redo the whole persistence from the
-                // remembered request — the result is recomputed, not lost.
-                let verified =
-                    match private.exec_direct(&format!("SELECT * FROM {table} WHERE 0=1")) {
-                        Ok(_) => Ok(()),
-                        Err(Error::NotFound(_)) => {
-                            let fresh = format!("phx_res_{}_{}", self.conn_id, *next_result);
-                            *next_result += 1;
-                            persist_result(app, private, &fresh, &a.sql, Duration::ZERO).map(|pr| {
-                                // lint:allow(discard): the persisted table is what matters; the probe stmt is disposable
-                                let _ = pr.stmt.close();
-                                *table = fresh;
-                            })
-                        }
-                        Err(e) => Err(e),
-                    };
-                phases.reinstall += t_reinstall.elapsed();
-                verified?;
-                // Reopen and reposition to the last delivered tuple.
-                let t_reposition = Instant::now();
-                let reopened = match self.cfg.reposition {
-                    RepositionMode::Server => {
-                        // Advance server-side; no tuples cross the wire
-                        // (the repositioning stored procedure).
-                        app.exec_direct_skip(&reopen_sql(table), a.delivered)
+            Err(e) => Err(e),
+        };
+        phases.reinstall += t_reinstall.elapsed();
+        verified?;
+        // Reopen and reposition to the last delivered tuple.
+        let t_reposition = Instant::now();
+        let reopened = match self.cfg.reposition {
+            // Advance server-side; no tuples cross the wire (the
+            // repositioning stored procedure).
+            RepositionMode::Server => app.exec_direct_skip(&reopen_sql(table), *delivered),
+            // Sequence through the result from the client. A reopened
+            // result shorter than the remembered position means the
+            // persisted table lost rows — surface that, never silently
+            // resume short.
+            RepositionMode::Client => (|| {
+                let mut s = app.exec_direct(&reopen_sql(table))?;
+                for consumed in 0..*delivered {
+                    if s.fetch()?.is_none() {
+                        return Err(Error::Storage(format!(
+                            "persisted result {table} ended at row {consumed} \
+                             while repositioning to {delivered}"
+                        )));
                     }
-                    RepositionMode::Client => {
-                        // Sequence through the result from the client. A
-                        // reopened result shorter than the remembered
-                        // position means the persisted table lost rows —
-                        // surface that, never silently resume short.
-                        (|| {
-                            let mut s = app.exec_direct(&reopen_sql(table))?;
-                            for consumed in 0..a.delivered {
-                                if s.fetch()?.is_none() {
-                                    return Err(Error::Storage(format!(
-                                        "persisted result {table} ended at row {consumed} \
-                                         while repositioning to {}",
-                                        a.delivered
-                                    )));
-                                }
-                            }
-                            Ok(s)
-                        })()
-                    }
-                };
-                phases.reposition += t_reposition.elapsed();
-                *stmt = reopened?;
-                a.needs_reinstall = false;
-                Ok(())
-            }
-        }
+                }
+                Ok(s)
+            })(),
+        };
+        phases.reposition += t_reposition.elapsed();
+        *stmt = reopened?;
+        *needs_reinstall = false;
+        Ok(())
     }
 }
 
-enum CacheAttempt {
-    Cached {
-        columns: Vec<(String, DataType)>,
-        rows: VecDeque<Row>,
-    },
-    Overflow,
+/// A result pulled whole into the client cache: its columns and rows.
+type CachedResult = (Vec<(String, DataType)>, VecDeque<Row>);
+
+/// Install `source` as the open result set.
+fn activate(
+    inner: &mut Inner,
+    sql: &str,
+    columns: Vec<(String, DataType)>,
+    source: ActiveSource,
+) -> ExecKind {
+    inner.active = Some(Active {
+        sql: sql.to_string(),
+        columns: columns.clone(),
+        delivered: 0,
+        source,
+        needs_reinstall: false,
+    });
+    ExecKind::ResultSet { columns }
+}
+
+/// What the masking policy does with a failed step (DESIGN §9). It is the
+/// paper's one rule: recovery is idempotent and re-runs until it
+/// succeeds, and a transaction in flight at the crash surfaces as an
+/// ordinary abort.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Action {
+    /// The link died outside an application transaction: recover the
+    /// session, then run the step again.
+    RecoverRetry,
+    /// The link died inside an application transaction: recover the
+    /// session, then surface `TxnAborted` (the transaction died with it).
+    RecoverAbort,
+    /// A wait-die victim at a step that may replay: back off, run again.
+    BackoffRetry,
+    /// Anything else reaches the application unchanged.
+    Surface,
+}
+
+/// The masking policy's one classifier. `in_txn`: the step runs inside
+/// an application transaction. `replay_safe`: the step may run again
+/// after losing a wait-die conflict (the wrapped transaction once rolled
+/// back, and the ledger read).
+fn classify_failure(e: &Error, in_txn: bool, replay_safe: bool) -> Action {
+    if e.is_connection_fatal() {
+        if in_txn {
+            Action::RecoverAbort
+        } else {
+            Action::RecoverRetry
+        }
+    } else if matches!(e, Error::Deadlock) && replay_safe && !in_txn {
+        Action::BackoffRetry
+    } else {
+        Action::Surface
+    }
+}
+
+/// The masking budget of one application call: the `masking_retries`
+/// re-runs that all its masked steps draw from, nested ones included,
+/// and the backoff that spaces deadlock replays.
+struct Budget {
+    retries_left: u32,
+    backoff: Backoff,
+}
+
+impl Budget {
+    /// Spend one re-run; `false` once none are left.
+    fn spend(&mut self) -> bool {
+        let left = self.retries_left > 0;
+        self.retries_left = self.retries_left.saturating_sub(1);
+        left
+    }
+}
+
+/// The one wait between recovery attempts. A shed (`ServerBusy`) waits
+/// out the server's `retry_after` hint; a lost link or a wait-die
+/// conflict takes the next backoff step; the wait counts as reconnect
+/// time. `Err` is what recovery returns: a non-retryable `e`, or
+/// `RecoveryExhausted` once the budget is spent.
+fn recovery_wait(backoff: &mut Backoff, phases: &mut RecoveryPhases, e: Error) -> Result<()> {
+    let t_wait = Instant::now();
+    let retry = match e {
+        Error::ServerBusy { retry_after } => {
+            obskit::event!("phoenix.recovery.shed");
+            backoff.wait_shed(retry_after)
+        }
+        Error::Deadlock => backoff.wait(),
+        e if e.is_connection_fatal() => backoff.wait(),
+        e => return Err(e),
+    };
+    phases.reconnect += t_wait.elapsed();
+    if retry {
+        Ok(())
+    } else {
+        obskit::event!("phoenix.recovery.exhausted");
+        Err(Error::RecoveryExhausted)
+    }
 }
 
 /// Run a query on a raw driver connection and collect all rows.
@@ -1117,4 +997,77 @@ pub(crate) fn query_all(conn: &OdbcConnection, sql: &str) -> Result<Vec<Row>> {
         out.push(r);
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ReconnectPolicy;
+
+    #[test]
+    fn classifier_table() {
+        use Action::*;
+        // Columns: (in_txn, replay_safe) = (no, no), (no, yes), (yes, no), (yes, yes).
+        let cells = [(false, false), (false, true), (true, false), (true, true)];
+        let fatal = [RecoverRetry, RecoverRetry, RecoverAbort, RecoverAbort];
+        let busy = Error::ServerBusy {
+            retry_after: Duration::from_millis(10),
+        };
+        let table = [
+            (Error::ServerShutdown, fatal),
+            (Error::NoSuchSession, fatal),
+            (Error::Timeout, fatal),
+            (Error::Deadlock, [Surface, BackoffRetry, Surface, Surface]),
+            (busy, [Surface; 4]),
+            (Error::RecoveryExhausted, [Surface; 4]),
+            (Error::Semantic("no such column".into()), [Surface; 4]),
+        ];
+        for (e, want) in &table {
+            for ((in_txn, replay_safe), want) in cells.into_iter().zip(want) {
+                assert_eq!(
+                    classify_failure(e, in_txn, replay_safe),
+                    *want,
+                    "{e:?} in_txn={in_txn} replay_safe={replay_safe}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn budget_spends_exactly_masking_retries() {
+        let policy = ReconnectPolicy {
+            masking_retries: 2,
+            ..ReconnectPolicy::default()
+        };
+        let mut budget = Budget {
+            retries_left: policy.masking_retries,
+            backoff: Backoff::new(&policy),
+        };
+        assert!(budget.spend());
+        assert!(budget.spend());
+        assert!(!budget.spend());
+        assert!(!budget.spend());
+    }
+
+    #[test]
+    fn recovery_wait_retries_only_what_recovery_can_outwait() {
+        let policy = ReconnectPolicy::fixed(2, Duration::from_micros(50));
+        let mut backoff = Backoff::new(&policy);
+        let mut phases = RecoveryPhases::default();
+        let err =
+            recovery_wait(&mut backoff, &mut phases, Error::Semantic("bad".into())).unwrap_err();
+        assert!(matches!(err, Error::Semantic(_)), "got {err:?}");
+        assert_eq!(backoff.attempts(), 0, "a non-retryable error does not wait");
+        assert!(recovery_wait(&mut backoff, &mut phases, Error::Deadlock).is_ok());
+        let busy = Error::ServerBusy {
+            retry_after: Duration::from_micros(50),
+        };
+        assert!(recovery_wait(&mut backoff, &mut phases, busy).is_ok());
+        let err = recovery_wait(&mut backoff, &mut phases, Error::ServerShutdown).unwrap_err();
+        assert!(matches!(err, Error::RecoveryExhausted), "got {err:?}");
+        assert!(
+            phases.reconnect > Duration::ZERO,
+            "waits count as reconnect time"
+        );
+    }
 }

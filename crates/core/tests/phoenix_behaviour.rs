@@ -6,6 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use std::time::Duration;
 
+use odbcsim::{DriverConfig, OdbcConnection};
 use phoenix::{
     CacheMode, ExecKind, PhoenixConfig, PhoenixConnection, ReconnectPolicy, RepositionMode,
 };
@@ -32,7 +33,11 @@ fn cfg_with(reposition: RepositionMode, cache: CacheMode) -> PhoenixConfig {
 }
 
 fn server_with_rows(n: usize) -> DbServer {
-    let server = DbServer::start(ServerConfig::instant_net()).unwrap();
+    server_with(ServerConfig::instant_net(), n)
+}
+
+fn server_with(cfg: ServerConfig, n: usize) -> DbServer {
+    let server = DbServer::start(cfg).unwrap();
     let engine = server.engine().unwrap();
     let sid = engine.create_session().unwrap();
     engine
@@ -493,4 +498,119 @@ fn client_reposition_surfaces_short_persisted_result() {
     // than delivering mispositioned rows.
     let err2 = px.fetch().unwrap_err();
     assert!(matches!(err2, Error::Storage(_)), "got {err2:?}");
+}
+
+fn result_tables(server: &DbServer) -> Vec<String> {
+    let engine = server.engine().unwrap();
+    let names = engine.storage().catalog.table_names();
+    names
+        .into_iter()
+        .filter(|n| n.starts_with("phx_res_"))
+        .collect()
+}
+
+#[test]
+fn failed_persist_does_not_leak_its_result_table() {
+    let server = server_with_rows(10);
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+    // An older transaction holds a row of `items`, so Phoenix's younger
+    // materialization loses the wait-die conflict after it created the
+    // result table.
+    let raw = OdbcConnection::connect(&server, DriverConfig::default()).unwrap();
+    raw.exec_direct("BEGIN TRAN").unwrap();
+    raw.exec_direct("UPDATE items SET v = 'held' WHERE k = 1")
+        .unwrap();
+    let err = px.exec("SELECT k, v FROM items").unwrap_err();
+    assert!(matches!(err, Error::Deadlock), "got {err:?}");
+    raw.exec_direct("ROLLBACK").unwrap();
+
+    px.exec("SELECT k, v FROM items").unwrap();
+    assert_eq!(px.fetch_all().unwrap().len(), 10);
+    px.close_result();
+    px.close();
+    let leftovers = result_tables(&server);
+    assert!(
+        leftovers.is_empty(),
+        "leftover result tables: {leftovers:?}"
+    );
+}
+
+#[test]
+fn failed_wrapped_update_keeps_the_ledger_dense() {
+    let server = server_with_rows(0);
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+    px.exec("INSERT INTO items VALUES (1, 'a')").unwrap();
+    let err = px.exec("INSERT INTO items VALUES (1, 'b')").unwrap_err();
+    assert!(matches!(err, Error::DuplicateKey(_)), "got {err:?}");
+    px.exec("INSERT INTO items VALUES (2, 'c')").unwrap();
+    let ledger = px
+        .query_all(&format!(
+            "SELECT req_id FROM phx_status WHERE app_key = '{}' ORDER BY req_id",
+            px.app_key()
+        ))
+        .unwrap();
+    let ids: Vec<i64> = ledger.iter().map(|r| r[0].as_i64().unwrap()).collect();
+    assert_eq!(ids, vec![1, 2], "a failed insert left a gap in the ledger");
+}
+
+#[test]
+fn over_budget_statement_surfaces_server_busy_and_session_survives_the_drop() {
+    let mut scfg = ServerConfig::instant_net();
+    scfg.admission.session_budget_bytes = wire::admission::SLOT_BASE_BYTES + 512;
+    let server = server_with(scfg, 20);
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+
+    // Materializing 9 rows charges 9 * 64 = 576 bytes, past the 512 the
+    // budget leaves: the next statement on the session is shed. A shed is
+    // statement-level, so Phoenix surfaces it rather than masking it.
+    let err = px.exec("SELECT k, v FROM items WHERE k < 9").unwrap_err();
+    assert!(
+        matches!(err, Error::ServerBusy { .. }),
+        "expected ServerBusy, got {err:?}"
+    );
+    assert_eq!(px.stats().recoveries, 0, "a shed is not a failure");
+
+    // Dropping the result table is always admitted and restores service.
+    let [table] = result_tables(&server).try_into().unwrap();
+    px.exec(&format!("DROP TABLE {table}")).unwrap();
+    px.exec("SELECT k FROM items WHERE k < 3").unwrap();
+    assert_eq!(px.fetch_all().unwrap().len(), 3);
+    assert_eq!(px.stats().recoveries, 0);
+}
+
+#[test]
+fn fetch_surfaces_the_failure_once_masking_retries_are_spent() {
+    let server = server_with_rows(500);
+    let mut cfg = cfg_with(RepositionMode::Server, CacheMode::Disabled);
+    cfg.reconnect.masking_retries = 0;
+    let px = PhoenixConnection::connect(&server, cfg).unwrap();
+    px.exec("SELECT k FROM items ORDER BY k").unwrap();
+    for _ in 0..10 {
+        px.fetch().unwrap().unwrap();
+    }
+    server.crash();
+    server.restart().unwrap();
+    // The per-call budget caps fetch like every other masked step: with
+    // no re-runs left, the lost link surfaces instead of being recovered.
+    let err = loop {
+        match px.fetch() {
+            Ok(Some(_)) => continue,
+            Ok(None) => panic!("the crash was masked past a spent budget"),
+            Err(e) => break e,
+        }
+    };
+    assert!(err.is_connection_fatal(), "got {err:?}");
+    assert_eq!(px.stats().recoveries, 0);
 }
