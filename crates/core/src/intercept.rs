@@ -10,6 +10,7 @@ use sqlengine::{Error, Result};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestClass {
     /// A SELECT: generates a result set that must be made recoverable.
+    /// (`SELECT … INTO` creates a table instead: it passes through.)
     ResultGenerating,
     /// INSERT/UPDATE/DELETE: wrapped in a transaction together with a
     /// status-table write so completion is testable after a crash.
@@ -59,24 +60,6 @@ fn classify_stmt(s: &Stmt) -> RequestClass {
     }
 }
 
-/// Wrap the original SELECT so only compilation happens at the server:
-/// the Phoenix metadata probe. (The paper appends `WHERE 0=1` textually;
-/// wrapping as a derived table is the same trick made robust to GROUP BY
-/// and existing WHERE clauses.)
-pub fn metadata_probe_sql(select_sql: &str) -> String {
-    format!(
-        "SELECT * FROM ({}) phx_md WHERE 0=1",
-        select_sql.trim_end_matches(';')
-    )
-}
-
-/// The materialization statement: evaluate the original SELECT at the
-/// server and move its rows into the persistent result table without
-/// sending them to the client (one round trip).
-pub fn materialize_sql(table: &str, select_sql: &str) -> String {
-    format!("INSERT INTO {} {}", table, select_sql.trim_end_matches(';'))
-}
-
 /// Reopen statement for seamless delivery from the persistent table.
 pub fn reopen_sql(table: &str) -> String {
     format!("SELECT * FROM {table}")
@@ -111,6 +94,15 @@ mod tests {
             classify("CREATE TABLE t (a INT)").unwrap(),
             RequestClass::Passthrough
         );
+        // An application's own SELECT … INTO makes a table, not a result.
+        assert_eq!(
+            classify("SELECT a, b INTO copy_t FROM t WHERE a > 1").unwrap(),
+            RequestClass::Passthrough
+        );
+        assert_eq!(
+            classify("SELECT * INTO #work FROM t").unwrap(),
+            RequestClass::Passthrough
+        );
         assert_eq!(
             classify("SHUTDOWN WITH NOWAIT").unwrap(),
             RequestClass::Passthrough
@@ -128,18 +120,5 @@ mod tests {
             classify("SELECT 1; SELECT 2").unwrap(),
             RequestClass::Passthrough
         );
-    }
-
-    #[test]
-    fn probe_and_materialize_sql_forms() {
-        let q = "SELECT a, SUM(b) AS s FROM t GROUP BY a ORDER BY s DESC;";
-        let probe = metadata_probe_sql(q);
-        assert!(probe.starts_with("SELECT * FROM (SELECT a,"));
-        assert!(probe.ends_with("WHERE 0=1"));
-        // The probe must itself parse.
-        sqlengine::sql::parser::parse_one(&probe).unwrap();
-        let mat = materialize_sql("phx_res_1_1", q);
-        sqlengine::sql::parser::parse_one(&mat).unwrap();
-        sqlengine::sql::parser::parse_one(&reopen_sql("phx_res_1_1")).unwrap();
     }
 }

@@ -11,8 +11,9 @@
 //!
 //! * intercepts every request with a one-pass parse ([`intercept`]);
 //! * makes SELECT results **crash-durable** by materializing them into
-//!   persistent server tables (`WHERE 0=1` metadata probe → `CREATE
-//!   TABLE` → server-local `INSERT ... <select>` → reopen; [`persist`]);
+//!   persistent server tables, one round trip per result: a single batch
+//!   drops the retired result tables, runs a server-local `SELECT ...
+//!   INTO` a fresh table and reopens it ([`persist`]);
 //! * wraps modification statements in a transaction with a **status
 //!   table** write, giving exactly-once semantics across crashes;
 //! * maps the application onto a **virtual session** backed by an

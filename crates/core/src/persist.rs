@@ -1,35 +1,33 @@
-//! Result-set persistence (Section 2.1): metadata probe, persistent table
-//! creation, server-side materialization, and reopen — with per-step
-//! timings (the measurements behind Figure 6 and §3.5).
+//! Result-set persistence (Section 2.1) in one round trip: a single batch
+//! on the application connection drops the retired result tables,
+//! materializes the SELECT into a fresh persistent table with
+//! `SELECT … INTO` (the server takes the column types from the plan, so
+//! no metadata probe is needed) and reopens it for delivery.
 
 use std::time::{Duration, Instant};
 
 use odbcsim::{OdbcConnection, OdbcStatement};
+use sqlengine::sql::parser::select_into_sql;
 use sqlengine::types::DataType;
 use sqlengine::{Error, Result};
 
-use crate::intercept::{materialize_sql, metadata_probe_sql, reopen_sql};
+use crate::intercept::reopen_sql;
 
-/// Per-step elapsed times for one persisted result set.
+/// Elapsed times for one persisted result set (the Figure 6 breakdown
+/// this side of the wire can measure).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PersistTiming {
     /// Request interception + one-pass parse (filled by the caller).
     pub parse: Duration,
-    /// `WHERE 0=1` metadata probe round trip.
-    pub metadata: Duration,
-    /// `CREATE TABLE` for the persistent result table.
-    pub create_table: Duration,
-    /// Stored-procedure-equivalent `INSERT INTO T <select>` round trip —
-    /// query execution plus writing the result into the table.
+    /// The persist batch's round trip: query execution, writing the
+    /// result into its table, and the reopen.
     pub load: Duration,
-    /// `SELECT * FROM T` reopen.
-    pub reopen: Duration,
 }
 
 impl PersistTiming {
     /// Sum of all steps.
     pub fn total(&self) -> Duration {
-        self.parse + self.metadata + self.create_table + self.load + self.reopen
+        self.parse + self.load
     }
 }
 
@@ -37,114 +35,61 @@ impl PersistTiming {
 pub struct PersistedResult {
     /// Name of the persistent result table on the server.
     pub table: String,
-    /// Result metadata from the `WHERE 0=1` probe.
+    /// Columns of the persistent table, as the reopen reports them.
     pub columns: Vec<(String, DataType)>,
-    /// Rows materialized into the table.
-    pub loaded: u64,
     /// The reopened `SELECT * FROM <table>` statement, positioned at row 0.
     pub stmt: OdbcStatement,
     /// Per-step elapsed times.
     pub timing: PersistTiming,
 }
 
-/// Render a `CREATE TABLE` for the result table from probe metadata.
-/// Column names are bracket-quoted and de-duplicated.
-pub fn create_table_sql(table: &str, columns: &[(String, DataType)]) -> String {
-    let mut seen = std::collections::HashSet::new();
-    let cols: Vec<String> = columns
+/// The persist batch: `DROP TABLE IF EXISTS` for each retired result
+/// table, `SELECT … INTO <table>` for the request, and the reopen.
+fn persist_batch_sql(retiring: &[String], table: &str, select_sql: &str) -> Result<String> {
+    let mut batch: String = retiring
         .iter()
-        .enumerate()
-        .map(|(i, (name, t))| {
-            let mut n = if name.is_empty() {
-                format!("c{}", i + 1)
-            } else {
-                name.clone()
-            };
-            if !seen.insert(n.to_ascii_lowercase()) {
-                n = format!("{n}_{}", i + 1);
-                seen.insert(n.to_ascii_lowercase());
-            }
-            let ty = match t {
-                DataType::Int => "INT",
-                DataType::Float => "FLOAT",
-                DataType::Str => "VARCHAR(255)",
-                DataType::Date => "DATE",
-            };
-            format!("[{n}] {ty}")
-        })
+        .map(|t| format!("DROP TABLE IF EXISTS {t};\n"))
         .collect();
-    format!("CREATE TABLE {table} ({})", cols.join(", "))
+    batch.push_str(&select_into_sql(select_sql, table)?);
+    batch.push_str(";\n");
+    batch.push_str(&reopen_sql(table));
+    Ok(batch)
 }
 
-/// Execute the full Section 2.1 sequence for `select_sql`:
-///
-/// 1. metadata probe (`WHERE 0=1`) — *private* connection;
-/// 2. `CREATE TABLE` — *private* connection (masked from the app);
-/// 3. `INSERT INTO T <select>` — app connection (the app's request; once
-///    the server acknowledges, the result is crash-durable);
-/// 4. reopen `SELECT * FROM T` — app connection.
+/// Persist `select_sql` into `table` with one request on the application
+/// connection, dropping the `retiring` result tables on the way. Once the
+/// server acknowledges the batch the result is crash-durable, the retired
+/// tables are gone, and the returned statement streams the result.
 pub fn persist_result(
     app: &OdbcConnection,
-    private: &OdbcConnection,
+    retiring: &[String],
     table: &str,
     select_sql: &str,
     parse_time: Duration,
 ) -> Result<PersistedResult> {
-    let mut timing = PersistTiming {
-        parse: parse_time,
-        ..Default::default()
-    };
-
-    // Step 1: metadata.
-    faultkit::crashpoint!("persist.probe");
+    let batch = persist_batch_sql(retiring, table, select_sql)?;
+    // The batch is about to leave: a crash here means the server never
+    // saw it. The load and its table's creation crash-test server side,
+    // inside `SELECT … INTO` (`persist.create`, `persist.materialize`).
+    faultkit::crashpoint!("persist.batch");
     let t = Instant::now();
-    let probe = private.exec_direct(&metadata_probe_sql(select_sql))?;
-    let columns = probe.columns().to_vec();
-    timing.metadata = t.elapsed();
-    if columns.is_empty() {
+    let stmt = app.exec_direct(&batch)?;
+    let load = t.elapsed();
+    obskit::metrics::global().record("phoenix.persist.materialize", load);
+    obskit::trace::emit_span("phoenix.persist.materialize", load, String::new());
+    if stmt.columns().is_empty() {
         return Err(Error::Semantic(
             "statement does not produce a result set".into(),
         ));
     }
-
-    // Step 2: create the persistent holding table.
-    faultkit::crashpoint!("persist.create");
-    let t = Instant::now();
-    private.exec_direct(&create_table_sql(table, &columns))?;
-    timing.create_table = t.elapsed();
-
-    // Step 3: materialize at the server (data moves locally, not to the
-    // client). When this returns, the result survives server crashes.
-    faultkit::crashpoint!("persist.materialize");
-    let t = Instant::now();
-    let load = app.exec_direct(&materialize_sql(table, select_sql))?;
-    let loaded = load.row_count().unwrap_or(0);
-    timing.load = t.elapsed();
-
-    // Step 4: reopen for seamless delivery.
-    faultkit::crashpoint!("persist.reopen");
-    let t = Instant::now();
-    let stmt = app.exec_direct(&reopen_sql(table))?;
-    timing.reopen = t.elapsed();
-
-    // Publish the step breakdown (the paper's Figure 6 decomposition):
-    // histograms feed the bench JSON snapshots, spans the trace timeline.
-    for (name, d) in [
-        ("phoenix.persist.probe", timing.metadata),
-        ("phoenix.persist.create", timing.create_table),
-        ("phoenix.persist.materialize", timing.load),
-        ("phoenix.persist.reopen", timing.reopen),
-    ] {
-        obskit::metrics::global().record(name, d);
-        obskit::trace::emit_span(name, d, String::new());
-    }
-
     Ok(PersistedResult {
         table: table.to_string(),
-        columns,
-        loaded,
+        columns: stmt.columns().to_vec(),
         stmt,
-        timing,
+        timing: PersistTiming {
+            parse: parse_time,
+            load,
+        },
     })
 }
 
@@ -153,20 +98,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn create_table_sql_quoting_and_dedup() {
-        let sql = create_table_sql(
-            "phx_res_1_1",
-            &[
-                ("value".into(), DataType::Float),
-                ("value".into(), DataType::Float),
-                ("".into(), DataType::Int),
-                ("order".into(), DataType::Str),
-            ],
-        );
+    fn batch_retires_then_loads_then_reopens() {
+        let q = "SELECT a, SUM(b) AS s FROM t GROUP BY a ORDER BY s DESC;";
+        let sql = persist_batch_sql(&["phx_res_1_1".into()], "phx_res_1_2", q).unwrap();
         assert_eq!(
             sql,
-            "CREATE TABLE phx_res_1_1 ([value] FLOAT, [value_2] FLOAT, [c3] INT, [order] VARCHAR(255))"
+            "DROP TABLE IF EXISTS phx_res_1_1;\n\
+             SELECT a, SUM(b) AS s\nINTO phx_res_1_2\nFROM t GROUP BY a ORDER BY s DESC;\n\
+             SELECT * FROM phx_res_1_2"
         );
-        sqlengine::sql::parser::parse_one(&sql).unwrap();
+        assert_eq!(
+            sqlengine::sql::parser::parse_statements(&sql)
+                .unwrap()
+                .len(),
+            3
+        );
+        assert!(persist_batch_sql(&[], "phx_res_1_3", "SELECT 1; SELECT 2").is_err());
     }
 }

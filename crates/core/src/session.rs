@@ -3,7 +3,10 @@
 //! A [`PhoenixConnection`] is what the application holds instead of a raw
 //! driver connection. Underneath it maps to *two* real connections — the
 //! application's and a private one that masks Phoenix's own traffic
-//! (result-table creation, pings, recovery probes). When the server
+//! (the status table, pings, recovery probes). Result tables live on the
+//! application connection: each is loaded, reopened and later dropped by
+//! batches sent there, so its server-side memory charge is the
+//! application session's. When the server
 //! crashes, Phoenix detects it (driver error or timeout), reconnects,
 //! re-binds the virtual session, reinstalls SQL state (reopening the
 //! persistent result table and repositioning), and the application simply
@@ -174,7 +177,11 @@ struct Inner {
     last_recovery: Option<RecoveryTiming>,
     last_phases: Option<RecoveryPhases>,
     last_persist: Option<PersistTiming>,
-    /// Result tables whose DROP is pending (processed lazily).
+    /// Result tables whose DROP is pending: retired results and failed
+    /// persist attempts. The next persist batch (or `close_result`)
+    /// drops them; a table leaves this list only once a batch that drops
+    /// it is acknowledged, since a crash may have lost an unacknowledged
+    /// DROP.
     pending_drop: Vec<String>,
     next_result: u64,
 }
@@ -509,17 +516,20 @@ impl PhoenixConnection {
         }
     }
 
+    /// Drop every pending result table in one batch on the application
+    /// connection. On failure they all stay pending for a later attempt
+    /// (`IF EXISTS`: some may already be gone).
     fn process_pending_drops(&self, inner: &mut Inner) {
-        let tables = std::mem::take(&mut inner.pending_drop);
-        for t in tables {
-            if inner
-                .private
-                .exec_direct(&format!("DROP TABLE IF EXISTS {t}"))
-                .is_err()
-            {
-                // Keep for a later attempt (e.g. server temporarily down).
-                inner.pending_drop.push(t);
-            }
+        if inner.pending_drop.is_empty() {
+            return;
+        }
+        let batch: Vec<String> = inner
+            .pending_drop
+            .iter()
+            .map(|t| format!("DROP TABLE IF EXISTS {t}"))
+            .collect();
+        if inner.app.exec_direct(&batch.join("; ")).is_ok() {
+            inner.pending_drop.clear();
         }
     }
 
@@ -531,11 +541,10 @@ impl PhoenixConnection {
         sql: &str,
         parse_time: Duration,
     ) -> Result<ExecKind> {
-        self.process_pending_drops(inner);
-
         // Client caching first (Section 4): execute the original statement
         // and pull the whole result into the client cache.
         if let CacheMode::Enabled { capacity_bytes } = self.cfg.cache {
+            self.process_pending_drops(inner);
             match self.try_cache_result(inner, budget, sql, capacity_bytes)? {
                 Some((columns, rows)) => {
                     self.metrics.results_cached.incr();
@@ -546,15 +555,20 @@ impl PhoenixConnection {
             }
         }
 
-        // Server-side persistence: a failure at any step restarts the
-        // whole sequence under a fresh table name, so a re-run is
-        // idempotent. Every failed attempt queues its table for DROP
-        // (`IF EXISTS`: the failure may have come before the CREATE).
+        // Server-side persistence: one batch drops the pending result
+        // tables, loads this result and reopens it. A failed attempt is
+        // re-run under a fresh table name, so a re-run is idempotent, and
+        // queues its table for DROP (`IF EXISTS`: the failure may have
+        // come before the table existed).
         let pr = self.masked(inner, budget, false, |i| {
             let table = format!("phx_res_{}_{}", self.conn_id, i.next_result);
             i.next_result += 1;
-            persist_result(&i.app, &i.private, &table, sql, parse_time)
-                .inspect_err(|_| i.pending_drop.push(table))
+            let r = persist_result(&i.app, &i.pending_drop, &table, sql, parse_time);
+            match r {
+                Ok(_) => i.pending_drop.clear(),
+                Err(_) => i.pending_drop.push(table),
+            }
+            r
         })?;
         self.metrics.results_persisted.incr();
         inner.last_persist = Some(pr.timing);
@@ -851,7 +865,7 @@ impl PhoenixConnection {
             Err(Error::NotFound(_)) => {
                 let fresh = format!("phx_res_{}_{}", self.conn_id, *next_result);
                 *next_result += 1;
-                persist_result(app, private, &fresh, sql, Duration::ZERO).map(|pr| {
+                persist_result(app, &[], &fresh, sql, Duration::ZERO).map(|pr| {
                     // lint:allow(discard): the persisted table is what matters; the probe stmt is disposable
                     let _ = pr.stmt.close();
                     *table = fresh;

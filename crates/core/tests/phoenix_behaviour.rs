@@ -573,21 +573,133 @@ fn over_budget_statement_surfaces_server_busy_and_session_survives_the_drop() {
     .unwrap();
 
     // Materializing 9 rows charges 9 * 64 = 576 bytes, past the 512 the
-    // budget leaves: the next statement on the session is shed. A shed is
+    // budget leaves. The reopen travels in the same batch as the load, so
+    // the result itself is delivered in full.
+    px.exec("SELECT k, v FROM items WHERE k < 9").unwrap();
+    assert_eq!(px.fetch_all().unwrap().len(), 9);
+
+    // The next request that retires nothing is shed. A shed is
     // statement-level, so Phoenix surfaces it rather than masking it.
-    let err = px.exec("SELECT k, v FROM items WHERE k < 9").unwrap_err();
+    let insert = "INSERT INTO items VALUES (100, 'late')";
+    let err = px.exec(insert).unwrap_err();
     assert!(
         matches!(err, Error::ServerBusy { .. }),
         "expected ServerBusy, got {err:?}"
     );
     assert_eq!(px.stats().recoveries, 0, "a shed is not a failure");
 
-    // Dropping the result table is always admitted and restores service.
-    let [table] = result_tables(&server).try_into().unwrap();
-    px.exec(&format!("DROP TABLE {table}")).unwrap();
-    px.exec("SELECT k FROM items WHERE k < 3").unwrap();
-    assert_eq!(px.fetch_all().unwrap().len(), 3);
+    // Dropping the result table is admitted and restores service.
+    px.close_result();
+    assert!(result_tables(&server).is_empty());
+    assert_eq!(px.exec(insert).unwrap(), ExecKind::RowCount(1));
     assert_eq!(px.stats().recoveries, 0);
+}
+
+#[test]
+fn result_table_charges_are_released_by_the_batch_that_drops_them() {
+    let mut scfg = ServerConfig::instant_net();
+    scfg.admission.session_budget_bytes = wire::admission::SLOT_BASE_BYTES + 512;
+    let server = server_with(scfg, 20);
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+    let idle = server.admission_stats().bytes_active;
+    // Each result is 3 rows (192 bytes) and only one result table is live
+    // at a time, so every one fits: the batch that loads a result drops
+    // its predecessor and releases that table's charge.
+    for i in 0..10 {
+        px.exec("SELECT k FROM items WHERE k < 3")
+            .unwrap_or_else(|e| panic!("result {i}: {e:?}"));
+        assert_eq!(px.fetch_all().unwrap().len(), 3, "result {i}");
+        assert_eq!(result_tables(&server).len(), 1, "result {i}");
+    }
+    px.close_result();
+    assert_eq!(
+        server.admission_stats().bytes_active,
+        idle,
+        "no result table stays charged after close_result"
+    );
+    assert_eq!(px.stats().recoveries, 0);
+}
+
+/// A SELECT that fails inside an application transaction rolls the
+/// transaction back, through Phoenix exactly as through the native driver:
+/// the persist batch runs on the application connection.
+#[test]
+fn failing_select_in_a_transaction_behaves_as_natively() {
+    let server = server_with_rows(5);
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+    let native = OdbcConnection::connect(&server, DriverConfig::default()).unwrap();
+    let bad = "SELECT no_such_column FROM items";
+
+    px.exec("BEGIN TRAN").unwrap();
+    px.exec("UPDATE items SET v = 'phoenix' WHERE k = 1")
+        .unwrap();
+    let px_err = px.exec(bad).unwrap_err();
+    let px_commit = px.exec("COMMIT").map(|_| ()).map_err(|e| e.to_string());
+
+    native.exec_direct("BEGIN TRAN").unwrap();
+    native
+        .exec_direct("UPDATE items SET v = 'native' WHERE k = 2")
+        .unwrap();
+    let native_err = native.exec_direct(bad).err().unwrap();
+    let native_commit = native
+        .exec_direct("COMMIT")
+        .map(|_| ())
+        .map_err(|e| e.to_string());
+
+    assert_eq!(
+        std::mem::discriminant(&px_err),
+        std::mem::discriminant(&native_err),
+        "phoenix {px_err:?}, native {native_err:?}"
+    );
+    assert_eq!(px_commit, native_commit);
+    assert!(px_commit.is_err(), "the failure ended the transaction");
+    // Both updates were rolled back with their transactions.
+    let rows = px
+        .query_all("SELECT v FROM items WHERE k < 3 ORDER BY k")
+        .unwrap();
+    let values: Vec<Value> = rows.into_iter().map(|mut r| r.remove(0)).collect();
+    let want = ["value-0", "value-1", "value-2"].map(|v| Value::Str(v.into()));
+    assert_eq!(values, want);
+    assert_eq!(px.stats().recoveries, 0);
+}
+
+#[test]
+fn line_comments_in_persisted_selects_are_transparent() {
+    let server = server_with_rows(10);
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+    let native = OdbcConnection::connect(&server, DriverConfig::default()).unwrap();
+    // A `--` comment before FROM, one at the very end, and a constant
+    // select list whose FROM clause follows a comment. Each query after
+    // the first travels in a batch that also retires its predecessor.
+    for sql in [
+        "SELECT k, v -- key and value\nFROM items WHERE k < 5 ORDER BY k",
+        "SELECT k FROM items WHERE k < 3 ORDER BY k -- trailing",
+        "SELECT 1 + 2 AS three -- constant\nFROM items WHERE k > 6",
+        "SELECT k /* block */ FROM items -- a; b\nWHERE k = 4; -- done",
+    ] {
+        let mut stmt = native.exec_direct(sql).unwrap();
+        let mut want = Vec::new();
+        while let Some(row) = stmt.fetch().unwrap() {
+            want.push(row);
+        }
+        assert!(!want.is_empty(), "{sql}");
+        assert_eq!(px.query_all(sql).unwrap(), want, "{sql}");
+    }
+    assert_eq!(px.stats().results_persisted, 4);
+    px.close();
+    assert!(result_tables(&server).is_empty());
 }
 
 #[test]

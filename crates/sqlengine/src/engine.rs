@@ -12,7 +12,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
-use crate::exec::{execute_stmt, ExecCtx, RowsSource, StmtOutcome, TempTables};
+use crate::exec::{
+    execute_stmt, BatchEffects, ExecCtx, RowsSource, StmtOutcome, TableEffect, TempTables,
+};
 use crate::schema::Column;
 use crate::session::{SessionId, SessionState};
 use crate::sql::ast::Stmt;
@@ -150,6 +152,9 @@ pub enum ExecOutcome {
 pub struct StatementResult {
     /// The last statement's outcome.
     pub outcome: ExecOutcome,
+    /// Rows the batch wrote into durable tables and the tables it
+    /// dropped, in execution order: the server's admission accounting.
+    pub tables: Vec<TableEffect>,
 }
 
 /// The volatile database engine.
@@ -261,18 +266,37 @@ impl Engine {
     /// applications use for deadlock victims.
     pub fn execute(&self, sid: SessionId, sql: &str) -> Result<StatementResult> {
         self.check_alive()?;
-        let stmts = parse_statements(sql)?;
-        let mut last = ExecOutcome::Ok;
-        for stmt in &stmts {
-            last = self.execute_one(sid, stmt)?;
-            if matches!(last, ExecOutcome::ShutdownRequested { .. }) {
+        self.execute_parsed(sid, &parse_statements(sql)?)
+    }
+
+    /// [`Engine::execute`] for an already parsed batch. The statements
+    /// run in order until one fails. Their DDL records are appended as
+    /// they run and forced once, here, before the batch returns, whether
+    /// it succeeded or not: one force covers every DDL statement of the
+    /// batch, and a batch of one DDL statement forces exactly as before.
+    pub fn execute_parsed(&self, sid: SessionId, stmts: &[Stmt]) -> Result<StatementResult> {
+        self.check_alive()?;
+        let effects = Arc::new(Mutex::new(BatchEffects::default()));
+        let mut last = Ok(ExecOutcome::Ok);
+        for stmt in stmts {
+            last = self.execute_one(sid, stmt, &effects);
+            if matches!(last, Err(_) | Ok(ExecOutcome::ShutdownRequested { .. })) {
                 break;
             }
         }
-        Ok(StatementResult { outcome: last })
+        let BatchEffects { ddl, tables } = std::mem::take(&mut *effects.lock());
+        let forced = self.storage.finish_ddl(ddl);
+        let outcome = last?;
+        forced?;
+        Ok(StatementResult { outcome, tables })
     }
 
-    fn execute_one(&self, sid: SessionId, stmt: &Stmt) -> Result<ExecOutcome> {
+    fn execute_one(
+        &self,
+        sid: SessionId,
+        stmt: &Stmt,
+        effects: &Arc<Mutex<BatchEffects>>,
+    ) -> Result<ExecOutcome> {
         self.check_alive()?;
         let (temps, cur_txn) = self.session_handles(sid)?;
         match stmt {
@@ -309,6 +333,7 @@ impl Engine {
                     temps,
                     params: Arc::new(HashMap::new()),
                     depth: 0,
+                    effects: Arc::clone(effects),
                 };
                 match execute_stmt(&ctx, stmt) {
                     Ok(StmtOutcome::Rows(rows)) => {
@@ -393,6 +418,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Value;
 
     fn fresh() -> (Durable, Engine) {
         let d = Durable::new(DiskModel::default());
@@ -613,6 +639,97 @@ mod tests {
             .execute_collect(sid, "SELECT * FROM res ORDER BY id")
             .unwrap();
         assert_eq!(rows.len(), 2);
+    }
+
+    #[test]
+    fn select_into_creates_the_table_from_the_plan_and_loads_it() {
+        let (_d, e) = fresh();
+        let sid = e.create_session().unwrap();
+        setup_t(&e, sid);
+        let r = e
+            .execute(
+                sid,
+                "SELECT id, v, x * 2 INTO res FROM t WHERE x > 1.6 ORDER BY id DESC",
+            )
+            .unwrap();
+        assert!(matches!(r.outcome, ExecOutcome::Affected(2)));
+        let schema = e
+            .storage()
+            .catalog
+            .resolve("res")
+            .unwrap()
+            .read()
+            .schema
+            .clone();
+        let cols: Vec<(&str, crate::types::DataType)> = schema
+            .columns
+            .iter()
+            .map(|c| (c.name.as_str(), c.dtype))
+            .collect();
+        use crate::types::DataType::{Float, Int, Str};
+        assert_eq!(cols, [("id", Int), ("v", Str), ("col3", Float)]);
+        assert!(schema.primary_key.is_empty());
+        let (_, rows) = e.execute_collect(sid, "SELECT id FROM res").unwrap();
+        assert_eq!(rows, [[Value::Int(3)], [Value::Int(2)]]);
+        // The target must not exist yet.
+        let err = e.execute(sid, "SELECT id INTO res FROM t").err().unwrap();
+        assert!(matches!(err, Error::AlreadyExists(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn failed_select_into_leaves_no_table() {
+        let (_d, e) = fresh();
+        let sid = e.create_session().unwrap();
+        setup_t(&e, sid);
+        let err = e.execute(sid, "SELECT nope INTO res FROM t").err().unwrap();
+        assert!(
+            matches!(err, Error::Semantic(_) | Error::NotFound(_)),
+            "got {err:?}"
+        );
+        // Nor does a query that fails on its rows.
+        assert!(e.execute(sid, "SELECT -v INTO res FROM t").is_err());
+        assert!(e
+            .execute(sid, "SELECT id INTO res FROM t WHERE id LIKE '1%'")
+            .is_err());
+        assert!(e.storage().catalog.resolve("res").is_none());
+    }
+
+    #[test]
+    fn a_batch_reports_its_table_effects_in_order() {
+        let (_d, e) = fresh();
+        let sid = e.create_session().unwrap();
+        setup_t(&e, sid);
+        e.execute(sid, "CREATE TABLE old (id INT)").unwrap();
+        let r = e
+            .execute(
+                sid,
+                "DROP TABLE IF EXISTS old; DROP TABLE IF EXISTS gone; \
+                 SELECT id INTO res FROM t; INSERT INTO res VALUES (7); SELECT * FROM res",
+            )
+            .unwrap();
+        let ExecOutcome::Rows(cursor) = r.outcome else {
+            panic!("the batch's last outcome is the reopened result")
+        };
+        assert_eq!(cursor.count(), 4);
+        let loaded = |t: &str, rows| TableEffect::Loaded {
+            table: t.into(),
+            rows,
+        };
+        let dropped = |t: &str| TableEffect::Dropped { table: t.into() };
+        assert_eq!(
+            r.tables,
+            [
+                dropped("old"),
+                dropped("gone"),
+                loaded("res", 3),
+                loaded("res", 1)
+            ]
+        );
+        // Temp tables are session state, not reported.
+        let r = e
+            .execute(sid, "SELECT id INTO #tmp FROM t; DROP TABLE #tmp")
+            .unwrap();
+        assert!(r.tables.is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@ pub mod binding;
 pub mod eval;
 pub mod select;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -16,8 +16,9 @@ use parking_lot::{Mutex, RwLock};
 use crate::catalog::TableMeta;
 use crate::error::{Error, Result};
 use crate::schema::{Column, TableSchema};
-use crate::sql::ast::{InsertSource, SelectItem, Stmt, TableName, TableRef};
+use crate::sql::ast::{ColumnDef, InsertSource, SelectItem, SelectStmt, Stmt, TableName, TableRef};
 use crate::sql::parser::{parse_one, parse_statements};
+use crate::storage::heap::DdlBatch;
 use crate::storage::Storage;
 use crate::txn::locks::LockMode;
 use crate::txn::TxnHandle;
@@ -99,9 +100,36 @@ pub struct ExecCtx {
     pub params: Arc<HashMap<String, Value>>,
     /// Procedure call depth (recursion guard).
     pub depth: u32,
+    /// What the statement batch this statement belongs to has done so far.
+    pub effects: Arc<Mutex<BatchEffects>>,
+}
+
+/// A table change the server's admission accounting follows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TableEffect {
+    /// `rows` were written into `table` (INSERT, or `SELECT … INTO`).
+    Loaded { table: String, rows: u64 },
+    /// A `DROP TABLE` of `table` succeeded (`IF EXISTS` included, whether
+    /// or not the table existed).
+    Dropped { table: String },
+}
+
+/// What a statement batch leaves for [`crate::Engine::execute`] to finish:
+/// the DDL to force before the batch returns, and the table effects to
+/// report, in execution order. Temp tables appear in neither.
+#[derive(Default)]
+pub struct BatchEffects {
+    /// DDL top actions awaiting the batch's one log force.
+    pub ddl: DdlBatch,
+    /// Durable-table writes and drops.
+    pub tables: Vec<TableEffect>,
 }
 
 impl ExecCtx {
+    fn report(&self, effect: TableEffect) {
+        self.effects.lock().tables.push(effect);
+    }
+
     /// Resolve a (possibly temp) table name for reading.
     pub fn resolve_table(&self, t: &TableName) -> Result<TableSource> {
         if t.temp {
@@ -171,6 +199,7 @@ pub enum StmtOutcome {
 pub fn execute_stmt(ctx: &ExecCtx, stmt: &Stmt) -> Result<StmtOutcome> {
     match stmt {
         Stmt::Select(q) => Ok(StmtOutcome::Rows(execute_select(ctx, q)?)),
+        Stmt::SelectInto { table, query } => exec_select_into(ctx, table, query),
         Stmt::Insert {
             table,
             columns,
@@ -195,11 +224,12 @@ pub fn execute_stmt(ctx: &ExecCtx, stmt: &Stmt) -> Result<StmtOutcome> {
             or_replace,
         } => {
             let text = render_proc_text(name, params, body);
-            ctx.storage.create_proc(name, &text, *or_replace)?;
+            ctx.storage
+                .create_proc(&mut ctx.effects.lock().ddl, name, &text, *or_replace)?;
             Ok(StmtOutcome::Ok)
         }
         Stmt::DropProc { name } => {
-            ctx.storage.drop_proc(name)?;
+            ctx.storage.drop_proc(&mut ctx.effects.lock().ddl, name)?;
             Ok(StmtOutcome::Ok)
         }
         Stmt::Exec { name, args } => exec_procedure(ctx, name, args),
@@ -461,7 +491,58 @@ fn exec_insert(
         // table first.
         InsertSource::Select(q) => execute_select(ctx, q)?.collect::<Result<Vec<Row>>>()?,
     };
+    insert_rows(ctx, table, columns, src_rows)
+}
 
+/// `SELECT … INTO`: run the query, then create the table from its output
+/// schema and load the rows. The query runs first, so one that fails
+/// leaves no table behind.
+fn exec_select_into(ctx: &ExecCtx, table: &TableName, q: &SelectStmt) -> Result<StmtOutcome> {
+    let columns = select_into_columns(&infer_output_schema(ctx, q)?);
+    let rows = execute_select(ctx, q)?.collect::<Result<Vec<Row>>>()?;
+    exec_create_table(ctx, table, &columns, &[])?;
+    faultkit::crashpoint!("persist.create");
+    let loaded = insert_rows(ctx, table, None, rows)?;
+    faultkit::crashpoint!("persist.materialize");
+    Ok(loaded)
+}
+
+/// The columns `SELECT … INTO` gives its table, from the query's output
+/// schema: an empty name becomes `c<i>`, and a name that repeats an
+/// earlier one (ignoring case) becomes `<name>_<i>`, with `i` counting
+/// from 1. Every column is nullable and there is no primary key.
+pub fn select_into_columns(schema: &[Column]) -> Vec<ColumnDef> {
+    let mut seen = HashSet::new();
+    schema
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let mut name = if c.name.is_empty() {
+                format!("c{}", i + 1)
+            } else {
+                c.name.clone()
+            };
+            if !seen.insert(name.to_ascii_lowercase()) {
+                name = format!("{name}_{}", i + 1);
+                seen.insert(name.to_ascii_lowercase());
+            }
+            ColumnDef {
+                name,
+                dtype: c.dtype,
+                not_null: false,
+                primary_key: false,
+            }
+        })
+        .collect()
+}
+
+/// Write `src_rows` into `table`, through the optional column list.
+fn insert_rows(
+    ctx: &ExecCtx,
+    table: &TableName,
+    columns: Option<&[String]>,
+    src_rows: Vec<Row>,
+) -> Result<StmtOutcome> {
     let schema = ctx.resolve_table(table)?.schema().clone();
     // Map through the optional column list.
     let positions: Vec<usize> = match columns {
@@ -527,11 +608,15 @@ fn exec_insert(
             }
         }
     }
-    let n = full_rows.len();
+    let n = full_rows.len() as u64;
     for row in &full_rows {
         ctx.storage.insert_row(&ctx.txn, table_id, row)?;
     }
-    Ok(StmtOutcome::Affected(n as u64))
+    ctx.report(TableEffect::Loaded {
+        table: table.name.clone(),
+        rows: n,
+    });
+    Ok(StmtOutcome::Affected(n))
 }
 
 fn exec_update(
@@ -744,26 +829,32 @@ fn exec_create_table(
         return Ok(StmtOutcome::Ok);
     }
 
-    ctx.storage.create_table(schema)?;
+    ctx.storage
+        .create_table(&mut ctx.effects.lock().ddl, schema)?;
     Ok(StmtOutcome::Ok)
 }
 
 fn exec_drop_table(ctx: &ExecCtx, table: &TableName, if_exists: bool) -> Result<StmtOutcome> {
-    let r = if table.temp {
+    if table.temp {
         let mut temps = ctx.temps.lock();
-        temps
-            .tables
-            .remove(&table.name.to_ascii_lowercase())
-            .map(|_| ())
-            .ok_or_else(|| Error::NotFound(format!("temp table #{}", table.name)))
-    } else {
-        ctx.storage.drop_table(&table.name)
-    };
-    match r {
-        Ok(()) => Ok(StmtOutcome::Ok),
-        Err(Error::NotFound(_)) if if_exists => Ok(StmtOutcome::Ok),
-        Err(e) => Err(e),
+        return match temps.tables.remove(&table.name.to_ascii_lowercase()) {
+            Some(_) => Ok(StmtOutcome::Ok),
+            None if if_exists => Ok(StmtOutcome::Ok),
+            None => Err(Error::NotFound(format!("temp table #{}", table.name))),
+        };
     }
+    match ctx
+        .storage
+        .drop_table(&mut ctx.effects.lock().ddl, &table.name)
+    {
+        Ok(()) => {}
+        Err(Error::NotFound(_)) if if_exists => {}
+        Err(e) => return Err(e),
+    }
+    ctx.report(TableEffect::Dropped {
+        table: table.name.clone(),
+    });
+    Ok(StmtOutcome::Ok)
 }
 
 fn exec_procedure(
@@ -804,6 +895,7 @@ fn exec_procedure(
         temps: Arc::clone(&ctx.temps),
         params: Arc::new(bound),
         depth: ctx.depth + 1,
+        effects: Arc::clone(&ctx.effects),
     };
     let stmts = parse_statements(&body)?;
     let mut last = StmtOutcome::Ok;
@@ -827,4 +919,33 @@ fn exec_procedure(
 /// exposed through the wire protocol's describe path).
 pub fn describe_select(ctx: &ExecCtx, q: &crate::sql::ast::SelectStmt) -> Result<Vec<Column>> {
     infer_output_schema(ctx, q)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn select_into_column_names_dedup() {
+        let schema = [
+            Column::new("value", DataType::Float),
+            Column::new("value", DataType::Float),
+            Column::new("", DataType::Int),
+            Column::new("order", DataType::Str),
+            Column::new("VALUE_2", DataType::Date),
+        ];
+        let got: Vec<(String, DataType, bool)> = select_into_columns(&schema)
+            .into_iter()
+            .map(|c| (c.name, c.dtype, c.not_null || c.primary_key))
+            .collect();
+        let want = [
+            ("value", DataType::Float),
+            ("value_2", DataType::Float),
+            ("c3", DataType::Int),
+            ("order", DataType::Str),
+            ("VALUE_2_5", DataType::Date),
+        ]
+        .map(|(n, t)| (n.to_string(), t, false));
+        assert_eq!(got, want);
+    }
 }

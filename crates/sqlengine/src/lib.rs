@@ -34,5 +34,6 @@ pub mod wal;
 
 pub use engine::{Cursor, Durable, Engine, ExecOutcome, StatementResult};
 pub use error::{Error, Result};
+pub use exec::TableEffect;
 pub use schema::{Column, TableSchema};
 pub use types::{DataType, Row, Value};

@@ -10,6 +10,12 @@ use crate::types::{DataType, Value};
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     Select(SelectStmt),
+    /// `SELECT <items> INTO <table> FROM …`: create `table` from the
+    /// query's output columns and load its rows, in one statement.
+    SelectInto {
+        table: TableName,
+        query: SelectStmt,
+    },
     Insert {
         table: TableName,
         columns: Option<Vec<String>>,

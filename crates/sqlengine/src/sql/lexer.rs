@@ -45,6 +45,8 @@ pub struct Token {
     pub tok: Tok,
     /// Byte offset of the token start in the source text.
     pub start: usize,
+    /// Byte offset just past the token's last byte.
+    pub end: usize,
 }
 
 pub fn lex(src: &str) -> Result<Vec<Token>> {
@@ -54,17 +56,20 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
     while i < b.len() {
         let c = b[i];
         let start = i;
-        match c {
+        let next = b.get(i + 1).copied();
+        let tok = match c {
             b' ' | b'\t' | b'\r' | b'\n' => {
                 i += 1;
+                continue;
             }
-            b'-' if i + 1 < b.len() && b[i + 1] == b'-' => {
+            b'-' if next == Some(b'-') => {
                 // line comment
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
+                continue;
             }
-            b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
+            b'/' if next == Some(b'*') => {
                 i += 2;
                 while i + 1 < b.len() && !(b[i] == b'*' && b[i + 1] == b'/') {
                     i += 1;
@@ -73,6 +78,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                     return Err(Error::Syntax("unterminated block comment".into()));
                 }
                 i += 2;
+                continue;
             }
             b'\'' => {
                 // string literal with '' escape
@@ -95,10 +101,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                         i += 1;
                     }
                 }
-                toks.push(Token {
-                    tok: Tok::Str(s),
-                    start,
-                });
+                Tok::Str(s)
             }
             b'0'..=b'9' => {
                 let mut j = i;
@@ -127,7 +130,8 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                     }
                 }
                 let text = &src[i..j];
-                let tok = if is_float {
+                i = j;
+                if is_float {
                     Tok::Float(
                         text.parse()
                             .map_err(|_| Error::Syntax(format!("bad number '{text}'")))?,
@@ -140,9 +144,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                                 .map_err(|_| Error::Syntax(format!("bad number '{text}'")))?,
                         ),
                     }
-                };
-                toks.push(Token { tok, start });
-                i = j;
+                }
             }
             b'@' | b'#' => {
                 let mut j = i + 1;
@@ -156,26 +158,21 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                     )));
                 }
                 let name = src[i + 1..j].to_string();
-                toks.push(Token {
-                    tok: if c == b'@' {
-                        Tok::Param(name)
-                    } else {
-                        Tok::TempIdent(name)
-                    },
-                    start,
-                });
                 i = j;
+                if c == b'@' {
+                    Tok::Param(name)
+                } else {
+                    Tok::TempIdent(name)
+                }
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let mut j = i;
                 while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_') {
                     j += 1;
                 }
-                toks.push(Token {
-                    tok: Tok::Ident(src[i..j].to_string()),
-                    start,
-                });
+                let name = src[i..j].to_string();
                 i = j;
+                Tok::Ident(name)
             }
             b'[' => {
                 // bracket-quoted identifier (T-SQL style)
@@ -186,143 +183,50 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                 if j >= b.len() {
                     return Err(Error::Syntax("unterminated [identifier]".into()));
                 }
-                toks.push(Token {
-                    tok: Tok::Ident(src[i + 1..j].to_string()),
-                    start,
-                });
+                let name = src[i + 1..j].to_string();
                 i = j + 1;
+                Tok::Ident(name)
             }
-            b'(' => {
-                toks.push(Token {
-                    tok: Tok::LParen,
-                    start,
-                });
-                i += 1;
-            }
-            b')' => {
-                toks.push(Token {
-                    tok: Tok::RParen,
-                    start,
-                });
-                i += 1;
-            }
-            b',' => {
-                toks.push(Token {
-                    tok: Tok::Comma,
-                    start,
-                });
-                i += 1;
-            }
-            b';' => {
-                toks.push(Token {
-                    tok: Tok::Semi,
-                    start,
-                });
-                i += 1;
-            }
-            b'*' => {
-                toks.push(Token {
-                    tok: Tok::Star,
-                    start,
-                });
-                i += 1;
-            }
-            b'+' => {
-                toks.push(Token {
-                    tok: Tok::Plus,
-                    start,
-                });
-                i += 1;
-            }
-            b'-' => {
-                toks.push(Token {
-                    tok: Tok::Minus,
-                    start,
-                });
-                i += 1;
-            }
-            b'/' => {
-                toks.push(Token {
-                    tok: Tok::Slash,
-                    start,
-                });
-                i += 1;
-            }
-            b'%' => {
-                toks.push(Token {
-                    tok: Tok::Percent,
-                    start,
-                });
-                i += 1;
-            }
-            b'.' => {
-                toks.push(Token {
-                    tok: Tok::Dot,
-                    start,
-                });
-                i += 1;
-            }
-            b'=' => {
-                toks.push(Token {
-                    tok: Tok::Eq,
-                    start,
-                });
-                i += 1;
-            }
-            b'!' if i + 1 < b.len() && b[i + 1] == b'=' => {
-                toks.push(Token {
-                    tok: Tok::Neq,
-                    start,
-                });
+            b'!' | b'<' | b'>' if next == Some(b'=') || (c == b'<' && next == Some(b'>')) => {
                 i += 2;
-            }
-            b'<' => {
-                if i + 1 < b.len() && b[i + 1] == b'=' {
-                    toks.push(Token {
-                        tok: Tok::Le,
-                        start,
-                    });
-                    i += 2;
-                } else if i + 1 < b.len() && b[i + 1] == b'>' {
-                    toks.push(Token {
-                        tok: Tok::Neq,
-                        start,
-                    });
-                    i += 2;
-                } else {
-                    toks.push(Token {
-                        tok: Tok::Lt,
-                        start,
-                    });
-                    i += 1;
+                match c {
+                    b'<' if next == Some(b'=') => Tok::Le,
+                    b'>' => Tok::Ge,
+                    _ => Tok::Neq,
                 }
             }
-            b'>' => {
-                if i + 1 < b.len() && b[i + 1] == b'=' {
-                    toks.push(Token {
-                        tok: Tok::Ge,
-                        start,
-                    });
-                    i += 2;
-                } else {
-                    toks.push(Token {
-                        tok: Tok::Gt,
-                        start,
-                    });
-                    i += 1;
-                }
+            _ => {
+                let tok = match c {
+                    b'(' => Tok::LParen,
+                    b')' => Tok::RParen,
+                    b',' => Tok::Comma,
+                    b';' => Tok::Semi,
+                    b'*' => Tok::Star,
+                    b'+' => Tok::Plus,
+                    b'-' => Tok::Minus,
+                    b'/' => Tok::Slash,
+                    b'%' => Tok::Percent,
+                    b'.' => Tok::Dot,
+                    b'=' => Tok::Eq,
+                    b'<' => Tok::Lt,
+                    b'>' => Tok::Gt,
+                    other => {
+                        return Err(Error::Syntax(format!(
+                            "unexpected character '{}' at byte {i}",
+                            other as char
+                        )))
+                    }
+                };
+                i += 1;
+                tok
             }
-            other => {
-                return Err(Error::Syntax(format!(
-                    "unexpected character '{}' at byte {i}",
-                    other as char
-                )))
-            }
-        }
+        };
+        toks.push(Token { tok, start, end: i });
     }
     toks.push(Token {
         tok: Tok::Eof,
         start: src.len(),
+        end: src.len(),
     });
     Ok(toks)
 }
@@ -430,8 +334,11 @@ mod tests {
 
     #[test]
     fn offsets_track_source() {
-        let toks = lex("SELECT x").unwrap();
-        assert_eq!(toks[0].start, 0);
-        assert_eq!(toks[1].start, 7);
+        let toks = lex("SELECT x -- c\n 'it''s' <> [a b]").unwrap();
+        let spans: Vec<_> = toks.iter().map(|t| (t.start, t.end)).collect();
+        assert_eq!(
+            spans,
+            [(0, 6), (7, 8), (15, 22), (23, 25), (26, 31), (31, 31)]
+        );
     }
 }

@@ -32,6 +32,32 @@ pub fn parse_one(src: &str) -> Result<Stmt> {
     }
 }
 
+/// Rewrite one SELECT as `SELECT … INTO <table> …`: the `INTO` clause
+/// goes right after the select list, where the grammar puts it. Comments
+/// between the select list and the rest of the query, and after the query,
+/// are dropped, so a `--` comment can never swallow the `INTO` clause or
+/// whatever the caller appends after the returned text.
+pub fn select_into_sql(select_sql: &str, table: &str) -> Result<String> {
+    let mut p = Parser {
+        src: select_sql,
+        toks: lex(select_sql)?,
+        pos: 0,
+    };
+    let (_, into, list_end) = p.parse_select_into(true)?;
+    let query_end = p.toks[p.pos - 1].end;
+    while p.eat_tok(&Tok::Semi) {}
+    if into.is_some() || !p.at_eof() {
+        return Err(p.err("expected a single SELECT without INTO"));
+    }
+    let mut out = format!("{}\nINTO {table}", &select_sql[..list_end]);
+    let rest = p.toks.iter().find(|t| t.start >= list_end);
+    if let Some(rest) = rest.filter(|t| t.start < query_end) {
+        out.push('\n');
+        out.push_str(&select_sql[rest.start..query_end]);
+    }
+    Ok(out)
+}
+
 /// Words that terminate an implicit alias position.
 const RESERVED: &[&str] = &[
     "WHERE", "GROUP", "ORDER", "HAVING", "ON", "LEFT", "RIGHT", "INNER", "OUTER", "JOIN", "FROM",
@@ -132,7 +158,10 @@ impl<'a> Parser<'a> {
 
     fn parse_statement(&mut self) -> Result<Stmt> {
         if self.check_kw("SELECT") {
-            return Ok(Stmt::Select(self.parse_select()?));
+            return Ok(match self.parse_select_into(true)? {
+                (query, Some(table), _) => Stmt::SelectInto { table, query },
+                (query, None, _) => Stmt::Select(query),
+            });
         }
         if self.eat_kw("INSERT") {
             return self.parse_insert();
@@ -468,6 +497,16 @@ impl<'a> Parser<'a> {
     // -- SELECT ----------------------------------------------------------------
 
     fn parse_select(&mut self) -> Result<SelectStmt> {
+        self.parse_select_into(false).map(|(q, _, _)| q)
+    }
+
+    /// A SELECT, its `INTO` target if `allow_into` (statement level) and
+    /// the SQL names one, and the byte offset just past the select list's
+    /// last token, where `INTO` goes.
+    fn parse_select_into(
+        &mut self,
+        allow_into: bool,
+    ) -> Result<(SelectStmt, Option<TableName>, usize)> {
         self.expect_kw("SELECT")?;
         let distinct = self.eat_kw("DISTINCT");
         let _ = self.eat_kw("ALL");
@@ -485,6 +524,12 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
+        let list_end = self.toks[self.pos - 1].end;
+        let into = if allow_into && self.eat_kw("INTO") {
+            Some(self.table_name()?)
+        } else {
+            None
+        };
         let mut from = Vec::new();
         if self.eat_kw("FROM") {
             loop {
@@ -538,7 +583,7 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("expected integer after LIMIT")),
             }
         }
-        Ok(SelectStmt {
+        let query = SelectStmt {
             distinct,
             top,
             items,
@@ -547,7 +592,8 @@ impl<'a> Parser<'a> {
             group_by,
             having,
             order_by,
-        })
+        };
+        Ok((query, into, list_end))
     }
 
     fn parse_select_item(&mut self) -> Result<SelectItem> {
@@ -1177,6 +1223,65 @@ mod tests {
             panic!("got {expr:?}")
         };
         assert!(matches!(**right, Expr::Binary { op: BinOp::Mul, .. }));
+    }
+
+    #[test]
+    fn select_into_round_trip() {
+        for (sql, plain, table) in [
+            (
+                "SELECT a, SUM(b) AS s INTO phx_res_1_2 FROM t WHERE a > 0 GROUP BY a ORDER BY s DESC",
+                "SELECT a, SUM(b) AS s FROM t WHERE a > 0 GROUP BY a ORDER BY s DESC",
+                "phx_res_1_2",
+            ),
+            (
+                "SELECT DISTINCT TOP 5 * INTO #hot FROM t",
+                "SELECT DISTINCT TOP 5 * FROM t",
+                "hot",
+            ),
+            ("SELECT 1 + 2 INTO one", "SELECT 1 + 2", "one"),
+        ] {
+            let Stmt::Select(want) = parse_one(plain).unwrap() else {
+                panic!("{plain}")
+            };
+            let Stmt::SelectInto { table: t, query } = parse_one(sql).unwrap() else {
+                panic!("{sql}")
+            };
+            assert_eq!((t.name.as_str(), query), (table, want), "{sql}");
+            // The rewrite Phoenix sends parses back to the same statement.
+            let target = if sql.contains('#') {
+                "#hot".to_string()
+            } else {
+                table.to_string()
+            };
+            let rewritten = select_into_sql(&format!("{plain};"), &target).unwrap();
+            assert_eq!(parse_one(&rewritten).unwrap(), parse_one(sql).unwrap());
+        }
+        // A FROM inside a subquery of the select list is not the top-level one.
+        assert_eq!(
+            select_into_sql("SELECT (SELECT MAX(a) FROM u) AS m FROM t", "r").unwrap(),
+            "SELECT (SELECT MAX(a) FROM u) AS m\nINTO r\nFROM t"
+        );
+        // Line comments before FROM and after the query cannot hide the
+        // INTO clause, the FROM clause, or text appended after the rewrite.
+        for (sql, want) in [
+            ("SELECT a, b -- x\nFROM t", "SELECT a, b\nINTO r\nFROM t"),
+            (
+                "SELECT a -- x\n, b FROM t -- y; z\nWHERE a > 1 -- trailing",
+                "SELECT a -- x\n, b\nINTO r\nFROM t -- y; z\nWHERE a > 1",
+            ),
+            ("SELECT 7 /* seven */; -- done", "SELECT 7\nINTO r"),
+        ] {
+            let rewritten = select_into_sql(sql, "r").unwrap();
+            assert_eq!(rewritten, want, "{sql}");
+            let batch = format!("{rewritten};\nSELECT * FROM r");
+            assert_eq!(parse_statements(&batch).unwrap().len(), 2, "{batch}");
+        }
+        // INTO stays a statement-level clause.
+        assert!(parse_one("SELECT a FROM (SELECT a INTO x FROM t) d").is_err());
+        assert!(parse_one("INSERT INTO r SELECT a INTO x FROM t").is_err());
+        assert!(select_into_sql("SELECT a INTO x FROM t", "r").is_err());
+        assert!(select_into_sql("SELECT 1; SELECT 2", "r").is_err());
+        assert!(select_into_sql("DELETE FROM t", "r").is_err());
     }
 
     #[test]

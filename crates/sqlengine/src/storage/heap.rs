@@ -17,7 +17,7 @@ use crate::schema::{decode_row, encode_row, TableId, TableSchema};
 use crate::txn::locks::{LockManager, LockMode, LockTarget};
 use crate::txn::{TxnHandle, TxnManager, UndoEntry};
 use crate::types::{Row, Value};
-use crate::wal::log::{ClrAction, LogManager, LogRecord};
+use crate::wal::log::{ClrAction, LogManager, LogRecord, Lsn};
 
 /// Physical row address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -84,6 +84,35 @@ pub fn pk_prefix_bytes(schema: &TableSchema, vals: &[Value]) -> Result<Vec<u8>> 
     Ok(out)
 }
 
+/// The DDL top actions of one statement batch. Each is applied and logged
+/// as it runs; [`Storage::finish_ddl`] forces the log once for all of
+/// them before the batch is acknowledged. A batch that holds DDL must be
+/// finished: dropping it would leave its records unforced and its dropped
+/// tables' pages unreclaimed (debug builds assert this).
+#[derive(Default)]
+#[must_use = "pass the batch to Storage::finish_ddl to make its DDL durable"]
+pub struct DdlBatch {
+    /// Highest LSN a DDL record of the batch was appended at.
+    force_to: Option<Lsn>,
+    /// Tables the batch dropped, whose pages wait for the force.
+    dropped: Vec<Arc<RwLock<TableMeta>>>,
+}
+
+impl DdlBatch {
+    fn logged(&mut self, lsn: Lsn) {
+        self.force_to = self.force_to.max(Some(lsn));
+    }
+}
+
+impl Drop for DdlBatch {
+    fn drop(&mut self) {
+        debug_assert!(
+            std::thread::panicking() || (self.force_to.is_none() && self.dropped.is_empty()),
+            "a DdlBatch holding DDL was dropped without Storage::finish_ddl"
+        );
+    }
+}
+
 /// The storage kernel: everything volatile the engine needs to run SQL.
 pub struct Storage {
     /// Durable table metadata.
@@ -135,7 +164,8 @@ impl Storage {
     ///
     /// Only a transaction that logged an update forces the log. A
     /// read-only one (an empty undo list: a SELECT, or the wrapper of a
-    /// DDL top action, which flushed itself) has nothing to make durable:
+    /// DDL top action, whose record its batch forces before the batch is
+    /// acknowledged; see [`Storage::finish_ddl`]) has nothing to make durable:
     /// under strict 2PL every writer it read from forced its own commit
     /// before releasing its locks. Its Commit record rides the next flush;
     /// if a crash loses it, restart finds a loser with nothing to undo.
@@ -219,16 +249,16 @@ impl Storage {
         Ok(())
     }
 
-    // -- DDL (top actions: logged, applied, and immediately durable) ---------
+    // -- DDL (top actions: logged and applied now, durable once the batch's
+    // `finish_ddl` forces the log) --------------------------------------------
 
-    /// Create a table (top action: survives even a following crash).
-    pub fn create_table(&self, schema: TableSchema) -> Result<TableId> {
+    /// Create a table (top action: not undone by its transaction).
+    pub fn create_table(&self, ddl: &mut DdlBatch, schema: TableSchema) -> Result<TableId> {
         let id = self.catalog.create_table(schema.clone())?;
-        let lsn = self.log.append(&LogRecord::CreateTable {
+        ddl.logged(self.log.append(&LogRecord::CreateTable {
             table_id: id,
             schema,
-        });
-        self.log.flush_to(lsn)?;
+        }));
         Ok(id)
     }
 
@@ -236,12 +266,12 @@ impl Storage {
     ///
     /// Takes no table lock: a reader may still hold one (Phoenix drops a
     /// result table while the application transaction that read it is
-    /// open). Once the DropTable record is durable the table's pages
-    /// wait in `dropped` and reach the free list when no transaction
-    /// holds a lock on the table any more. A transaction
+    /// open). Once [`Storage::finish_ddl`] has forced the DropTable record
+    /// the table's pages wait in `dropped` and reach the free list when no
+    /// transaction holds a lock on the table any more. A transaction
     /// that resolved the table before the drop and locks it afterwards
     /// fails the existence check in [`Storage::lock_table`].
-    pub fn drop_table(&self, name: &str) -> Result<()> {
+    pub fn drop_table(&self, ddl: &mut DdlBatch, name: &str) -> Result<()> {
         let meta = self
             .catalog
             .resolve(name)
@@ -249,10 +279,25 @@ impl Storage {
         let id = meta.read().id;
         self.catalog.drop_table(id)?;
         self.indexes.drop_table(id);
-        let lsn = self.log.append(&LogRecord::DropTable { table_id: id });
-        self.log.flush_to(lsn)?;
-        self.dropped.lock().push(meta);
-        self.reclaim_dropped();
+        ddl.logged(self.log.append(&LogRecord::DropTable { table_id: id }));
+        ddl.dropped.push(meta);
+        Ok(())
+    }
+
+    /// Make a batch's DDL durable with one force of the log, then hand its
+    /// dropped tables' pages on towards the free list. A page must not be
+    /// reused before the record that freed it is durable: a crash would
+    /// restore the table onto a page another table now owns. If the force
+    /// fails the pages stay out of reach; restart rebuilds the free list.
+    pub fn finish_ddl(&self, mut ddl: DdlBatch) -> Result<()> {
+        let dropped = std::mem::take(&mut ddl.dropped);
+        if let Some(lsn) = ddl.force_to.take() {
+            self.log.flush_to(lsn)?;
+        }
+        if !dropped.is_empty() {
+            self.dropped.lock().extend(dropped);
+            self.reclaim_dropped();
+        }
         Ok(())
     }
 
@@ -286,23 +331,27 @@ impl Storage {
     }
 
     /// Create (or replace) a stored procedure (top action).
-    pub fn create_proc(&self, name: &str, body: &str, replace: bool) -> Result<()> {
+    pub fn create_proc(
+        &self,
+        ddl: &mut DdlBatch,
+        name: &str,
+        body: &str,
+        replace: bool,
+    ) -> Result<()> {
         self.catalog.create_proc(name, body, replace)?;
-        let lsn = self.log.append(&LogRecord::CreateProc {
+        ddl.logged(self.log.append(&LogRecord::CreateProc {
             name: name.to_string(),
             body: body.to_string(),
-        });
-        self.log.flush_to(lsn)?;
+        }));
         Ok(())
     }
 
     /// Drop a stored procedure (top action).
-    pub fn drop_proc(&self, name: &str) -> Result<()> {
+    pub fn drop_proc(&self, ddl: &mut DdlBatch, name: &str) -> Result<()> {
         self.catalog.drop_proc(name)?;
-        let lsn = self.log.append(&LogRecord::DropProc {
+        ddl.logged(self.log.append(&LogRecord::DropProc {
             name: name.to_string(),
-        });
-        self.log.flush_to(lsn)?;
+        }));
         Ok(())
     }
 

@@ -353,6 +353,7 @@ mod tests {
     use super::*;
     use crate::schema::{Column, TableSchema};
     use crate::storage::disk::DiskModel;
+    use crate::storage::heap::DdlBatch;
     use crate::types::{DataType, Value};
 
     fn fresh_durable() -> (Arc<MemDisk>, Arc<LogStore>) {
@@ -373,6 +374,14 @@ mod tests {
         .with_primary_key(vec![0])
     }
 
+    /// Run one DDL top action as a batch of its own, forced.
+    fn ddl<T>(st: &Storage, f: impl FnOnce(&mut DdlBatch) -> Result<T>) -> T {
+        let mut batch = DdlBatch::default();
+        let v = f(&mut batch).unwrap();
+        st.finish_ddl(batch).unwrap();
+        v
+    }
+
     fn row(i: i64) -> Vec<Value> {
         vec![Value::Int(i), Value::Str(format!("row-{i}"))]
     }
@@ -383,7 +392,7 @@ mod tests {
         let tid;
         {
             let st = bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
-            tid = st.create_table(schema()).unwrap();
+            tid = ddl(&st, |b| st.create_table(b, schema()));
             let txn = st.begin();
             for i in 0..100 {
                 st.insert_row(&txn, tid, &row(i)).unwrap();
@@ -412,7 +421,7 @@ mod tests {
             let st = Arc::new(
                 bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap(),
             );
-            tid = st.create_table(schema()).unwrap();
+            tid = ddl(&st, |b| st.create_table(b, schema()));
             let t1 = st.begin();
             st.insert_row(&t1, tid, &row(1)).unwrap();
             st.commit(&t1).unwrap();
@@ -449,7 +458,7 @@ mod tests {
         let tid;
         {
             let st = bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
-            tid = st.create_table(schema()).unwrap();
+            tid = ddl(&st, |b| st.create_table(b, schema()));
             let txn = st.begin();
             st.insert_row(&txn, tid, &row(7)).unwrap();
             st.commit(&txn).unwrap(); // commit flushes
@@ -464,7 +473,7 @@ mod tests {
         let tid;
         {
             let st = bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
-            tid = st.create_table(schema()).unwrap();
+            tid = ddl(&st, |b| st.create_table(b, schema()));
             let t = st.begin();
             for i in 0..10 {
                 st.insert_row(&t, tid, &row(i)).unwrap();
@@ -487,7 +496,7 @@ mod tests {
         let tid;
         {
             let st = bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
-            tid = st.create_table(schema()).unwrap();
+            tid = ddl(&st, |b| st.create_table(b, schema()));
             let t = st.begin();
             for i in 0..50 {
                 st.insert_row(&t, tid, &row(i)).unwrap();
@@ -509,11 +518,11 @@ mod tests {
         let (disk, store) = fresh_durable();
         {
             let st = bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
-            let tid = st.create_table(schema()).unwrap();
+            let tid = ddl(&st, |b| st.create_table(b, schema()));
             let t = st.begin();
             st.insert_row(&t, tid, &row(1)).unwrap();
             st.commit(&t).unwrap();
-            st.drop_table("t").unwrap();
+            ddl(&st, |b| st.drop_table(b, "t"));
         }
         let (st2, _) = recover(disk, store, Default::default()).unwrap();
         assert!(st2.catalog.resolve("t").is_none());
@@ -524,7 +533,7 @@ mod tests {
         let (disk, store) = fresh_durable();
         {
             let st = bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
-            st.create_proc("p1", "SELECT 1", false).unwrap();
+            ddl(&st, |b| st.create_proc(b, "p1", "SELECT 1", false));
         }
         let (st2, _) = recover(disk, store, Default::default()).unwrap();
         assert_eq!(st2.catalog.get_proc("p1").unwrap(), "SELECT 1");
@@ -536,7 +545,7 @@ mod tests {
         let tid;
         {
             let st = bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
-            tid = st.create_table(schema()).unwrap();
+            tid = ddl(&st, |b| st.create_table(b, schema()));
             let t = st.begin();
             st.insert_row(&t, tid, &row(1)).unwrap();
             st.abort(&t).unwrap();

@@ -366,3 +366,32 @@ fn locking_a_table_dropped_after_it_was_resolved_fails() {
     ));
     st.abort(&txn).unwrap();
 }
+
+#[test]
+fn a_batch_forces_its_ddl_once_before_it_returns() {
+    let _g = serial();
+    let durable = Durable::new(Default::default());
+    let (e, sid) = boot(&durable);
+    create(&e, sid, "t");
+    fill(&e, sid, "t", "a", 10);
+    create(&e, sid, "r1");
+    // Retire a result, load the next and reopen it: the load's commit
+    // force covers the DDL appended before it, and the batch adds none.
+    let persist = "DROP TABLE IF EXISTS r1; SELECT k, v INTO r2 FROM t; SELECT * FROM r2";
+    assert_eq!(flushes_of(&e, sid, persist), (1, true));
+    // DDL alone: one force for the whole batch.
+    let ddl = "CREATE TABLE u1 (k INT); CREATE TABLE u2 (k INT); DROP TABLE u1; DROP TABLE r2";
+    assert_eq!(flushes_of(&e, sid, ddl), (1, false));
+    // An empty result writes no rows: the batch's force is the only one.
+    let empty = "SELECT k INTO r3 FROM t WHERE k < 0; SELECT * FROM r3";
+    assert_eq!(flushes_of(&e, sid, empty), (1, false));
+    // A failing batch still forces the DDL that ran before the failure.
+    assert!(e
+        .execute(sid, "DROP TABLE u2; SELECT nope INTO r4 FROM t")
+        .is_err());
+
+    let (e, _) = crash_and_restart(&durable, e);
+    let mut names = e.storage().catalog.table_names();
+    names.sort();
+    assert_eq!(names, ["r3", "t"]);
+}

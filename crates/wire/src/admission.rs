@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use sqlengine::session::{SessionId, RESULT_TABLE_PREFIX};
-use sqlengine::Error;
+use sqlengine::{Error, TableEffect};
 
 use crate::transport::Endpoint;
 
@@ -117,6 +117,12 @@ impl SessionSlot {
             .saturating_add(self.state_bytes)
             .saturating_add(self.result_bytes.values().sum())
     }
+}
+
+/// The admission key of a Phoenix result table (`phx_res_*`, any case).
+fn result_table(name: &str) -> Option<String> {
+    let lower = name.to_ascii_lowercase();
+    lower.starts_with(RESULT_TABLE_PREFIX).then_some(lower)
 }
 
 /// A session evicted by [`AdmissionController::sweep_idle`]; the caller
@@ -313,8 +319,27 @@ impl AdmissionController {
         }
     }
 
+    /// Apply one executed batch's table effects to the slot: rows loaded
+    /// into a Phoenix result table are charged, a dropped one is released.
+    pub fn account(&self, id: u64, effects: &[TableEffect]) {
+        for effect in effects {
+            match effect {
+                TableEffect::Loaded { table, rows } => {
+                    if let Some(t) = result_table(table) {
+                        self.charge_result(id, &t, rows.saturating_mul(RESULT_ROW_BYTES));
+                    }
+                }
+                TableEffect::Dropped { table } => {
+                    if let Some(t) = result_table(table) {
+                        self.release_result(id, &t);
+                    }
+                }
+            }
+        }
+    }
+
     /// Charge a materialized Phoenix result table against the budget.
-    pub fn charge_result(&self, id: u64, table: &str, bytes: u64) {
+    fn charge_result(&self, id: u64, table: &str, bytes: u64) {
         if let Some(slot) = self.slots.lock().get_mut(&id) {
             let e = slot.result_bytes.entry(table.to_string()).or_insert(0);
             *e = e.saturating_add(bytes);
@@ -322,22 +347,27 @@ impl AdmissionController {
     }
 
     /// Release a dropped result table's charge.
-    pub fn release_result(&self, id: u64, table: &str) {
+    fn release_result(&self, id: u64, table: &str) {
         if let Some(slot) = self.slots.lock().get_mut(&id) {
             slot.result_bytes.remove(table);
         }
     }
 
-    /// Statement-level budget gate: `Some(ServerBusy)` when the session
-    /// is over its memory budget. The session itself is preserved — only
-    /// the statement is shed, and dropping state (or the idle sweep)
-    /// restores service.
-    pub fn over_budget(&self, id: u64) -> Option<Error> {
+    /// Batch-level budget gate: `Some(ServerBusy)` when the session's
+    /// charge, less the charges of the result tables the batch drops
+    /// (`retiring`), is over its memory budget. The session itself is
+    /// preserved — only the batch is shed, and dropping state (or the
+    /// idle sweep) restores service.
+    pub fn over_budget(&self, id: u64, retiring: &[&str]) -> Option<Error> {
         let over = {
             let slots = self.slots.lock();
-            slots
-                .get(&id)
-                .is_some_and(|s| s.charged_bytes() > self.cfg.session_budget_bytes)
+            slots.get(&id).is_some_and(|s| {
+                let released: u64 = retiring
+                    .iter()
+                    .filter_map(|t| s.result_bytes.get(&t.to_ascii_lowercase()))
+                    .sum();
+                s.charged_bytes().saturating_sub(released) > self.cfg.session_budget_bytes
+            })
         };
         if over {
             Some(self.shed(Duration::from_millis(10)))
@@ -401,51 +431,6 @@ impl AdmissionController {
             traffic_total: self.traffic_done.load(Ordering::Relaxed) + traffic_live,
         }
     }
-}
-
-// -- Phoenix result-table accounting helpers ---------------------------------
-
-fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
-    let s = s.trim_start();
-    if s.len() >= kw.len() && s[..kw.len()].eq_ignore_ascii_case(kw) {
-        Some(&s[kw.len()..])
-    } else {
-        None
-    }
-}
-
-fn leading_ident(s: &str) -> &str {
-    let s = s.trim_start();
-    let end = s
-        .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-        .unwrap_or(s.len());
-    &s[..end]
-}
-
-fn result_table(s: &str) -> Option<String> {
-    let name = leading_ident(s);
-    let lower = name.to_ascii_lowercase();
-    lower.starts_with(RESULT_TABLE_PREFIX).then_some(lower)
-}
-
-/// The Phoenix result table a batch materializes into, if it is an
-/// `INSERT INTO phx_res_* …` — the server charges its row count against
-/// the session's memory budget.
-pub fn materialized_result_table(sql: &str) -> Option<String> {
-    let rest = strip_keyword(sql, "INSERT")?;
-    let rest = strip_keyword(rest, "INTO")?;
-    result_table(rest)
-}
-
-/// The Phoenix result table a batch releases, if it is a
-/// `DROP TABLE [IF EXISTS] phx_res_*`.
-pub fn dropped_result_table(sql: &str) -> Option<String> {
-    let rest = strip_keyword(sql, "DROP")?;
-    let rest = strip_keyword(rest, "TABLE")?;
-    let rest = strip_keyword(rest, "IF")
-        .and_then(|r| strip_keyword(r, "EXISTS"))
-        .unwrap_or(rest);
-    result_table(rest)
 }
 
 #[cfg(test)]
@@ -533,43 +518,45 @@ mod tests {
     }
 
     #[test]
-    fn budget_charges_and_releases() {
+    fn batch_effects_charge_and_release_result_tables() {
         let ac = tiny(8, 8, Duration::from_secs(60));
         let id = ac.admit(1, ep()).unwrap();
-        assert!(ac.over_budget(id).is_none(), "base charge fits");
-        ac.charge_result(id, "phx_res_1_1", 20_000);
-        assert!(matches!(ac.over_budget(id), Some(Error::ServerBusy { .. })));
-        ac.release_result(id, "phx_res_1_1");
-        assert!(ac.over_budget(id).is_none());
-        ac.set_state_bytes(id, 50_000);
-        assert!(ac.over_budget(id).is_some());
-        ac.set_state_bytes(id, 0);
-        assert!(ac.over_budget(id).is_none());
+        let loaded = |t: &str, rows| TableEffect::Loaded {
+            table: t.into(),
+            rows,
+        };
+        let dropped = |t: &str| TableEffect::Dropped { table: t.into() };
+        let bytes = || ac.stats().bytes_active;
+        ac.account(id, &[loaded("phx_res_1_1", 3), loaded("orders", 1000)]);
+        assert_eq!(bytes(), SLOT_BASE_BYTES + 3 * RESULT_ROW_BYTES);
+        // Drop the old result and load the next one in a single batch.
+        ac.account(id, &[dropped("phx_res_1_1"), loaded("PHX_RES_1_2", 5)]);
+        assert_eq!(bytes(), SLOT_BASE_BYTES + 5 * RESULT_ROW_BYTES);
+        // Dropping a table that was never charged releases nothing else.
+        ac.account(id, &[dropped("phx_res_9_9"), dropped("orders")]);
+        assert_eq!(bytes(), SLOT_BASE_BYTES + 5 * RESULT_ROW_BYTES);
+        ac.account(id, &[dropped("phx_res_1_2")]);
+        assert_eq!(bytes(), SLOT_BASE_BYTES);
     }
 
     #[test]
-    fn result_table_sql_parsing() {
-        assert_eq!(
-            materialized_result_table("INSERT INTO phx_res_3_1 SELECT a FROM t"),
-            Some("phx_res_3_1".into())
-        );
-        assert_eq!(
-            materialized_result_table("  insert   into   PHX_RES_9_2 SELECT 1"),
-            Some("phx_res_9_2".into())
-        );
-        assert_eq!(
-            materialized_result_table("INSERT INTO orders VALUES (1)"),
-            None
-        );
-        assert_eq!(materialized_result_table("SELECT * FROM phx_res_1_1"), None);
-        assert_eq!(
-            dropped_result_table("DROP TABLE phx_res_3_1"),
-            Some("phx_res_3_1".into())
-        );
-        assert_eq!(
-            dropped_result_table("drop table if exists phx_res_3_1"),
-            Some("phx_res_3_1".into())
-        );
-        assert_eq!(dropped_result_table("DROP TABLE orders"), None);
+    fn budget_charges_and_releases() {
+        let ac = tiny(8, 8, Duration::from_secs(60));
+        let id = ac.admit(1, ep()).unwrap();
+        assert!(ac.over_budget(id, &[]).is_none(), "base charge fits");
+        ac.charge_result(id, "phx_res_1_1", 20_000);
+        assert!(matches!(
+            ac.over_budget(id, &[]),
+            Some(Error::ServerBusy { .. })
+        ));
+        // A batch that drops the table it is over budget for is let in.
+        assert!(ac.over_budget(id, &["PHX_RES_1_1"]).is_none());
+        assert!(ac.over_budget(id, &["phx_res_1_2"]).is_some());
+        ac.release_result(id, "phx_res_1_1");
+        assert!(ac.over_budget(id, &[]).is_none());
+        ac.set_state_bytes(id, 50_000);
+        assert!(ac.over_budget(id, &[]).is_some());
+        ac.set_state_bytes(id, 0);
+        assert!(ac.over_budget(id, &[]).is_none());
     }
 }

@@ -11,13 +11,15 @@ use faultkit::net::NetPlan;
 use parking_lot::Mutex;
 
 use sqlengine::engine::{Cursor, Durable, Engine, ExecOutcome};
+use sqlengine::sql::ast::Stmt;
+use sqlengine::sql::parser::parse_statements;
 use sqlengine::storage::disk::{DiskModel, IoSnapshot};
 use sqlengine::wal::recovery::{RecoveryConfig, RecoveryStats};
 use sqlengine::{Error, Result};
 
 pub use sqlengine::wal::log::GroupCommit;
 
-use crate::admission::{self, AdmissionConfig, AdmissionController, AdmissionStats};
+use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
 use crate::protocol::{columns_to_wire, DoneKind, Request, Response, StmtId};
 use crate::transport::{Endpoint, NetConfig};
 
@@ -481,35 +483,43 @@ fn connection_loop(server: DbServer, engine: Arc<Engine>, ep: Arc<Endpoint>, cfg
             }
             Request::Exec { stmt, sql, skip } => {
                 faultkit::crashpoint!("wire.exec.pre");
-                // Memory-budget gate: an over-budget session has the
-                // statement shed (nothing executes, session preserved)
-                // until it drops state. Statements that *release* state
-                // (dropping a result table) are always let through — the
-                // gate must never block the only way out of it.
-                if admission::dropped_result_table(&sql).is_none() {
-                    if let Some(e) = admission.over_budget(admit_id) {
+                let stmts = match parse_statements(&sql) {
+                    Ok(stmts) => stmts,
+                    Err(e) => {
                         reply(&ep, Response::Error { stmt, error: e }, None);
                         continue;
                     }
+                };
+                // Memory-budget gate, judged on the whole batch: an
+                // over-budget session has the batch shed (nothing
+                // executes, session preserved) unless the result tables
+                // the batch drops bring it back under budget — the gate
+                // must never block the only way out of it.
+                let retiring: Vec<&str> = stmts
+                    .iter()
+                    .filter_map(|s| match s {
+                        Stmt::DropTable { table, .. } => Some(table.name.as_str()),
+                        _ => None,
+                    })
+                    .collect();
+                if let Some(e) = admission.over_budget(admit_id, &retiring) {
+                    reply(&ep, Response::Error { stmt, error: e }, None);
+                    continue;
                 }
-                match engine.execute(sid, &sql) {
+                let res = engine.execute_parsed(sid, &stmts);
+                if let Ok(res) = &res {
+                    // Phoenix result tables the batch loaded or dropped
+                    // move the session's memory charge; the engine-side
+                    // state estimate is refreshed on the same cadence.
+                    admission.account(admit_id, &res.tables);
+                    admission.set_state_bytes(admit_id, engine.session_state_bytes(sid));
+                }
+                match res {
                     Err(e) => {
                         reply(&ep, Response::Error { stmt, error: e }, None);
                     }
                     Ok(res) => match res.outcome {
                         ExecOutcome::Affected(n) => {
-                            // Phoenix result materialization is charged
-                            // against the session's memory budget; the
-                            // engine-side state estimate is refreshed on
-                            // the same cadence.
-                            if let Some(table) = admission::materialized_result_table(&sql) {
-                                admission.charge_result(
-                                    admit_id,
-                                    &table,
-                                    n.saturating_mul(admission::RESULT_ROW_BYTES),
-                                );
-                            }
-                            admission.set_state_bytes(admit_id, engine.session_state_bytes(sid));
                             // Executed (and, for modifications, committed)
                             // but the reply has not been sent: the
                             // paper's "crash after commit, before reply"
@@ -525,10 +535,6 @@ fn connection_loop(server: DbServer, engine: Arc<Engine>, ep: Arc<Endpoint>, cfg
                             );
                         }
                         ExecOutcome::Ok => {
-                            if let Some(table) = admission::dropped_result_table(&sql) {
-                                admission.release_result(admit_id, &table);
-                            }
-                            admission.set_state_bytes(admit_id, engine.session_state_bytes(sid));
                             faultkit::crashpoint!("wire.exec.post.ok");
                             reply(
                                 &ep,

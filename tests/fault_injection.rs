@@ -99,6 +99,76 @@ fn crash_at_each_crashpoint_is_masked() {
     });
 }
 
+/// Two persisted queries back to back: the second one's persist batch
+/// also drops the first one's result table.
+fn run_retiring_scenario(px: &PhoenixConnection) {
+    let first = px
+        .query_all("SELECT a FROM t WHERE a < 16 ORDER BY a")
+        .unwrap();
+    assert_eq!(first.len(), 16);
+    run_query_scenario(px);
+}
+
+fn result_tables(server: &DbServer) -> Vec<String> {
+    let names = server.engine().unwrap().storage().catalog.table_names();
+    names
+        .into_iter()
+        .filter(|n| n.starts_with("phx_res_"))
+        .collect()
+}
+
+/// A persisted SELECT that retires its predecessor is one request: the
+/// DROP, the load and the reopen travel in one batch.
+#[test]
+fn retiring_persist_is_one_round_trip() {
+    let fk = faultkit::session();
+    let (server, px) = query_scenario_setup();
+    px.query_all("SELECT a FROM t WHERE a < 16").unwrap();
+    let trace = record_trace(&fk, || {
+        px.exec("SELECT a FROM t ORDER BY a").unwrap();
+    });
+    let names: Vec<&str> = trace.iter().map(|p| p.name).collect();
+    let count = |name| names.iter().filter(|n| **n == name).count();
+    assert_eq!(count("odbc.send"), 1, "{names:?}");
+    assert_eq!(count("persist.create"), 1, "{names:?}");
+    assert_eq!(count("persist.materialize"), 1, "{names:?}");
+    assert_eq!(px.fetch_all().unwrap().len(), QUERY_ROWS as usize);
+    assert_eq!(
+        result_tables(&server).len(),
+        1,
+        "the predecessor was dropped"
+    );
+    px.close();
+    assert!(result_tables(&server).is_empty());
+}
+
+/// Crash at every point of two back-to-back persisted queries, whose
+/// second batch carries the first result's DROP: both results are still
+/// delivered in full, and no result table outlives `close()`.
+#[test]
+fn crash_at_each_point_of_a_retiring_persist_is_masked() {
+    let fk = faultkit::session();
+    let (server, px) = query_scenario_setup();
+    let trace = record_trace(&fk, || run_retiring_scenario(&px));
+    px.close();
+    drop(server);
+
+    explore("retiring_persist", &trace, |plan| {
+        let (server, px) = query_scenario_setup();
+        let armed = fk.arm(plan, crash_restart_action(&server));
+        run_retiring_scenario(&px);
+        let fired = armed.fired();
+        drop(armed);
+        assert!(fired.is_some(), "plan {plan:?} never fired");
+        px.close();
+        let leftovers = result_tables(&server);
+        assert!(
+            leftovers.is_empty(),
+            "leftover result tables: {leftovers:?}"
+        );
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Crash during recovery
 // ---------------------------------------------------------------------------
