@@ -54,7 +54,10 @@ pub fn tpcc_server(pool_pages: usize, io_latency: Duration) -> ServerConfig {
         faults: None,
         scrub_on_restart: false,
         // The 4-user mix commits concurrently; one batch-leader fsync
-        // covers the window (`wal.flush.batch_size` in the JSON twin).
+        // covers the commits parked when every user inside a
+        // transaction has parked, when 8 have parked, or when the 2 ms
+        // window ends (`wal.flush.batch_size` in the JSON twin). A user
+        // between transactions is not waited for.
         group_commit: GroupCommit::on(8, Duration::from_millis(2)),
         admission: wire::AdmissionConfig::default(),
     }

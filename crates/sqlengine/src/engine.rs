@@ -304,8 +304,13 @@ impl Engine {
                 if cur_txn.is_some() {
                     return Err(Error::Semantic("transaction already in progress".into()));
                 }
-                let txn = Arc::new(self.storage.begin());
-                self.set_session_txn(sid, Some(txn))?;
+                let txn = Arc::new(self.storage.begin_explicit());
+                if let Err(e) = self.set_session_txn(sid, Some(Arc::clone(&txn))) {
+                    // The session is gone: end the transaction it would
+                    // have owned, so it leaves group-commit company.
+                    let _ = self.storage.abort(&txn);
+                    return Err(e);
+                }
                 Ok(ExecOutcome::Ok)
             }
             Stmt::Commit => {

@@ -152,11 +152,42 @@ impl Storage {
 
     // -- transactions --------------------------------------------------------
 
-    /// Begin a transaction (logs `Begin`).
+    /// Begin a transaction (logs `Begin`). It joins group-commit company
+    /// at its first update.
     pub fn begin(&self) -> TxnHandle {
         let txn = self.txns.begin();
         self.log.append(&LogRecord::Begin { txn: txn.id });
         txn
+    }
+
+    /// Begin an explicit (`BEGIN TRAN`) transaction: it joins company at
+    /// once, because it may write before it commits, and a committer
+    /// batched with it should wait for it rather than flush without it.
+    pub fn begin_explicit(&self) -> TxnHandle {
+        let txn = self.begin();
+        self.join_company(&txn);
+        txn
+    }
+
+    /// Count `txn` in group-commit company (once). An atomic add, so it
+    /// is safe under a page latch.
+    fn join_company(&self, txn: &TxnHandle) {
+        if txn.enter_company() {
+            self.log.join_company();
+        }
+    }
+
+    /// Count `txn` out of company (once), after its commit or abort.
+    fn leave_company(&self, txn: &TxnHandle) {
+        if txn.exit_company() {
+            self.log.leave_company();
+        }
+    }
+
+    /// Record an undoable action; the first one joins company.
+    fn push_undo(&self, txn: &TxnHandle, e: UndoEntry) {
+        txn.push_undo(e);
+        self.join_company(txn);
     }
 
     /// Commit: log, force the log (possibly riding a group-commit
@@ -169,7 +200,16 @@ impl Storage {
     /// under strict 2PL every writer it read from forced its own commit
     /// before releasing its locks. Its Commit record rides the next flush;
     /// if a crash loses it, restart finds a loser with nothing to undo.
+    ///
+    /// The transaction leaves group-commit company once this returns,
+    /// whether or not the commit succeeded.
     pub fn commit(&self, txn: &TxnHandle) -> Result<()> {
+        let r = self.commit_inner(txn);
+        self.leave_company(txn);
+        r
+    }
+
+    fn commit_inner(&self, txn: &TxnHandle) -> Result<()> {
         let wrote = txn.undo_len() > 0;
         let lsn = self.log.append(&LogRecord::Commit { txn: txn.id });
         if wrote {
@@ -189,7 +229,14 @@ impl Storage {
     }
 
     /// Abort: apply undo actions (logging CLRs), log Abort, release locks.
+    /// Like [`Storage::commit`], it leaves company on every exit.
     pub fn abort(&self, txn: &TxnHandle) -> Result<()> {
+        let r = self.abort_inner(txn);
+        self.leave_company(txn);
+        r
+    }
+
+    fn abort_inner(&self, txn: &TxnHandle) -> Result<()> {
         for e in txn.take_undo_reversed() {
             self.apply_undo(txn, &e)?;
         }
@@ -421,13 +468,16 @@ impl Storage {
             page.insert_expect(slot, &bytes)?;
             page.set_lsn(lsn);
             drop(data);
-            txn.push_undo(UndoEntry {
-                lsn,
-                action: ClrAction::Tombstone,
-                table,
-                page: pid,
-                slot,
-            });
+            self.push_undo(
+                txn,
+                UndoEntry {
+                    lsn,
+                    action: ClrAction::Tombstone,
+                    table,
+                    page: pid,
+                    slot,
+                },
+            );
             break RowId { page: pid, slot };
         };
         if let Some(k) = key {
@@ -456,13 +506,16 @@ impl Storage {
             });
             page.tombstone(rid.slot)?;
             page.set_lsn(lsn);
-            txn.push_undo(UndoEntry {
-                lsn,
-                action: ClrAction::Untombstone,
-                table,
-                page: rid.page,
-                slot: rid.slot,
-            });
+            self.push_undo(
+                txn,
+                UndoEntry {
+                    lsn,
+                    action: ClrAction::Untombstone,
+                    table,
+                    page: rid.page,
+                    slot: rid.slot,
+                },
+            );
             old
         };
         let old_row = decode_row(&old)?;

@@ -3,12 +3,13 @@
 //! A [`TxnHandle`] carries the in-memory undo list (so runtime aborts do
 //! not scan the log) and the set of table locks held. Commit and abort
 //! logic lives in [`crate::storage::Storage`], which owns the pages and
-//! indexes the undo actions touch.
+//! indexes the undo actions touch, and counts the transaction in and out
+//! of group-commit company.
 
 pub mod locks;
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -37,9 +38,21 @@ pub struct TxnHandle {
     pub id: TxnId,
     undo: Mutex<Vec<UndoEntry>>,
     locks: Mutex<HashSet<LockTarget>>,
+    in_company: AtomicBool,
 }
 
 impl TxnHandle {
+    /// Mark this transaction as counted in group-commit company; true
+    /// only on the first call, so it joins once.
+    pub fn enter_company(&self) -> bool {
+        !self.in_company.swap(true, Ordering::SeqCst)
+    }
+
+    /// Unmark it; true only if it was counted, so it leaves once.
+    pub fn exit_company(&self) -> bool {
+        self.in_company.swap(false, Ordering::SeqCst)
+    }
+
     /// Record an undoable action.
     pub fn push_undo(&self, e: UndoEntry) {
         self.undo.lock().push(e);
@@ -96,6 +109,7 @@ impl TxnManager {
             id: self.next.fetch_add(1, Ordering::Relaxed),
             undo: Mutex::new(Vec::new()),
             locks: Mutex::new(HashSet::new()),
+            in_company: AtomicBool::new(false),
         }
     }
 }
@@ -139,6 +153,16 @@ mod tests {
             vec![2, 1, 0]
         );
         assert_eq!(t.undo_len(), 0);
+    }
+
+    #[test]
+    fn company_flag_joins_and_leaves_once() {
+        let t = TxnManager::default().begin();
+        assert!(!t.exit_company(), "never joined, so nothing to leave");
+        assert!(t.enter_company());
+        assert!(!t.enter_company());
+        assert!(t.exit_company());
+        assert!(!t.exit_company());
     }
 
     #[test]

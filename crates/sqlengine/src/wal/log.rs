@@ -9,7 +9,7 @@
 use bytes::{Buf, BufMut};
 use faultkit::disk::{DiskDevice, DiskFault, DiskOp, DiskPlan, DiskSchedule};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -583,9 +583,11 @@ struct Tail {
 ///
 /// When enabled, committing sessions enqueue their commit LSN and park;
 /// a batch leader performs one fsync covering every waiter whose record
-/// is in the flushed tail. `max_wait` bounds how long the first
-/// committer holds the batch open collecting company; `max_batch`
-/// releases the batch early once that many commits are parked.
+/// is in the flushed tail. A parked committer leads as soon as every
+/// transaction that could still join the batch has parked (see
+/// [`LogManager::join_company`]); `max_batch` releases the batch once
+/// that many commits are parked, and `max_wait` bounds how long a
+/// committer waits for company that is still running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommit {
     /// Route commits through the batching path.
@@ -656,6 +658,11 @@ pub struct LogManager {
     group_cfg: GroupCommit,
     group: Mutex<Group>,
     group_cv: Condvar,
+    /// Open transactions that may still park a commit in the batch:
+    /// those begun with an explicit `BEGIN TRAN` or that logged an
+    /// update. An atomic, so a join under a page latch never takes
+    /// `group`; leaves take `group` so no waiter misses one.
+    company: AtomicUsize,
 }
 
 impl LogManager {
@@ -684,12 +691,35 @@ impl LogManager {
                 dead: None,
             }),
             group_cv: Condvar::new(),
+            company: AtomicUsize::new(0),
         }
     }
 
     /// The active group-commit tuning.
     pub fn group_config(&self) -> GroupCommit {
         self.group_cfg
+    }
+
+    /// Count one more transaction that may still join a commit batch.
+    /// `Storage` calls this once per transaction, guarded by its
+    /// [`TxnHandle`](crate::txn::TxnHandle) flag.
+    pub fn join_company(&self) {
+        self.company.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Count a transaction out once its commit or abort has finished,
+    /// and wake the group: a committer whose last possible companion
+    /// just left leads now.
+    pub fn leave_company(&self) {
+        let _g = self.group.lock();
+        let _lw = obskit::lockcheck::held("LogManager::group");
+        self.company.fetch_sub(1, Ordering::SeqCst);
+        self.group_cv.notify_all();
+    }
+
+    /// Open transactions that may still join a commit batch.
+    pub fn company(&self) -> usize {
+        self.company.load(Ordering::SeqCst)
     }
 
     /// Whether a failed flush has poisoned this manager (fail-stop).
@@ -742,10 +772,11 @@ impl LogManager {
     /// committers into one fsync when group commit is enabled.
     ///
     /// The committing session enqueues its LSN and parks; the first
-    /// session whose window expires (or that fills the batch) leads one
-    /// `flush_all` covering every parked LSN. A failed batch flush is
-    /// broadcast to **all** waiters via [`Group::dead`] — fail-stop
-    /// semantics apply to the batch, never just the leader.
+    /// session that sees every member of company parked, the batch full
+    /// or its window expired leads one `flush_all` covering every
+    /// parked LSN. A failed batch flush is broadcast to **all** waiters
+    /// via [`Group::dead`] — fail-stop semantics apply to the batch,
+    /// never just the leader.
     pub fn commit_flush(&self, lsn: Lsn) -> Result<()> {
         if !self.group_cfg.enabled {
             return self.flush_to(lsn);
@@ -817,11 +848,23 @@ impl LogManager {
                 Self::forget(&mut g, lsn);
                 return Err(Self::poisoned_err());
             }
-            if !g.leader
-                && (g.pending.len() >= self.group_cfg.max_batch || Instant::now() >= deadline)
-            {
-                g.leader = true;
-                return Ok(GroupTurn::Lead);
+            if !g.leader {
+                let parked = g.pending.len();
+                let trigger = if parked >= self.group_cfg.max_batch {
+                    Some("wal.group.lead.batch")
+                } else if parked >= self.company.load(Ordering::SeqCst) {
+                    // Nobody who could still join the batch is running.
+                    Some("wal.group.lead.company")
+                } else if Instant::now() >= deadline {
+                    Some("wal.group.lead.window")
+                } else {
+                    None
+                };
+                if let Some(trigger) = trigger {
+                    g.leader = true;
+                    obskit::metrics::global().counter(trigger).incr();
+                    return Ok(GroupTurn::Lead);
+                }
             }
             // Ticked wait: a lost notification only delays, never
             // strands, a committer — the predicate re-check above is
@@ -1189,10 +1232,40 @@ mod tests {
     }
 
     #[test]
+    fn group_lone_company_member_leads_without_waiting_out_the_window() {
+        let store = Arc::new(LogStore::new());
+        let log = LogManager::with_group(
+            Arc::clone(&store),
+            GroupCommit::on(8, Duration::from_secs(10)),
+        );
+        log.join_company();
+        let lsn = log.append(&LogRecord::Commit { txn: 1 });
+        let t0 = Instant::now();
+        log.commit_flush(lsn).unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "nobody could join the batch, yet the commit waited {:?}",
+            t0.elapsed()
+        );
+        assert!(log.flushed_lsn() > lsn);
+        assert_eq!(store.records_from(0).unwrap().len(), 1);
+        log.leave_company();
+        assert_eq!(log.company(), 0);
+    }
+
+    #[test]
     fn group_solo_commit_leads_its_own_flush() {
         let (store, log) = grouped(8, 200);
+        // The committer and a companion that never parks are both in
+        // company, so only the window closes the batch.
+        log.join_company();
+        log.join_company();
         let lsn = log.append(&LogRecord::Commit { txn: 1 });
+        let t0 = Instant::now();
         log.commit_flush(lsn).unwrap();
+        assert!(t0.elapsed() >= Duration::from_micros(200));
+        log.leave_company();
+        log.leave_company();
         assert!(log.flushed_lsn() > lsn);
         assert_eq!(
             store.records_from(0).unwrap(),
@@ -1204,12 +1277,17 @@ mod tests {
     fn group_concurrent_commits_all_durable() {
         let (store, log) = grouped(4, 500);
         let n = 8;
+        // Every committer is in company before any parks, so they batch.
+        for _ in 0..n {
+            log.join_company();
+        }
         std::thread::scope(|s| {
             for t in 0..n {
                 let log = Arc::clone(&log);
                 s.spawn(move || {
                     let lsn = log.append(&LogRecord::Commit { txn: t });
                     log.commit_flush(lsn).unwrap();
+                    log.leave_company();
                     // Durability at ack: the watermark covers our record.
                     assert!(log.flushed_lsn() > lsn);
                 });
@@ -1234,6 +1312,10 @@ mod tests {
         // covers it (e.g. a buffer-pool eviction enforcing the WAL
         // rule), not only by a batch leader's.
         let (_store, log) = grouped(64, 200_000);
+        // The waiter and one companion that stays open: the waiter has
+        // company still running, so it stays parked.
+        log.join_company();
+        log.join_company();
         let lsn = log.append(&LogRecord::Commit { txn: 1 });
         let waiter = {
             let log = Arc::clone(&log);
@@ -1243,6 +1325,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         log.flush_all().unwrap();
         waiter.join().unwrap().unwrap();
+        log.leave_company();
+        log.leave_company();
     }
 
     #[test]
@@ -1251,6 +1335,9 @@ mod tests {
         let (store, log) = grouped(4, 300);
         store.set_fault_plan(Some(DiskPlan::at(DiskFaultKind::FsyncFail, 1)));
         let n = 6;
+        for _ in 0..n {
+            log.join_company();
+        }
         let mut errs = Vec::new();
         std::thread::scope(|s| {
             let mut handles = Vec::new();
@@ -1258,7 +1345,9 @@ mod tests {
                 let log = Arc::clone(&log);
                 handles.push(s.spawn(move || {
                     let lsn = log.append(&LogRecord::Commit { txn: t });
-                    log.commit_flush(lsn)
+                    let r = log.commit_flush(lsn);
+                    log.leave_company();
+                    r
                 }));
             }
             for h in handles {
@@ -1277,6 +1366,9 @@ mod tests {
         let (store, log) = grouped(4, 300);
         store.bump_epoch();
         let n = 3;
+        for _ in 0..n {
+            log.join_company();
+        }
         let mut errs = Vec::new();
         std::thread::scope(|s| {
             let mut handles = Vec::new();
@@ -1284,7 +1376,9 @@ mod tests {
                 let log = Arc::clone(&log);
                 handles.push(s.spawn(move || {
                     let lsn = log.append(&LogRecord::Commit { txn: t });
-                    log.commit_flush(lsn)
+                    let r = log.commit_flush(lsn);
+                    log.leave_company();
+                    r
                 }));
             }
             for h in handles {

@@ -392,7 +392,7 @@ fn connection_loop(server: DbServer, engine: Arc<Engine>, ep: Arc<Endpoint>, cfg
     // wait for the `Connect` frame is itself bounded: a link whose hello
     // never arrives (client died mid-connect, or the frame is stalled by
     // a network fault) must not pin a gate slot past `handshake_timeout`.
-    let (sid, admit_id) = {
+    let handshake = {
         let _pending = PendingGuard(admission);
         let handshake_deadline = Instant::now() + cfg.admission.handshake_timeout;
         loop {
@@ -402,28 +402,20 @@ fn connection_loop(server: DbServer, engine: Arc<Engine>, ep: Arc<Endpoint>, cfg
                 return;
             };
             match Request::decode(&frame) {
-                Ok(Request::Connect { .. }) => match admission.admit(epoch, Arc::clone(&ep)) {
-                    Ok(admit_id) => match engine.create_session() {
-                        Ok(sid) => {
-                            admission.bind(admit_id, sid);
-                            reply(&ep, Response::Connected { session: sid }, None);
-                            break (sid, admit_id);
-                        }
-                        Err(e) => {
-                            admission.release(admit_id);
-                            reply(&ep, Response::Error { stmt: 0, error: e }, None);
-                            ep.close();
-                            return;
-                        }
-                    },
-                    Err(e) => {
-                        // Shed: tell the client when to retry, then drop
-                        // the link — no server-side state remains.
-                        reply(&ep, Response::Error { stmt: 0, error: e }, None);
-                        ep.close();
-                        return;
-                    }
-                },
+                Ok(Request::Connect { .. }) => {
+                    break admission
+                        .admit(epoch, Arc::clone(&ep))
+                        .and_then(|admit_id| match engine.create_session() {
+                            Ok(sid) => {
+                                admission.bind(admit_id, sid);
+                                Ok((sid, admit_id))
+                            }
+                            Err(e) => {
+                                admission.release(admit_id);
+                                Err(e)
+                            }
+                        })
+                }
                 Ok(Request::Ping) => {
                     reply(&ep, Response::Pong, None);
                 }
@@ -433,6 +425,22 @@ fn connection_loop(server: DbServer, engine: Arc<Engine>, ep: Arc<Endpoint>, cfg
                     return;
                 }
             }
+        }
+    };
+    // The pending slot is released before the reply goes out: a client
+    // that opens its next connection as soon as this one's reply arrives
+    // must not find this handshake still pending.
+    let (sid, admit_id) = match handshake {
+        Ok(ids) => {
+            reply(&ep, Response::Connected { session: ids.0 }, None);
+            ids
+        }
+        Err(e) => {
+            // Shed (or no engine session): tell the client when to retry,
+            // then drop the link — no server-side state remains.
+            reply(&ep, Response::Error { stmt: 0, error: e }, None);
+            ep.close();
+            return;
         }
     };
 
@@ -899,5 +907,20 @@ mod tests {
         let stats = server.restart().unwrap();
         assert!(stats.records_scanned > 0);
         assert!(server.last_recovery().is_some());
+    }
+
+    /// A client that opens its next connection the moment a handshake's
+    /// reply arrives (as Phoenix opens its private connection after the
+    /// application one) never overlaps two pending handshakes: the slot
+    /// is released before the reply goes out.
+    #[test]
+    fn handshake_releases_its_pending_slot_before_replying() {
+        let server = DbServer::start(ServerConfig::instant_net()).unwrap();
+        for _ in 0..100 {
+            let app = connect(&server);
+            let private = connect(&server);
+            drop((app, private));
+        }
+        assert_eq!(server.admission_stats().pending_peak, 1);
     }
 }

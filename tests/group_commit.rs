@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use integration_tests::{crash_restart_action, explore, record_trace, restart_with_retry};
 use phoenix::{ExecKind, PhoenixConfig, PhoenixConnection, ReconnectPolicy};
@@ -287,9 +287,20 @@ fn four_session_commit_mix_batches_fsyncs() {
     want.sort_unstable();
     assert_eq!(got, want, "acked commits diverged after recovery");
 
+    // The crashed incarnation's connection threads release their
+    // admission slots on their own schedule; export once they have, so
+    // the snapshot's `sessions.active` reads the drained value.
+    let deadline = Instant::now() + DRAIN_GRACE;
+    while server.admission_stats().active != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     write_snapshot_if_requested();
     drop(pxs);
 }
+
+/// How long the commit mix waits for the crashed incarnation's
+/// connections to release their admission slots before it exports.
+const DRAIN_GRACE: Duration = Duration::from_secs(3);
 
 /// When `OBSKIT_SNAPSHOT=<path>` is set, export the global metrics
 /// registry plus the trace timeline — `cargo xtask ci` runs the

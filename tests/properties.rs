@@ -280,6 +280,12 @@ proptest! {
     /// * fail-stop covers the whole batch: the durable commit set is
     ///   *exactly* the acked set — an errored waiter's record never
     ///   reached the device, an acked one always did.
+    ///
+    /// Each committer is in group-commit company from before its append
+    /// until its commit returns, and `idlers` more threads join company
+    /// and leave without committing, as a rollback or a read-only
+    /// commit does. Company decides only when a batch flushes, so the
+    /// invariants hold for every count.
     #[test]
     fn group_commit_acks_are_durable_and_gap_free(
         sessions in 1usize..5,
@@ -287,6 +293,8 @@ proptest! {
         max_batch in 1usize..6,
         max_wait_us in 0u64..400,
         fail_at in prop::option::of(1u64..5),
+        idlers in 0usize..3,
+        idle_us in 0u64..400,
     ) {
         use std::time::Duration;
         let store = Arc::new(LogStore::new());
@@ -299,6 +307,14 @@ proptest! {
         }
 
         let obs: Vec<CommitObs> = std::thread::scope(|s| {
+            for _ in 0..idlers {
+                let log = Arc::clone(&log);
+                s.spawn(move || {
+                    log.join_company();
+                    std::thread::sleep(Duration::from_micros(idle_us));
+                    log.leave_company();
+                });
+            }
             let handles: Vec<_> = (0..sessions)
                 .map(|t| {
                     let log = Arc::clone(&log);
@@ -307,9 +323,11 @@ proptest! {
                         for i in 0..commits_per {
                             let txn = (t * 100 + i) as u64;
                             let mut watermark = vec![log.flushed_lsn()];
+                            log.join_company();
                             let lsn = log.append(&LogRecord::Commit { txn });
                             let acked = log.commit_flush(lsn).is_ok();
                             let flushed_at_ack = log.flushed_lsn();
+                            log.leave_company();
                             watermark.push(flushed_at_ack);
                             out.push(CommitObs { txn, acked, lsn, flushed_at_ack, watermark });
                         }
@@ -341,6 +359,7 @@ proptest! {
         // fails on any hole), and the watermark matches its end.
         let recs = store.records_from(0).unwrap();
         prop_assert_eq!(log.flushed_lsn(), store.durable_len());
+        prop_assert_eq!(log.company(), 0);
 
         let mut durable: Vec<u64> = recs
             .iter()
