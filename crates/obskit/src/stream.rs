@@ -135,7 +135,7 @@ impl Drop for Ticker {
         if let Some(h) = self.handle.take() {
             // A panic on the ticker thread is its own bug; joining must
             // not turn Drop into a double panic.
-            // lint:allow(discard): join error is a ticker-thread panic already reported there
+            // The join error is a ticker-thread panic already reported there.
             let _ = h.join();
         }
     }

@@ -372,7 +372,7 @@ impl Storage {
             ready
         };
         if !ready.is_empty() {
-            // lint:allow(discard): fails only once this incarnation is fenced; restart rebuilds the free list
+            // Fails only once this incarnation is fenced; restart rebuilds the free list.
             let _ = self.pool.release_pages(&ready);
         }
     }

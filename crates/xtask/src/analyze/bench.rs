@@ -10,7 +10,7 @@
 //! 2. **Stale baselines** — every `<stem>.json` under `bench_baselines/`
 //!    (and each immediate subdirectory, e.g. the `ci/` fast-subset) must
 //!    correspond to an existing bench binary, or be declared in that
-//!    directory's `gate.toml` under `[gate] extra`. A baseline whose
+//!    directory's `gate.json` under `gate.extra`. A baseline whose
 //!    binary was renamed or deleted would otherwise pass the gate
 //!    forever by comparing against nothing.
 //! 3. **Missing baselines** — the *root* `bench_baselines/` directory is
@@ -18,7 +18,7 @@
 //!    there (subdirectories are curated subsets and only get the stale
 //!    check). A new bench with no blessed baseline is a workload the
 //!    gate never guards.
-//! 4. **Dangling extras** — a `[gate] extra` entry with no matching
+//! 4. **Dangling extras** — a `gate.extra` entry with no matching
 //!    baseline file is leftover config and is flagged too.
 //!
 //! A missing `emit_json` call can be waived in-source with
@@ -29,12 +29,12 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use super::{SrcFile, Workspace};
-use crate::benchgate::GateConfig;
+use super::{SrcFile, Waivable, Workspace};
+use crate::benchgate::{GateConfig, MANIFEST};
 use crate::{Rule, Violation};
 
 /// One baseline directory as seen on disk: its root-relative path, the
-/// `.json` stems it holds, the `[gate] extra` names its manifest
+/// `.json` stems it holds, the `gate.extra` names its manifest
 /// declares, and any manifest parse error (reported as a violation
 /// rather than aborting the whole analysis).
 #[derive(Debug, Clone, Default)]
@@ -112,8 +112,10 @@ fn calls_emit_json(file: &SrcFile) -> bool {
 
 /// Pass 5: bench twins and baselines stay in lockstep with the bench
 /// binaries (see the module docs for the four checks).
-pub fn bench_pass(ws: &Workspace) -> Vec<Violation> {
+pub fn bench_pass(ws: &Workspace) -> Vec<Waivable<'_>> {
     let mut out = Vec::new();
+    // The baseline checks below have no waivable site.
+    let mut found = Vec::new();
     let bins = bench_bins(ws);
     let bin_names: BTreeSet<&str> = bins.iter().map(|(n, _)| n.as_str()).collect();
 
@@ -127,24 +129,24 @@ pub fn bench_pass(ws: &Workspace) -> Vec<Violation> {
             .iter()
             .find(|d| d.name == "main")
             .map_or(1, |d| d.line as usize);
-        if file.allows.waives("bench", line) {
-            continue;
-        }
-        out.push(Violation {
-            file: PathBuf::from(&file.rel),
-            line,
-            rule: Rule::Bench,
-            message: format!(
-                "bench binary {name:?} never calls emit_json — its results are \
-                 invisible to `cargo xtask bench-gate`"
-            ),
+        out.push(Waivable {
+            violation: Violation {
+                file: PathBuf::from(&file.rel),
+                line,
+                rule: Rule::Bench,
+                message: format!(
+                    "bench binary {name:?} never calls emit_json — its results are \
+                     invisible to `cargo xtask bench-gate`"
+                ),
+            },
+            sites: vec![(*file, line)],
         });
     }
 
     for dir in &ws.baseline_dirs {
         if let Some(err) = &dir.manifest_error {
-            out.push(Violation {
-                file: PathBuf::from(format!("{}/gate.toml", dir.rel)),
+            found.push(Violation {
+                file: PathBuf::from(format!("{}/{MANIFEST}", dir.rel)),
                 line: 0,
                 rule: Rule::Bench,
                 message: format!("unreadable gate manifest: {err}"),
@@ -154,25 +156,25 @@ pub fn bench_pass(ws: &Workspace) -> Vec<Violation> {
             if bin_names.contains(stem.as_str()) || dir.extra.iter().any(|e| e == stem) {
                 continue;
             }
-            out.push(Violation {
+            found.push(Violation {
                 file: PathBuf::from(format!("{}/{stem}.json", dir.rel)),
                 line: 0,
                 rule: Rule::Bench,
                 message: format!(
                     "stale baseline: no bench binary named {stem:?} and no \
-                     `[gate] extra` entry in {}/gate.toml declares it",
+                     `gate.extra` entry in {}/{MANIFEST} declares it",
                     dir.rel
                 ),
             });
         }
         for extra in &dir.extra {
             if !dir.stems.iter().any(|s| s == extra) {
-                out.push(Violation {
-                    file: PathBuf::from(format!("{}/gate.toml", dir.rel)),
+                found.push(Violation {
+                    file: PathBuf::from(format!("{}/{MANIFEST}", dir.rel)),
                     line: 0,
                     rule: Rule::Bench,
                     message: format!(
-                        "[gate] extra entry {extra:?} has no {}/{extra}.json baseline",
+                        "gate.extra entry {extra:?} has no {}/{extra}.json baseline",
                         dir.rel
                     ),
                 });
@@ -181,7 +183,7 @@ pub fn bench_pass(ws: &Workspace) -> Vec<Violation> {
         if dir.rel == "bench_baselines" {
             for name in &bin_names {
                 if !dir.stems.iter().any(|s| s == name) {
-                    out.push(Violation {
+                    found.push(Violation {
                         file: PathBuf::from(format!("crates/bench/src/bin/{name}.rs")),
                         line: 1,
                         rule: Rule::Bench,
@@ -194,5 +196,6 @@ pub fn bench_pass(ws: &Workspace) -> Vec<Violation> {
             }
         }
     }
+    out.extend(found.into_iter().map(Waivable::from));
     out
 }

@@ -22,7 +22,7 @@
 
 use super::items::FnDef;
 use super::lexer::{Tok, TokKind};
-use super::Workspace;
+use super::{SrcFile, Waivable, Workspace};
 use std::path::PathBuf;
 
 use crate::{Rule, Violation};
@@ -99,8 +99,9 @@ fn fn_line_range(def: &FnDef) -> (usize, usize) {
     (lo, hi)
 }
 
-/// Pass 1: durability sites must carry a crashpoint.
-pub fn durability_pass(ws: &Workspace) -> Vec<Violation> {
+/// Pass 1: durability sites must carry a crashpoint. A waiver anywhere
+/// in the function applies.
+pub fn durability_pass(ws: &Workspace) -> Vec<Waivable<'_>> {
     let mut out = Vec::new();
     for file in &ws.files {
         for def in &file.items.fns {
@@ -118,18 +119,18 @@ pub fn durability_pass(ws: &Workspace) -> Vec<Violation> {
                 continue;
             }
             let (lo, hi) = fn_line_range(def);
-            if (lo..=hi).any(|l| file.allows.waives("durability", l)) {
-                continue;
-            }
             let (name, line) = &emitted[0];
-            out.push(Violation {
-                file: PathBuf::from(&file.rel),
-                line: *line as usize,
-                rule: Rule::Durability,
-                message: format!(
-                    "{} emits durability event {name:?} but contains no durability crashpoint!",
-                    def.qual_name()
-                ),
+            out.push(Waivable {
+                violation: Violation {
+                    file: PathBuf::from(&file.rel),
+                    line: *line as usize,
+                    rule: Rule::Durability,
+                    message: format!(
+                        "{} emits durability event {name:?} but contains no durability crashpoint!",
+                        def.qual_name()
+                    ),
+                },
+                sites: (lo..=hi).map(|l| (file, l)).collect(),
             });
         }
     }
@@ -137,7 +138,7 @@ pub fn durability_pass(ws: &Workspace) -> Vec<Violation> {
 }
 
 /// Pass 2: every compiled crashpoint needs a covering test scenario.
-pub fn scenario_pass(ws: &Workspace) -> Vec<Violation> {
+pub fn scenario_pass(ws: &Workspace) -> Vec<Waivable<'_>> {
     let covered = |name: &str| {
         ws.test_literals
             .iter()
@@ -147,16 +148,19 @@ pub fn scenario_pass(ws: &Workspace) -> Vec<Violation> {
     for file in &ws.files {
         for def in &file.items.fns {
             for (name, line) in crashpoints_in(&def.body) {
-                if covered(&name) || file.allows.waives("scenario", line as usize) {
+                if covered(&name) {
                     continue;
                 }
-                out.push(Violation {
-                    file: PathBuf::from(&file.rel),
-                    line: line as usize,
-                    rule: Rule::Scenario,
-                    message: format!(
-                        "crashpoint {name:?} is not referenced by any scenario under tests/"
-                    ),
+                out.push(Waivable {
+                    violation: Violation {
+                        file: PathBuf::from(&file.rel),
+                        line: line as usize,
+                        rule: Rule::Scenario,
+                        message: format!(
+                            "crashpoint {name:?} is not referenced by any scenario under tests/"
+                        ),
+                    },
+                    sites: vec![(file, line as usize)],
                 });
             }
         }
@@ -205,12 +209,12 @@ fn gauge_adds_in(toks: &[Tok]) -> Vec<GaugeAdd> {
 /// Pass 4: every gauge with constant positive `.add()` sites needs at
 /// least one negative site, or the level can only ratchet upward — a
 /// leak the storm tests would see as `sessions.active` never draining.
-pub fn gauge_balance_pass(ws: &Workspace) -> Vec<Violation> {
+/// A waiver on any positive site applies.
+pub fn gauge_balance_pass(ws: &Workspace) -> Vec<Waivable<'_>> {
     #[derive(Default)]
-    struct Balance {
-        first_pos: Option<(String, u32)>,
+    struct Balance<'a> {
+        positive: Vec<(&'a SrcFile, u32)>,
         has_neg: bool,
-        waived: bool,
     }
     let mut gauges: std::collections::BTreeMap<String, Balance> = std::collections::BTreeMap::new();
     for file in &ws.files {
@@ -219,29 +223,29 @@ pub fn gauge_balance_pass(ws: &Workspace) -> Vec<Violation> {
             if add.negative {
                 entry.has_neg = true;
             } else {
-                entry.waived |= file.allows.waives("gauge_balance", add.line as usize);
-                if entry.first_pos.is_none() {
-                    entry.first_pos = Some((file.rel.clone(), add.line));
-                }
+                entry.positive.push((file, add.line));
             }
         }
     }
     let mut out = Vec::new();
     for (name, bal) in gauges {
-        let Some((rel, line)) = bal.first_pos else {
+        let Some(&(first, line)) = bal.positive.first() else {
             continue;
         };
-        if bal.has_neg || bal.waived {
+        if bal.has_neg {
             continue;
         }
-        out.push(Violation {
-            file: PathBuf::from(rel),
-            line: line as usize,
-            rule: Rule::GaugeBalance,
-            message: format!(
-                "gauge {name:?} has constant positive add sites but no negative site — \
-                 the level can only ratchet up (leak by construction)"
-            ),
+        out.push(Waivable {
+            violation: Violation {
+                file: PathBuf::from(&first.rel),
+                line: line as usize,
+                rule: Rule::GaugeBalance,
+                message: format!(
+                    "gauge {name:?} has constant positive add sites but no negative site — \
+                     the level can only ratchet up (leak by construction)"
+                ),
+            },
+            sites: bal.positive.iter().map(|&(f, l)| (f, l as usize)).collect(),
         });
     }
     out
@@ -249,9 +253,8 @@ pub fn gauge_balance_pass(ws: &Workspace) -> Vec<Violation> {
 
 /// Pass 3: recovery phases ↔ names table ↔ emission. Returns the number
 /// of phases checked (0 = the struct was not found — the workspace test
-/// guards against that going stale).
-pub fn phase_pass(ws: &Workspace) -> (usize, Vec<Violation>) {
-    let mut out = Vec::new();
+/// guards against that going stale). A waiver on the struct applies.
+pub fn phase_pass(ws: &Workspace) -> (usize, Vec<Waivable<'_>>) {
     let Some((file, def)) = ws.files.iter().find_map(|f| {
         f.items
             .structs
@@ -259,11 +262,9 @@ pub fn phase_pass(ws: &Workspace) -> (usize, Vec<Violation>) {
             .find(|s| s.name == "RecoveryPhases")
             .map(|s| (f, s))
     }) else {
-        return (0, out);
+        return (0, Vec::new());
     };
-    if file.allows.waives("phase", def.line as usize) {
-        return (def.fields.len(), out);
-    }
+    let mut out = Vec::new();
     let names = const_str_array(&file.toks, "NAMES");
     for f in &def.fields {
         let want = format!("phoenix.recovery.{}", f.name);
@@ -299,6 +300,14 @@ pub fn phase_pass(ws: &Workspace) -> (usize, Vec<Violation>) {
             message: "recovery phases are never emitted via obskit emit_span in this file".into(),
         });
     }
+    let site = (file, def.line as usize);
+    let out = out
+        .into_iter()
+        .map(|violation| Waivable {
+            violation,
+            sites: vec![site],
+        })
+        .collect();
     (def.fields.len(), out)
 }
 

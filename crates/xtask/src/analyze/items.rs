@@ -8,8 +8,11 @@
 //! up a function body — and deliberately nothing more (no expressions, no
 //! generics semantics, no trait resolution).
 //!
-//! `#[cfg(test)]` items are skipped entirely, mirroring the lint engine's
-//! test exemption: test-only lock usage never contributes graph edges.
+//! It also owns the workspace's one answer to "is this test code?": an
+//! item is test-only when its `cfg` requires `test` ([`cfg_requires_test`]).
+//! Test-only items are skipped entirely and their token ranges recorded,
+//! so the lint rules, the lock walker and the static-cell scan all read
+//! the same non-test stream.
 
 use super::lexer::{Tok, TokKind};
 
@@ -78,6 +81,8 @@ pub struct FileItems {
     pub structs: Vec<StructDef>,
     pub statics: Vec<StaticDef>,
     pub fns: Vec<FnDef>,
+    /// Token index ranges of the test-only items.
+    pub test_ranges: Vec<std::ops::Range<usize>>,
 }
 
 /// Wrapper / container type names skipped when resolving a field or
@@ -136,6 +141,59 @@ fn lock_kind_of(toks: &[Tok]) -> Option<LockKind> {
         }
     }
     None
+}
+
+/// True when a `#[cfg(…)]` attribute (tokens from `[` to `]`) can only
+/// hold in a test build: `cfg(test)`, or an `all(…)` with such a member.
+/// `not(…)`, an `any(…)` with a live alternative and every other
+/// predicate are live.
+pub fn cfg_requires_test(attr: &[Tok]) -> bool {
+    match attr {
+        [_, cfg, open, pred @ .., _, _] if cfg.is_ident("cfg") && open.is_punct('(') => {
+            requires_test(pred)
+        }
+        _ => false,
+    }
+}
+
+fn requires_test(pred: &[Tok]) -> bool {
+    match pred {
+        [t] => t.is_ident("test"),
+        [f, open, args @ .., close] if open.is_punct('(') && close.is_punct(')') => {
+            let mut args = split_top_level(args, ',')
+                .into_iter()
+                .filter(|a| !a.is_empty());
+            if f.is_ident("all") {
+                args.any(requires_test)
+            } else if f.is_ident("any") {
+                args.all(requires_test)
+            } else {
+                false
+            }
+        }
+        _ => false,
+    }
+}
+
+/// Split a token run on `sep` outside any `()`/`[]`/`<>` nesting.
+fn split_top_level(toks: &[Tok], sep: char) -> Vec<&[Tok]> {
+    let mut segs = Vec::new();
+    let mut depth = 0i32;
+    let mut prev_dash = false;
+    let mut start = 0usize;
+    for (k, t) in toks.iter().enumerate() {
+        if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || (t.is_punct('>') && !prev_dash) {
+            depth -= 1;
+        } else if t.is_punct(sep) && depth == 0 {
+            segs.push(&toks[start..k]);
+            start = k + 1;
+        }
+        prev_dash = t.is_punct('-');
+    }
+    segs.push(&toks[start..]);
+    segs
 }
 
 /// Extract all items from a lexed file.
@@ -248,9 +306,7 @@ fn parse_items(cur: &mut Cursor, impl_ty: Option<&str>, _end: usize, out: &mut F
             if cur.peek().is_some_and(|t| t.is_punct('[')) {
                 let start = cur.i;
                 cur.skip_group('[', ']');
-                let attr = &cur.toks[start..cur.i];
-                let has = |w: &str| attr.iter().any(|t| t.is_ident(w));
-                if has("cfg") && has("test") {
+                if cfg_requires_test(&cur.toks[start..cur.i]) {
                     skip_next_item = true;
                 }
             }
@@ -269,7 +325,9 @@ fn parse_items(cur: &mut Cursor, impl_ty: Option<&str>, _end: usize, out: &mut F
         match t.text.as_str() {
             _ if skip_next_item => {
                 skip_next_item = false;
+                let start = cur.i;
                 cur.skip_item();
+                out.test_ranges.push(start..cur.i);
             }
             "macro_rules" => {
                 // `macro_rules! name { … }` — opaque, skip the body.
@@ -592,25 +650,7 @@ fn parse_fn(cur: &mut Cursor, impl_ty: Option<&str>, out: &mut FileItems) {
 fn parse_params(toks: &[Tok]) -> (Vec<(String, String)>, bool) {
     let mut params = Vec::new();
     let mut has_self = false;
-    let mut depth = 0i32;
-    let mut prev_dash = false;
-    let mut seg_start = 0usize;
-    let mut segs: Vec<&[Tok]> = Vec::new();
-    for (k, t) in toks.iter().enumerate() {
-        if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || (t.is_punct('>') && !prev_dash) {
-            depth -= 1;
-        } else if t.is_punct(',') && depth == 0 {
-            segs.push(&toks[seg_start..k]);
-            seg_start = k + 1;
-        }
-        prev_dash = t.is_punct('-');
-    }
-    if seg_start < toks.len() {
-        segs.push(&toks[seg_start..]);
-    }
-    for seg in segs {
+    for seg in split_top_level(toks, ',') {
         let idents: Vec<&Tok> = seg.iter().filter(|t| t.kind == TokKind::Ident).collect();
         if idents
             .iter()
@@ -684,6 +724,27 @@ mod tests {
             vec!["live", "live2"]
         );
         assert!(it.structs.is_empty());
+    }
+
+    #[test]
+    fn only_cfgs_that_require_test_are_test_only() {
+        let test_only = |attr: &str| cfg_requires_test(&lex(attr));
+        assert!(test_only("[cfg(test)]"));
+        assert!(test_only("[cfg(all(test, unix))]"));
+        assert!(test_only("[cfg(all(unix, any(test, test)))]"));
+        assert!(!test_only("[cfg(not(test))]"));
+        assert!(!test_only("[cfg(any(test, feature = \"sim\"))]"));
+        assert!(!test_only("[cfg(all(unix, not(test)))]"));
+        assert!(!test_only("[cfg_attr(test, derive(Debug))]"));
+
+        let it = items(
+            "#[cfg(not(test))]\nfn live() {}\n#[cfg(all(test, unix))]\nmod t { fn hidden() {} }\nfn live2() {}",
+        );
+        assert_eq!(
+            it.fns.iter().map(|f| f.name.as_str()).collect::<Vec<_>>(),
+            vec!["live", "live2"]
+        );
+        assert_eq!(it.test_ranges.len(), 1);
     }
 
     #[test]

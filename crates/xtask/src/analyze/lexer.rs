@@ -1,12 +1,13 @@
-//! A lightweight Rust lexer for the analysis passes.
+//! The one Rust lexer behind both `cargo xtask lint` and
+//! `cargo xtask analyze`.
 //!
-//! Unlike [`crate::strip_comments_and_strings`] (which blanks text so the
-//! line-based lint rules cannot match inside it), the analyzer needs real
-//! tokens: identifiers to follow field accesses and call sites, and
-//! string-literal *contents* to read crashpoint and obskit event names.
-//! The lexer is token-tree-shallow — it produces a flat token stream with
-//! line numbers and leaves all nesting (braces, parens, generics) to the
-//! consumers, which track depth themselves.
+//! It produces real tokens — identifiers to follow field accesses and
+//! call sites, string-literal *contents* to read crashpoint and obskit
+//! event names — so no rule can match inside a comment or a string. The
+//! lexer is token-tree-shallow: a flat token stream with line numbers,
+//! leaving all nesting (braces, parens, generics) to the consumers, which
+//! track depth themselves. Comments come back separately, as the only
+//! place waivers are read from.
 //!
 //! Handled: line and nested block comments, string/raw-string/byte-string
 //! literals, char literals vs lifetimes, numbers, identifiers, and
@@ -50,13 +51,79 @@ impl Tok {
     }
 }
 
-/// Lex `src` into a flat token stream. Never fails: unterminated literals
-/// run to end of input, unknown bytes are skipped.
+/// One comment: the 1-based line it starts on and its text without the
+/// delimiters.
+#[derive(Debug, Clone)]
+pub struct Comment {
+    pub line: u32,
+    pub text: String,
+    /// Code precedes the comment on its first line.
+    pub trailing: bool,
+    /// `///`, `//!`, `/**` or `/*!`: documentation, not a directive.
+    pub doc: bool,
+}
+
+/// A token run lexed from source text (`.unwrap()`, `fs::read`). It
+/// matches tokens of the same kinds and texts, except that a trailing
+/// identifier also matches as a prefix: `fs::read` covers
+/// `fs::read_to_string`, as a substring search over the text would.
+pub struct Pattern {
+    pub text: &'static str,
+    toks: Vec<Tok>,
+}
+
+impl Pattern {
+    pub fn new(text: &'static str) -> Pattern {
+        Pattern {
+            text,
+            toks: lex(text),
+        }
+    }
+
+    /// Number of tokens in the pattern.
+    pub fn token_count(&self) -> usize {
+        self.toks.len()
+    }
+
+    /// True when the pattern matches the tokens starting at `toks[j]`.
+    pub fn matches_at(&self, toks: &[Tok], j: usize) -> bool {
+        let Some(run) = toks.get(j..j + self.toks.len()) else {
+            return false;
+        };
+        let last = self.toks.len() - 1;
+        self.toks.iter().zip(run).enumerate().all(|(k, (p, t))| {
+            p.kind == t.kind
+                && if k == last && p.kind == TokKind::Ident {
+                    t.text.starts_with(&p.text)
+                } else {
+                    t.text == p.text
+                }
+        })
+    }
+
+    /// Lines of every match in `toks`.
+    pub fn lines_in<'a>(&'a self, toks: &'a [Tok]) -> impl Iterator<Item = usize> + 'a {
+        (0..toks.len())
+            .filter(|&j| self.matches_at(toks, j))
+            .map(|j| toks[j].line as usize)
+    }
+}
+
+/// Lex `src` into a flat token stream, dropping comments.
 pub fn lex(src: &str) -> Vec<Tok> {
+    lex_with_comments(src).0
+}
+
+/// Lex `src` into a flat token stream plus its comments. Never fails:
+/// unterminated literals run to end of input, unknown bytes are skipped.
+pub fn lex_with_comments(src: &str) -> (Vec<Tok>, Vec<Comment>) {
     let b = src.as_bytes();
-    let mut out = Vec::new();
+    let mut out: Vec<Tok> = Vec::new();
+    let mut comments = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
+    // Whether a comment starting now follows code on its line.
+    let trailing = |out: &[Tok], line: u32| out.last().is_some_and(|t| t.line == line);
 
     let ident_char = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
 
@@ -69,11 +136,20 @@ pub fn lex(src: &str) -> Vec<Tok> {
             }
             c if c.is_ascii_whitespace() => i += 1,
             b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
+                let start = i + 2;
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
+                let text = &src[start..i];
+                comments.push(Comment {
+                    line,
+                    trailing: trailing(&out, line),
+                    doc: text.starts_with(['/', '!']),
+                    text: text.to_string(),
+                });
             }
             b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
+                let (start, start_line) = (i + 2, line);
                 let mut depth = 1u32;
                 i += 2;
                 while i < b.len() && depth > 0 {
@@ -90,6 +166,14 @@ pub fn lex(src: &str) -> Vec<Tok> {
                         i += 1;
                     }
                 }
+                let end = if depth == 0 { i - 2 } else { i };
+                let text = &src[start..end];
+                comments.push(Comment {
+                    line: start_line,
+                    trailing: trailing(&out, start_line),
+                    doc: text.starts_with(['*', '!']),
+                    text: text.to_string(),
+                });
             }
             b'"' => {
                 let (content, next, newlines) = scan_string(src, i, 0);
@@ -213,7 +297,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
             }
         }
     }
-    out
+    (out, comments)
 }
 
 /// True when position `i` (at `r` or `b`) starts a raw/byte string
@@ -312,6 +396,34 @@ mod tests {
         let toks = texts("fn f<'a>(x: &'a str) { let c = 'x'; }");
         assert!(toks.contains(&(TokKind::Lifetime, "a".into())));
         assert!(toks.contains(&(TokKind::Char, "x".into())));
+    }
+
+    #[test]
+    fn comments_come_back_with_line_and_position() {
+        let (toks, comments) =
+            lex_with_comments("// own\nx(); // trailing\n/// doc\n/* block\n */ y");
+        assert_eq!(toks.len(), 5);
+        let seen: Vec<_> = comments
+            .iter()
+            .map(|c| (c.line, c.text.as_str(), c.trailing, c.doc))
+            .collect();
+        assert_eq!(
+            seen,
+            vec![
+                (1, " own", false, false),
+                (2, " trailing", true, false),
+                (3, "/ doc", false, true),
+                (4, " block\n ", false, false),
+            ]
+        );
+    }
+
+    #[test]
+    fn patterns_match_tokens_with_a_prefix_tail() {
+        let toks = lex("std::fs::read_to_string(p); x.unwrap(); y.unwrap_or(0);");
+        assert_eq!(Pattern::new("fs::read").lines_in(&toks).count(), 1);
+        assert_eq!(Pattern::new(".unwrap()").lines_in(&toks).count(), 1);
+        assert_eq!(Pattern::new("fs::write").lines_in(&toks).count(), 0);
     }
 
     #[test]

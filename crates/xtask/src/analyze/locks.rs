@@ -14,12 +14,20 @@
 //! `self.f1.f2`, `param.field`, statics, and a unique-field-name
 //! fallback — and everything it cannot resolve is counted rather than
 //! guessed, so the graph never contains fabricated nodes.
+//!
+//! The same guard-liveness walk enforces the `lint` rule `lock` in the
+//! files [`crate::classify`] marks `lock_rules`: no blocking call
+//! (`BLOCKING_TOKENS`) while a guard is live. An acquisition the
+//! resolver cannot name still yields an anonymous guard for that check;
+//! it adds no node and no edge.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::path::PathBuf;
 
 use super::items::{FnDef, LockKind, StructDef};
-use super::lexer::{Tok, TokKind};
+use super::lexer::{Pattern, Tok, TokKind};
 use super::{SrcFile, Workspace};
+use crate::{Rule, Violation};
 
 /// Where an edge was created: caller file/line plus the responsible
 /// function, and (for call-site edges) the callee that takes the lock.
@@ -112,10 +120,30 @@ pub struct LockStats {
     pub acq_unresolved: usize,
     pub calls_resolved: usize,
     pub calls_unresolved: usize,
-    pub edges_waived: usize,
+    /// `(file, line)` of every edge an `analyze:allow(lock_edge)` dropped.
+    pub waived_edges: Vec<(String, usize)>,
 }
 
 const LOCK_METHODS: &[&str] = &["lock", "read", "write"];
+
+/// Calls that park the thread or hit the disk/network — forbidden while
+/// a lock guard is live. Matched as token [`Pattern`]s, so `fs::read`
+/// also covers `fs::read_to_string` and `fs::read_dir`.
+const BLOCKING_TOKENS: &[&str] = &[
+    ".wait(",
+    ".wait_for(",
+    ".recv(",
+    ".recv_timeout(",
+    ".accept(",
+    "thread::sleep",
+    "TcpStream",
+    "File::open",
+    "File::create",
+    "fs::read",
+    "fs::write",
+    "OpenOptions",
+];
+
 const STMT_KEYWORDS: &[&str] = &[
     "if", "else", "while", "match", "for", "loop", "return", "break", "continue", "in",
 ];
@@ -232,8 +260,8 @@ impl<'a> Resolver<'a> {
     }
 }
 
-/// All `static NAME: Mutex/RwLock<…>` declarations in a token stream,
-/// regardless of nesting depth.
+/// All `static NAME: Mutex/RwLock<…>` declarations in a file's non-test
+/// token stream, regardless of nesting depth.
 fn scan_statics(toks: &[Tok]) -> Vec<(String, LockKind)> {
     let mut out = Vec::new();
     let mut j = 0;
@@ -277,6 +305,8 @@ struct FnFacts {
     calls: Vec<(FnId, Vec<String>, u32)>,
     /// Intra-function edges (held → acquired).
     edges: Vec<(String, String, u32)>,
+    /// `lock` lint findings: blocking calls under a live guard.
+    blocking: Vec<Violation>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -292,17 +322,26 @@ enum StmtKind {
 }
 
 struct Guard {
-    node: String,
+    /// The lock cell, or None for an acquisition the resolver could not
+    /// name (it still counts for the blocking check).
+    node: Option<String>,
     name: Option<String>,
+    line: u32,
     /// Alive while brace depth ≥ this.
     min_depth: i32,
     /// Temporary (dies at the statement's `;`) vs block-scoped.
     temp: bool,
 }
 
-/// Walk one function body: track live guards, record acquisitions, edges
-/// and resolved call sites.
-fn analyze_fn(r: &Resolver, file: &SrcFile, def: &FnDef, stats: &mut LockStats) -> FnFacts {
+/// Walk one function body: track live guards, record acquisitions, edges,
+/// resolved call sites and any `blocking` call made under a live guard.
+fn analyze_fn(
+    r: &Resolver,
+    file: &SrcFile,
+    def: &FnDef,
+    blocking: &[Pattern],
+    stats: &mut LockStats,
+) -> FnFacts {
     let mut facts = FnFacts::default();
     let toks = &def.body;
     let mut depth = 0i32;
@@ -369,6 +408,36 @@ fn analyze_fn(r: &Resolver, file: &SrcFile, def: &FnDef, stats: &mut LockStats) 
             };
         }
 
+        if !guards.is_empty() {
+            for pat in blocking.iter().filter(|p| p.matches_at(toks, j)) {
+                let args = call_args(toks, j + pat.token_count() - 1);
+                for g in &guards {
+                    // A wait that names the guard releases it atomically
+                    // (the condvar idiom).
+                    if g.name
+                        .as_ref()
+                        .is_some_and(|n| args.iter().any(|a| a.is_ident(n)))
+                    {
+                        continue;
+                    }
+                    let who = g
+                        .name
+                        .as_deref()
+                        .or(g.node.as_deref())
+                        .unwrap_or("temporary");
+                    facts.blocking.push(Violation {
+                        file: PathBuf::from(&file.rel),
+                        line: t.line as usize,
+                        rule: Rule::Lock,
+                        message: format!(
+                            "blocking call `{}` while guard `{who}` from line {} is held",
+                            pat.text, g.line
+                        ),
+                    });
+                }
+            }
+        }
+
         // `drop(name)` releases the named guard.
         if t.is_ident("drop")
             && toks.get(j + 1).is_some_and(|t| t.is_punct('('))
@@ -401,19 +470,24 @@ fn analyze_fn(r: &Resolver, file: &SrcFile, def: &FnDef, stats: &mut LockStats) 
             let word = t.text.as_str();
             let mut handled = false;
 
-            if dotted && LOCK_METHODS.contains(&word) {
+            let guard = |node: Option<String>| Guard {
+                node,
+                name: let_name.clone(),
+                line: t.line,
+                min_depth: depth,
+                temp: stmt_kind != StmtKind::Let,
+            };
+            let lock_method = dotted && LOCK_METHODS.contains(&word);
+            // `.lock()`, `.read()`, `.write()` with no arguments.
+            let lock_shaped = lock_method && toks.get(j + 2).is_some_and(|t| t.is_punct(')'));
+            if lock_method {
                 stats.acquisitions += 1;
                 if let Some(node) = resolve_lock(r, file, def, &chain, param_ty) {
-                    for g in &guards {
-                        facts.edges.push((g.node.clone(), node.clone(), t.line));
+                    for held in guards.iter().filter_map(|g| g.node.as_ref()) {
+                        facts.edges.push((held.clone(), node.clone(), t.line));
                     }
                     facts.direct.push((node.clone(), t.line));
-                    guards.push(Guard {
-                        node,
-                        name: let_name.clone(),
-                        min_depth: depth,
-                        temp: stmt_kind != StmtKind::Let,
-                    });
+                    guards.push(guard(Some(node)));
                     handled = true;
                 } else {
                     stats.acquisitions -= 1; // will recount below if a call
@@ -423,15 +497,25 @@ fn analyze_fn(r: &Resolver, file: &SrcFile, def: &FnDef, stats: &mut LockStats) 
                 match resolve_call(r, file, def, &chain, word, dotted, toks, j, param_ty) {
                     Some(callee) => {
                         stats.calls_resolved += 1;
-                        let held: Vec<String> = guards.iter().map(|g| g.node.clone()).collect();
+                        let held = guards.iter().filter_map(|g| g.node.clone()).collect();
                         facts.calls.push((callee, held, t.line));
+                        // A workspace wrapper such as `PageGuard::write`
+                        // hands back a lock guard: hold it anonymously.
+                        if lock_shaped {
+                            guards.push(guard(None));
+                        }
                     }
                     None => {
-                        if dotted && LOCK_METHODS.contains(&word) {
+                        if lock_method {
                             // Unresolvable `.lock()`-shaped site: count it
-                            // so drift shows up in the stats.
+                            // so drift shows up in the stats, and hold an
+                            // anonymous guard when it takes no arguments
+                            // (`.read(buf)` is I/O, not a lock).
                             stats.acquisitions += 1;
                             stats.acq_unresolved += 1;
+                            if lock_shaped {
+                                guards.push(guard(None));
+                            }
                         } else {
                             stats.calls_unresolved += 1;
                         }
@@ -442,6 +526,26 @@ fn analyze_fn(r: &Resolver, file: &SrcFile, def: &FnDef, stats: &mut LockStats) 
         j += 1;
     }
     facts
+}
+
+/// The tokens inside the parenthesized group opening at `open`, or none
+/// when `toks[open]` is not `(`.
+fn call_args(toks: &[Tok], open: usize) -> &[Tok] {
+    if !toks.get(open).is_some_and(|t| t.is_punct('(')) {
+        return &[];
+    }
+    let mut depth = 0i32;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct('(') {
+            depth += 1;
+        } else if t.is_punct(')') {
+            depth -= 1;
+            if depth == 0 {
+                return &toks[open + 1..k];
+            }
+        }
+    }
+    &toks[open + 1..]
 }
 
 /// Classify the statement starting at token `j`.
@@ -639,14 +743,25 @@ fn resolve_call<'a>(
     })
 }
 
-/// Build the global lock-order graph over the whole workspace.
-pub fn build_graph(ws: &Workspace) -> (LockGraph, LockStats) {
+/// Build the global lock-order graph over the whole workspace. Also
+/// returns the `lock` lint findings: blocking calls under a live guard in
+/// files with `lock_rules`, before any `lint:allow` waiver.
+pub fn build_graph(ws: &Workspace) -> (LockGraph, LockStats, Vec<Violation>) {
     let r = Resolver::build(ws);
+    let blocking: Vec<Pattern> = BLOCKING_TOKENS.iter().map(|t| Pattern::new(t)).collect();
     let mut stats = LockStats::default();
     let mut all_facts: Vec<FnFacts> = Vec::with_capacity(r.fns.len());
+    let mut findings = Vec::new();
     for fr in &r.fns {
         stats.functions += 1;
-        all_facts.push(analyze_fn(&r, fr.file, fr.def, &mut stats));
+        let pats = if fr.file.class.lock_rules {
+            &blocking[..]
+        } else {
+            &[]
+        };
+        let mut facts = analyze_fn(&r, fr.file, fr.def, pats, &mut stats);
+        findings.append(&mut facts.blocking);
+        all_facts.push(facts);
     }
 
     // acquired1(f) = direct(f) ∪ direct(callees of f): one level of
@@ -678,7 +793,7 @@ pub fn build_graph(ws: &Workspace) -> (LockGraph, LockStats) {
                    line: u32,
                    via: Option<String>| {
             if file.allows.waives("lock_edge", line as usize) {
-                stats.edges_waived += 1;
+                stats.waived_edges.push((file.rel.clone(), line as usize));
                 return;
             }
             graph.nodes.insert(from.to_string());
@@ -714,7 +829,7 @@ pub fn build_graph(ws: &Workspace) -> (LockGraph, LockStats) {
             }
         }
     }
-    (graph, stats)
+    (graph, stats, findings)
 }
 
 /// Find cycles: one representative per strongly-connected component with

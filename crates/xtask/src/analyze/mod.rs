@@ -1,8 +1,12 @@
-//! phoenix-analyze: a small static-analysis framework over the workspace.
+//! phoenix-analyze: a small static-analysis framework over the workspace,
+//! and the front end `cargo xtask lint` shares with it.
 //!
-//! Where phoenix-lint (in the crate root) judges single lines, the
-//! analyzer builds a model of the whole workspace — structs, impls,
-//! functions, call sites — and answers cross-cutting questions:
+//! [`load_workspace`] lexes every file once ([`lexer`]) and decides which
+//! items are test-only ([`items`]); both subcommands read that one
+//! [`Workspace`]. Where the lint rules (in the crate root) judge single
+//! token runs, the analyzer builds a model of the whole workspace —
+//! structs, impls, functions, call sites — and answers cross-cutting
+//! questions:
 //!
 //! * the **lock-order graph** ([`locks`]): which lock is ever acquired
 //!   while which other is held, with cycle detection (potential
@@ -14,13 +18,15 @@
 //!   log from `obskit::lockcheck` is validated against the static graph;
 //! * **bench coverage** ([`bench`]): every bench binary emits its JSON
 //!   twin, and every blessed baseline under `bench_baselines/` still
-//!   corresponds to a bench binary (or a `[gate] extra` manifest entry).
+//!   corresponds to a bench binary (or a `gate.extra` manifest entry).
 //!
 //! False positives are waived in-source with
 //! `// analyze:allow(<pass>): reason` (passes: `lock_edge`,
-//! `durability`, `scenario`, `phase`, `gauge_balance`, `bench`) — same
-//! own-line / next-line semantics as `lint:allow`, and a reason is
-//! mandatory.
+//! `durability`, `scenario`, `phase`, `gauge_balance`, `bench`). The same
+//! parser ([`allows`]) reads `lint:allow`: a waiver lives in a plain
+//! comment, applies to its own line (or to the next line when the comment
+//! stands alone), needs a reason, and is itself a finding when it names
+//! an unknown rule or waives nothing.
 
 pub mod bench;
 pub mod coverage;
@@ -28,20 +34,68 @@ pub mod items;
 pub mod lexer;
 pub mod locks;
 
-use std::fmt::Write as _;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use crate::{Rule, Violation};
+use obskit::export::json_str;
 
-/// Waivers collected from one file's `analyze:allow` comments.
-#[derive(Debug, Default)]
+use crate::benchgate::json_list;
+use crate::{classify, FileClass, Rule, Violation};
+
+/// One parsed waiver: the rule it names, the line it waives and the line
+/// of its comment.
+#[derive(Debug)]
+struct Waiver {
+    rule: String,
+    line: usize,
+    at: usize,
+}
+
+/// Waivers collected from one file's comments for one prefix.
+#[derive(Debug)]
 pub struct AllowMap {
-    entries: Vec<(String, usize)>,
+    prefix: &'static str,
+    entries: Vec<Waiver>,
 }
 
 impl AllowMap {
-    pub fn waives(&self, pass: &str, line: usize) -> bool {
-        self.entries.iter().any(|(p, l)| p == pass && *l == line)
+    /// True when a waiver for `rule` covers `line`.
+    pub fn waives(&self, rule: &str, line: usize) -> bool {
+        self.entries
+            .iter()
+            .any(|w| w.rule == rule && w.line == line)
+    }
+
+    /// `(comment line, complaint)` for every waiver whose `(rule, line)`
+    /// suppressed no finding, as judged by `used`.
+    pub fn unused(&self, used: impl Fn(&str, usize) -> bool) -> Vec<(usize, String)> {
+        self.entries
+            .iter()
+            .filter(|w| !used(&w.rule, w.line))
+            .map(|w| {
+                let msg = format!(
+                    "{}({}) waives nothing on line {}",
+                    self.prefix, w.rule, w.line
+                );
+                (w.at, msg)
+            })
+            .collect()
+    }
+}
+
+/// An `analyze` finding before waivers: the violation and every
+/// `(file, line)` where an `analyze:allow` for its rule suppresses it.
+pub struct Waivable<'a> {
+    pub violation: Violation,
+    pub sites: Vec<(&'a SrcFile, usize)>,
+}
+
+impl From<Violation> for Waivable<'_> {
+    fn from(violation: Violation) -> Self {
+        Waivable {
+            violation,
+            sites: Vec::new(),
+        }
     }
 }
 
@@ -54,58 +108,62 @@ pub const ANALYZE_PASSES: &[&str] = &[
     "bench",
 ];
 
-/// Parse `// analyze:allow(<pass>): reason` annotations. Returns the
-/// allow map and any malformed annotations (line, complaint). A match
-/// outside a comment (a string literal quoting the syntax) or with a
-/// non-identifier placeholder pass (`<pass>`) is documentation, not a
-/// directive, and is skipped silently.
-fn collect_allows(src: &str) -> (AllowMap, Vec<(usize, String)>) {
-    let mut map = AllowMap::default();
+/// Parse `<prefix>(<rule>): reason` waivers out of plain (non-doc)
+/// comments. Returns the waivers plus `(line, complaint)` for malformed
+/// ones: unterminated, an unknown rule, or no reason. A non-identifier
+/// placeholder (`<pass>`, `...`) is documentation, not a directive, and
+/// is skipped silently.
+pub fn allows(
+    comments: &[lexer::Comment],
+    prefix: &'static str,
+    known: &[&str],
+) -> (AllowMap, Vec<(usize, String)>) {
+    let mut map = AllowMap {
+        prefix,
+        entries: Vec::new(),
+    };
     let mut bad = Vec::new();
-    for (idx, line) in src.lines().enumerate() {
-        let lineno = idx + 1;
-        let Some(pos) = line.find("analyze:allow(") else {
+    for c in comments.iter().filter(|c| !c.doc) {
+        let Some(pos) = c.text.find(&format!("{prefix}(")) else {
             continue;
         };
-        let Some(cpos) = line.find("//") else {
-            continue;
-        };
-        if cpos > pos {
-            continue;
-        }
-        let rest = &line[pos + "analyze:allow(".len()..];
+        let line = c.line as usize + c.text[..pos].matches('\n').count();
+        let rest = &c.text[pos + prefix.len() + 1..];
         let Some(close) = rest.find(')') else {
-            bad.push((lineno, "unterminated analyze:allow".to_string()));
+            bad.push((line, format!("unterminated {prefix}(")));
             continue;
         };
-        let pass = rest[..close].trim();
-        if pass
+        let rule = rest[..close].trim();
+        if rule
             .chars()
-            .any(|c| !c.is_ascii_lowercase() && !c.is_ascii_digit() && c != '_')
+            .any(|ch| !ch.is_ascii_lowercase() && !ch.is_ascii_digit() && ch != '_')
         {
             continue;
         }
-        if !ANALYZE_PASSES.contains(&pass) {
+        if !known.contains(&rule) {
             bad.push((
-                lineno,
-                format!("unknown analyze pass {pass:?} (expected one of {ANALYZE_PASSES:?})"),
+                line,
+                format!("unknown {prefix} rule {rule:?} (expected one of {known:?})"),
             ));
             continue;
         }
-        let after = rest[close + 1..].trim_start();
-        let reasoned = after
+        let reasoned = rest[close + 1..]
+            .trim_start()
             .strip_prefix(':')
             .is_some_and(|r| !r.trim().is_empty());
         if !reasoned {
             bad.push((
-                lineno,
-                format!("analyze:allow({pass}) without a reason — add `: why`"),
+                line,
+                format!("{prefix}({rule}) without a reason — add `: why`"),
             ));
             continue;
         }
-        let own_line = line[..cpos].trim().is_empty();
-        let waived = if own_line { lineno + 1 } else { lineno };
-        map.entries.push((pass.to_string(), waived));
+        let own_line = line != c.line as usize || !c.trailing;
+        map.entries.push(Waiver {
+            rule: rule.to_string(),
+            line: if own_line { line + 1 } else { line },
+            at: line,
+        });
     }
     (map, bad)
 }
@@ -117,10 +175,39 @@ pub struct SrcFile {
     /// Crate directory name (`core`, `sqlengine`, …) — used to qualify
     /// static lock cells.
     pub crate_name: String,
+    /// Which lint rules apply ([`classify`] of `rel`; fixtures override).
+    pub class: FileClass,
+    /// The non-test token stream: every token outside the test-only
+    /// items [`items::extract`] found.
     pub toks: Vec<lexer::Tok>,
+    pub comments: Vec<lexer::Comment>,
     pub items: items::FileItems,
     pub allows: AllowMap,
     bad_allows: Vec<(usize, String)>,
+}
+
+impl SrcFile {
+    fn new(rel: &str, crate_name: &str, src: &str) -> SrcFile {
+        let (all, comments) = lexer::lex_with_comments(src);
+        let items = items::extract(&all);
+        let toks = all
+            .into_iter()
+            .enumerate()
+            .filter(|(k, _)| !items.test_ranges.iter().any(|r| r.contains(k)))
+            .map(|(_, t)| t)
+            .collect();
+        let (allows, bad_allows) = allows(&comments, "analyze:allow", ANALYZE_PASSES);
+        SrcFile {
+            rel: rel.to_string(),
+            crate_name: crate_name.to_string(),
+            class: classify(rel),
+            toks,
+            comments,
+            items,
+            allows,
+            bad_allows,
+        }
+    }
 }
 
 /// The loaded workspace: all non-fixture sources under `crates/*/src`,
@@ -144,20 +231,7 @@ impl Workspace {
     ) -> Workspace {
         let files = files
             .iter()
-            .map(|(rel, crate_name, src)| {
-                let src = src.as_ref();
-                let toks = lexer::lex(src);
-                let items = items::extract(&toks);
-                let (allows, bad_allows) = collect_allows(src);
-                SrcFile {
-                    rel: rel.to_string(),
-                    crate_name: crate_name.to_string(),
-                    toks,
-                    items,
-                    allows,
-                    bad_allows,
-                }
-            })
+            .map(|(rel, crate_name, src)| SrcFile::new(rel, crate_name, src.as_ref()))
             .collect();
         let test_literals = test_sources
             .iter()
@@ -179,34 +253,20 @@ impl Workspace {
 /// Load every Rust source under `crates/*/src` (skipping `fixtures`
 /// directories) plus the test corpus.
 pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
+    // `(rel, crate name, source)` for each `crates/<name>/src/**.rs`.
     let mut sources: Vec<(String, String, String)> = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<_> = std::fs::read_dir(&crates_dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        let crate_name = dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_string();
-        let src_dir = dir.join("src");
-        if src_dir.is_dir() {
-            walk_rs(&src_dir, &mut |p| {
-                let rel = p
-                    .strip_prefix(root)
-                    .unwrap_or(p)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                let src = std::fs::read_to_string(p)?;
-                sources.push((rel, crate_name.clone(), src));
-                Ok(())
-            })?;
+    walk_rs(&root.join("crates"), &mut |p| {
+        let rel = p
+            .strip_prefix(root)
+            .unwrap_or(p)
+            .to_string_lossy()
+            .replace('\\', "/");
+        if let ["crates", name, "src", ..] = rel.split('/').collect::<Vec<_>>()[..] {
+            let name = name.to_string();
+            sources.push((rel, name, std::fs::read_to_string(p)?));
         }
-    }
+        Ok(())
+    })?;
     let mut test_sources = Vec::new();
     for dir in [root.join("tests"), root.join("crates/integration/src")] {
         if dir.is_dir() {
@@ -226,6 +286,8 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
     Ok(ws)
 }
 
+/// Visit every `.rs` file under `dir` in path order, skipping `fixtures`
+/// directories (they hold deliberate violations for xtask's own tests).
 fn walk_rs(dir: &Path, f: &mut dyn FnMut(&Path) -> std::io::Result<()>) -> std::io::Result<()> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)?.filter_map(|e| e.ok()).collect();
     entries.sort_by_key(|e| e.path());
@@ -265,12 +327,15 @@ pub struct Analysis {
     pub graph: locks::LockGraph,
     pub cycles: Vec<locks::Cycle>,
     pub violations: Vec<Violation>,
+    /// The `lock` lint rule's findings (blocking calls under a live
+    /// guard) from the same walk, before any `lint:allow` waiver.
+    pub lock_findings: Vec<Violation>,
     pub stats: Stats,
 }
 
 /// Run every pass over a loaded workspace.
 pub fn analyze(ws: &Workspace) -> Analysis {
-    let (graph, lock_stats) = locks::build_graph(ws);
+    let (graph, lock_stats, lock_findings) = locks::build_graph(ws);
     let cycles = locks::find_cycles(&graph);
     let mut violations = Vec::new();
     for c in &cycles {
@@ -281,19 +346,43 @@ pub fn analyze(ws: &Workspace) -> Analysis {
             message: format!("potential deadlock cycle: {}", c.chain()),
         });
     }
-    violations.extend(coverage::durability_pass(ws));
-    violations.extend(coverage::scenario_pass(ws));
-    violations.extend(coverage::gauge_balance_pass(ws));
-    violations.extend(bench::bench_pass(ws));
-    let (phases_checked, phase_violations) = coverage::phase_pass(ws);
-    violations.extend(phase_violations);
+    let (phases_checked, phase_findings) = coverage::phase_pass(ws);
+    let found = coverage::durability_pass(ws)
+        .into_iter()
+        .chain(coverage::scenario_pass(ws))
+        .chain(coverage::gauge_balance_pass(ws))
+        .chain(bench::bench_pass(ws))
+        .chain(phase_findings);
+    // The one waiver step: a finding with a waived site is dropped, and
+    // every waiver that dropped one (or a lock edge) counts as used.
+    let mut used: HashSet<(&str, &str, usize)> = lock_stats
+        .waived_edges
+        .iter()
+        .map(|(rel, line)| (rel.as_str(), "lock_edge", *line))
+        .collect();
+    for w in found {
+        let rule = w.violation.rule.name();
+        let waived: Vec<_> = w
+            .sites
+            .iter()
+            .filter(|(f, line)| f.allows.waives(rule, *line))
+            .map(|(f, line)| (f.rel.as_str(), rule, *line))
+            .collect();
+        if waived.is_empty() {
+            violations.push(w.violation);
+        }
+        used.extend(waived);
+    }
     for file in &ws.files {
-        for (line, msg) in &file.bad_allows {
+        let unused = file
+            .allows
+            .unused(|rule, line| used.contains(&(file.rel.as_str(), rule, line)));
+        for (line, message) in file.bad_allows.iter().cloned().chain(unused) {
             violations.push(Violation {
                 file: PathBuf::from(&file.rel),
-                line: *line,
+                line,
                 rule: Rule::BadAllow,
-                message: msg.clone(),
+                message,
             });
         }
     }
@@ -314,7 +403,7 @@ pub fn analyze(ws: &Workspace) -> Analysis {
         calls_unresolved: lock_stats.calls_unresolved,
         nodes: graph.nodes.len(),
         edges: graph.edges.len(),
-        edges_waived: lock_stats.edges_waived,
+        edges_waived: lock_stats.waived_edges.len(),
         cycles: cycles.len(),
         crashpoints,
         phases_checked,
@@ -324,6 +413,7 @@ pub fn analyze(ws: &Workspace) -> Analysis {
         graph,
         cycles,
         violations,
+        lock_findings,
         stats,
     }
 }
@@ -388,41 +478,16 @@ pub fn check_witness(graph: &locks::LockGraph, text: &str, witness_path: &str) -
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn violations_json(violations: &[Violation]) -> String {
-    let mut s = String::from("[");
-    for (k, v) in violations.iter().enumerate() {
-        if k > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&v.file.to_string_lossy()),
+    json_list(violations.iter().map(|v| {
+        format!(
+            "{{\"file\":{},\"line\":{},\"rule\":\"{}\",\"message\":{}}}",
+            json_str(&v.file.to_string_lossy()),
             v.line,
             v.rule.name(),
-            json_escape(&v.message)
-        );
-    }
-    s.push(']');
-    s
+            json_str(&v.message)
+        )
+    }))
 }
 
 /// Machine-readable lint report, schema-versioned like obskit exports.
@@ -436,38 +501,26 @@ pub fn lint_json(violations: &[Violation]) -> String {
 /// Machine-readable analysis report: violations, the inferred graph, and
 /// the pass statistics.
 pub fn analysis_json(a: &Analysis) -> String {
-    let mut s = String::from("{\"phoenix_analyze\":1,");
-    let _ = write!(s, "\"violations\":{},", violations_json(&a.violations));
-    s.push_str("\"graph\":{\"nodes\":[");
-    for (k, n) in a.graph.nodes.iter().enumerate() {
-        if k > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\"", json_escape(n));
-    }
-    s.push_str("],\"edges\":[");
-    for (k, ((from, to), site)) in a.graph.edges.iter().enumerate() {
-        if k > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"from\":\"{}\",\"to\":\"{}\",\"file\":\"{}\",\"line\":{},\"fn\":\"{}\"}}",
-            json_escape(from),
-            json_escape(to),
-            json_escape(&site.file),
+    let nodes = json_list(a.graph.nodes.iter().map(|n| json_str(n)));
+    let edges = json_list(a.graph.edges.iter().map(|((from, to), site)| {
+        format!(
+            "{{\"from\":{},\"to\":{},\"file\":{},\"line\":{},\"fn\":{}}}",
+            json_str(from),
+            json_str(to),
+            json_str(&site.file),
             site.line,
-            json_escape(&site.func)
-        );
-    }
-    s.push_str("]},\"stats\":{");
+            json_str(&site.func)
+        )
+    }));
     let st = &a.stats;
-    let _ = write!(
-        s,
-        "\"files\":{},\"functions\":{},\"acquisitions\":{},\"acq_unresolved\":{},\
+    format!(
+        "{{\"phoenix_analyze\":1,\"violations\":{},\
+         \"graph\":{{\"nodes\":{nodes},\"edges\":{edges}}},\"stats\":{{\
+         \"files\":{},\"functions\":{},\"acquisitions\":{},\"acq_unresolved\":{},\
          \"calls_resolved\":{},\"calls_unresolved\":{},\"nodes\":{},\"edges\":{},\
          \"edges_waived\":{},\"cycles\":{},\"crashpoints\":{},\"phases_checked\":{},\
-         \"bench_bins\":{}",
+         \"bench_bins\":{}}}}}\n",
+        violations_json(&a.violations),
         st.files,
         st.functions,
         st.acquisitions,
@@ -481,7 +534,5 @@ pub fn analysis_json(a: &Analysis) -> String {
         st.crashpoints,
         st.phases_checked,
         st.bench_bins
-    );
-    s.push_str("}}\n");
-    s
+    )
 }

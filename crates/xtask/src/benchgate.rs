@@ -4,9 +4,9 @@
 //! obskit snapshot (`bench_results/<name>.json`). This module compares
 //! those against the *blessed* copies under `bench_baselines/` with
 //! per-metric tolerance bands from a small in-tree manifest
-//! (`bench_baselines/gate.toml`, parsed by [`GateConfig::parse`] — a
-//! hand-rolled TOML subset, no external deps), and renders a readable
-//! per-metric delta report plus a `--json` twin for CI artifacts.
+//! (`bench_baselines/gate.json`, read with `obskit::json` by
+//! [`GateConfig::parse`]), and renders a readable per-metric delta
+//! report plus a `--json` twin for CI artifacts.
 //!
 //! Semantics:
 //!
@@ -41,8 +41,12 @@ use std::path::Path;
 use obskit::json::Json;
 
 // ---------------------------------------------------------------------------
-// Manifest (gate.toml)
+// Manifest (gate.json)
 // ---------------------------------------------------------------------------
+
+/// The manifest's file name in a baseline directory. It sits next to the
+/// baselines but is not one: [`baseline_names`] skips it.
+pub const MANIFEST: &str = "gate.json";
 
 /// Tolerance bands; every field optional so bench- and metric-level
 /// overrides can shadow individual knobs.
@@ -147,246 +151,52 @@ pub struct GateConfig {
     pub extra: Vec<String>,
 }
 
-/// A parsed manifest value.
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Num(f64),
-    Str(String),
-    Arr(Vec<Val>),
-}
-
-impl Val {
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Val::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str_list(&self) -> Option<Vec<String>> {
-        match self {
-            Val::Arr(items) => items
-                .iter()
-                .map(|v| match v {
-                    Val::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
-                .collect(),
-            _ => None,
-        }
-    }
-}
-
-fn parse_key(s: &str) -> Result<(String, &str), String> {
-    let s = s.trim_start();
-    if let Some(rest) = s.strip_prefix('"') {
-        let end = rest.find('"').ok_or("unterminated quoted key")?;
-        Ok((rest[..end].to_string(), &rest[end + 1..]))
-    } else {
-        let end = s
-            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.'))
-            .unwrap_or(s.len());
-        if end == 0 {
-            return Err(format!("expected key at {s:?}"));
-        }
-        Ok((s[..end].to_string(), &s[end..]))
-    }
-}
-
-fn parse_val(s: &str) -> Result<Val, String> {
-    let s = s.trim();
-    if let Some(rest) = s.strip_prefix('"') {
-        let end = rest.find('"').ok_or("unterminated string value")?;
-        if !rest[end + 1..].trim().is_empty() {
-            return Err(format!("trailing garbage after string in {s:?}"));
-        }
-        return Ok(Val::Str(rest[..end].to_string()));
-    }
-    if let Some(body) = s.strip_prefix('[') {
-        let body = body
-            .strip_suffix(']')
-            .ok_or_else(|| format!("unterminated array in {s:?}"))?;
-        let mut items = Vec::new();
-        let mut rest = body.trim();
-        while !rest.is_empty() {
-            let item_end = if let Some(inner) = rest.strip_prefix('"') {
-                // A quoted item may contain commas.
-                inner
-                    .find('"')
-                    .map(|i| i + 2)
-                    .ok_or("unterminated string in array")?
-            } else {
-                rest.find(',').unwrap_or(rest.len())
-            };
-            items.push(parse_val(&rest[..item_end])?);
-            rest = rest[item_end..].trim_start();
-            rest = rest.strip_prefix(',').unwrap_or(rest).trim_start();
-        }
-        return Ok(Val::Arr(items));
-    }
-    s.parse::<f64>()
-        .map(Val::Num)
-        .map_err(|_| format!("bad value {s:?} (expected number, \"string\" or [array])"))
-}
-
-/// Split a `[section.path."with.quoted".segments]` header.
-fn parse_section(line: &str) -> Result<Vec<String>, String> {
-    let inner = line
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| format!("bad section header {line:?}"))?;
-    let mut segs = Vec::new();
-    let mut rest = inner.trim();
-    loop {
-        let (seg, after) = if let Some(r) = rest.strip_prefix('"') {
-            let end = r.find('"').ok_or("unterminated quoted segment")?;
-            (r[..end].to_string(), r[end + 1..].trim_start())
-        } else {
-            let end = r_ident_end(rest);
-            if end == 0 {
-                return Err(format!("empty segment in section {line:?}"));
-            }
-            (rest[..end].to_string(), rest[end..].trim_start())
-        };
-        segs.push(seg);
-        if after.is_empty() {
-            return Ok(segs);
-        }
-        rest = after
-            .strip_prefix('.')
-            .ok_or_else(|| format!("expected '.' between segments in {line:?}"))?
-            .trim_start();
-    }
-}
-
-fn r_ident_end(s: &str) -> usize {
-    s.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
-        .unwrap_or(s.len())
-}
-
 impl GateConfig {
-    /// Parse a manifest. Unknown sections or keys are hard errors: a
-    /// typo'd tolerance that silently parses is a gate that silently
-    /// stopped gating.
+    /// Parse a manifest: a JSON object with optional `default`, `series`,
+    /// `gate` and `bench` sections. Any object may carry a `"why"` string
+    /// saying why its bands are what they are; every other unknown
+    /// section or key is a hard error — a typo'd tolerance that silently
+    /// parses is a gate that silently stopped gating.
     pub fn parse(text: &str) -> Result<GateConfig, String> {
+        let doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
         let mut cfg = GateConfig::default();
-        let mut section: Vec<String> = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            // Strip comments (the manifest never puts '#' inside strings).
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                section = parse_section(line).map_err(|e| format!("line {lineno}: {e}"))?;
-                let known = matches!(
-                    section_kind(&section),
-                    Some(SectionKind::Default)
-                        | Some(SectionKind::Series)
-                        | Some(SectionKind::Gate)
-                        | Some(SectionKind::Bench(_))
-                        | Some(SectionKind::Metric(_, _))
-                );
-                if !known {
-                    return Err(format!(
-                        "line {lineno}: unknown section [{}] (expected default, series, gate, \
-                         bench.<name> or bench.<name>.metric.\"<metric>\")",
-                        section.join(".")
-                    ));
+        for (section, val) in fields(&doc, "the manifest")? {
+            match section.as_str() {
+                "default" => cfg.default = tol(val, "default")?,
+                "series" => cfg.series = series(val)?,
+                "gate" => {
+                    for (key, v) in fields(val, "gate")? {
+                        match key.as_str() {
+                            "extra" => cfg.extra = str_list(v, "gate.extra")?,
+                            _ => return Err(unknown_key("gate", key)),
+                        }
+                    }
                 }
-                continue;
+                "bench" => {
+                    for (name, b) in fields(val, "bench")? {
+                        let cfg_b = bench(b, &format!("bench.{name}"))?;
+                        cfg.benches.insert(name.clone(), cfg_b);
+                    }
+                }
+                _ => {
+                    return Err(format!(
+                        "unknown section {section:?} (expected default, series, gate or bench)"
+                    ))
+                }
             }
-            let (key, rest) = parse_key(line).map_err(|e| format!("line {lineno}: {e}"))?;
-            let rest = rest.trim_start();
-            let Some(rest) = rest.strip_prefix('=') else {
-                return Err(format!("line {lineno}: expected '=' after key {key:?}"));
-            };
-            let val = parse_val(rest).map_err(|e| format!("line {lineno}: {e}"))?;
-            cfg.apply(&section, &key, val)
-                .map_err(|e| format!("line {lineno}: {e}"))?;
         }
         Ok(cfg)
     }
 
-    /// Load `<dir>/gate.toml`; a missing manifest yields the defaults.
+    /// Load `<dir>/gate.json`; a missing manifest yields the defaults.
     pub fn load(baselines: &Path) -> Result<GateConfig, String> {
-        let path = baselines.join("gate.toml");
+        let path = baselines.join(MANIFEST);
         if !path.exists() {
             return Ok(GateConfig::default());
         }
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         GateConfig::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    fn apply(&mut self, section: &[String], key: &str, val: Val) -> Result<(), String> {
-        let bad_key = || format!("unknown key {key:?} in [{}]", section.join("."));
-        let num = |v: &Val| v.as_f64().ok_or_else(|| format!("{key} must be a number"));
-        match section_kind(section) {
-            Some(SectionKind::Default) => {
-                if !self.default.set(key, num(&val)?) {
-                    return Err(bad_key());
-                }
-            }
-            Some(SectionKind::Series) => match key {
-                "min_intervals" => self.series.min_intervals = num(&val)? as u64,
-                "zero_final" => {
-                    self.series.zero_final = val
-                        .as_str_list()
-                        .ok_or("zero_final must be a string array")?;
-                }
-                "monotone" => {
-                    self.series.monotone =
-                        val.as_str_list().ok_or("monotone must be a string array")?;
-                }
-                "bounded" => {
-                    let entries = val.as_str_list().ok_or("bounded must be a string array")?;
-                    self.series.bounded = entries
-                        .iter()
-                        .map(|e| {
-                            let (g, m) = e.split_once("<=").ok_or_else(|| {
-                                format!("bounded entry {e:?} needs `gauge <= meta.key`")
-                            })?;
-                            let m = m.trim().strip_prefix("meta.").ok_or_else(|| {
-                                format!("bounded cap in {e:?} must be `meta.<key>`")
-                            })?;
-                            Ok((g.trim().to_string(), m.to_string()))
-                        })
-                        .collect::<Result<Vec<_>, String>>()?;
-                }
-                _ => return Err(bad_key()),
-            },
-            Some(SectionKind::Gate) => match key {
-                "extra" => {
-                    self.extra = val.as_str_list().ok_or("extra must be a string array")?;
-                }
-                _ => return Err(bad_key()),
-            },
-            Some(SectionKind::Bench(name)) => {
-                let bench = self.benches.entry(name.to_string()).or_default();
-                if key == "skip" {
-                    bench.skip = val.as_str_list().ok_or("skip must be a string array")?;
-                } else if !bench.tol.set(key, num(&val)?) {
-                    return Err(bad_key());
-                }
-            }
-            Some(SectionKind::Metric(name, metric)) => {
-                let bench = self.benches.entry(name.to_string()).or_default();
-                let tol = bench.metrics.entry(metric.to_string()).or_default();
-                if !tol.set(key, num(&val)?) {
-                    return Err(bad_key());
-                }
-            }
-            None => {
-                return Err(if section.is_empty() {
-                    format!("key {key:?} outside any section")
-                } else {
-                    format!("unknown section [{}]", section.join("."))
-                });
-            }
-        }
-        Ok(())
     }
 
     /// The effective tolerances for one metric of one bench.
@@ -408,25 +218,104 @@ impl GateConfig {
     }
 }
 
-enum SectionKind<'a> {
-    Default,
-    Series,
-    Gate,
-    Bench(&'a str),
-    Metric(&'a str, &'a str),
+/// The entries of manifest object `v` at `path`, minus its `"why"` note
+/// (which must be a string).
+fn fields<'a>(v: &'a Json, path: &str) -> Result<Vec<(&'a String, &'a Json)>, String> {
+    let obj = v
+        .as_obj()
+        .ok_or_else(|| format!("{path} must be an object"))?;
+    let mut out = Vec::new();
+    for (key, val) in obj {
+        if key != "why" {
+            out.push((key, val));
+        } else if val.as_str().is_none() {
+            return Err(format!("{path}.why must be a string"));
+        }
+    }
+    Ok(out)
 }
 
-fn section_kind(section: &[String]) -> Option<SectionKind<'_>> {
-    match section {
-        [a] if a == "default" => Some(SectionKind::Default),
-        [a] if a == "series" => Some(SectionKind::Series),
-        [a] if a == "gate" => Some(SectionKind::Gate),
-        [a, name] if a == "bench" => Some(SectionKind::Bench(name)),
-        [a, name, b, metric] if a == "bench" && b == "metric" => {
-            Some(SectionKind::Metric(name, metric))
+fn unknown_key(path: &str, key: &str) -> String {
+    format!("unknown key {key:?} in {path}")
+}
+
+fn num(v: &Json, path: &str) -> Result<f64, String> {
+    v.as_f64().ok_or_else(|| format!("{path} must be a number"))
+}
+
+fn str_list(v: &Json, path: &str) -> Result<Vec<String>, String> {
+    v.as_arr()
+        .and_then(|items| {
+            items
+                .iter()
+                .map(|i| i.as_str().map(str::to_string))
+                .collect()
+        })
+        .ok_or_else(|| format!("{path} must be a string array"))
+}
+
+/// A tolerance object: every key other than `"why"` is a [`Tol`] knob.
+fn tol(v: &Json, path: &str) -> Result<Tol, String> {
+    let mut t = Tol::default();
+    for (key, val) in fields(v, path)? {
+        if !t.set(key, num(val, &format!("{path}.{key}"))?) {
+            return Err(unknown_key(path, key));
         }
-        _ => None,
     }
+    Ok(t)
+}
+
+/// A `bench.<name>` object: tolerance knobs, `skip` patterns, and a
+/// `metric` object of per-metric tolerance objects.
+fn bench(v: &Json, path: &str) -> Result<BenchCfg, String> {
+    let mut b = BenchCfg::default();
+    for (key, val) in fields(v, path)? {
+        let key_path = format!("{path}.{key}");
+        match key.as_str() {
+            "skip" => b.skip = str_list(val, &key_path)?,
+            "metric" => {
+                for (metric, m) in fields(val, &key_path)? {
+                    let t = tol(m, &format!("{key_path}.{metric:?}"))?;
+                    b.metrics.insert(metric.clone(), t);
+                }
+            }
+            _ => {
+                if !b.tol.set(key, num(val, &key_path)?) {
+                    return Err(unknown_key(path, key));
+                }
+            }
+        }
+    }
+    Ok(b)
+}
+
+fn series(v: &Json) -> Result<SeriesCfg, String> {
+    let mut cfg = SeriesCfg::default();
+    for (key, val) in fields(v, "series")? {
+        let path = format!("series.{key}");
+        match key.as_str() {
+            "min_intervals" => cfg.min_intervals = num(val, &path)? as u64,
+            "zero_final" => cfg.zero_final = str_list(val, &path)?,
+            "monotone" => cfg.monotone = str_list(val, &path)?,
+            "bounded" => {
+                cfg.bounded = str_list(val, &path)?
+                    .iter()
+                    .map(|e| {
+                        let (g, m) = e.split_once("<=").ok_or_else(|| {
+                            format!("bounded entry {e:?} needs `gauge <= meta.key`")
+                        })?;
+                        let m = m
+                            .trim()
+                            .strip_prefix("meta.")
+                            .ok_or_else(|| format!("bounded cap in {e:?} must be `meta.<key>`"))?;
+                        Ok((g.trim().to_string(), m.to_string()))
+                    })
+                    .collect::<Result<Vec<_>, String>>()?;
+            }
+            _ => return Err(unknown_key("series", key)),
+        }
+    }
+    Ok(cfg)
 }
 
 fn pat_matches(pat: &str, name: &str) -> bool {
@@ -535,21 +424,10 @@ fn num_map(doc: &Json, key: &str) -> BTreeMap<String, f64> {
 
 /// Histogram fields the gate compares.
 fn hist_fields(h: &Json) -> Vec<(&'static str, f64)> {
-    let mut out = Vec::new();
-    for k in ["count", "p50", "p95", "p99"] {
-        if let Some(v) = h.get(k).and_then(Json::as_f64) {
-            out.push((
-                match k {
-                    "count" => "count",
-                    "p50" => "p50",
-                    "p95" => "p95",
-                    _ => "p99",
-                },
-                v,
-            ));
-        }
-    }
-    out
+    ["count", "p50", "p95", "p99"]
+        .into_iter()
+        .filter_map(|k| Some((k, h.get(k).and_then(Json::as_f64)?)))
+        .collect()
 }
 
 /// Compare one bench's current snapshot against its baseline.
@@ -572,70 +450,38 @@ pub fn compare_bench(
         });
     };
 
-    // Counters: both directions, relative.
-    let (bc, cc) = (num_map(baseline, "counters"), num_map(current, "counters"));
-    for (name, &b) in &bc {
-        let tol = cfg.tol_for(bench, name);
-        let band = tol.counter_rel.unwrap_or(0.5);
-        if cfg.skipped(bench, name) {
-            push(
-                name,
-                "counter",
-                b,
-                cc.get(name).copied().unwrap_or(0.0),
-                band,
-                Status::Skipped,
-            );
-            continue;
+    // Counters: both directions, relative. Gauges: absolute band.
+    for (section, kind) in [("counters", "counter"), ("gauges", "gauge")] {
+        let rel = kind == "counter";
+        let (bm, cm) = (num_map(baseline, section), num_map(current, section));
+        for (name, &b) in &bm {
+            let tol = cfg.tol_for(bench, name);
+            let band = if rel {
+                tol.counter_rel.unwrap_or(0.5)
+            } else {
+                tol.gauge_abs.unwrap_or(0.0)
+            };
+            let c = cm.get(name).copied();
+            if cfg.skipped(bench, name) {
+                push(name, kind, b, c.unwrap_or(0.0), band, Status::Skipped);
+                continue;
+            }
+            let Some(c) = c else {
+                push(name, kind, b, 0.0, band, Status::Missing);
+                continue;
+            };
+            let off = (c - b).abs() / if rel { b.max(1.0) } else { 1.0 };
+            let status = if off <= band {
+                Status::Ok
+            } else {
+                Status::Regressed
+            };
+            push(name, kind, b, c, band, status);
         }
-        let Some(&c) = cc.get(name) else {
-            push(name, "counter", b, 0.0, band, Status::Missing);
-            continue;
-        };
-        let rel = (c - b).abs() / b.max(1.0);
-        let status = if rel <= band {
-            Status::Ok
-        } else {
-            Status::Regressed
-        };
-        push(name, "counter", b, c, band, status);
-    }
-    for (name, &c) in &cc {
-        if !bc.contains_key(name) && !cfg.skipped(bench, name) {
-            push(name, "counter", 0.0, c, 0.0, Status::New);
-        }
-    }
-
-    // Gauges: absolute band.
-    let (bg, cg) = (num_map(baseline, "gauges"), num_map(current, "gauges"));
-    for (name, &b) in &bg {
-        let tol = cfg.tol_for(bench, name);
-        let band = tol.gauge_abs.unwrap_or(0.0);
-        if cfg.skipped(bench, name) {
-            push(
-                name,
-                "gauge",
-                b,
-                cg.get(name).copied().unwrap_or(0.0),
-                band,
-                Status::Skipped,
-            );
-            continue;
-        }
-        let Some(&c) = cg.get(name) else {
-            push(name, "gauge", b, 0.0, band, Status::Missing);
-            continue;
-        };
-        let status = if (c - b).abs() <= band {
-            Status::Ok
-        } else {
-            Status::Regressed
-        };
-        push(name, "gauge", b, c, band, status);
-    }
-    for (name, &c) in &cg {
-        if !bg.contains_key(name) && !cfg.skipped(bench, name) {
-            push(name, "gauge", 0.0, c, 0.0, Status::New);
+        for (name, &c) in &cm {
+            if !bm.contains_key(name) && !cfg.skipped(bench, name) {
+                push(name, kind, 0.0, c, 0.0, Status::New);
+            }
         }
     }
 
@@ -702,12 +548,13 @@ pub fn compare_bench(
 }
 
 /// Baseline JSON files directly under `dir` (no recursion — `ci/` is its
-/// own gate), sorted by name.
+/// own gate; the [`MANIFEST`] is not a baseline), sorted by name.
 pub fn baseline_names(dir: &Path) -> std::io::Result<Vec<String>> {
     let mut names = Vec::new();
     for e in std::fs::read_dir(dir)? {
         let p = e?.path();
-        if p.is_file() && p.extension().and_then(|x| x.to_str()) == Some("json") {
+        let is_manifest = p.file_name().and_then(|n| n.to_str()) == Some(MANIFEST);
+        if p.is_file() && p.extension().and_then(|x| x.to_str()) == Some("json") && !is_manifest {
             if let Some(stem) = p.file_stem().and_then(|s| s.to_str()) {
                 names.push(stem.to_string());
             }
@@ -1016,17 +863,15 @@ fn jstr(s: &str) -> String {
     obskit::export::json_str(s)
 }
 
+/// `[a,b,…]` from already-rendered JSON items.
+pub(crate) fn json_list(items: impl IntoIterator<Item = String>) -> String {
+    format!("[{}]", items.into_iter().collect::<Vec<_>>().join(","))
+}
+
 /// Machine-readable report, schema-versioned like the other artifacts.
 pub fn render_json(report: &GateReport) -> String {
-    let mut out = String::from("{\"bench_gate\":1,");
-    let _ = write!(out, "\"failed\":{},", report.failed());
-    out.push_str("\"deltas\":[");
-    for (i, d) in report.deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
+    let deltas = report.deltas.iter().map(|d| {
+        format!(
             "{{\"bench\":{},\"metric\":{},\"kind\":{},\"baseline\":{},\"current\":{},\
              \"band\":{},\"status\":{}}}",
             jstr(&d.bench),
@@ -1036,38 +881,21 @@ pub fn render_json(report: &GateReport) -> String {
             d.current,
             d.band,
             jstr(d.status.name())
-        );
-    }
-    out.push_str("],\"series\":[");
-    for (i, (path, errs)) in report.series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"path\":{},\"errors\":[", jstr(path));
-        for (j, e) in errs.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&jstr(e));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"notes\":[");
-    for (i, n) in report.notes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&jstr(n));
-    }
-    out.push_str("],\"errors\":[");
-    for (i, e) in report.errors.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&jstr(e));
-    }
-    out.push_str("]}\n");
-    out
+        )
+    });
+    let series = report.series.iter().map(|(path, errs)| {
+        let errs = json_list(errs.iter().map(|e| jstr(e)));
+        format!("{{\"path\":{},\"errors\":{errs}}}", jstr(path))
+    });
+    format!(
+        "{{\"bench_gate\":1,\"failed\":{},\"deltas\":{},\"series\":{},\"notes\":{},\
+         \"errors\":{}}}\n",
+        report.failed(),
+        json_list(deltas),
+        json_list(series),
+        json_list(report.notes.iter().map(|n| jstr(n))),
+        json_list(report.errors.iter().map(|e| jstr(e))),
+    )
 }
 
 #[cfg(test)]
@@ -1103,28 +931,24 @@ mod tests {
     #[test]
     fn manifest_parses_every_section_kind() {
         let cfg = GateConfig::parse(
-            r#"
-            # comment
-            [default]
-            counter_rel = 0.25
-            quantile_rel = 2.0
-
-            [series]
-            min_intervals = 3
-            zero_final = ["sessions.active", "admission.pending"]
-            monotone = ["admission.pending.peak"]
-            bounded = ["admission.pending.peak <= meta.pending_cap"]
-
-            [gate]
-            extra = ["ci_group_commit"]
-
-            [bench.session_scale]
-            skip = ["sqlengine.*"]
-            quantile_rel = 7.0
-
-            [bench.session_scale.metric."session_scale.admit"]
-            quantile_rel = 1.0
-            "#,
+            r#"{
+              "why": "top-level note",
+              "default": {"counter_rel": 0.25, "quantile_rel": 2.0},
+              "series": {
+                "min_intervals": 3,
+                "zero_final": ["sessions.active", "admission.pending"],
+                "monotone": ["admission.pending.peak"],
+                "bounded": ["admission.pending.peak <= meta.pending_cap"]
+              },
+              "gate": {"why": "adopted snapshot", "extra": ["ci_group_commit"]},
+              "bench": {
+                "session_scale": {
+                  "skip": ["sqlengine.*"],
+                  "quantile_rel": 7.0,
+                  "metric": {"session_scale.admit": {"why": "tight", "quantile_rel": 1.0}}
+                }
+              }
+            }"#,
         )
         .expect("manifest parses");
         assert_eq!(cfg.default.counter_rel, Some(0.25));
@@ -1154,12 +978,14 @@ mod tests {
     #[test]
     fn manifest_rejects_typos_loudly() {
         for bad in [
-            "[default]\ncounter_rell = 0.5",
-            "[defaults]\ncounter_rel = 0.5",
-            "[bench.x]\ncounter_rel = \"high\"",
-            "[series]\nbounded = [\"no-operator\"]",
-            "counter_rel = 0.5",
-            "[bench.x.metric]\nrel = 1",
+            r#"{"default": {"counter_rell": 0.5}}"#,
+            r#"{"defaults": {"counter_rel": 0.5}}"#,
+            r#"{"bench": {"x": {"counter_rel": "high"}}}"#,
+            r#"{"series": {"bounded": ["no-operator"]}}"#,
+            r#"{"counter_rel": 0.5}"#,
+            r#"{"bench": {"x": {"metric": {"rel": 1}}}}"#,
+            r#"{"default": {"why": 1}}"#,
+            "[default]\ncounter_rel = 0.5",
         ] {
             assert!(GateConfig::parse(bad).is_err(), "accepted {bad:?}");
         }

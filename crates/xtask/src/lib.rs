@@ -1,11 +1,13 @@
 //! Workspace lint engine behind `cargo xtask lint`.
 //!
 //! A small rustc-tidy-style static pass over the workspace's own sources
-//! (no external dependencies, no proc macros — plain text analysis of
-//! comment/string-stripped code). It enforces three rule families that
-//! matter specifically to a recovery system, where a panic or a silently
-//! dropped error during restart turns "persistent session" into "lost
-//! session":
+//! (no external dependencies, no proc macros). It shares its front end
+//! with `cargo xtask analyze` — one lexer, one test-only predicate, one
+//! guard-liveness walker (see [`analyze`]) — and matches its rules against
+//! each file's non-test token stream, so nothing inside a comment or a
+//! string can fire or waive a rule. The rule families matter specifically
+//! to a recovery system, where a panic or a silently dropped error during
+//! restart turns "persistent session" into "lost session":
 //!
 //! * **Panic-path hygiene** (`panic`, `index`, `discard`): non-test code
 //!   in recovery-critical modules must not call
@@ -15,11 +17,10 @@
 //!   crate's `Result` types so recovery can act on them.
 //! * **Lock discipline** (`lock`): no blocking call (condvar waits,
 //!   channel receives, file or network I/O) while a
-//!   `lock()`/`read()`/`write()` guard bound in the same scope is live,
-//!   except condvar waits that atomically release the named guard.
-//!   Acquisition *order* is no longer a hardcoded rank list here — the
-//!   [`analyze`] module infers the lock-order graph from the code and
-//!   reports any cycle (`cargo xtask analyze`).
+//!   `lock()`/`read()`/`write()` guard is live, except condvar waits that
+//!   atomically release the named guard. The check runs inside the lock
+//!   walker of [`analyze::locks`], which also infers the lock-order graph
+//!   and reports any cycle (`cargo xtask analyze`).
 //! * **Error hygiene** (`error`): library code must not type-erase
 //!   errors as `Box<dyn Error>` or launder them through `.ok().unwrap()`.
 //!
@@ -29,18 +30,22 @@
 //! // lint:allow(panic): checksum verified two lines above
 //! ```
 //!
-//! The justification text is mandatory; an empty reason is itself a
-//! violation. `#[cfg(test)]` regions and `tests/`, `benches/`,
-//! `examples/` and `compat/` trees are exempt (only `crates/*/src` is
-//! scanned).
+//! The waiver lives in a plain comment, and its justification is
+//! mandatory: a waiver without one, naming an unknown rule, or waiving
+//! nothing is itself a violation. Test-only items (a `cfg` that requires
+//! `test`) and the `tests/`, `benches/`, `examples/` and `compat/` trees
+//! are exempt (only `crates/*/src` is scanned).
 
 pub mod analyze;
 pub mod benchgate;
 
+use std::collections::HashSet;
 use std::fmt;
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use analyze::lexer::{Pattern, Tok, TokKind};
+use analyze::{Analysis, SrcFile, Workspace};
 
 /// Which rule family a violation belongs to. The lowercase name is what
 /// `lint:allow(...)` annotations use.
@@ -67,7 +72,8 @@ pub enum Rule {
     /// through obskit (trace events / metrics) or be returned to the
     /// caller, not write to stdio the harness can't capture.
     Print,
-    /// Malformed `lint:allow` annotation (missing justification).
+    /// Malformed waiver (no justification, unknown rule) or one that
+    /// waives nothing.
     BadAllow,
     /// Cycle in the inferred lock-order graph (`cargo xtask analyze`).
     Deadlock,
@@ -85,7 +91,7 @@ pub enum Rule {
     Witness,
     /// Bench/baseline drift: a bench binary that never emits its JSON
     /// twin, a blessed baseline with no corresponding binary, or a
-    /// `[gate] extra` manifest entry with no baseline file.
+    /// `gate.extra` manifest entry with no baseline file.
     Bench,
 }
 
@@ -212,234 +218,10 @@ pub fn classify(rel_path: &str) -> FileClass {
     }
 }
 
-/// Replace comment bodies and string/char-literal contents with spaces,
-/// preserving byte offsets and newlines, so the rule scanners never
-/// match inside text. Handles line comments, nested block comments,
-/// raw strings (`r"…"`, `r#"…"#`), byte strings, and the char-literal
-/// vs lifetime ambiguity (`'a'` vs `'a`).
-pub fn strip_comments_and_strings(src: &str) -> String {
-    let b = src.as_bytes();
-    let mut out = b.to_vec();
-    let mut i = 0;
-    let blank = |out: &mut [u8], from: usize, to: usize| {
-        for slot in &mut out[from..to] {
-            if *slot != b'\n' {
-                *slot = b' ';
-            }
-        }
-    };
-    while i < b.len() {
-        match b[i] {
-            b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                let end = src[i..].find('\n').map_or(b.len(), |n| i + n);
-                blank(&mut out, i, end);
-                i = end;
-            }
-            b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
-                let mut depth = 1;
-                let mut j = i + 2;
-                while j < b.len() && depth > 0 {
-                    if b[j] == b'/' && j + 1 < b.len() && b[j + 1] == b'*' {
-                        depth += 1;
-                        j += 2;
-                    } else if b[j] == b'*' && j + 1 < b.len() && b[j + 1] == b'/' {
-                        depth -= 1;
-                        j += 2;
-                    } else {
-                        j += 1;
-                    }
-                }
-                blank(&mut out, i, j);
-                i = j;
-            }
-            b'r' | b'b'
-                if {
-                    // Raw / byte / raw-byte string starts: r" r#" b" br" rb"…
-                    let mut k = i;
-                    if b[k] == b'b' && k + 1 < b.len() && b[k + 1] == b'r' {
-                        k += 1;
-                    }
-                    let is_raw = b[k] == b'r';
-                    let mut h = k + 1;
-                    while is_raw && h < b.len() && b[h] == b'#' {
-                        h += 1;
-                    }
-                    let starts_string = h < b.len() && b[h] == b'"';
-                    // Only treat as a literal when `r`/`b` is not part of
-                    // a longer identifier (e.g. `var"` can't occur).
-                    let prev_ident =
-                        i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_');
-                    (starts_string || (b[i] == b'b' && i + 1 < b.len() && b[i + 1] == b'"'))
-                        && !prev_ident
-                } =>
-            {
-                // Re-derive the shape, then blank to the matching close.
-                let mut k = i;
-                if b[k] == b'b' {
-                    k += 1;
-                }
-                let raw = k < b.len() && b[k] == b'r';
-                if raw {
-                    k += 1;
-                }
-                let mut hashes = 0;
-                while raw && k < b.len() && b[k] == b'#' {
-                    hashes += 1;
-                    k += 1;
-                }
-                debug_assert!(k < b.len() && b[k] == b'"');
-                let mut j = k + 1;
-                while j < b.len() {
-                    if raw {
-                        if b[j] == b'"' && b[j + 1..].iter().take(hashes).all(|&c| c == b'#') {
-                            j += 1 + hashes;
-                            break;
-                        }
-                        j += 1;
-                    } else if b[j] == b'\\' {
-                        j += 2;
-                    } else if b[j] == b'"' {
-                        j += 1;
-                        break;
-                    } else {
-                        j += 1;
-                    }
-                }
-                blank(&mut out, i, j.min(b.len()));
-                i = j.min(b.len());
-            }
-            b'"' => {
-                let mut j = i + 1;
-                while j < b.len() {
-                    if b[j] == b'\\' {
-                        j += 2;
-                    } else if b[j] == b'"' {
-                        j += 1;
-                        break;
-                    } else {
-                        j += 1;
-                    }
-                }
-                blank(&mut out, i, j.min(b.len()));
-                i = j.min(b.len());
-            }
-            b'\'' => {
-                // Char literal vs lifetime: a literal closes with `'`
-                // within a couple of characters (or after an escape).
-                let rest = &b[i + 1..];
-                let lit_len = if rest.first() == Some(&b'\\') {
-                    // Escaped char: find the closing quote.
-                    rest.iter().position(|&c| c == b'\'').map(|p| p + 2)
-                } else if rest.len() >= 2 && rest[1] == b'\'' {
-                    Some(3) // 'x'
-                } else if rest.first().is_some_and(|c| !c.is_ascii()) {
-                    // Multi-byte char literal like '→'.
-                    let s = &src[i + 1..];
-                    s.char_indices()
-                        .nth(1)
-                        .filter(|&(idx, c)| c == '\'' && idx <= 4)
-                        .map(|(idx, _)| idx + 2)
-                } else {
-                    None // lifetime
-                };
-                match lit_len {
-                    Some(n) if i + n <= b.len() => {
-                        blank(&mut out, i, i + n);
-                        i += n;
-                    }
-                    _ => i += 1,
-                }
-            }
-            _ => i += 1,
-        }
-    }
-    // The byte-level blanking never splits UTF-8 sequences we keep, but
-    // be defensive: lossy conversion cannot fail the linter.
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-/// A `lint:allow(rule): reason` annotation, attached to the line of code
-/// it waives.
-#[derive(Debug, Clone)]
-struct Allow {
-    line: usize,
-    rule: String,
-}
-
-/// Parse `lint:allow(...)` annotations from the ORIGINAL source (they
-/// live in comments, which the stripper removes). An annotation on a
-/// comment-only line applies to the next line; a trailing annotation
-/// applies to its own line. Returns the allows plus violations for
-/// annotations missing a justification.
-fn collect_allows(src: &str) -> (Vec<Allow>, Vec<(usize, String)>) {
-    let mut allows = Vec::new();
-    let mut bad = Vec::new();
-    for (idx, raw) in src.lines().enumerate() {
-        let Some(pos) = raw.find("lint:allow(") else {
-            continue;
-        };
-        let after = &raw[pos + "lint:allow(".len()..];
-        let Some(close) = after.find(')') else {
-            bad.push((idx + 1, "unclosed lint:allow(...)".into()));
-            continue;
-        };
-        let rule = after[..close].trim().to_string();
-        let reason = after[close + 1..]
-            .trim_start_matches([':', ' ', '\t'])
-            .trim();
-        if reason.is_empty() {
-            bad.push((
-                idx + 1,
-                format!("lint:allow({rule}) needs a justification after the closing paren"),
-            ));
-            continue;
-        }
-        // Comment-only line → waives the next line; otherwise its own.
-        let before = &raw[..raw.find("//").unwrap_or(pos)];
-        let line = if before.trim().is_empty() {
-            idx + 2
-        } else {
-            idx + 1
-        };
-        allows.push(Allow { line, rule });
-    }
-    (allows, bad)
-}
-
-/// 1-based line ranges (inclusive) covered by `#[cfg(test)]` items,
-/// computed on stripped source so braces in strings don't confuse the
-/// matcher.
-fn cfg_test_regions(stripped: &str) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    let mut search_from = 0;
-    while let Some(rel) = stripped[search_from..].find("#[cfg(test)]") {
-        let attr_at = search_from + rel;
-        let after = attr_at + "#[cfg(test)]".len();
-        let Some(open_rel) = stripped[after..].find('{') else {
-            break;
-        };
-        let open = after + open_rel;
-        let mut depth = 0usize;
-        let mut end = stripped.len();
-        for (off, ch) in stripped[open..].char_indices() {
-            match ch {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + off;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let line_of = |byte: usize| stripped[..byte].matches('\n').count() + 1;
-        regions.push((line_of(attr_at), line_of(end)));
-        search_from = end;
-    }
-    regions
-}
+/// The rule names `lint:allow(...)` accepts: every rule a line can waive.
+const WAIVABLE: &[&str] = &[
+    "panic", "index", "discard", "lock", "error", "sleep", "print",
+];
 
 /// Calls that abort the process when they fire.
 const PANIC_TOKENS: &[&str] = &[
@@ -451,359 +233,160 @@ const PANIC_TOKENS: &[&str] = &[
     "unimplemented!(",
 ];
 
-/// Calls that park the thread or hit the disk/network — forbidden while
-/// a lock guard bound in the same scope is live.
-const BLOCKING_TOKENS: &[&str] = &[
-    ".wait(",
-    ".wait_for(",
-    ".recv(",
-    ".recv_timeout(",
-    ".accept(",
-    "thread::sleep",
-    "TcpStream",
-    "File::open",
-    "File::create",
-    "fs::read",
-    "fs::write",
-    "OpenOptions",
+/// Raw stdio macros. Whole-token matching keeps `println!` from also
+/// matching inside `eprintln!`.
+const PRINT_TOKENS: &[&str] = &["println!", "eprintln!", "print!", "eprint!"];
+
+/// Keywords after which a `[` opens a pattern or a type, not an index.
+const NON_INDEX_KEYWORDS: &[&str] = &[
+    "let", "mut", "in", "return", "match", "if", "while", "for", "break", "where", "yield",
 ];
 
-/// A guard binding being tracked for liveness.
-struct LiveGuard {
-    name: String,
-    depth: usize,
-    line: usize,
+/// Panicking index heuristic: a `[` directly after an expression tail —
+/// a non-keyword identifier, a number, `)`, `]` or `?` — is an index, not
+/// a slice pattern, attribute, array type or literal (`vec![…]` follows
+/// a `!`, `#[…]` a `#`).
+fn is_index(toks: &[Tok], j: usize) -> bool {
+    let Some(prev) = j.checked_sub(1).map(|p| &toks[p]) else {
+        return false;
+    };
+    toks[j].is_punct('[')
+        && match prev.kind {
+            TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
+            TokKind::Num => true,
+            TokKind::Punct => prev.is_punct(')') || prev.is_punct(']') || prev.is_punct('?'),
+            _ => false,
+        }
 }
 
-/// True when `needle` occurs in `hay` delimited by non-identifier chars.
-fn has_word(hay: &str, needle: &str) -> bool {
-    let mut from = 0;
-    while let Some(rel) = hay[from..].find(needle) {
-        let at = from + rel;
-        let pre_ok = at == 0
-            || !hay[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let post = at + needle.len();
-        let post_ok = !hay[post..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if pre_ok && post_ok {
-            return true;
+/// The token rules over one file's non-test token stream, before
+/// waivers. Each row: whether the rule applies, its token patterns, the
+/// rule, and the message (`{tok}` names the matched pattern).
+fn token_rules(file: &SrcFile) -> Vec<Violation> {
+    let c = file.class;
+    let rules: [(bool, &[&'static str], Rule, &str); 6] = [
+        (
+            c.panic_rules || c.panic_call_rules,
+            PANIC_TOKENS,
+            Rule::Panic,
+            "`{tok}` in recovery-critical code; return an error instead",
+        ),
+        (
+            c.panic_rules,
+            &["let _ ="],
+            Rule::Discard,
+            "`let _ =` discards a result in recovery-critical code",
+        ),
+        (
+            c.print_rules,
+            PRINT_TOKENS,
+            Rule::Print,
+            "raw `{tok}` in library code; emit an obskit event/metric or return the text to \
+             the caller",
+        ),
+        (
+            c.sleep_rules,
+            &["thread::sleep"],
+            Rule::Sleep,
+            "raw `thread::sleep` in recovery code; waits must go through \
+             `ReconnectPolicy`'s budgeted `Backoff`",
+        ),
+        (
+            c.error_rules,
+            &["Box<dyn Error", "Box<dyn std::error::Error"],
+            Rule::Error,
+            "type-erased `Box<dyn Error>`; use the crate error type",
+        ),
+        (
+            c.error_rules,
+            &[".ok().unwrap()"],
+            Rule::Error,
+            "`.ok().unwrap()` discards the error before panicking on it",
+        ),
+    ];
+    let finding = |line: usize, rule: Rule, message: String| Violation {
+        file: PathBuf::from(&file.rel),
+        line,
+        rule,
+        message,
+    };
+    let mut out = Vec::new();
+    for (_, toks, rule, message) in rules.iter().filter(|r| r.0) {
+        for tok in *toks {
+            for line in Pattern::new(tok).lines_in(&file.toks) {
+                out.push(finding(line, *rule, message.replace("{tok}", tok)));
+            }
         }
-        from = at + needle.len();
     }
-    false
+    if c.panic_rules {
+        for j in (0..file.toks.len()).filter(|&j| is_index(&file.toks, j)) {
+            let message = "panicking slice/array index in recovery-critical code; use .get()";
+            out.push(finding(
+                file.toks[j].line as usize,
+                Rule::Index,
+                message.into(),
+            ));
+        }
+    }
+    out
 }
 
-/// Extract the binding name from a line that binds a lock guard:
-/// `let [mut] name = …acquire…`, `if let PAT = …acquire…`,
-/// `while let PAT = …acquire…` (including `} else if let`), and
-/// method-chain acquisitions on the right-hand side
-/// (`let g = pool.frames.first().data.write();`). Returns the first
-/// plausible binding identifier from the pattern, plus `true` when the
-/// binding is scoped to the following body block (`if let`/`while let`)
-/// rather than the enclosing block.
-fn guard_binding(line: &str) -> Option<(String, bool)> {
-    // Locate a `let` keyword whose prefix is only control-flow glue —
-    // whitespace, `}`, `if`, `else`, `while` — so `completed = x` or
-    // `violet =` never match.
-    let mut pos = None;
-    let mut from = 0;
-    while let Some(rel) = line[from..].find("let") {
-        let at = from + rel;
-        let pre_ok = line[..at]
-            .chars()
-            .next_back()
-            .is_none_or(|c| !c.is_alphanumeric() && c != '_');
-        let post_ok = line[at + 3..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_whitespace());
-        if pre_ok && post_ok {
-            pos = Some(at);
-            break;
-        }
-        from = at + 3;
-    }
-    let pos = pos?;
-    let glue: Vec<&str> = line[..pos].split_whitespace().collect();
-    if !glue
-        .iter()
-        .all(|w| matches!(*w, "}" | "{" | "if" | "else" | "while"))
-    {
-        return None;
-    }
-    let body_scoped = glue.iter().any(|w| matches!(*w, "if" | "while"));
-    let rest = &line[pos + 3..];
-    // Split pattern from initializer at the first plain `=` (not `==`,
-    // `=>`, `<=`, `>=`, `!=`).
-    let bytes = rest.as_bytes();
-    let mut eq = None;
-    for (k, &c) in bytes.iter().enumerate() {
-        if c != b'=' {
-            continue;
-        }
-        let prev = k.checked_sub(1).map(|p| bytes[p]);
-        let next = bytes.get(k + 1);
-        if matches!(prev, Some(b'=') | Some(b'<') | Some(b'>') | Some(b'!'))
-            || matches!(next, Some(b'=') | Some(b'>'))
-        {
-            continue;
-        }
-        eq = Some(k);
-        break;
-    }
-    let eq = eq?;
-    let (pat, rhs) = (&rest[..eq], &rest[eq + 1..]);
-    let acquires = [".lock()", ".read()", ".write()"]
-        .iter()
-        .any(|t| rhs.contains(t));
-    if !acquires {
-        return None;
-    }
-    // First lowercase-leading identifier in the pattern that isn't a
-    // keyword: handles `mut g`, `Some(g)`, `Ok((a, b))`, `ref g`.
-    pat.split(|c: char| !c.is_alphanumeric() && c != '_')
-        .find(|w| {
-            !w.is_empty()
-                && w.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-                && !matches!(*w, "mut" | "ref" | "box")
-        })
-        .map(|w| (w.to_string(), body_scoped))
-}
-
-/// Panicking index heuristic: `[` directly following an expression tail
-/// (identifier, `)`, `]` or `?`) is an index, not a slice pattern,
-/// attribute or array literal. `catch!` macros (`vec![…]`) are excluded
-/// by the preceding `!`.
-fn has_index_expr(line: &str) -> bool {
-    let bytes = line.as_bytes();
-    for (i, &c) in bytes.iter().enumerate() {
-        if c != b'[' || i == 0 {
-            continue;
-        }
-        // The immediately preceding character decides: rustfmt puts no
-        // space before an index `[`, while patterns/array types have one.
-        let p = bytes[i - 1];
-        if p == b'!' || p == b'#' {
-            continue;
-        }
-        if p.is_ascii_alphanumeric() || p == b'_' || p == b')' || p == b']' || p == b'?' {
-            return true;
+/// Run every lint rule over a loaded workspace: the token rules, the
+/// `lock` rule (taken from `analysis`, the lock walker's run over the
+/// same workspace), and crashpoint-name uniqueness. `lint:allow` waivers
+/// apply per file; malformed and unused ones are findings themselves.
+/// Each rule fires at most once per line.
+pub fn lint(ws: &Workspace, analysis: &Analysis) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut crashpoints = Vec::new();
+    for file in &ws.files {
+        let (allows, bad) = analyze::allows(&file.comments, "lint:allow", WAIVABLE);
+        let mut found = token_rules(file);
+        found.extend(
+            analysis
+                .lock_findings
+                .iter()
+                .filter(|v| v.file == Path::new(&file.rel))
+                .cloned(),
+        );
+        let (waived, found): (Vec<_>, Vec<_>) = found
+            .into_iter()
+            .partition(|v| allows.waives(v.rule.name(), v.line));
+        let unused = allows.unused(|rule, line| {
+            waived
+                .iter()
+                .any(|v| v.rule.name() == rule && v.line == line)
+        });
+        let mut report: Vec<Violation> = bad
+            .into_iter()
+            .chain(unused)
+            .map(|(line, message)| Violation {
+                file: PathBuf::from(&file.rel),
+                line,
+                rule: Rule::BadAllow,
+                message,
+            })
+            .chain(found)
+            .collect();
+        report.sort_by_key(|v| v.line);
+        let mut seen = HashSet::new();
+        report.retain(|v| seen.insert((v.line, v.rule.name(), v.message.clone())));
+        out.extend(report);
+        for (name, line) in analyze::coverage::crashpoints_in(&file.toks) {
+            crashpoints.push((PathBuf::from(&file.rel), line as usize, name));
         }
     }
-    false
+    out.extend(crashpoint_duplicates(&crashpoints));
+    out
 }
 
 /// Lint one file's source under the given rule classes. `path` is used
 /// only for reporting.
 pub fn lint_source(path: &Path, src: &str, class: FileClass) -> Vec<Violation> {
-    let stripped = strip_comments_and_strings(src);
-    let (allows, bad_allows) = collect_allows(src);
-    let test_regions = cfg_test_regions(&stripped);
-    let in_tests = |line: usize| {
-        test_regions
-            .iter()
-            .any(|&(lo, hi)| line >= lo && line <= hi)
-    };
-    let allowed = |line: usize, rule: Rule| {
-        allows
-            .iter()
-            .any(|a| a.line == line && a.rule == rule.name())
-    };
-
-    let mut out = Vec::new();
-    for (line, msg) in bad_allows {
-        // Malformed annotations are reported even inside test regions —
-        // they indicate the escape hatch is being used wrong.
-        out.push(Violation {
-            file: path.to_path_buf(),
-            line,
-            rule: Rule::BadAllow,
-            message: msg,
-        });
-    }
-    let mut push = |line: usize, rule: Rule, message: String| {
-        if !in_tests(line) && !allowed(line, rule) {
-            out.push(Violation {
-                file: path.to_path_buf(),
-                line,
-                rule,
-                message,
-            });
-        }
-    };
-
-    let mut depth = 0usize;
-    let mut guards: Vec<LiveGuard> = Vec::new();
-
-    for (idx, text) in stripped.lines().enumerate() {
-        let line = idx + 1;
-
-        if class.panic_rules || class.panic_call_rules {
-            for tok in PANIC_TOKENS {
-                if text.contains(tok) {
-                    push(
-                        line,
-                        Rule::Panic,
-                        format!(
-                            "`{}` in recovery-critical code; return an error instead",
-                            tok
-                        ),
-                    );
-                }
-            }
-        }
-        if class.panic_rules {
-            if has_index_expr(text) {
-                push(
-                    line,
-                    Rule::Index,
-                    "panicking slice/array index in recovery-critical code; use .get()".into(),
-                );
-            }
-            if text.contains("let _ =") {
-                push(
-                    line,
-                    Rule::Discard,
-                    "`let _ =` discards a result in recovery-critical code".into(),
-                );
-            }
-        }
-
-        if class.print_rules {
-            // `has_word` keeps `println!` from also matching inside
-            // `eprintln!` (and `print!` inside `println!`).
-            for tok in ["println!", "eprintln!", "print!", "eprint!"] {
-                if has_word(text, tok) {
-                    push(
-                        line,
-                        Rule::Print,
-                        format!(
-                            "raw `{tok}` in library code; emit an obskit event/metric \
-                             or return the text to the caller"
-                        ),
-                    );
-                }
-            }
-        }
-
-        if class.sleep_rules && text.contains("thread::sleep") {
-            push(
-                line,
-                Rule::Sleep,
-                "raw `thread::sleep` in recovery code; waits must go through \
-                 `ReconnectPolicy`'s budgeted `Backoff`"
-                    .into(),
-            );
-        }
-
-        if class.error_rules {
-            if text.contains("Box<dyn Error") || text.contains("Box<dyn std::error::Error") {
-                push(
-                    line,
-                    Rule::Error,
-                    "type-erased `Box<dyn Error>`; use the crate error type".into(),
-                );
-            }
-            if text.contains(".ok().unwrap()") {
-                push(
-                    line,
-                    Rule::Error,
-                    "`.ok().unwrap()` discards the error before panicking on it".into(),
-                );
-            }
-        }
-
-        if class.lock_rules {
-            // Liveness bookkeeping happens before this line's closers so
-            // a guard bound at depth d dies once depth drops below d.
-            if !guards.is_empty() {
-                for tok in BLOCKING_TOKENS {
-                    if !text.contains(tok) {
-                        continue;
-                    }
-                    for g in &guards {
-                        // A wait that names the guard releases it
-                        // atomically (condvar idiom) — allowed.
-                        if has_word(text, &g.name) {
-                            continue;
-                        }
-                        push(
-                            line,
-                            Rule::Lock,
-                            format!(
-                                "blocking call `{tok}` while guard `{}` from line {} is held",
-                                g.name, g.line
-                            ),
-                        );
-                    }
-                }
-            }
-
-            if let Some((name, body_scoped)) = guard_binding(text) {
-                // An `if let`/`while let` guard lives only inside the
-                // body block that opens on this line, so it is recorded
-                // one level deeper and dies when that block closes.
-                let depth = if body_scoped { depth + 1 } else { depth };
-                guards.push(LiveGuard { name, depth, line });
-            }
-            for ch in text.chars() {
-                match ch {
-                    '{' => depth += 1,
-                    '}' => {
-                        depth = depth.saturating_sub(1);
-                        guards.retain(|g| g.depth <= depth);
-                    }
-                    _ => {}
-                }
-            }
-            // Explicit early release via `drop(guard)`.
-            guards.retain(|g| !text.contains(&format!("drop({})", g.name)));
-        }
-    }
-
-    out.sort_by_key(|v| v.line);
-    out
-}
-
-/// Extract every `crashpoint!("name")` invocation in non-test code,
-/// returning `(line, name)` pairs. The macro site is located on stripped
-/// source (so commented-out invocations don't count) and the name literal
-/// is read back from the original source at the same byte offset (the
-/// stripper blanks string contents).
-pub fn crashpoint_names(src: &str) -> Vec<(usize, String)> {
-    let stripped = strip_comments_and_strings(src);
-    let test_regions = cfg_test_regions(&stripped);
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(rel) = stripped[from..].find("crashpoint!(") {
-        let at = from + rel;
-        let mut j = at + "crashpoint!(".len();
-        from = j;
-        let bytes = src.as_bytes();
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if j >= bytes.len() || bytes[j] != b'"' {
-            continue; // not a string literal; the macro itself rejects this
-        }
-        let Some(close) = src[j + 1..].find('"') else {
-            continue;
-        };
-        let line = stripped[..at].matches('\n').count() + 1;
-        if test_regions
-            .iter()
-            .any(|&(lo, hi)| line >= lo && line <= hi)
-        {
-            continue;
-        }
-        out.push((line, src[j + 1..j + 1 + close].to_string()));
-    }
-    out
+    let rel = path.to_string_lossy();
+    let mut ws = Workspace::from_sources(&[(rel.as_ref(), "", src)], &[]);
+    ws.files[0].class = class;
+    lint(&ws, &analyze::analyze(&ws))
 }
 
 /// Check workspace-wide uniqueness of crashpoint names. `sites` holds
@@ -835,125 +418,107 @@ pub fn crashpoint_duplicates(sites: &[(PathBuf, usize, String)]) -> Vec<Violatio
     out
 }
 
-/// Recursively collect `.rs` files under `dir`, skipping `fixtures`
-/// directories (they contain deliberate violations for the linter's own
-/// tests).
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.is_dir() {
-            if path.file_name().is_some_and(|n| n == "fixtures") {
-                continue;
-            }
-            walk(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
 /// Lint every `crates/*/src` tree under the workspace root. Returns all
 /// violations, sorted by path and line.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    for entry in fs::read_dir(&crates_dir)? {
-        let src = entry?.path().join("src");
-        if src.is_dir() {
-            walk(&src, &mut files)?;
-        }
-    }
-    files.sort();
-
-    let mut out = Vec::new();
-    let mut crashpoints: Vec<(PathBuf, usize, String)> = Vec::new();
-    for file in files {
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src = fs::read_to_string(&file)?;
-        let rel_path = PathBuf::from(&rel);
-        out.extend(lint_source(&rel_path, &src, classify(&rel)));
-        for (line, name) in crashpoint_names(&src) {
-            crashpoints.push((rel_path.clone(), line, name));
-        }
-    }
-    out.extend(crashpoint_duplicates(&crashpoints));
-    Ok(out)
+    let ws = analyze::load_workspace(root)?;
+    Ok(lint(&ws, &analyze::analyze(&ws)))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::analyze::{allows, lexer};
     use super::*;
 
-    #[test]
-    fn stripper_blanks_comments_and_strings() {
-        let src = "let a = \"x.unwrap()\"; // .expect(\n/* panic!( */ let b = 'c';\n";
-        let s = strip_comments_and_strings(src);
-        assert!(!s.contains(".unwrap()"));
-        assert!(!s.contains(".expect("));
-        assert!(!s.contains("panic!("));
-        assert!(s.contains("let a ="));
-        assert!(s.contains("let b ="));
-        assert_eq!(s.matches('\n').count(), src.matches('\n').count());
+    const ALL: FileClass = FileClass {
+        panic_rules: true,
+        panic_call_rules: true,
+        lock_rules: true,
+        error_rules: true,
+        sleep_rules: true,
+        print_rules: true,
+    };
+
+    fn lint_str(src: &str, class: FileClass) -> Vec<Violation> {
+        lint_source(Path::new("t.rs"), src, class)
+    }
+
+    fn lines_of(v: &[Violation], rule: Rule) -> Vec<usize> {
+        v.iter()
+            .filter(|v| v.rule == rule)
+            .map(|v| v.line)
+            .collect()
     }
 
     #[test]
-    fn stripper_handles_raw_strings_and_lifetimes() {
-        let src = "let r = r#\"a \" .unwrap() \"#; fn f<'a>(x: &'a str) {}";
-        let s = strip_comments_and_strings(src);
-        assert!(!s.contains(".unwrap()"));
-        assert!(s.contains("fn f<'a>(x: &'a str)"));
+    fn lint_ignores_comments_and_strings() {
+        let src = "fn f() {\n    let a = \"x.unwrap()\"; // .expect(\n    /* panic!( */ let b = 'c';\n}\n";
+        assert!(lint_str(src, ALL).is_empty(), "{:?}", lint_str(src, ALL));
+        let live = src.replace("\"x.unwrap()\"", "x.unwrap()");
+        assert_eq!(lines_of(&lint_str(&live, ALL), Rule::Panic), vec![2]);
+    }
+
+    #[test]
+    fn lint_handles_raw_strings_and_lifetimes() {
+        let src = "fn f<'a>(x: &'a str) { let r = r#\"a \" .unwrap() \"#; let c = '['; }";
+        assert!(lint_str(src, ALL).is_empty(), "{:?}", lint_str(src, ALL));
     }
 
     #[test]
     fn cfg_test_region_covers_module() {
-        let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n  fn b() {}\n}\nfn c() {}\n";
-        let stripped = strip_comments_and_strings(src);
-        let regions = cfg_test_regions(&stripped);
-        assert_eq!(regions, vec![(2, 5)]);
+        let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n  fn b() { x.unwrap(); }\n}\n\
+                   #[cfg(all(test, unix))]\nmod unix {\n  fn d() { x.unwrap(); }\n}\n\
+                   #[cfg(not(test))]\nfn c() { y.unwrap(); }\n";
+        let v = lint_str(src, ALL);
+        assert_eq!(lines_of(&v, Rule::Panic), vec![11], "{v:?}");
     }
 
     #[test]
     fn allow_requires_reason() {
-        let (allows, bad) = collect_allows("x(); // lint:allow(panic)\n");
-        assert!(allows.is_empty());
+        let parse = |src: &str| allows(&lexer::lex_with_comments(src).1, "lint:allow", WAIVABLE);
+        let (map, bad) = parse("x(); // lint:allow(panic)\n");
         assert_eq!(bad.len(), 1);
-        let (allows, bad) = collect_allows("x(); // lint:allow(panic): checked above\n");
-        assert_eq!(bad.len(), 0);
-        assert_eq!(allows.len(), 1);
-        assert_eq!(allows[0].line, 1);
+        assert!(!map.waives("panic", 1));
+        let (map, bad) = parse("x(); // lint:allow(panic): checked above\n");
+        assert!(bad.is_empty());
+        assert!(map.waives("panic", 1));
+        // A waiver quoted in a string or a doc comment is not a directive.
+        let (map, bad) = parse("let s = \"lint:allow(panic): x\";\n/// lint:allow(panic): docs\n");
+        assert!(bad.is_empty());
+        assert!(map.unused(|_, _| false).is_empty());
     }
 
     #[test]
     fn comment_only_allow_applies_to_next_line() {
         let src = "// lint:allow(index): bounds checked by caller\nlet x = v[0];\n";
-        let (allows, bad) = collect_allows(src);
+        let (map, bad) = allows(&lexer::lex_with_comments(src).1, "lint:allow", WAIVABLE);
         assert!(bad.is_empty());
-        assert_eq!(allows[0].line, 2);
-        let v = lint_source(
-            Path::new("t.rs"),
-            src,
-            FileClass {
-                panic_rules: true,
-                ..FileClass::default()
-            },
-        );
+        assert!(map.waives("index", 2));
+        let panic_rules = FileClass {
+            panic_rules: true,
+            ..FileClass::default()
+        };
+        let v = lint_str(src, panic_rules);
         assert!(v.is_empty(), "{v:?}");
+        // The same waiver where the rule does not apply waives nothing.
+        let v = lint_str(src, FileClass::default());
+        assert_eq!(lines_of(&v, Rule::BadAllow), vec![1], "{v:?}");
     }
 
     #[test]
     fn index_heuristic_distinguishes_uses() {
-        assert!(has_index_expr("let x = data[pos];"));
-        assert!(has_index_expr("f()[0]"));
-        assert!(!has_index_expr("#[cfg(test)]"));
-        assert!(!has_index_expr("let v = vec![1, 2];"));
-        assert!(!has_index_expr("let [a, b] = pair;"));
-        assert!(!has_index_expr("let x: [u8; 4] = y;"));
+        let has_index = |src: &str| {
+            let toks = lexer::lex(src);
+            (0..toks.len()).any(|j| is_index(&toks, j))
+        };
+        assert!(has_index("let x = data[pos];"));
+        assert!(has_index("f()[0]"));
+        assert!(has_index("x?[1]"));
+        assert!(!has_index("#[cfg(test)]"));
+        assert!(!has_index("let v = vec![1, 2];"));
+        assert!(!has_index("let [a, b] = pair;"));
+        assert!(!has_index("let x: [u8; 4] = y;"));
+        assert!(!has_index("fn f(b: &mut [u8]) {}"));
     }
 
     #[test]
@@ -961,8 +526,9 @@ mod tests {
         let src = "fn f() {\n    faultkit::crashpoint!(\"wal.append\");\n}\n\
                    // crashpoint!(\"commented.out\")\n\
                    #[cfg(test)]\nmod tests {\n    fn g() { crashpoint!(\"test.only\"); }\n}\n";
-        let names = crashpoint_names(src);
-        assert_eq!(names, vec![(2, "wal.append".to_string())]);
+        let ws = Workspace::from_sources(&[("a.rs", "c", src)], &[]);
+        let names = analyze::coverage::crashpoints_in(&ws.files[0].toks);
+        assert_eq!(names, vec![("wal.append".to_string(), 2)]);
     }
 
     #[test]
@@ -981,8 +547,16 @@ mod tests {
 
     #[test]
     fn word_match_is_delimited() {
-        assert!(has_word("wait(&mut state)", "state"));
-        assert!(!has_word("wait(&mut state2)", "state"));
-        assert!(!has_word("restate()", "state"));
+        // A condvar wait releases exactly the guard it names: `state`,
+        // not `state2`, and not `restate`.
+        let src = "fn f(m: &Mutex<bool>, n: &Mutex<u8>, cv: &Condvar) {\n    \
+                   let state2 = n.lock();\n    let mut state = m.lock();\n    \
+                   cv.wait(&mut state);\n    cv.wait(restate);\n}\n";
+        let v = lint_str(src, ALL);
+        let held: Vec<(usize, bool)> = v
+            .iter()
+            .map(|v| (v.line, v.message.contains("`state2`")))
+            .collect();
+        assert_eq!(held, vec![(4, true), (5, true), (5, false)], "{v:#?}");
     }
 }

@@ -1,7 +1,7 @@
 //! `cargo xtask` — workspace dev-tool entry point.
 //!
-//! * `cargo xtask lint [--json]` — run the line-level lint pass
-//!   (see [`xtask::lint_workspace`]) over `crates/*/src`.
+//! * `cargo xtask lint [--json]` — run the token-level lint rules
+//!   (see [`xtask::lint`]) over `crates/*/src`.
 //! * `cargo xtask analyze [--json] [--witness <path>]` — run the
 //!   phoenix-analyze static passes: inferred lock-order graph with
 //!   deadlock-cycle detection, instrumentation-coverage cross-checks,
@@ -10,7 +10,7 @@
 //! * `cargo xtask bench-gate [--json] [--bless] [--results <dir>]
 //!   [--baselines <dir>] [--series <path>]... [--series-only]` — compare
 //!   the benchmark JSON twins against the blessed baselines with the
-//!   tolerance bands from `<baselines>/gate.toml`, and/or validate
+//!   tolerance bands from `<baselines>/gate.json`, and/or validate
 //!   streaming JSON-lines series files (see [`xtask::benchgate`]).
 //! * `cargo xtask ci` — the full pre-merge gate: `fmt --check`,
 //!   `clippy`, `lint`, `analyze`, `test`, fault enumeration, chaos soak,
@@ -20,6 +20,9 @@
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
+
+use obskit::json::Json;
+use xtask::analyze::{Analysis, Workspace};
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -51,7 +54,7 @@ fn print_help() {
         "cargo xtask <command>\n\n\
          commands:\n\
          \x20 lint [--json]\n\
-         \x20        line-level lint: panic-path hygiene, lock discipline,\n\
+         \x20        token-level lint: panic-path hygiene, lock discipline,\n\
          \x20        error hygiene (waive a line with `// lint:allow(rule): why`)\n\
          \x20 analyze [--json] [--witness <path>]\n\
          \x20        workspace static analysis: inferred lock-order graph with\n\
@@ -61,7 +64,7 @@ fn print_help() {
          \x20 bench-gate [--json] [--bless] [--results <dir>] [--baselines <dir>]\n\
          \x20            [--series <path>]... [--series-only]\n\
          \x20        compare bench_results/*.json against the blessed baselines\n\
-         \x20        under bench_baselines/ using <baselines>/gate.toml tolerance\n\
+         \x20        under bench_baselines/ using <baselines>/gate.json tolerance\n\
          \x20        bands; --bless adopts the current results as the new\n\
          \x20        baselines; --series validates streaming JSON-lines series\n\
          \x20        files (--series-only skips the baseline compare)\n\
@@ -83,28 +86,44 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn lint(json: bool) -> ExitCode {
-    let root = workspace_root();
-    let violations = match xtask::lint_workspace(&root) {
-        Ok(v) => v,
+/// Success when `ok`, failure otherwise.
+fn exit(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Load the workspace both `lint` and `analyze` read, reporting a
+/// failure under `who`.
+fn load(who: &str) -> Option<Workspace> {
+    match xtask::analyze::load_workspace(&workspace_root()) {
+        Ok(ws) => Some(ws),
         Err(e) => {
-            eprintln!("xtask lint: cannot scan workspace: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("xtask {who}: cannot load workspace: {e}");
+            None
         }
-    };
+    }
+}
+
+fn lint(json: bool) -> ExitCode {
+    match load("lint") {
+        Some(ws) => report_lint(&xtask::lint(&ws, &xtask::analyze::analyze(&ws)), json),
+        None => ExitCode::FAILURE,
+    }
+}
+
+fn report_lint(violations: &[xtask::Violation], json: bool) -> ExitCode {
     if json {
-        print!("{}", xtask::analyze::lint_json(&violations));
-        return if violations.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        print!("{}", xtask::analyze::lint_json(violations));
+        return exit(violations.is_empty());
     }
     if violations.is_empty() {
         println!("xtask lint: clean");
         return ExitCode::SUCCESS;
     }
-    for v in &violations {
+    for v in violations {
         println!("{v}");
     }
     println!(
@@ -117,13 +136,8 @@ fn lint(json: bool) -> ExitCode {
 }
 
 fn analyze(json: bool, witness: Option<&str>) -> ExitCode {
-    let root = workspace_root();
-    let ws = match xtask::analyze::load_workspace(&root) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("xtask analyze: cannot load workspace: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(ws) = load("analyze") else {
+        return ExitCode::FAILURE;
     };
     let mut analysis = xtask::analyze::analyze(&ws);
     if let Some(wpath) = witness {
@@ -138,13 +152,13 @@ fn analyze(json: bool, witness: Option<&str>) -> ExitCode {
             }
         }
     }
+    report_analysis(&analysis, json)
+}
+
+fn report_analysis(analysis: &Analysis, json: bool) -> ExitCode {
     if json {
-        print!("{}", xtask::analyze::analysis_json(&analysis));
-        return if analysis.violations.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        print!("{}", xtask::analyze::analysis_json(analysis));
+        return exit(analysis.violations.is_empty());
     }
     let st = &analysis.stats;
     println!(
@@ -179,7 +193,7 @@ fn analyze(json: bool, witness: Option<&str>) -> ExitCode {
 
 /// `cargo xtask bench-gate`: the perf-regression gate. Compares every
 /// baseline under `bench_baselines/` against `bench_results/<name>.json`
-/// with the tolerance bands from `bench_baselines/gate.toml`, optionally
+/// with the tolerance bands from `bench_baselines/gate.json`, optionally
 /// validates streaming series files, and with `--bless` adopts the
 /// current results as the new baselines first.
 fn bench_gate(args: &[String]) -> ExitCode {
@@ -192,35 +206,22 @@ fn bench_gate(args: &[String]) -> ExitCode {
     let mut baselines = root.join("bench_baselines");
     let mut i = 0;
     while i < args.len() {
-        let take_value = |i: &mut usize| -> Option<PathBuf> {
-            *i += 1;
-            args.get(*i).map(PathBuf::from)
-        };
         match args[i].as_str() {
             "--json" => json = true,
             "--bless" => do_bless = true,
             "--series-only" => series_only = true,
-            "--series" => match take_value(&mut i) {
-                Some(p) => series.push(p),
-                None => {
-                    eprintln!("xtask bench-gate: --series needs a path");
+            flag @ ("--series" | "--results" | "--baselines") => {
+                i += 1;
+                let Some(path) = args.get(i).map(PathBuf::from) else {
+                    eprintln!("xtask bench-gate: {flag} needs a path");
                     return ExitCode::FAILURE;
+                };
+                match flag {
+                    "--series" => series.push(path),
+                    "--results" => results = path,
+                    _ => baselines = path,
                 }
-            },
-            "--results" => match take_value(&mut i) {
-                Some(p) => results = p,
-                None => {
-                    eprintln!("xtask bench-gate: --results needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--baselines" => match take_value(&mut i) {
-                Some(p) => baselines = p,
-                None => {
-                    eprintln!("xtask bench-gate: --baselines needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
+            }
             other => {
                 eprintln!("xtask bench-gate: unknown flag `{other}`");
                 return ExitCode::FAILURE;
@@ -264,11 +265,7 @@ fn bench_gate(args: &[String]) -> ExitCode {
     } else {
         print!("{}", xtask::benchgate::render_text(&report));
     }
-    if report.failed() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit(!report.failed())
 }
 
 /// One step of the CI gate, run from the workspace root.
@@ -287,24 +284,32 @@ fn step(name: &str, cmd: &mut Command) -> bool {
     }
 }
 
+/// Read and parse one exported JSON artifact, reporting why it is
+/// unusable.
+fn read_json(path: &Path) -> Option<Json> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("xtask ci: {} unreadable: {e}", path.display());
+            return None;
+        }
+    };
+    match Json::parse(&text) {
+        Ok(doc) => Some(doc),
+        Err(e) => {
+            eprintln!("xtask ci: {} is not valid JSON: {e}", path.display());
+            None
+        }
+    }
+}
+
 /// Parse the exported obskit snapshot and check the schema essentials:
 /// the version tag, a `histograms` object, and a non-empty timeline from
 /// the traced seed.
 fn validate_snapshot(path: &Path) -> bool {
     println!("== xtask ci: validate obskit snapshot ==");
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask ci: snapshot {} unreadable: {e}", path.display());
-            return false;
-        }
-    };
-    let doc = match obskit::json::Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("xtask ci: snapshot is not valid JSON: {e}");
-            return false;
-        }
+    let Some(doc) = read_json(path) else {
+        return false;
     };
     let version_ok = doc.get("obskit").and_then(|v| v.as_f64()) == Some(1.0);
     let hists_ok = doc.get("histograms").and_then(|h| h.as_obj()).is_some();
@@ -316,11 +321,7 @@ fn validate_snapshot(path: &Path) -> bool {
         );
         return false;
     }
-    println!(
-        "snapshot ok: {} bytes, {} timeline events",
-        text.len(),
-        events.unwrap_or(0)
-    );
+    println!("snapshot ok: {} timeline events", events.unwrap_or(0));
     true
 }
 
@@ -329,19 +330,8 @@ fn validate_snapshot(path: &Path) -> bool {
 /// present with a median batch of at least 2 commits per fsync.
 fn validate_group_commit_snapshot(path: &Path) -> bool {
     println!("== xtask ci: validate group-commit batching ==");
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask ci: snapshot {} unreadable: {e}", path.display());
-            return false;
-        }
-    };
-    let doc = match obskit::json::Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("xtask ci: snapshot is not valid JSON: {e}");
-            return false;
-        }
+    let Some(doc) = read_json(path) else {
+        return false;
     };
     let hist = doc
         .get("histograms")
@@ -369,19 +359,8 @@ fn validate_group_commit_snapshot(path: &Path) -> bool {
 /// sessions and pending handshakes both back to zero).
 fn validate_storm_snapshot(path: &Path) -> bool {
     println!("== xtask ci: validate reconnect-storm admission ==");
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask ci: snapshot {} unreadable: {e}", path.display());
-            return false;
-        }
-    };
-    let doc = match obskit::json::Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("xtask ci: snapshot is not valid JSON: {e}");
-            return false;
-        }
+    let Some(doc) = read_json(path) else {
+        return false;
     };
     let cap = doc
         .get("meta")
@@ -434,17 +413,8 @@ fn validate_storm_snapshot(path: &Path) -> bool {
 /// Validate the runtime lockcheck witness against the statically
 /// inferred lock-order graph: every acquisition order observed at
 /// runtime must be consistent with (not contradict) the static edges.
-fn validate_witness(path: &Path) -> bool {
+fn validate_witness(analysis: &Analysis, path: &Path) -> bool {
     println!("== xtask ci: validate lockcheck witness ==");
-    let root = workspace_root();
-    let ws = match xtask::analyze::load_workspace(&root) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("xtask ci: cannot load workspace for witness check: {e}");
-            return false;
-        }
-    };
-    let analysis = xtask::analyze::analyze(&ws);
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -466,13 +436,23 @@ fn validate_witness(path: &Path) -> bool {
 
 fn ci() -> ExitCode {
     let root = workspace_root();
-    let cargo = env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+    let cargo_bin = env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+    // `cargo <args>` run from the workspace root.
+    let cargo = |args: &[&str]| {
+        let mut cmd = Command::new(&cargo_bin);
+        cmd.args(args).current_dir(&root);
+        cmd
+    };
+    // `cargo test -q -p integration-tests --test <args>`.
+    let integration_test = |args: &[&str]| {
+        let mut cmd = cargo(&["test", "-q", "-p", "integration-tests", "--test"]);
+        cmd.args(args);
+        cmd
+    };
 
     let fmt_ok = step(
         "fmt --check",
-        Command::new(&cargo)
-            .args(["fmt", "--all", "--", "--check"])
-            .current_dir(&root),
+        &mut cargo(&["fmt", "--all", "--", "--check"]),
     );
     // The unwrap/expect baseline is warn-level on purpose (the hard
     // guarantee for recovery-critical modules comes from `lint` below),
@@ -480,36 +460,33 @@ fn ci() -> ExitCode {
     let clippy_ok = fmt_ok
         && step(
             "clippy",
-            Command::new(&cargo)
-                .args([
-                    "clippy",
-                    "--workspace",
-                    "--all-targets",
-                    "--",
-                    "-D",
-                    "warnings",
-                    "-A",
-                    "clippy::unwrap_used",
-                    "-A",
-                    "clippy::expect_used",
-                ])
-                .current_dir(&root),
+            &mut cargo(&[
+                "clippy",
+                "--workspace",
+                "--all-targets",
+                "--",
+                "-D",
+                "warnings",
+                "-A",
+                "clippy::unwrap_used",
+                "-A",
+                "clippy::expect_used",
+            ]),
         );
-    let lint_ok = clippy_ok && {
+    // One workspace load and one analysis serve lint, analyze and the
+    // witness check.
+    let ws = clippy_ok.then(|| load("ci")).flatten();
+    let analysis = ws.as_ref().map(xtask::analyze::analyze);
+    let lint_ok = ws.as_ref().zip(analysis.as_ref()).is_some_and(|(ws, a)| {
         println!("== xtask ci: lint ==");
-        lint(false) == ExitCode::SUCCESS
-    };
-    let analyze_ok = lint_ok && {
-        println!("== xtask ci: analyze ==");
-        analyze(false, None) == ExitCode::SUCCESS
-    };
-    let test_ok = analyze_ok
-        && step(
-            "test",
-            Command::new(&cargo)
-                .args(["test", "--workspace", "-q"])
-                .current_dir(&root),
-        );
+        report_lint(&xtask::lint(ws, a), false) == ExitCode::SUCCESS
+    });
+    let analyze_ok = lint_ok
+        && analysis.as_ref().is_some_and(|a| {
+            println!("== xtask ci: analyze ==");
+            report_analysis(a, false) == ExitCode::SUCCESS
+        });
+    let test_ok = analyze_ok && step("test", &mut cargo(&["test", "--workspace", "-q"]));
     // The crashpoint enumeration suite already ran once under `test`;
     // this second pass pins the seeded-schedule proptest to a fixed
     // fault seed so the gate exercises one reproducible schedule set
@@ -517,17 +494,7 @@ fn ci() -> ExitCode {
     let faults_ok = test_ok
         && step(
             "fault enumeration (FAULTKIT_SEED=2026)",
-            Command::new(&cargo)
-                .args([
-                    "test",
-                    "-p",
-                    "integration-tests",
-                    "--test",
-                    "fault_injection",
-                    "-q",
-                ])
-                .env("FAULTKIT_SEED", "2026")
-                .current_dir(&root),
+            integration_test(&["fault_injection"]).env("FAULTKIT_SEED", "2026"),
         );
 
     // Bounded chaos soak: a pinned block of seeds so the gate replays
@@ -539,19 +506,10 @@ fn ci() -> ExitCode {
     let soak_ok = faults_ok
         && step(
             "chaos soak (8 pinned seeds)",
-            Command::new(&cargo)
-                .args([
-                    "test",
-                    "-p",
-                    "integration-tests",
-                    "--test",
-                    "chaos_soak",
-                    "-q",
-                ])
+            integration_test(&["chaos_soak"])
                 .env("CHAOS_SOAK_SEEDS", "8")
                 .env("CHAOS_SOAK_BASE", "2026")
-                .env("OBSKIT_SERIES", &chaos_series)
-                .current_dir(&root),
+                .env("OBSKIT_SERIES", &chaos_series),
         );
 
     // Storage-fault soak: pinned seeds driving torn writes, bit flips,
@@ -563,19 +521,10 @@ fn ci() -> ExitCode {
     let disk_ok = soak_ok
         && step(
             "disk-fault soak (4 pinned seeds)",
-            Command::new(&cargo)
-                .args([
-                    "test",
-                    "-p",
-                    "integration-tests",
-                    "--test",
-                    "disk_chaos",
-                    "-q",
-                ])
+            integration_test(&["disk_chaos"])
                 .env("DISK_SOAK_SEEDS", "4")
                 .env("DISK_SOAK_BASE", "2026")
-                .env("OBSKIT_SERIES", &disk_series)
-                .current_dir(&root),
+                .env("OBSKIT_SERIES", &disk_series),
         );
 
     // Observability smoke: one trace-enabled chaos seed exports an obskit
@@ -590,23 +539,16 @@ fn ci() -> ExitCode {
     let obs_ok = disk_ok
         && step(
             "obskit snapshot + lockcheck witness (1 traced seed)",
-            Command::new(&cargo)
-                .args([
-                    "test",
-                    "-p",
-                    "integration-tests",
-                    "--test",
-                    "chaos_soak",
-                    "-q",
-                ])
+            integration_test(&["chaos_soak"])
                 .env("CHAOS_SOAK_SEEDS", "1")
                 .env("CHAOS_SOAK_BASE", "2026")
                 .env("OBSKIT_SNAPSHOT", &snapshot)
-                .env("OBSKIT_LOCKCHECK", &witness)
-                .current_dir(&root),
+                .env("OBSKIT_LOCKCHECK", &witness),
         )
         && validate_snapshot(&snapshot)
-        && validate_witness(&witness);
+        && analysis
+            .as_ref()
+            .is_some_and(|a| validate_witness(a, &witness));
 
     // Group-commit batching gate: run the 4-session commit mix alone
     // (its own process, so the global registry holds only this run) and
@@ -617,18 +559,8 @@ fn ci() -> ExitCode {
     let gc_ok = obs_ok
         && step(
             "group commit (4-session mix)",
-            Command::new(&cargo)
-                .args([
-                    "test",
-                    "-p",
-                    "integration-tests",
-                    "--test",
-                    "group_commit",
-                    "four_session_commit_mix_batches_fsyncs",
-                    "-q",
-                ])
-                .env("OBSKIT_SNAPSHOT", &gc_snapshot)
-                .current_dir(&root),
+            integration_test(&["group_commit", "four_session_commit_mix_batches_fsyncs"])
+                .env("OBSKIT_SNAPSHOT", &gc_snapshot),
         )
         && validate_group_commit_snapshot(&gc_snapshot);
 
@@ -640,24 +572,17 @@ fn ci() -> ExitCode {
     let storm_ok = gc_ok
         && step(
             "reconnect storm (pinned seed 2026)",
-            Command::new(&cargo)
-                .args([
-                    "test",
-                    "-p",
-                    "integration-tests",
-                    "--test",
-                    "reconnect_storm",
-                    "reconnect_storm_sheds_bounded_and_recovers_every_session",
-                    "-q",
-                ])
-                .env("FAULTKIT_REPLAY", "reconnect_storm:seed#2026")
-                .env("OBSKIT_SNAPSHOT", &storm_snapshot)
-                .current_dir(&root),
+            integration_test(&[
+                "reconnect_storm",
+                "reconnect_storm_sheds_bounded_and_recovers_every_session",
+            ])
+            .env("FAULTKIT_REPLAY", "reconnect_storm:seed#2026")
+            .env("OBSKIT_SNAPSHOT", &storm_snapshot),
         )
         && validate_storm_snapshot(&storm_snapshot);
 
     // Perf gate 1/3 — checked-in twins: every bench_results/*.json must
-    // match its blessed bench_baselines/ copy within the gate.toml
+    // match its blessed bench_baselines/ copy within the gate.json
     // tolerance bands. In a clean tree these are identical files; drift
     // means someone regenerated results without running
     // `cargo xtask bench-gate --bless`.
@@ -680,39 +605,35 @@ fn ci() -> ExitCode {
             let _ = std::fs::remove_dir_all(&ci_results);
             step(
                 "bench fig3_recovery_client (fast subset, seed 42)",
-                Command::new(&cargo)
-                    .args([
-                        "run",
-                        "--release",
-                        "-q",
-                        "-p",
-                        "bench",
-                        "--bin",
-                        "fig3_recovery_client",
-                    ])
-                    .env("PHX_SF", "0.02")
-                    .env("PHX_SEED", "42")
-                    .env("PHX_RESULTS_DIR", &ci_results)
-                    .current_dir(&root),
-            )
-        }
-        && step(
-            "bench session_scale (fast subset, seed 2026)",
-            Command::new(&cargo)
-                .args([
+                cargo(&[
                     "run",
                     "--release",
                     "-q",
                     "-p",
                     "bench",
                     "--bin",
-                    "session_scale",
+                    "fig3_recovery_client",
                 ])
-                .env("PHX_SCALE_SWEEP", "16,32,64")
-                .env("PHX_SCALE_PENDING", "8")
-                .env("PHX_SCALE_SEED", "2026")
-                .env("PHX_RESULTS_DIR", &ci_results)
-                .current_dir(&root),
+                .env("PHX_SF", "0.02")
+                .env("PHX_SEED", "42")
+                .env("PHX_RESULTS_DIR", &ci_results),
+            )
+        }
+        && step(
+            "bench session_scale (fast subset, seed 2026)",
+            cargo(&[
+                "run",
+                "--release",
+                "-q",
+                "-p",
+                "bench",
+                "--bin",
+                "session_scale",
+            ])
+            .env("PHX_SCALE_SWEEP", "16,32,64")
+            .env("PHX_SCALE_PENDING", "8")
+            .env("PHX_SCALE_SEED", "2026")
+            .env("PHX_RESULTS_DIR", &ci_results),
         )
         && {
             let to = ci_results.join("ci_group_commit.json");
@@ -756,8 +677,6 @@ fn ci() -> ExitCode {
 
     if series_ok {
         println!("== xtask ci: all green ==");
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
+    exit(series_ok)
 }

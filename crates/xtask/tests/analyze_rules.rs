@@ -72,6 +72,34 @@ fn lock_edge_waiver_suppresses_one_direction() {
 }
 
 #[test]
+fn only_test_only_cfgs_drop_lock_edges() {
+    // `cfg(not(test))` code is live: its edge is in the graph. The
+    // `cfg(all(test, unix))` module is test-only: its inverted order adds
+    // no back edge, so there is no cycle.
+    let a = analyze(&ws_of("analyze_cfg.rs", &[]));
+    assert!(a.violations.is_empty(), "{:#?}", a.violations);
+    assert!(
+        a.graph
+            .edges
+            .contains_key(&("Ledger::entries".into(), "Roster::members".into())),
+        "edges: {:#?}",
+        a.graph.edges.keys().collect::<Vec<_>>()
+    );
+    assert_eq!(a.graph.edges.len(), 1);
+    assert_eq!(a.stats.functions, 1);
+}
+
+#[test]
+fn analyze_allow_that_waives_nothing_is_flagged() {
+    let src = "// analyze:allow(durability): nothing here emits\nfn f() {}\n";
+    let a = analyze(&Workspace::from_sources(&[("x.rs", "c", src)], &[]));
+    assert_eq!(a.violations.len(), 1, "{:#?}", a.violations);
+    assert_eq!(a.violations[0].rule, Rule::BadAllow);
+    assert_eq!(a.violations[0].line, 1);
+    assert!(a.violations[0].message.contains("waives nothing"));
+}
+
+#[test]
 fn bad_analyze_allow_is_flagged() {
     let src = "fn f() {} // analyze:allow(lock_edge)\n";
     let ws = Workspace::from_sources(&[("x.rs", "c", src)], &[]);
@@ -306,7 +334,7 @@ fn baseline_drift_is_flagged_in_both_directions() {
         BaselineDir {
             rel: "bench_baselines".to_string(),
             // fig10_jitter has no baseline here; "ghost" has no binary;
-            // "adopted" is declared via [gate] extra; "dangling" is an
+            // "adopted" is declared via gate.extra; "dangling" is an
             // extra entry with no file.
             stems: vec![
                 "adopted".to_string(),
@@ -322,7 +350,7 @@ fn baseline_drift_is_flagged_in_both_directions() {
             rel: "bench_baselines/ci".to_string(),
             stems: vec!["fig9_lag".to_string(), "stale_sub".to_string()],
             extra: Vec::new(),
-            manifest_error: Some("gate.toml:3: unknown key `tolerance`".to_string()),
+            manifest_error: Some("gate.json: unknown key \"tolerance\" in default".to_string()),
         },
     ];
     let a = analyze(&ws);

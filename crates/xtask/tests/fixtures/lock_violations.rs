@@ -62,3 +62,45 @@ fn waived_blocking(m: &Mutex<u32>, rx: &Receiver<u32>) {
     let _v = rx.recv(); // lint:allow(lock): fixture shows a justified waiver
     drop(guard);
 }
+
+fn split_let_guard_is_tracked(m: &Mutex<u32>, rx: &Receiver<u32>) {
+    let guard =
+        m.lock();
+    let _v = rx.recv(); // line 69: lock (rustfmt split the guard's `let`)
+    drop(guard);
+}
+
+fn match_scrutinee_guard_lives_through_the_arms(m: &Mutex<Option<u32>>, rx: &Receiver<u32>) {
+    match *m.lock() {
+        Some(_) => {
+            rx.recv(); // line 76: lock (scrutinee guard held across the arms)
+        }
+        None => {}
+    }
+    let _v = rx.recv(); // OK: the scrutinee guard died with the match
+}
+
+fn wait_releases_only_the_guard_it_names(m: &Mutex<bool>, n: &Mutex<u32>, cv: &Condvar) {
+    let state2 = n.lock();
+    let mut state = m.lock();
+    while !*state {
+        cv.wait(&mut state); // line 87: lock (`state2` stays held)
+    }
+    drop(state2);
+}
+
+struct PageGuard {
+    data: RwLock<Vec<u8>>,
+}
+
+impl PageGuard {
+    fn write(&self) -> RwLockWriteGuard<'_, Vec<u8>> {
+        self.data.write()
+    }
+}
+
+fn wrapper_guard_is_tracked(page: &PageGuard, rx: &Receiver<u32>) {
+    let d = page.write();
+    let _v = rx.recv(); // line 104: lock (`PageGuard::write` hands back a guard)
+    drop(d);
+}

@@ -38,6 +38,15 @@ fn strings_and_comments_do_not_count() {
     let _s = "calling .unwrap() in a string is fine";
 }
 
+fn waiver_quoted_in_a_string_does_not_count(v: Option<u32>) -> u32 {
+    let _m = "lint:allow(panic): x"; v.unwrap() // line 42: panic
+}
+
+fn typo_in_a_waiver_is_flagged(v: Option<u32>) -> u32 {
+    // lint:allow(panics): typo — line 46: bad_allow (unknown rule)
+    v.unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
@@ -47,5 +56,12 @@ mod tests {
         let s = &[1u8, 2][..];
         let _ = s[0];
         panic!("even this is exempt");
+    }
+}
+
+#[cfg(all(test, unix))]
+mod unix_tests {
+    fn unix_only_helper(v: Option<u32>) -> u32 {
+        v.unwrap() // exempt: `all(test, unix)` requires test
     }
 }

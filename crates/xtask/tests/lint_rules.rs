@@ -1,6 +1,6 @@
 //! Fixture-driven tests for the lint engine: every rule family firing,
 //! every rule family passing, the `lint:allow` escape hatch, the
-//! `#[cfg(test)]` exemption, and the malformed-annotation check.
+//! test-only exemption, and the malformed-annotation check.
 
 use std::path::{Path, PathBuf};
 
@@ -45,12 +45,69 @@ fn panic_family_fires_on_each_token() {
             ..FileClass::default()
         },
     );
-    assert_eq!(lines_of(&v, Rule::Panic), vec![5, 9, 14, 16]);
+    assert_eq!(lines_of(&v, Rule::Panic), vec![5, 9, 14, 16, 42]);
     assert_eq!(lines_of(&v, Rule::Index), vec![20]);
     assert_eq!(lines_of(&v, Rule::Discard), vec![24]);
-    // Waived lines, comments, strings, and the #[cfg(test)] module
-    // produced nothing beyond the six above.
-    assert_eq!(v.len(), 6, "{v:#?}");
+    assert_eq!(lines_of(&v, Rule::BadAllow), vec![46]);
+    // Waived lines, comments, strings, and the test-only modules
+    // produced nothing beyond the eight above.
+    assert_eq!(v.len(), 8, "{v:#?}");
+}
+
+fn line_of(src: &str, needle: &str) -> usize {
+    src.lines().position(|l| l.contains(needle)).unwrap() + 1
+}
+
+#[test]
+fn waiver_quoted_in_a_string_does_not_waive() {
+    let v = scan(
+        "panic_violations.rs",
+        FileClass {
+            panic_rules: true,
+            ..FileClass::default()
+        },
+    );
+    let (_, src) = fixture("panic_violations.rs");
+    let quoted = line_of(&src, "let _m = \"lint:allow(panic): x\"; v.unwrap()");
+    assert!(lines_of(&v, Rule::Panic).contains(&quoted), "{v:#?}");
+}
+
+#[test]
+fn waiver_naming_an_unknown_rule_is_flagged() {
+    let v = scan(
+        "panic_violations.rs",
+        FileClass {
+            panic_rules: true,
+            ..FileClass::default()
+        },
+    );
+    let (_, src) = fixture("panic_violations.rs");
+    let typo = line_of(&src, "// lint:allow(panics): typo");
+    let bad: Vec<_> = v.iter().filter(|f| f.rule == Rule::BadAllow).collect();
+    assert_eq!(bad.len(), 1, "{v:#?}");
+    assert_eq!(bad[0].line, typo);
+    assert!(bad[0].message.contains("\"panics\""), "{}", bad[0].message);
+}
+
+#[test]
+fn waiver_that_waives_nothing_is_flagged() {
+    // The index waiver in the fixture covers a real finding only while
+    // the index rule applies.
+    let v = scan(
+        "panic_violations.rs",
+        FileClass {
+            panic_call_rules: true,
+            ..FileClass::default()
+        },
+    );
+    let (_, src) = fixture("panic_violations.rs");
+    let waiver = line_of(&src, "// lint:allow(index): bounds established");
+    let unused: Vec<_> = v
+        .iter()
+        .filter(|f| f.rule == Rule::BadAllow && f.message.contains("waives nothing"))
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(unused, vec![waiver], "{v:#?}");
 }
 
 #[test]
@@ -91,6 +148,17 @@ fn cfg_test_module_is_exempt() {
 }
 
 #[test]
+fn cfg_all_test_module_is_exempt() {
+    let (_, src) = fixture("panic_violations.rs");
+    let module = line_of(&src, "#[cfg(all(test, unix))]");
+    let v = scan("panic_violations.rs", ALL_RULES);
+    assert!(
+        v.iter().all(|f| f.line < module),
+        "violations inside #[cfg(all(test, unix))]: {v:#?}"
+    );
+}
+
+#[test]
 fn lock_family_fires_and_respects_releases() {
     let v = scan(
         "lock_violations.rs",
@@ -101,12 +169,18 @@ fn lock_family_fires_and_respects_releases() {
     );
     // Guard held across recv (6), blocking inside an `if let` body whose
     // scrutinee holds a read guard (34), the classic `while let … .lock()`
-    // footgun (42), a method-chain write guard (50), and file I/O under a
-    // guard (56). The condvar wait, drop(), scope-exit, post-body and
-    // waived cases must stay quiet. (Acquisition *order* now lives in
-    // `cargo xtask analyze`, not here.)
-    assert_eq!(lines_of(&v, Rule::Lock), vec![6, 34, 42, 50, 56]);
-    assert_eq!(v.len(), 5, "{v:#?}");
+    // footgun (42), a method-chain write guard (50), file I/O under a
+    // guard (56), a guard whose `let` rustfmt split over two lines (69), a
+    // `match` scrutinee guard held across its arms (76), and a condvar
+    // wait that releases `state` while `state2` stays held (87), and a
+    // guard handed back by a workspace wrapper, `PageGuard::write` (104).
+    // The condvar wait, drop(), scope-exit, post-body and waived cases
+    // must stay quiet. (Acquisition *order* lives in `cargo xtask analyze`.)
+    assert_eq!(
+        lines_of(&v, Rule::Lock),
+        vec![6, 34, 42, 50, 56, 69, 76, 87, 104]
+    );
+    assert_eq!(v.len(), 9, "{v:#?}");
 }
 
 #[test]

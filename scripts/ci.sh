@@ -2,7 +2,8 @@
 # Pre-merge gate for this repository (see ROADMAP.md). Runs the tier-1
 # release build, then the full `cargo xtask ci` chain:
 #   fmt --check -> clippy (-D warnings, unwrap/expect stay advisory)
-#   -> xtask lint (panic-path / lock-discipline / error-hygiene)
+#   -> xtask lint (panic-path / lock-discipline / error-hygiene rules on
+#      the token stream analyze also reads)
 #   -> xtask analyze (lock-order graph + instrumentation coverage)
 #   -> cargo test --workspace -> fault enumeration -> chaos soak
 #   -> obskit snapshot + lockcheck witness validation
