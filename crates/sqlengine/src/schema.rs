@@ -1,5 +1,7 @@
 //! Table schemas and the on-page row encoding.
 
+use std::ops::Range;
+
 use bytes::{Buf, BufMut};
 
 use crate::error::{Error, Result};
@@ -187,6 +189,58 @@ pub fn decode_row(mut buf: &[u8]) -> Result<Row> {
     Ok(row)
 }
 
+/// Cut the index key of `key_cols` (column indexes, in key order) out of
+/// a row encoded by [`encode_row`], without decoding the row. Every column
+/// is checked exactly as [`decode_row`] checks it — tag, length bounds,
+/// UTF-8 — so a row `decode_row` rejects is rejected here too, as is a row
+/// with fewer columns than a key column index. Each encoded value is
+/// self-delimiting (tag, then fixed-width bytes or a length-prefixed
+/// string), so the key's bytes are the key's arity followed by the key
+/// columns' byte ranges: exactly `encode_row` of those values, and
+/// `pk_key_bytes` of the decoded row. `fields` is scratch, reused across
+/// rows so the walk allocates nothing but the key.
+pub(crate) fn encoded_key(
+    row: &[u8],
+    key_cols: &[usize],
+    fields: &mut Vec<Range<usize>>,
+) -> Result<Vec<u8>> {
+    let corrupt = || Error::Corruption {
+        device: "data".into(),
+        detail: "corrupt row encoding".into(),
+    };
+    let (arity, mut rest) = row.split_first_chunk::<2>().ok_or_else(corrupt)?;
+    fields.clear();
+    for _ in 0..u16::from_be_bytes(*arity) {
+        let start = row.len() - rest.len();
+        let (&tag, body) = rest.split_first().ok_or_else(corrupt)?;
+        let width = match tag {
+            TAG_NULL => 0,
+            TAG_INT | TAG_FLOAT => 8,
+            TAG_DATE => 4,
+            TAG_STR => {
+                let (len, chars) = body.split_first_chunk::<4>().ok_or_else(corrupt)?;
+                let len = u32::from_be_bytes(*len) as usize;
+                let s = chars.get(..len).ok_or_else(corrupt)?;
+                std::str::from_utf8(s).map_err(|_| corrupt())?;
+                4 + len
+            }
+            _ => return Err(corrupt()),
+        };
+        rest = body.get(width..).ok_or_else(corrupt)?;
+        fields.push(start..start + 1 + width);
+    }
+    let mut len = 2;
+    for &c in key_cols {
+        len += fields.get(c).ok_or_else(corrupt)?.len();
+    }
+    let mut key = Vec::with_capacity(len);
+    key.put_u16(key_cols.len() as u16);
+    for &c in key_cols {
+        key.extend_from_slice(&row[fields[c].clone()]);
+    }
+    Ok(key)
+}
+
 /// Encode a schema (used in the catalog checkpoint and WAL records).
 pub fn encode_schema(s: &TableSchema, out: &mut Vec<u8>) {
     put_str(out, &s.name);
@@ -321,6 +375,97 @@ mod tests {
         encode_row(&row, &mut buf);
         for cut in [0, 1, 3, buf.len() - 1] {
             assert!(decode_row(&buf[..cut]).is_err(), "cut={cut}");
+        }
+    }
+
+    /// Deterministic pseudo-random row of `n` values of every kind,
+    /// strings including multi-byte UTF-8.
+    fn random_row(n: usize, seed: &mut u64) -> Row {
+        let mut next = || {
+            *seed ^= *seed << 13;
+            *seed ^= *seed >> 7;
+            *seed ^= *seed << 17;
+            *seed
+        };
+        (0..n)
+            .map(|_| {
+                let r = next();
+                match r % 5 {
+                    0 => Value::Null,
+                    1 => Value::Int(r as i64 >> 3),
+                    2 => Value::Float(f64::from_bits(next()) % 1e9),
+                    3 => Value::Str("ÿé日本-x🦀".chars().take((r >> 8) as usize % 7).collect()),
+                    _ => Value::Date((r >> 16) as i32 % 40_000),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn encoded_key_equals_pk_key_bytes_of_the_decoded_row() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15;
+        let mut fields = Vec::new();
+        for n in 1..=8usize {
+            for _ in 0..50 {
+                let row = random_row(n, &mut seed);
+                let mut buf = Vec::new();
+                encode_row(&row, &mut buf);
+                // Key columns in and out of schema order, repeated ones too.
+                let keys = [
+                    vec![0],
+                    vec![n - 1, 0],
+                    (0..n).rev().collect(),
+                    vec![n / 2; 2],
+                ];
+                for key_cols in keys {
+                    let schema = TableSchema::new(
+                        "t",
+                        (0..n)
+                            .map(|i| Column::new(format!("c{i}"), DataType::Int))
+                            .collect(),
+                    )
+                    .with_primary_key(key_cols.clone());
+                    let want =
+                        crate::storage::heap::pk_key_bytes(&schema, &decode_row(&buf).unwrap());
+                    let got = encoded_key(&buf, &key_cols, &mut fields).unwrap();
+                    assert_eq!(Some(got), want, "row {row:?} key {key_cols:?}");
+                }
+                // A key column past the row's arity is corruption, not a panic.
+                assert!(encoded_key(&buf, &[n], &mut fields).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_key_rejects_every_truncation_and_bad_encoding() {
+        let row = vec![
+            Value::Int(1),
+            Value::Str("grüße".into()),
+            Value::Null,
+            Value::Float(-2.5),
+            Value::Date(9000),
+        ];
+        let mut buf = Vec::new();
+        encode_row(&row, &mut buf);
+        let mut fields = Vec::new();
+        for cut in 0..buf.len() {
+            assert!(decode_row(&buf[..cut]).is_err(), "decode cut={cut}");
+            assert!(
+                encoded_key(&buf[..cut], &[0], &mut fields).is_err(),
+                "cut={cut}"
+            );
+        }
+        // Unknown tag, and invalid UTF-8, in a column the key skips.
+        let mut bad_tag = buf.clone();
+        bad_tag[2 + 9] = 9;
+        let mut bad_utf8 = buf.clone();
+        bad_utf8[2 + 9 + 5] = 0xFF;
+        for bad in [bad_tag, bad_utf8] {
+            assert!(decode_row(&bad).is_err());
+            assert!(matches!(
+                encoded_key(&bad, &[0], &mut fields),
+                Err(Error::Corruption { .. })
+            ));
         }
     }
 

@@ -13,7 +13,7 @@ use super::disk::PageId;
 use super::page::Page;
 use crate::catalog::{Catalog, TableMeta};
 use crate::error::{Error, Result};
-use crate::schema::{decode_row, encode_row, TableId, TableSchema};
+use crate::schema::{decode_row, encode_row, encoded_key, TableId, TableSchema};
 use crate::txn::locks::{LockManager, LockMode, LockTarget};
 use crate::txn::{TxnHandle, TxnManager, UndoEntry};
 use crate::types::{Row, Value};
@@ -649,7 +649,10 @@ impl Storage {
         Ok(out)
     }
 
-    /// Rebuild every PK index by scanning heaps (restart path).
+    /// Rebuild every PK index by scanning heaps (restart path). Each key
+    /// is cut from the encoded row in place under the page latch
+    /// ([`encoded_key`]), so a row is neither copied nor decoded, yet a
+    /// bad encoding still fails restart with [`Error::Corruption`].
     pub fn rebuild_indexes(&self) -> Result<()> {
         for name in self.catalog.table_names() {
             // Names come from the catalog itself, but a concurrent DROP can
@@ -665,13 +668,19 @@ impl Storage {
                 continue;
             }
             let mut entries = Vec::new();
+            let mut fields = Vec::new();
             for pid in pages {
-                for (rid, bytes) in self.page_rows(pid, None)? {
-                    let row = decode_row(&bytes)?;
-                    if let Some(k) = pk_key_bytes(&schema, &row) {
-                        entries.push((k, rid));
+                let guard = self.pool.fetch(pid)?;
+                with_page(&guard, |p| {
+                    for slot in 0..p.slot_count() {
+                        // `get` passes over tombstoned slots.
+                        if let Some(row) = p.get(slot) {
+                            let key = encoded_key(row, &schema.primary_key, &mut fields)?;
+                            entries.push((key, RowId { page: pid, slot }));
+                        }
                     }
-                }
+                    Ok::<_, Error>(())
+                })?;
             }
             // Collecting sorts once and bulk-builds the tree.
             *self.indexes.index_for(id).lock() = entries.into_iter().collect();
@@ -787,6 +796,180 @@ impl Iterator for ScanIter {
                 Err(e) => return Some(Err(e)),
             };
             self.buf_idx = 0;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::Column;
+    use crate::storage::disk::{DiskModel, MemDisk};
+    use crate::types::DataType;
+    use crate::wal::log::LogStore;
+    use crate::wal::recovery::{bootstrap, recover};
+
+    fn durable() -> (Arc<MemDisk>, Arc<LogStore>) {
+        (
+            Arc::new(MemDisk::new(DiskModel::default())),
+            Arc::new(LogStore::new()),
+        )
+    }
+
+    /// Run one DDL top action as a batch of its own, forced.
+    fn ddl<T>(st: &Storage, f: impl FnOnce(&mut DdlBatch) -> Result<T>) -> T {
+        let mut batch = DdlBatch::default();
+        let v = f(&mut batch).unwrap();
+        st.finish_ddl(batch).unwrap();
+        v
+    }
+
+    /// A composite PK out of schema order over FLOAT, STR, INT and DATE
+    /// key columns, with a non-key string column after them.
+    fn mixed_schema() -> TableSchema {
+        TableSchema::new(
+            "mixed",
+            vec![
+                Column::new("c0", DataType::Int),
+                Column::new("c1", DataType::Str),
+                Column::new("c2", DataType::Date),
+                Column::new("c3", DataType::Float),
+                Column::new("note", DataType::Str),
+            ],
+        )
+        .with_primary_key(vec![3, 1, 0, 2])
+    }
+
+    fn mixed_row(i: i64) -> Row {
+        vec![
+            Value::Int(-7 * i),
+            Value::Str(["grüße", "日本語", "", "🦀 ok"][i as usize % 4].into()),
+            Value::Date(9000 - i as i32),
+            Value::Float((i % 5) as f64 * 1.5 - 3.0),
+            Value::Str(format!("nöte-{i}")),
+        ]
+    }
+
+    fn index_of(st: &Storage, table: TableId) -> BTreeMap<Vec<u8>, RowId> {
+        st.indexes.index_for(table).lock().clone()
+    }
+
+    /// The index as the decoding rebuild made it: `pk_key_bytes` of every
+    /// decoded live row.
+    fn decoded_index(st: &Storage, table: TableId) -> BTreeMap<Vec<u8>, RowId> {
+        let schema = st.catalog.get(table).unwrap().read().schema.clone();
+        st.scan_all(table)
+            .unwrap()
+            .into_iter()
+            .map(|(rid, row)| (pk_key_bytes(&schema, &row).unwrap(), rid))
+            .collect()
+    }
+
+    fn lookups(st: &Arc<Storage>, table: TableId) -> Vec<Vec<(RowId, Row)>> {
+        let key_of = |i| [3, 1, 0, 2].map(|c| mixed_row(i)[c].clone()).to_vec();
+        let probes = [
+            vec![Value::Float(-1.5)],
+            vec![Value::Float(-3.0), Value::Str("日本語".into())],
+            vec![
+                Value::Float(0.0),
+                Value::Str("grüße".into()),
+                Value::Int(-224),
+            ],
+            key_of(34),
+            // A deleted row's key, and a key no row ever had.
+            key_of(33),
+            vec![Value::Null; 4],
+        ];
+        probes
+            .iter()
+            .map(|p| {
+                st.scan_key_prefix(table, p)
+                    .unwrap()
+                    .collect::<Result<Vec<_>>>()
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn restart_rebuilds_byte_identical_indexes_from_encoded_rows() {
+        let (disk, store) = durable();
+        let (tid, before, found) = {
+            let st = Arc::new(
+                bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap(),
+            );
+            let tid = ddl(&st, |b| st.create_table(b, mixed_schema()));
+            let t = st.begin();
+            for i in 0..400 {
+                st.insert_row(&t, tid, &mixed_row(i)).unwrap();
+            }
+            st.commit(&t).unwrap();
+            st.checkpoint().unwrap();
+            // Tombstones on every page, some after the checkpoint.
+            let t = st.begin();
+            for i in (0..400).step_by(3) {
+                let key = pk_key_bytes(&mixed_schema(), &mixed_row(i)).unwrap();
+                let rid = *index_of(&st, tid).get(&key).unwrap();
+                st.delete_row(&t, tid, rid).unwrap();
+            }
+            for i in 400..420 {
+                st.insert_row(&t, tid, &mixed_row(i)).unwrap();
+            }
+            st.commit(&t).unwrap();
+            let before = index_of(&st, tid);
+            let found = lookups(&st, tid);
+            assert!(found[..4].iter().all(|rows| !rows.is_empty()));
+            assert!(found[4..].iter().all(|rows| rows.is_empty()));
+            // A durable loser whose insert and delete restart must undo.
+            let loser = st.begin();
+            st.insert_row(&loser, tid, &mixed_row(1000)).unwrap();
+            let rid = *before.values().next().unwrap();
+            st.delete_row(&loser, tid, rid).unwrap();
+            st.log.flush_all().unwrap();
+            (tid, before, found)
+        };
+        let (st, stats) = recover(disk, store, Default::default()).unwrap();
+        assert_eq!(stats.losers_rolled_back, 1);
+        let st = Arc::new(st);
+        let rebuilt = index_of(&st, tid);
+        assert_eq!(rebuilt, decoded_index(&st, tid));
+        assert_eq!(rebuilt, before);
+        assert_eq!(lookups(&st, tid), found);
+    }
+
+    #[test]
+    fn restart_fails_on_a_corrupt_row_in_a_checksummed_page() {
+        let mut valid = Vec::new();
+        encode_row(&mixed_row(2)[..4], &mut valid);
+        valid[..2].copy_from_slice(&5u16.to_be_bytes());
+        // The non-key `note` column: an unknown tag, or a string whose
+        // bytes are not UTF-8.
+        let mut bad_tag = valid.clone();
+        bad_tag.push(0x7F);
+        let mut bad_utf8 = valid;
+        bad_utf8.push(3);
+        bad_utf8.extend_from_slice(&2u32.to_be_bytes());
+        bad_utf8.extend_from_slice(&[0xC3, 0x28]);
+        for bad in [bad_tag, bad_utf8] {
+            let (disk, store) = durable();
+            {
+                let st =
+                    bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
+                let tid = ddl(&st, |b| st.create_table(b, mixed_schema()));
+                let t = st.begin();
+                st.insert_row(&t, tid, &mixed_row(1)).unwrap();
+                st.commit(&t).unwrap();
+                let pid = *st.catalog.get(tid).unwrap().read().pages.last().unwrap();
+                let guard = st.pool.fetch(pid).unwrap();
+                Page::new(&mut guard.write()).insert(&bad).unwrap();
+                // The checkpoint stamps the page with a valid checksum.
+                st.checkpoint().unwrap();
+            }
+            match recover(disk, store, Default::default()) {
+                Err(Error::Corruption { .. }) => {}
+                Err(e) => panic!("restart failed with {e}, not corruption"),
+                Ok(_) => panic!("restart accepted a corrupt row"),
+            }
         }
     }
 }

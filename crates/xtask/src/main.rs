@@ -13,13 +13,18 @@
 //!   tolerance bands from `<baselines>/gate.json`, and/or validate
 //!   streaming JSON-lines series files (see [`xtask::benchgate`]).
 //! * `cargo xtask ci` — the full pre-merge gate: `fmt --check`,
-//!   `clippy`, `lint`, `analyze`, `test`, fault enumeration, chaos soak,
-//!   obskit snapshot and lockcheck witness validation, perf baselines
-//!   via `bench-gate`, failing fast on the first broken step.
+//!   `clippy`, `lint`, `analyze`, `test` (twice: on the default test
+//!   threads and on one, failing if any test's outcome differs), fault
+//!   enumeration, chaos soak, obskit snapshot and lockcheck witness
+//!   validation, perf baselines via `bench-gate`, failing fast on the
+//!   first broken step.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::env;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
+use std::time::Instant;
 
 use obskit::json::Json;
 use xtask::analyze::{Analysis, Workspace};
@@ -284,6 +289,82 @@ fn step(name: &str, cmd: &mut Command) -> bool {
     }
 }
 
+/// Every test's outcome in one `cargo test` run (`ok`, `FAILED`,
+/// `ignored`, …), keyed by the test binary's `Running`/`Doc-tests` line
+/// and the test's name.
+type Outcomes = BTreeMap<String, String>;
+
+/// Fold one line of non-quiet `cargo test` output into `outcomes`;
+/// `binary` tracks the test binary the following lines belong to.
+/// Returns whether the line reports a passing test, which the CI log
+/// leaves out.
+fn record_test_line(line: &str, binary: &mut String, outcomes: &mut Outcomes) -> bool {
+    let trimmed = line.trim_start();
+    if trimmed.starts_with("Running ") || trimmed.starts_with("Doc-tests ") {
+        *binary = trimmed.to_string();
+    } else if let Some((test, outcome)) = line
+        .strip_prefix("test ")
+        .and_then(|l| l.split_once(" ... "))
+    {
+        outcomes.insert(format!("{binary} :: {test}"), outcome.to_string());
+        return outcome == "ok";
+    }
+    false
+}
+
+/// Run a non-quiet `cargo test` as a CI step: echo its output (stdout
+/// and stderr through one pipe, so each test line follows its binary's
+/// `Running` line) except passing tests' lines, and collect every test's
+/// outcome. Returns whether the run succeeded and what each test did.
+fn test_step(name: &str, mut cmd: Command) -> (bool, Outcomes) {
+    println!("== xtask ci: {name} ==");
+    let run = || -> std::io::Result<(bool, Outcomes)> {
+        let (reader, writer) = std::io::pipe()?;
+        cmd.stdout(writer.try_clone()?).stderr(writer);
+        let mut child = cmd.spawn()?;
+        // The command holds write ends of the pipe; EOF needs them closed.
+        drop(cmd);
+        let mut binary = String::new();
+        let mut outcomes = Outcomes::new();
+        for line in BufReader::new(reader).lines() {
+            let line = line?;
+            if !record_test_line(&line, &mut binary, &mut outcomes) {
+                println!("{line}");
+            }
+        }
+        Ok((child.wait()?.success(), outcomes))
+    };
+    let (ran, outcomes) = run().unwrap_or_else(|e| {
+        eprintln!("xtask ci: cannot run step `{name}`: {e}");
+        (false, Outcomes::new())
+    });
+    let ok = ran && !outcomes.is_empty();
+    if !ok {
+        eprintln!(
+            "xtask ci: step `{name}` failed ({} test outcomes read)",
+            outcomes.len()
+        );
+    }
+    (ok, outcomes)
+}
+
+/// The tests whose outcome differs between two runs, one line each (a
+/// test that ran in only one of them reads `absent` in the other).
+fn outcome_differences(parallel: &Outcomes, serial: &Outcomes) -> Vec<String> {
+    let keys: BTreeSet<&String> = parallel.keys().chain(serial.keys()).collect();
+    let show = |o: Option<&String>| o.map_or("absent", String::as_str).to_string();
+    keys.into_iter()
+        .filter(|k| parallel.get(*k) != serial.get(*k))
+        .map(|k| {
+            format!(
+                "{k}: {} on the default test threads, {} on one",
+                show(parallel.get(k)),
+                show(serial.get(k))
+            )
+        })
+        .collect()
+}
+
 /// Read and parse one exported JSON artifact, reporting why it is
 /// unusable.
 fn read_json(path: &Path) -> Option<Json> {
@@ -486,12 +567,36 @@ fn ci() -> ExitCode {
             println!("== xtask ci: analyze ==");
             report_analysis(a, false) == ExitCode::SUCCESS
         });
-    let test_ok = analyze_ok && step("test", &mut cargo(&["test", "--workspace", "-q"]));
+    let (test_ok, parallel) = if analyze_ok {
+        test_step("test", cargo(&["test", "--workspace"]))
+    } else {
+        (false, Outcomes::new())
+    };
+    // Tier-1 must not depend on how tests are scheduled: tests share
+    // process-global registries (faultkit, obskit metrics and trace ring,
+    // lockcheck), so the same suite runs again on one test thread and
+    // every test must end the same way in both runs.
+    let serial_ok = test_ok && {
+        let started = Instant::now();
+        let mut serial_cmd = cargo(&["test", "--workspace"]);
+        serial_cmd.env("RUST_TEST_THREADS", "1");
+        let (ran, serial) = test_step("test (RUST_TEST_THREADS=1)", serial_cmd);
+        let differences = outcome_differences(&parallel, &serial);
+        for d in &differences {
+            eprintln!("xtask ci: test outcome differs: {d}");
+        }
+        println!(
+            "xtask ci: one-thread run took {:.0?}; {} test outcome(s) differ",
+            started.elapsed(),
+            differences.len()
+        );
+        ran && differences.is_empty()
+    };
     // The crashpoint enumeration suite already ran once under `test`;
     // this second pass pins the seeded-schedule proptest to a fixed
     // fault seed so the gate exercises one reproducible schedule set
     // regardless of what the default seed drifts to.
-    let faults_ok = test_ok
+    let faults_ok = serial_ok
         && step(
             "fault enumeration (FAULTKIT_SEED=2026)",
             integration_test(&["fault_injection"]).env("FAULTKIT_SEED", "2026"),
@@ -679,4 +784,67 @@ fn ci() -> ExitCode {
         println!("== xtask ci: all green ==");
     }
     exit(series_ok)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn outcomes_of(log: &str) -> Outcomes {
+        let mut binary = String::new();
+        let mut outcomes = Outcomes::new();
+        for line in log.lines() {
+            record_test_line(line, &mut binary, &mut outcomes);
+        }
+        outcomes
+    }
+
+    const LOG: &str = "\
+     Running unittests src/lib.rs (target/debug/deps/a-1f)
+running 2 tests
+test m::same_name ... ok
+test m::slow ... ignored, runs for minutes
+test result: ok. 1 passed; 0 failed; 1 ignored
+     Running tests/it.rs (target/debug/deps/it-2e)
+test m::same_name ... FAILED
+test m::long has been running for over 60 seconds
+   Doc-tests a
+test src/lib.rs - f (line 3) ... ok
+";
+
+    #[test]
+    fn test_lines_are_keyed_by_their_binary() {
+        let o = outcomes_of(LOG);
+        assert_eq!(o.len(), 4, "{o:?}");
+        let get = |k: &str| o.get(k).map(String::as_str);
+        assert_eq!(
+            get("Running unittests src/lib.rs (target/debug/deps/a-1f) :: m::same_name"),
+            Some("ok")
+        );
+        assert_eq!(
+            get("Running tests/it.rs (target/debug/deps/it-2e) :: m::same_name"),
+            Some("FAILED")
+        );
+        assert_eq!(
+            get("Running unittests src/lib.rs (target/debug/deps/a-1f) :: m::slow"),
+            Some("ignored, runs for minutes")
+        );
+        assert_eq!(get("Doc-tests a :: src/lib.rs - f (line 3)"), Some("ok"));
+    }
+
+    #[test]
+    fn differences_name_changed_and_missing_tests() {
+        let parallel = outcomes_of(LOG);
+        assert!(outcome_differences(&parallel, &parallel).is_empty());
+        let mut serial = outcomes_of(&LOG.replace("same_name ... FAILED", "same_name ... ok"));
+        serial.remove("Doc-tests a :: src/lib.rs - f (line 3)");
+        let d = outcome_differences(&parallel, &serial);
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d
+            .iter()
+            .any(|l| l.ends_with("FAILED on the default test threads, ok on one")));
+        assert!(d
+            .iter()
+            .any(|l| l.ends_with("ok on the default test threads, absent on one")));
+    }
 }

@@ -5,7 +5,8 @@
 #   -> xtask lint (panic-path / lock-discipline / error-hygiene rules on
 #      the token stream analyze also reads)
 #   -> xtask analyze (lock-order graph + instrumentation coverage)
-#   -> cargo test --workspace -> fault enumeration -> chaos soak
+#   -> cargo test --workspace, then again with RUST_TEST_THREADS=1 (each
+#      test's outcome must agree) -> fault enumeration -> chaos soak
 #   -> obskit snapshot + lockcheck witness validation
 #   -> bench-gate perf baselines (checked-in twins, fast live subset,
 #      streaming-series invariants)
