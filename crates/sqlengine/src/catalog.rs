@@ -81,7 +81,10 @@ impl Catalog {
         Ok(id)
     }
 
-    /// Redo path: recreate a table under a known id. Idempotent.
+    /// Redo path: recreate a table under a known id. Idempotent. A name
+    /// another table holds stays with it: replay from below a checkpoint
+    /// can meet the CreateTable of a table the snapshot already saw
+    /// dropped, and the holder was created after that drop.
     pub fn create_table_with_id(&self, id: TableId, schema: TableSchema) {
         let mut inner = self.inner.write();
         let key = norm(&schema.name);
@@ -89,7 +92,7 @@ impl Catalog {
             return;
         }
         inner.next_table_id = inner.next_table_id.max(id + 1);
-        inner.by_name.insert(key, id);
+        inner.by_name.entry(key).or_insert(id);
         inner.tables.insert(
             id,
             Arc::new(RwLock::new(TableMeta {
@@ -108,7 +111,9 @@ impl Catalog {
             .remove(&id)
             .ok_or_else(|| Error::NotFound(format!("table id {id}")))?;
         let name = norm(&meta.read().schema.name);
-        inner.by_name.remove(&name);
+        if inner.by_name.get(&name) == Some(&id) {
+            inner.by_name.remove(&name);
+        }
         Ok(())
     }
 
@@ -343,6 +348,18 @@ mod tests {
             *cat.get(id2).unwrap().read()
         );
         assert_eq!(back.get_proc("P").unwrap(), "SELECT 1");
+    }
+
+    #[test]
+    fn replay_below_a_snapshot_keeps_a_reused_name() {
+        // The snapshot saw `t` (id 5) dropped and `t` (id 6) created;
+        // replay from below it meets all three records again.
+        let cat = Catalog::new();
+        cat.create_table_with_id(6, schema("t"));
+        cat.create_table_with_id(5, schema("t"));
+        cat.drop_table_if_exists(5);
+        cat.create_table_with_id(6, schema("t"));
+        assert_eq!(cat.resolve("t").unwrap().read().id, 6);
     }
 
     #[test]

@@ -407,7 +407,9 @@ impl Engine {
         }
     }
 
-    /// Quiesced checkpoint (bench setup path).
+    /// Checkpoint (see [`Storage::checkpoint`]). Transactions may be
+    /// open: the record's `scan_from` reaches back to the Begin of every
+    /// open writer, so restart still finds and undoes them.
     pub fn checkpoint(&self) -> Result<()> {
         self.storage.checkpoint()
     }
@@ -564,6 +566,34 @@ mod tests {
         let s = e2.create_session().unwrap();
         let (_, rows) = e2.execute_collect(s, "SELECT * FROM t").unwrap();
         assert_eq!(rows.len(), 3, "uncommitted insert must be gone");
+    }
+
+    /// A checkpoint flushes an open writer's uncommitted page; restart
+    /// must still find the writer and undo it.
+    #[test]
+    fn checkpoint_beside_an_open_writer_keeps_it_a_loser() {
+        let d = Durable::new(DiskModel::default());
+        {
+            let e = Engine::recover(&d, RecoveryConfig::default()).unwrap();
+            let a = e.create_session().unwrap();
+            e.execute(a, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+                .unwrap();
+            e.execute(a, "INSERT INTO t VALUES (1, 1)").unwrap();
+            e.execute(a, "BEGIN TRAN").unwrap();
+            e.execute(a, "INSERT INTO t VALUES (2, 2)").unwrap();
+            let b = e.create_session().unwrap();
+            e.execute(b, "CHECKPOINT").unwrap();
+            e.mark_shutdown();
+            d.fence();
+        }
+        let e2 = Engine::recover(&d, RecoveryConfig::default()).unwrap();
+        let stats = e2.recovery_stats();
+        // The loser's one insert is undone. (The CHECKPOINT statement's
+        // own read-only commit was never forced: a loser with no undo.)
+        assert_eq!(stats.undo_actions, 1, "{stats:?}");
+        let s = e2.create_session().unwrap();
+        let (_, rows) = e2.execute_collect(s, "SELECT id FROM t").unwrap();
+        assert_eq!(rows, vec![vec![Value::Int(1)]]);
     }
 
     #[test]

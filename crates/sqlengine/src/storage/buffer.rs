@@ -12,7 +12,8 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use super::disk::{page_image_ok, MemDisk, PageId, PAGE_SIZE};
 use super::page::{Page, PageRef};
 use crate::error::Result;
-use crate::wal::log::{ClrAction, LogManager, LogRecord};
+use crate::wal::log::LogManager;
+use crate::wal::recovery::redo;
 
 /// A cached page frame.
 pub struct Frame {
@@ -147,8 +148,8 @@ impl BufferPool {
     }
 
     /// Rebuild page `id` from the durable log: start from a zeroed image
-    /// and replay every durable record touching the page, LSN-guarded
-    /// exactly like restart redo. Sound because the caller holds no
+    /// and replay every durable record touching the page through
+    /// [`redo`], the routine restart redo applies records with. Sound because the caller holds no
     /// cached frame for the page (this runs on a pool miss), so the WAL
     /// rule guarantees every record for the last flushed image is
     /// durable. Counts `storage.corruption.{detected,repaired}` and
@@ -165,34 +166,8 @@ impl BufferPool {
         // once, in LSN order (the very first record of the log has LSN
         // 0, which an `lsn() < lsn` guard would wrongly skip).
         for (lsn, rec) in self.log.store().records_from(0)? {
-            match rec {
-                LogRecord::AllocPage { table, page } if page == id => {
-                    let mut p = Page::init(&mut buf, table);
-                    p.set_lsn(lsn);
-                }
-                LogRecord::Insert {
-                    page, slot, data, ..
-                } if page == id => {
-                    let mut p = Page::new(&mut buf);
-                    p.insert_expect(slot, &data)?;
-                    p.set_lsn(lsn);
-                }
-                LogRecord::Delete { page, slot, .. } if page == id => {
-                    let mut p = Page::new(&mut buf);
-                    p.tombstone(slot)?;
-                    p.set_lsn(lsn);
-                }
-                LogRecord::Clr {
-                    page, slot, action, ..
-                } if page == id => {
-                    let mut p = Page::new(&mut buf);
-                    match action {
-                        ClrAction::Tombstone => p.tombstone(slot)?,
-                        ClrAction::Untombstone => p.untombstone(slot)?,
-                    }
-                    p.set_lsn(lsn);
-                }
-                _ => {}
+            if rec.page().is_some_and(|(_, page)| page == id) {
+                redo(&mut buf, lsn, &rec)?;
             }
         }
         metrics.counter("storage.corruption.repaired").incr();
@@ -376,25 +351,6 @@ impl std::fmt::Debug for BufferPool {
     }
 }
 
-/// Convenience: run `f` with a mutable [`Page`] view of the guard,
-/// stamping `lsn` afterwards.
-pub fn with_page_mut<R>(
-    guard: &PageGuard,
-    lsn: u64,
-    f: impl FnOnce(&mut Page<'_>) -> Result<R>,
-) -> Result<R> {
-    let mut data = guard.write();
-    let mut page = Page::new(&mut data);
-    let r = f(&mut page)?;
-    // Never move the page LSN backwards: redo passes record LSNs older
-    // than the page when it skips already-applied records, and regressing
-    // the LSN would make a later flush + recovery re-apply them.
-    if lsn > page.lsn() {
-        page.set_lsn(lsn);
-    }
-    Ok(r)
-}
-
 /// Convenience: run `f` with a read-only [`super::page::PageRef`] view,
 /// holding only the frame's shared lock.
 pub fn with_page<R>(guard: &PageGuard, f: impl FnOnce(&super::page::PageRef<'_>) -> R) -> R {
@@ -413,9 +369,27 @@ fn _assert_send_sync() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{Column, TableId, TableSchema};
     use crate::storage::disk::DiskModel;
-    use crate::wal::log::LogStore;
+    use crate::storage::heap::{DdlBatch, RowId, Storage};
+    use crate::storage::page::PAGE_CONTENT;
+    use crate::types::{DataType, Value};
+    use crate::wal::log::{LogRecord, LogStore};
+    use crate::wal::recovery::{bootstrap, recover};
     use faultkit::disk::{DiskFaultKind, DiskPlan};
+
+    /// Run `f` on a mutable view of the pinned page, then stamp `lsn`.
+    fn with_page_mut(
+        guard: &PageGuard,
+        lsn: u64,
+        f: impl FnOnce(&mut Page<'_>) -> Result<()>,
+    ) -> Result<()> {
+        let mut data = guard.write();
+        let mut page = Page::new(&mut data);
+        f(&mut page)?;
+        page.set_lsn(lsn);
+        Ok(())
+    }
 
     fn pool(capacity: usize) -> BufferPool {
         let disk = Arc::new(MemDisk::new(DiskModel::default()));
@@ -509,6 +483,136 @@ mod tests {
         let mut raw = [0u8; PAGE_SIZE];
         pool.disk().read_page(pid, &mut raw).unwrap();
         assert!(page_image_ok(&raw));
+    }
+
+    fn table(st: &Storage, name: &str) -> TableId {
+        let mut ddl = DdlBatch::default();
+        let schema = TableSchema::new(
+            name,
+            vec![
+                Column::new("id", DataType::Int),
+                Column::new("v", DataType::Str),
+            ],
+        )
+        .with_primary_key(vec![0]);
+        let id = st.create_table(&mut ddl, schema).unwrap();
+        st.finish_ddl(ddl).unwrap();
+        id
+    }
+
+    fn row(i: i64) -> Vec<Value> {
+        vec![Value::Int(i), Value::Str(format!("row-{i}"))]
+    }
+
+    /// A kernel whose two data pages have every page record in their
+    /// durable history. Page `a` holds inserts, a delete, and the CLRs
+    /// of a runtime abort of an insert (tombstone) and of a delete
+    /// (untombstone). Page `c` belonged to a dropped table before a new
+    /// AllocPage reformatted it. Returns the kernel and both pages.
+    fn full_history(disk: &Arc<MemDisk>, store: &Arc<LogStore>) -> (Storage, [PageId; 2]) {
+        let st = bootstrap(Arc::clone(disk), Arc::clone(store), Default::default()).unwrap();
+        let a = table(&st, "a");
+        let t = st.begin();
+        let rids: Vec<RowId> = (0..4)
+            .map(|i| st.insert_row(&t, a, &row(i)).unwrap())
+            .collect();
+        st.commit(&t).unwrap();
+        let t = st.begin();
+        st.delete_row(&t, a, rids[1]).unwrap();
+        st.commit(&t).unwrap();
+        let t = st.begin();
+        st.insert_row(&t, a, &row(10)).unwrap();
+        st.abort(&t).unwrap();
+        let t = st.begin();
+        st.delete_row(&t, a, rids[2]).unwrap();
+        st.abort(&t).unwrap();
+
+        let b = table(&st, "b");
+        let t = st.begin();
+        let dropped = st.insert_row(&t, b, &row(20)).unwrap().page;
+        st.commit(&t).unwrap();
+        let mut ddl = DdlBatch::default();
+        st.drop_table(&mut ddl, "b").unwrap();
+        st.finish_ddl(ddl).unwrap();
+        let c = table(&st, "c");
+        let t = st.begin();
+        let reused = st.insert_row(&t, c, &row(30)).unwrap().page;
+        st.commit(&t).unwrap();
+        assert_eq!(reused, dropped, "c must reuse the page b gave back");
+        assert_ne!(reused, rids[0].page);
+        (st, [rids[0].page, reused])
+    }
+
+    /// A page image without the checksum trailer the disk stamps.
+    fn content(image: &[u8; PAGE_SIZE]) -> Vec<u8> {
+        image[..PAGE_CONTENT].to_vec()
+    }
+
+    fn live(image: &[u8; PAGE_SIZE]) -> Vec<u16> {
+        PageRef::new(image).live_slots().collect()
+    }
+
+    #[test]
+    fn repair_rebuilds_exact_images_of_every_record_kind() {
+        let disk = Arc::new(MemDisk::new(DiskModel::default()));
+        let store = Arc::new(LogStore::new());
+        let (st, pages) = full_history(&disk, &store);
+        st.log.flush_all().unwrap();
+        st.pool.flush_all().unwrap();
+        for pid in pages {
+            let mut durable = [0u8; PAGE_SIZE];
+            disk.read_page(pid, &mut durable).unwrap();
+            corrupt_on_disk(&st.pool, pid);
+            let repaired = st.pool.repair_page(pid).unwrap();
+            assert_eq!(content(&repaired), content(&durable));
+            // Page `a`: slot 1 deleted, slot 4's insert aborted (tombstone
+            // CLR), slot 2's delete aborted (untombstone CLR).
+            let want: &[u16] = if pid == pages[0] { &[0, 2, 3] } else { &[0] };
+            assert_eq!(live(&repaired), want);
+            evict_all(&st.pool);
+            let g = st.pool.fetch(pid).unwrap();
+            assert_eq!(content(&g.read()), content(&durable), "page {pid}");
+        }
+    }
+
+    #[test]
+    fn restart_redo_and_repair_agree_on_every_page() {
+        let disk = Arc::new(MemDisk::new(DiskModel::default()));
+        let store = Arc::new(LogStore::new());
+        {
+            let (st, pages) = full_history(&disk, &store);
+            // Half the history reaches the disk; redo replays the rest.
+            st.pool.flush_all().unwrap();
+            let a = st.catalog.resolve("a").unwrap().read().id;
+            let t = st.begin();
+            st.insert_row(&t, a, &row(40)).unwrap();
+            st.commit(&t).unwrap();
+            // A durable loser for restart undo.
+            let loser = st.begin();
+            st.insert_row(&loser, a, &row(50)).unwrap();
+            let rid = RowId {
+                page: pages[0],
+                slot: 0,
+            };
+            st.delete_row(&loser, a, rid).unwrap();
+            st.log.flush_all().unwrap();
+        }
+        let (st, stats) = recover(disk, store, Default::default()).unwrap();
+        assert_eq!(stats.undo_actions, 2, "{stats:?}");
+        let owned = st.catalog.owned_pages();
+        assert_eq!(owned.len(), 2);
+        let a = st.catalog.resolve("a").unwrap().read().pages[0];
+        // The loser's insert (slot 6) and delete (slot 0) are undone.
+        assert_eq!(live(&st.pool.fetch(a).unwrap().read()), [0, 2, 3, 5]);
+        for pid in owned {
+            let g = st.pool.fetch(pid).unwrap();
+            let restarted = content(&g.read());
+            assert_eq!(
+                restarted,
+                content(&st.pool.repair_page(pid).unwrap()),
+                "page {pid}"
+            );
+        }
     }
 
     #[test]

@@ -8,16 +8,17 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use super::buffer::{with_page, with_page_mut, BufferPool};
-use super::disk::PageId;
-use super::page::Page;
+use super::buffer::{with_page, BufferPool};
+use super::disk::{PageId, PAGE_SIZE};
+use super::page::PageRef;
 use crate::catalog::{Catalog, TableMeta};
 use crate::error::{Error, Result};
 use crate::schema::{decode_row, encode_row, encoded_key, TableId, TableSchema};
 use crate::txn::locks::{LockManager, LockMode, LockTarget};
 use crate::txn::{TxnHandle, TxnManager, UndoEntry};
 use crate::types::{Row, Value};
-use crate::wal::log::{ClrAction, LogManager, LogRecord, Lsn};
+use crate::wal::log::{ClrAction, LogManager, LogRecord, Lsn, TxnId};
+use crate::wal::recovery::{compensate, redo, undo_entry};
 
 /// Physical row address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -129,6 +130,9 @@ pub struct Storage {
     /// Dropped tables whose pages wait for the last transaction holding
     /// a lock on the table to end (see [`Storage::drop_table`]).
     dropped: Mutex<Vec<Arc<RwLock<TableMeta>>>>,
+    /// Begin LSN of every open transaction that has logged an update
+    /// (see [`Storage::checkpoint`]).
+    writers: Mutex<HashMap<TxnId, Lsn>>,
 }
 
 impl Storage {
@@ -147,6 +151,7 @@ impl Storage {
             txns,
             indexes: IndexManager::default(),
             dropped: Mutex::new(Vec::new()),
+            writers: Mutex::new(HashMap::new()),
         }
     }
 
@@ -155,8 +160,8 @@ impl Storage {
     /// Begin a transaction (logs `Begin`). It joins group-commit company
     /// at its first update.
     pub fn begin(&self) -> TxnHandle {
-        let txn = self.txns.begin();
-        self.log.append(&LogRecord::Begin { txn: txn.id });
+        let mut txn = self.txns.begin();
+        txn.begin_lsn = self.log.append(&LogRecord::Begin { txn: txn.id });
         txn
     }
 
@@ -177,17 +182,45 @@ impl Storage {
         }
     }
 
-    /// Count `txn` out of company (once), after its commit or abort.
-    fn leave_company(&self, txn: &TxnHandle) {
-        if txn.exit_company() {
-            self.log.leave_company();
+    /// Count `txn` among the open writers (once), before it logs anything
+    /// for its first insert or delete (see [`Storage::checkpoint`]).
+    fn open_writer(&self, txn: &TxnHandle) {
+        if txn.enter_writers() {
+            self.writers.lock().insert(txn.id, txn.begin_lsn);
         }
     }
 
-    /// Record an undoable action; the first one joins company.
-    fn push_undo(&self, txn: &TxnHandle, e: UndoEntry) {
-        txn.push_undo(e);
-        self.join_company(txn);
+    /// Count `txn` out of company (once), after its commit or abort. It
+    /// leaves the open writers only if that succeeded: a writer whose
+    /// commit or abort failed may still be a loser, which a checkpoint's
+    /// `scan_from` must keep in reach.
+    fn leave(&self, txn: &TxnHandle, ended: bool) {
+        if txn.exit_company() {
+            self.log.leave_company();
+        }
+        if ended && txn.exit_writers() {
+            self.writers.lock().remove(&txn.id);
+        }
+    }
+
+    /// Log `rec`, one of `txn`'s row updates, apply it to the latched
+    /// page `image` and remember its inverse; the first update joins
+    /// company. Append and apply must be atomic under the page latch:
+    /// with row-level locking, transactions on different rows interleave
+    /// on one page, and redo needs page LSNs to rise in application order.
+    fn log_update(
+        &self,
+        txn: &TxnHandle,
+        image: &mut [u8; PAGE_SIZE],
+        rec: &LogRecord,
+    ) -> Result<()> {
+        let lsn = self.log.append(rec);
+        redo(image, lsn, rec)?;
+        if let Some(e) = undo_entry(lsn, rec) {
+            txn.push_undo(e);
+            self.join_company(txn);
+        }
+        Ok(())
     }
 
     /// Commit: log, force the log (possibly riding a group-commit
@@ -205,7 +238,7 @@ impl Storage {
     /// whether or not the commit succeeded.
     pub fn commit(&self, txn: &TxnHandle) -> Result<()> {
         let r = self.commit_inner(txn);
-        self.leave_company(txn);
+        self.leave(txn, r.is_ok());
         r
     }
 
@@ -232,7 +265,7 @@ impl Storage {
     /// Like [`Storage::commit`], it leaves company on every exit.
     pub fn abort(&self, txn: &TxnHandle) -> Result<()> {
         let r = self.abort_inner(txn);
-        self.leave_company(txn);
+        self.leave(txn, r.is_ok());
         r
     }
 
@@ -248,52 +281,24 @@ impl Storage {
 
     fn apply_undo(&self, txn: &TxnHandle, e: &UndoEntry) -> Result<()> {
         let guard = self.pool.fetch(e.page)?;
-        let schema_has_pk = self
-            .catalog
-            .get(e.table)
-            .map(|m| !m.read().schema.primary_key.is_empty())
-            .unwrap_or(false);
-        // CLR append + page action atomically under the page latch; index
-        // maintenance afterwards (page latch → index lock ordering would
-        // otherwise invert against insert_row).
-        let row_bytes = {
-            let mut data = guard.write();
-            let mut page = Page::new(&mut data);
-            let lsn = self.log.append(&LogRecord::Clr {
-                txn: txn.id,
-                undoes: e.lsn,
-                action: e.action,
-                table: e.table,
-                page: e.page,
-                slot: e.slot,
-            });
-            let bytes = if schema_has_pk {
-                page.get_raw(e.slot).map(|b| b.to_vec())
-            } else {
-                None
-            };
-            match e.action {
-                ClrAction::Tombstone => page.tombstone(e.slot)?,
-                ClrAction::Untombstone => page.untombstone(e.slot)?,
-            }
-            page.set_lsn(lsn);
-            bytes
+        compensate(&self.log, &guard, txn.id, e)?;
+        // Index maintenance once the page latch is released (page latch →
+        // index lock ordering would otherwise invert against insert_row).
+        // A tombstone keeps the row's bytes in the page.
+        let Some(bytes) = with_page(&guard, |p| p.get_raw(e.slot).map(<[u8]>::to_vec)) else {
+            return Ok(());
         };
-        if let Some(bytes) = row_bytes {
-            let row = decode_row(&bytes)?;
-            match e.action {
-                ClrAction::Tombstone => self.index_remove(e.table, &row)?,
-                ClrAction::Untombstone => self.index_add_unchecked(
-                    e.table,
-                    &row,
-                    RowId {
-                        page: e.page,
-                        slot: e.slot,
-                    },
-                )?,
+        let row = decode_row(&bytes)?;
+        match e.action {
+            ClrAction::Tombstone => self.index_remove(e.table, &row),
+            ClrAction::Untombstone => {
+                let rid = RowId {
+                    page: e.page,
+                    slot: e.slot,
+                };
+                self.index_add_unchecked(e.table, &row, rid)
             }
         }
-        Ok(())
     }
 
     // -- DDL (top actions: logged and applied now, durable once the batch's
@@ -435,10 +440,7 @@ impl Storage {
         let mut bytes = Vec::new();
         encode_row(row, &mut bytes);
 
-        // Apply: the log append and the page mutation must be atomic under
-        // the page's write latch — with row-level locking, transactions on
-        // different rows interleave on the same page, and redo correctness
-        // depends on page LSNs increasing in application order.
+        self.open_writer(txn);
         let mut candidate = last_page;
         let rid = loop {
             let (pid, guard) = match candidate.take() {
@@ -446,38 +448,26 @@ impl Storage {
                 None => {
                     // Allocate a fresh page (top action).
                     let (pid, guard) = self.pool.new_page(table)?;
-                    let lsn = self.log.append(&LogRecord::AllocPage { table, page: pid });
-                    with_page_mut(&guard, lsn, |_| Ok(()))?;
+                    let alloc = LogRecord::AllocPage { table, page: pid };
+                    redo(&mut guard.write(), self.log.append(&alloc), &alloc)?;
                     self.catalog.add_page(table, pid)?;
                     (pid, guard)
                 }
             };
             let mut data = guard.write();
-            let mut page = Page::new(&mut data);
+            let page = PageRef::new(&data);
             if !page.fits(bytes.len()) {
                 continue; // allocate a new page next iteration
             }
             let slot = page.slot_count();
-            let lsn = self.log.append(&LogRecord::Insert {
+            let insert = LogRecord::Insert {
                 txn: txn.id,
                 table,
                 page: pid,
                 slot,
-                data: bytes.clone(),
-            });
-            page.insert_expect(slot, &bytes)?;
-            page.set_lsn(lsn);
-            drop(data);
-            self.push_undo(
-                txn,
-                UndoEntry {
-                    lsn,
-                    action: ClrAction::Tombstone,
-                    table,
-                    page: pid,
-                    slot,
-                },
-            );
+                data: bytes,
+            };
+            self.log_update(txn, &mut data, &insert)?;
             break RowId { page: pid, slot };
         };
         if let Some(k) = key {
@@ -488,34 +478,21 @@ impl Storage {
 
     /// Delete the row at `rid`, returning its old contents.
     pub fn delete_row(&self, txn: &TxnHandle, table: TableId, rid: RowId) -> Result<Row> {
+        self.open_writer(txn);
         let guard = self.pool.fetch(rid.page)?;
-        // Log append + tombstone atomically under the page latch (see
-        // `insert_row` for why).
         let old = {
             let mut data = guard.write();
-            let mut page = Page::new(&mut data);
-            let old = page
+            let old = PageRef::new(&data)
                 .get(rid.slot)
-                .map(|b| b.to_vec())
+                .map(<[u8]>::to_vec)
                 .ok_or_else(|| Error::Storage(format!("delete of missing row {rid:?}")))?;
-            let lsn = self.log.append(&LogRecord::Delete {
+            let delete = LogRecord::Delete {
                 txn: txn.id,
                 table,
                 page: rid.page,
                 slot: rid.slot,
-            });
-            page.tombstone(rid.slot)?;
-            page.set_lsn(lsn);
-            self.push_undo(
-                txn,
-                UndoEntry {
-                    lsn,
-                    action: ClrAction::Untombstone,
-                    table,
-                    page: rid.page,
-                    slot: rid.slot,
-                },
-            );
+            };
+            self.log_update(txn, &mut data, &delete)?;
             old
         };
         let old_row = decode_row(&old)?;
@@ -690,16 +667,30 @@ impl Storage {
 
     // -- checkpoint -----------------------------------------------------------
 
-    /// Quiesced checkpoint: flush data pages, snapshot the catalog, write
-    /// the checkpoint record, update the master record. The caller must
-    /// ensure no transactions are active.
+    /// Checkpoint: flush data pages, snapshot the catalog, write the
+    /// checkpoint record, update the master record. Transactions may be
+    /// open: the record's `scan_from` is the lowest of the log end now
+    /// and the Begin LSN of every open writer, and restart scans from
+    /// there, so a writer whose uncommitted pages this flushes is still
+    /// found and undone, and an update logged during the flush is still
+    /// redone. A writer joins the open writers before it logs anything
+    /// for its first insert or delete, under the lock this reads them
+    /// under.
     pub fn checkpoint(&self) -> Result<()> {
         faultkit::crashpoint!("wal.checkpoint.pre");
         let t_ckpt = std::time::Instant::now();
+        let scan_from = {
+            let writers = self.writers.lock();
+            let end = self.log.end_lsn();
+            writers.values().fold(end, |from, &begin| from.min(begin))
+        };
         self.log.flush_all()?;
         self.pool.flush_all()?;
         let snapshot = self.catalog.snapshot();
-        let lsn = self.log.append(&LogRecord::Checkpoint { snapshot });
+        let lsn = self.log.append(&LogRecord::Checkpoint {
+            scan_from,
+            snapshot,
+        });
         self.log.flush_all()?;
         self.log.store().set_checkpoint(lsn);
         obskit::metrics::global().record("sqlengine.wal.checkpoint", t_ckpt.elapsed());
@@ -805,6 +796,7 @@ mod tests {
     use super::*;
     use crate::schema::Column;
     use crate::storage::disk::{DiskModel, MemDisk};
+    use crate::storage::page::Page;
     use crate::types::DataType;
     use crate::wal::log::LogStore;
     use crate::wal::recovery::{bootstrap, recover};

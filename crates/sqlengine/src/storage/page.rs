@@ -166,16 +166,6 @@ impl<'a> Page<'a> {
         Some(&self.buf[off as usize..off as usize + len])
     }
 
-    /// Read tuple bytes regardless of tombstone state (undo/debug path).
-    pub fn get_raw(&self, slot: SlotId) -> Option<&[u8]> {
-        if slot >= self.slot_count() {
-            return None;
-        }
-        let (off, lf) = self.slot_entry(slot);
-        let len = (lf & LEN_MASK) as usize;
-        Some(&self.buf[off as usize..off as usize + len])
-    }
-
     /// Whether `slot` is tombstoned (`None` if missing).
     pub fn is_tombstoned(&self, slot: SlotId) -> Option<bool> {
         if slot >= self.slot_count() {
@@ -262,6 +252,16 @@ impl<'a> PageRef<'a> {
         Some(&self.buf[off as usize..off as usize + len])
     }
 
+    /// Read tuple bytes regardless of tombstone state (undo/debug path).
+    pub fn get_raw(&self, slot: SlotId) -> Option<&'a [u8]> {
+        if slot >= self.slot_count() {
+            return None;
+        }
+        let (off, lf) = self.slot_entry(slot);
+        let len = (lf & LEN_MASK) as usize;
+        Some(&self.buf[off as usize..off as usize + len])
+    }
+
     /// Iterate live (non-tombstoned) slot ids.
     pub fn live_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
         (0..self.slot_count()).filter(|&s| {
@@ -315,8 +315,9 @@ mod tests {
         assert_eq!(p.is_tombstoned(0), Some(false));
         p.tombstone(0).unwrap();
         assert!(p.get(0).is_none());
-        assert_eq!(p.get_raw(0).unwrap(), b"abc");
+        assert_eq!(PageRef::new(&buf).get_raw(0).unwrap(), b"abc");
         // Idempotent.
+        let mut p = Page::new(&mut buf);
         p.tombstone(0).unwrap();
         p.untombstone(0).unwrap();
         assert_eq!(p.get(0).unwrap(), b"abc");

@@ -4,7 +4,7 @@
 //! not scan the log) and the set of table locks held. Commit and abort
 //! logic lives in [`crate::storage::Storage`], which owns the pages and
 //! indexes the undo actions touch, and counts the transaction in and out
-//! of group-commit company.
+//! of group-commit company and of the open writers a checkpoint reads.
 
 pub mod locks;
 
@@ -36,9 +36,12 @@ pub struct UndoEntry {
 pub struct TxnHandle {
     /// Transaction id (doubles as wait-die age).
     pub id: TxnId,
+    /// LSN of the transaction's Begin record.
+    pub(crate) begin_lsn: Lsn,
     undo: Mutex<Vec<UndoEntry>>,
     locks: Mutex<HashSet<LockTarget>>,
     in_company: AtomicBool,
+    writer: AtomicBool,
 }
 
 impl TxnHandle {
@@ -51,6 +54,17 @@ impl TxnHandle {
     /// Unmark it; true only if it was counted, so it leaves once.
     pub fn exit_company(&self) -> bool {
         self.in_company.swap(false, Ordering::SeqCst)
+    }
+
+    /// Mark this transaction as an open writer, before its first update
+    /// is logged; true only on the first call.
+    pub fn enter_writers(&self) -> bool {
+        !self.writer.swap(true, Ordering::SeqCst)
+    }
+
+    /// Unmark it; true only if it was an open writer.
+    pub fn exit_writers(&self) -> bool {
+        self.writer.swap(false, Ordering::SeqCst)
     }
 
     /// Record an undoable action.
@@ -107,9 +121,11 @@ impl TxnManager {
     pub fn begin(&self) -> TxnHandle {
         TxnHandle {
             id: self.next.fetch_add(1, Ordering::Relaxed),
+            begin_lsn: 0,
             undo: Mutex::new(Vec::new()),
             locks: Mutex::new(HashSet::new()),
             in_company: AtomicBool::new(false),
+            writer: AtomicBool::new(false),
         }
     }
 }

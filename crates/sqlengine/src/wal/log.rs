@@ -97,8 +97,14 @@ pub enum LogRecord {
         page: u32,
         slot: u16,
     },
-    /// Quiesced checkpoint: catalog snapshot bytes (see `catalog::snapshot`).
+    /// Checkpoint: catalog snapshot bytes (see `catalog::snapshot`), and
+    /// the LSN restart scans from. `scan_from` is the lowest of the log
+    /// end when the checkpoint began and the Begin LSN of every
+    /// transaction with an update open then, so the records of a writer
+    /// whose uncommitted pages the checkpoint flushed stay in the scan.
+    /// With no writer open it equals the checkpoint's own LSN.
     Checkpoint {
+        scan_from: Lsn,
         snapshot: Vec<u8>,
     },
 }
@@ -188,8 +194,12 @@ impl LogRecord {
                 out.put_u32(*page);
                 out.put_u16(*slot);
             }
-            LogRecord::Checkpoint { snapshot } => {
+            LogRecord::Checkpoint {
+                scan_from,
+                snapshot,
+            } => {
                 out.put_u8(11);
+                out.put_u64(*scan_from);
                 out.put_u32(snapshot.len() as u32);
                 out.put_slice(snapshot);
             }
@@ -298,15 +308,31 @@ impl LogRecord {
                 }
             }
             11 => {
-                need!(4);
+                need!(8 + 4);
+                let scan_from = buf.get_u64();
                 let len = buf.get_u32() as usize;
                 need!(len);
                 let snapshot = buf.get(..len).ok_or_else(corrupt)?.to_vec();
                 buf.advance(len);
-                LogRecord::Checkpoint { snapshot }
+                LogRecord::Checkpoint {
+                    scan_from,
+                    snapshot,
+                }
             }
             _ => return Err(corrupt()),
         })
+    }
+
+    /// The `(table, page)` a page record changes: `AllocPage`, `Insert`,
+    /// `Delete` and `Clr`, the records `wal::recovery::redo` applies.
+    pub fn page(&self) -> Option<(u32, u32)> {
+        match *self {
+            LogRecord::AllocPage { table, page }
+            | LogRecord::Insert { table, page, .. }
+            | LogRecord::Delete { table, page, .. }
+            | LogRecord::Clr { table, page, .. } => Some((table, page)),
+            _ => None,
+        }
     }
 
     /// The transaction this record belongs to, if any.
@@ -1034,6 +1060,7 @@ mod tests {
                 slot: 7,
             },
             LogRecord::Checkpoint {
+                scan_from: 77,
                 snapshot: vec![9, 9, 9],
             },
         ]

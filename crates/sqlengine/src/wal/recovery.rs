@@ -1,16 +1,29 @@
 //! Restart recovery: analysis, redo, undo (ARIES-style, simplified by
-//! quiesced checkpoints and append-only page tuple space).
+//! append-only page tuple space), and the page actions every replay of
+//! the log shares.
 //!
 //! * **Analysis** — locate the last checkpoint via the master record,
-//!   restore the catalog snapshot, and scan forward classifying
-//!   transactions into winners (Commit seen), explicit aborts, and losers.
+//!   restore its catalog snapshot, and scan forward from its `scan_from`
+//!   (the Begin of the oldest writer open at the checkpoint, or the
+//!   checkpoint itself), classifying transactions into winners (Commit
+//!   seen), explicit aborts, and losers.
 //! * **Redo** — replay every page action whose LSN is newer than the page's
-//!   on-disk LSN; DDL and page allocations are top actions replayed
-//!   idempotently against the catalog.
-//! * **Undo** — roll back losers in reverse LSN order, skipping actions
-//!   already compensated by a CLR (so recovery itself is idempotent and a
-//!   crash *during* recovery is handled by simply running recovery again —
-//!   the property Phoenix relies on, and which `tests/` fault-injects).
+//!   on-disk LSN through `redo`; DDL and page allocations are top
+//!   actions replayed idempotently against the catalog.
+//! * **Undo** — roll back losers in reverse LSN order through
+//!   `compensate`, skipping actions already compensated by a CLR (so
+//!   recovery itself is idempotent and a crash *during* recovery is
+//!   handled by simply running recovery again — the property Phoenix
+//!   relies on, and which `tests/` fault-injects).
+//!
+//! `redo` is the one place a page record changes a page image. Restart
+//! redo, page repair ([`BufferPool::fetch`] rebuilding a corrupt page
+//! from the log) and runtime inserts, deletes and page allocations all
+//! apply records through it; each keeps its own policy (restart's LSN
+//! guard and dropped-table skip, repair's unguarded replay from LSN 0).
+//! `undo_entry` is the one place an update gets its inverse, and restart
+//! undo and runtime abort both append and apply their CLRs through
+//! `compensate`.
 //!
 //! Each phase records its wall time in a `sqlengine.restart.*` histogram
 //! of the global registry — `log_scan` (the whole-log CRC sweep of
@@ -25,11 +38,11 @@ use std::time::Instant;
 
 use crate::catalog::Catalog;
 use crate::error::Result;
-use crate::storage::buffer::{with_page_mut, BufferPool};
-use crate::storage::disk::MemDisk;
+use crate::storage::buffer::{BufferPool, PageGuard};
+use crate::storage::disk::{MemDisk, PAGE_SIZE};
 use crate::storage::heap::Storage;
 use crate::storage::page::Page;
-use crate::txn::TxnManager;
+use crate::txn::{TxnManager, UndoEntry};
 use crate::wal::log::{ClrAction, GroupCommit, LogManager, LogRecord, LogStore, Lsn, TxnId};
 
 /// Tuning for the recovered engine.
@@ -107,14 +120,20 @@ pub fn recover(
 
     // --- Analysis: restore catalog from checkpoint ---
     faultkit::crashpoint!("recovery.analysis");
-    let (catalog, redo_start) = match store.checkpoint() {
+    // The scan starts at the checkpoint's `scan_from`, which reaches back
+    // to the Begin of every writer open at the checkpoint; DDL between it
+    // and the checkpoint replays idempotently over the snapshot.
+    let (catalog, scan_from) = match store.checkpoint() {
         Some(cp_lsn) => {
             let recs = store.records_from(cp_lsn)?;
             match recs.first() {
-                Some((first_lsn, LogRecord::Checkpoint { snapshot })) => {
-                    debug_assert_eq!(*first_lsn, cp_lsn);
-                    (Catalog::restore(snapshot)?, cp_lsn)
-                }
+                Some((
+                    _,
+                    LogRecord::Checkpoint {
+                        scan_from,
+                        snapshot,
+                    },
+                )) => (Catalog::restore(snapshot)?, *scan_from),
                 // A master record pointing at a torn record or past the
                 // log end means the checkpoint never fully made it out;
                 // distrust it and replay from the start rather than
@@ -131,59 +150,35 @@ pub fn recover(
         config.pool_capacity,
     ));
 
-    let records = store.records_from(redo_start)?;
+    let records = store.records_from(scan_from)?;
     stats.records_scanned = records.len();
 
-    // Classify transactions and collect undo info in one pass.
+    // Classify transactions and collect undo info in one pass. Records
+    // arrive in LSN order, so each loser's undo list is too.
     let mut ended: HashSet<TxnId> = HashSet::new();
     let mut seen: HashSet<TxnId> = HashSet::new();
-    type UndoItem = (Lsn, ClrAction, u32, u32, u16);
-    let mut undo_log: HashMap<TxnId, Vec<UndoItem>> = HashMap::new();
+    let mut undo_log: HashMap<TxnId, Vec<UndoEntry>> = HashMap::new();
     let mut compensated: HashMap<TxnId, HashSet<Lsn>> = HashMap::new();
     let mut max_txn: TxnId = 0;
 
     for (lsn, rec) in &records {
-        if let Some(t) = rec.txn() {
-            seen.insert(t);
-            max_txn = max_txn.max(t);
-        }
+        let Some(txn) = rec.txn() else {
+            continue;
+        };
+        seen.insert(txn);
+        max_txn = max_txn.max(txn);
         match rec {
-            LogRecord::Commit { txn } | LogRecord::Abort { txn } => {
-                ended.insert(*txn);
+            LogRecord::Commit { .. } | LogRecord::Abort { .. } => {
+                ended.insert(txn);
             }
-            LogRecord::Insert {
-                txn,
-                table,
-                page,
-                slot,
-                ..
-            } => {
-                undo_log.entry(*txn).or_default().push((
-                    *lsn,
-                    ClrAction::Tombstone,
-                    *table,
-                    *page,
-                    *slot,
-                ));
+            LogRecord::Clr { undoes, .. } => {
+                compensated.entry(txn).or_default().insert(*undoes);
             }
-            LogRecord::Delete {
-                txn,
-                table,
-                page,
-                slot,
-            } => {
-                undo_log.entry(*txn).or_default().push((
-                    *lsn,
-                    ClrAction::Untombstone,
-                    *table,
-                    *page,
-                    *slot,
-                ));
+            _ => {
+                if let Some(e) = undo_entry(*lsn, rec) {
+                    undo_log.entry(txn).or_default().push(e);
+                }
             }
-            LogRecord::Clr { txn, undoes, .. } => {
-                compensated.entry(*txn).or_default().insert(*undoes);
-            }
-            _ => {}
         }
     }
 
@@ -204,94 +199,27 @@ pub fn recover(
                 // lint:allow(discard): redo of a drop is idempotent; the proc may already be gone
                 let _ = catalog.drop_proc(name);
             }
-            LogRecord::AllocPage { table, page } => {
-                if catalog.get(*table).is_none() {
-                    continue;
-                }
-                disk.ensure_capacity(*page + 1, disk.current_epoch())?;
-                let guard = pool.fetch(*page)?;
-                let mut data = guard.write();
-                let needs_init = {
-                    let p = Page::new(&mut data);
-                    p.lsn() < *lsn
-                };
-                if needs_init {
-                    let mut p = Page::init(&mut data, *table);
-                    p.set_lsn(*lsn);
-                    stats.redo_applied += 1;
-                }
-                drop(data);
-                catalog.add_page(*table, *page)?;
-            }
-            LogRecord::Insert {
-                table,
-                page,
-                slot,
-                data,
-                ..
-            } => {
-                if catalog.get(*table).is_none() {
-                    continue;
-                }
-                let guard = pool.fetch(*page)?;
-                let applied = with_page_mut(&guard, *lsn, |p| {
-                    if p.lsn() < *lsn {
-                        p.insert_expect(*slot, data)?;
-                        Ok(true)
-                    } else {
-                        Ok(false)
-                    }
-                })?;
-                if applied {
-                    stats.redo_applied += 1;
-                }
-            }
-            LogRecord::Delete {
-                table, page, slot, ..
-            } => {
-                if catalog.get(*table).is_none() {
-                    continue;
-                }
-                let guard = pool.fetch(*page)?;
-                let applied = with_page_mut(&guard, *lsn, |p| {
-                    if p.lsn() < *lsn {
-                        p.tombstone(*slot)?;
-                        Ok(true)
-                    } else {
-                        Ok(false)
-                    }
-                })?;
-                if applied {
-                    stats.redo_applied += 1;
-                }
-            }
-            LogRecord::Clr {
-                table,
-                page,
-                slot,
-                action,
-                ..
-            } => {
-                if catalog.get(*table).is_none() {
-                    continue;
-                }
-                let guard = pool.fetch(*page)?;
-                let applied = with_page_mut(&guard, *lsn, |p| {
-                    if p.lsn() < *lsn {
-                        match action {
-                            ClrAction::Tombstone => p.tombstone(*slot)?,
-                            ClrAction::Untombstone => p.untombstone(*slot)?,
-                        }
-                        Ok(true)
-                    } else {
-                        Ok(false)
-                    }
-                })?;
-                if applied {
-                    stats.redo_applied += 1;
-                }
-            }
             _ => {}
+        }
+        let Some((table, page)) = rec.page() else {
+            continue;
+        };
+        if catalog.get(table).is_none() {
+            continue;
+        }
+        let alloc = matches!(rec, LogRecord::AllocPage { .. });
+        if alloc {
+            disk.ensure_capacity(page + 1, disk.current_epoch())?;
+        }
+        let guard = pool.fetch(page)?;
+        let mut data = guard.write();
+        if Page::new(&mut data).lsn() < *lsn {
+            redo(&mut data, *lsn, rec)?;
+            stats.redo_applied += 1;
+        }
+        drop(data);
+        if alloc {
+            catalog.add_page(table, page)?;
         }
     }
 
@@ -308,28 +236,12 @@ pub fn recover(
     for txn in &losers {
         faultkit::crashpoint!("recovery.undo");
         let done = compensated.remove(txn).unwrap_or_default();
-        let mut entries = undo_log.remove(txn).unwrap_or_default();
-        entries.sort_by_key(|e| e.0);
-        for (lsn, action, table, page, slot) in entries.into_iter().rev() {
-            if done.contains(&lsn) {
+        let entries = undo_log.remove(txn).unwrap_or_default();
+        for e in entries.iter().rev() {
+            if done.contains(&e.lsn) || catalog.get(e.table).is_none() {
                 continue;
             }
-            if catalog.get(table).is_none() {
-                continue;
-            }
-            let clr_lsn = log.append(&LogRecord::Clr {
-                txn: *txn,
-                undoes: lsn,
-                action,
-                table,
-                page,
-                slot,
-            });
-            let guard = pool.fetch(page)?;
-            with_page_mut(&guard, clr_lsn, |p| match action {
-                ClrAction::Tombstone => p.tombstone(slot),
-                ClrAction::Untombstone => p.untombstone(slot),
-            })?;
+            compensate(&log, &pool.fetch(e.page)?, *txn, e)?;
             stats.undo_actions += 1;
         }
         log.append(&LogRecord::Abort { txn: *txn });
@@ -369,6 +281,83 @@ pub fn bootstrap(
 ) -> Result<Storage> {
     let (storage, _) = recover(disk, store, config)?;
     Ok(storage)
+}
+
+/// Apply page record `rec`, logged at `lsn`, to page `image` and stamp
+/// `lsn` on it. Restart redo, page repair and runtime updates all apply
+/// records here; whether a record is due (an LSN guard, the page it
+/// touches) is the caller's policy. A record that changes no page is a
+/// no-op.
+pub(crate) fn redo(image: &mut [u8; PAGE_SIZE], lsn: Lsn, rec: &LogRecord) -> Result<()> {
+    let mut page = match rec {
+        LogRecord::AllocPage { table, .. } => Page::init(image, *table),
+        LogRecord::Insert { slot, data, .. } => {
+            let mut page = Page::new(image);
+            page.insert_expect(*slot, data)?;
+            page
+        }
+        LogRecord::Delete { slot, .. } => {
+            let mut page = Page::new(image);
+            page.tombstone(*slot)?;
+            page
+        }
+        LogRecord::Clr { action, slot, .. } => {
+            let mut page = Page::new(image);
+            match action {
+                ClrAction::Tombstone => page.tombstone(*slot)?,
+                ClrAction::Untombstone => page.untombstone(*slot)?,
+            }
+            page
+        }
+        _ => return Ok(()),
+    };
+    page.set_lsn(lsn);
+    Ok(())
+}
+
+/// The inverse of update `rec`, logged at `lsn`: an insert is undone by
+/// tombstoning its slot, a delete by clearing the tombstone (its bytes
+/// never left the page). Other records are not undone.
+pub(crate) fn undo_entry(lsn: Lsn, rec: &LogRecord) -> Option<UndoEntry> {
+    let (action, table, page, slot) = match *rec {
+        LogRecord::Insert {
+            table, page, slot, ..
+        } => (ClrAction::Tombstone, table, page, slot),
+        LogRecord::Delete {
+            table, page, slot, ..
+        } => (ClrAction::Untombstone, table, page, slot),
+        _ => return None,
+    };
+    Some(UndoEntry {
+        lsn,
+        action,
+        table,
+        page,
+        slot,
+    })
+}
+
+/// Undo `e` for transaction `txn` on its pinned page: append the CLR and
+/// apply it under the page latch, so no other writer's record lands on
+/// the page between the two and page LSNs rise in application order.
+/// Restart undo and runtime abort both roll back through here.
+pub(crate) fn compensate(
+    log: &LogManager,
+    guard: &PageGuard,
+    txn: TxnId,
+    e: &UndoEntry,
+) -> Result<()> {
+    let mut data = guard.write();
+    let clr = LogRecord::Clr {
+        txn,
+        undoes: e.lsn,
+        action: e.action,
+        table: e.table,
+        page: e.page,
+        slot: e.slot,
+    };
+    let lsn = log.append(&clr);
+    redo(&mut data, lsn, &clr)
 }
 
 #[cfg(test)]

@@ -76,7 +76,7 @@ fn print_help() {
          \x20 ci     full pre-merge gate: fmt --check, clippy, lint, analyze,\n\
          \x20        test, seeded fault enumeration, bounded chaos soak,\n\
          \x20        obskit snapshot + lockcheck witness validation,\n\
-         \x20        bench-gate perf baselines (checked-in twins + fast subset)"
+         \x20        bench-gate perf baselines (fast live subset + series)"
     );
 }
 
@@ -686,17 +686,7 @@ fn ci() -> ExitCode {
         )
         && validate_storm_snapshot(&storm_snapshot);
 
-    // Perf gate 1/3 — checked-in twins: every bench_results/*.json must
-    // match its blessed bench_baselines/ copy within the gate.json
-    // tolerance bands. In a clean tree these are identical files; drift
-    // means someone regenerated results without running
-    // `cargo xtask bench-gate --bless`.
-    let twins_ok = storm_ok && {
-        println!("== xtask ci: bench-gate (checked-in twins) ==");
-        bench_gate(&[]) == ExitCode::SUCCESS
-    };
-
-    // Perf gate 2/3 — fast live subset: re-measure one recovery sweep
+    // Perf gate 1/2 — fast live subset: re-measure one recovery sweep
     // (fig3 at the default SF 0.02) and a small session-scale sweep with
     // pinned seeds, adopt the group-commit snapshot from the step above,
     // and compare against bench_baselines/ci/ (its own manifest, with
@@ -705,7 +695,7 @@ fn ci() -> ExitCode {
     let ci_results = root.join("target").join("ci-bench-results");
     let ci_baselines = root.join("bench_baselines").join("ci");
     let scale_series = ci_results.join("session_scale.series.jsonl");
-    let subset_ok = twins_ok
+    let subset_ok = storm_ok
         && {
             let _ = std::fs::remove_dir_all(&ci_results);
             step(
@@ -763,7 +753,7 @@ fn ci() -> ExitCode {
             ]) == ExitCode::SUCCESS
         };
 
-    // Perf gate 3/3 — streaming series invariants: the soak and scale
+    // Perf gate 2/2 — streaming series invariants: the soak and scale
     // series written above must be well-formed interval sequences with
     // non-negative deltas, a monotone pending high-water mark bounded by
     // the admission cap, and every session drained by the final mark.

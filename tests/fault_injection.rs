@@ -483,6 +483,29 @@ fn graceful_shutdown_checkpoint_then_restart() {
     assert_eq!(st.fetch().unwrap().unwrap()[0], Value::Int(100));
 }
 
+/// A graceful `SHUTDOWN` checkpoints while another connection holds an
+/// open transaction with an insert. The checkpoint flushes that insert's
+/// page, yet restart must still find the transaction and undo it.
+#[test]
+fn graceful_shutdown_beside_an_open_writer_undoes_it() {
+    let _fk = faultkit::session();
+    let server = test_server();
+    seed_table(&server, 100);
+    let writer = odbcsim::OdbcConnection::connect(&server, Default::default()).unwrap();
+    writer.exec_direct("BEGIN TRAN").unwrap();
+    writer
+        .exec_direct("INSERT INTO t VALUES (1000, 'loser')")
+        .unwrap();
+    let conn = odbcsim::OdbcConnection::connect(&server, Default::default()).unwrap();
+    let _ = conn.exec_direct("SHUTDOWN"); // graceful: connection drops
+    assert!(!server.is_up());
+    let stats = server.restart().unwrap();
+    assert_eq!(stats.undo_actions, 1, "{stats:?}");
+    let c2 = odbcsim::OdbcConnection::connect(&server, Default::default()).unwrap();
+    let mut st = c2.exec_direct("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(st.fetch().unwrap().unwrap()[0], Value::Int(100));
+}
+
 // ---------------------------------------------------------------------------
 // Coverage: the enumeration spans every instrumented layer
 // ---------------------------------------------------------------------------
