@@ -1,5 +1,5 @@
 //! Offline shim exposing the subset of the `proptest` API this
-//! workspace's property tests use: the [`proptest!`] macro, [`Strategy`]
+//! workspace's property tests use: the [`proptest!`] macro, [`Strategy`](strategy::Strategy)
 //! with `prop_map`, `any::<T>()`, `Just`, ranges and tuples as
 //! strategies, regex-literal string strategies, `prop::collection::vec`,
 //! `prop::option::of`, `prop_oneof!` and the `prop_assert*` macros.

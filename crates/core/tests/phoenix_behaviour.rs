@@ -726,3 +726,34 @@ fn fetch_surfaces_the_failure_once_masking_retries_are_spent() {
     assert!(err.is_connection_fatal(), "got {err:?}");
     assert_eq!(px.stats().recoveries, 0);
 }
+
+/// Phoenix persists a result with `SELECT … INTO`, yet reports the
+/// column names and types the native driver reports for the same query,
+/// for unaliased expressions and wildcards alike.
+#[test]
+fn persisted_results_name_their_columns_as_natively() {
+    let server = server_with_rows(10);
+    let native = OdbcConnection::connect(&server, DriverConfig::default()).unwrap();
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+    let queries = [
+        "SELECT UPPER(v), k + 1 FROM items WHERE k < 5",
+        "SELECT * FROM items WHERE k < 5",
+        "SELECT items.*, LOWER(v) FROM items",
+    ];
+    for sql in queries {
+        let stmt = native.exec_direct(sql).unwrap();
+        let want = stmt.columns().to_vec();
+        stmt.close().unwrap();
+        let ExecKind::ResultSet { columns } = px.exec(sql).unwrap() else {
+            panic!("{sql}: no result set")
+        };
+        assert_eq!(columns, want, "{sql}");
+        px.fetch_all().unwrap();
+    }
+    assert_eq!(px.stats().results_persisted, queries.len() as u64);
+    px.close();
+}

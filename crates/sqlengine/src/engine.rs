@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
 use crate::exec::{
-    execute_stmt, BatchEffects, ExecCtx, RowsSource, StmtOutcome, TableEffect, TempTables,
+    execute_stmt, BatchEffects, ExecCtx, Rows, RowsSource, StmtOutcome, TableEffect, TempTables,
 };
 use crate::schema::Column;
 use crate::session::{SessionId, SessionState};
@@ -97,13 +97,16 @@ impl Drop for AutoCommit {
 /// statement's (read-only) autocommit transaction open — and its shared
 /// locks held — until it is exhausted, closed, or dropped.
 pub struct Cursor {
-    /// Output column names and types.
-    pub schema: Vec<Column>,
-    source: RowsSource,
+    rows: Rows,
     guard: Option<AutoCommit>,
 }
 
 impl Cursor {
+    /// Output column names and types.
+    pub fn schema(&self) -> &[Column] {
+        &self.rows.schema
+    }
+
     /// Close early, releasing locks. Also happens on drop.
     pub fn close(mut self) -> Result<()> {
         match self.guard.take() {
@@ -114,17 +117,14 @@ impl Cursor {
 
     /// Whether rows are streamed lazily from the executor.
     pub fn is_lazy(&self) -> bool {
-        matches!(self.source, RowsSource::Lazy(_))
+        matches!(self.rows.source, RowsSource::Lazy(_))
     }
 }
 
 impl Iterator for Cursor {
     type Item = Result<Row>;
     fn next(&mut self) -> Option<Self::Item> {
-        let item = match &mut self.source {
-            RowsSource::Materialized(it) => it.next().map(Ok),
-            RowsSource::Lazy(it) => it.next(),
-        };
+        let item = self.rows.next();
         if item.is_none() {
             if let Some(mut g) = self.guard.take() {
                 let _ = g.finish();
@@ -342,10 +342,8 @@ impl Engine {
                 };
                 match execute_stmt(&ctx, stmt) {
                     Ok(StmtOutcome::Rows(rows)) => {
-                        let schema = rows.schema;
-                        let source = rows.source;
                         let guard = if auto {
-                            match &source {
+                            match &rows.source {
                                 RowsSource::Materialized(_) => {
                                     self.storage.commit(&txn)?;
                                     None
@@ -359,11 +357,7 @@ impl Engine {
                         } else {
                             None
                         };
-                        Ok(ExecOutcome::Rows(Cursor {
-                            schema,
-                            source,
-                            guard,
-                        }))
+                        Ok(ExecOutcome::Rows(Cursor { rows, guard }))
                     }
                     Ok(StmtOutcome::Affected(n)) => {
                         if auto {
@@ -399,7 +393,7 @@ impl Engine {
     pub fn execute_collect(&self, sid: SessionId, sql: &str) -> Result<(Vec<Column>, Vec<Row>)> {
         match self.execute(sid, sql)?.outcome {
             ExecOutcome::Rows(cursor) => {
-                let schema = cursor.schema.clone();
+                let schema = cursor.schema().to_vec();
                 let rows: Result<Vec<Row>> = cursor.collect();
                 Ok((schema, rows?))
             }
@@ -425,12 +419,63 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Value;
+    use crate::types::{DataType, Value};
+    use std::sync::{Mutex as StdMutex, MutexGuard, PoisonError};
 
-    fn fresh() -> (Durable, Engine) {
+    /// Tests here read the process-global `sqlengine.access.*` counters,
+    /// so every test that runs statements holds this guard, through
+    /// [`fresh`] or directly.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: StdMutex<()> = StdMutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Durable state that holds the [`serial`] guard while it lives.
+    struct Fresh {
+        durable: Durable,
+        _serial: MutexGuard<'static, ()>,
+    }
+
+    impl std::ops::Deref for Fresh {
+        type Target = Durable;
+        fn deref(&self) -> &Durable {
+            &self.durable
+        }
+    }
+
+    fn fresh() -> (Fresh, Engine) {
+        let serial = serial();
         let d = Durable::new(DiskModel::default());
         let e = Engine::recover(&d, RecoveryConfig::default()).unwrap();
-        (d, e)
+        let fresh = Fresh {
+            durable: d,
+            _serial: serial,
+        };
+        (fresh, e)
+    }
+
+    fn access_counts() -> [u64; 3] {
+        let m = obskit::metrics::global();
+        [
+            "sqlengine.access.point",
+            "sqlengine.access.prefix",
+            "sqlengine.access.full",
+        ]
+        .map(|name| m.counter(name).get())
+    }
+
+    /// Output column names and types of `sql`, and whether its cursor
+    /// streams lazily.
+    fn columns_of(e: &Engine, sid: SessionId, sql: &str) -> (Vec<(String, DataType)>, bool) {
+        let ExecOutcome::Rows(cursor) = e.execute(sid, sql).unwrap().outcome else {
+            panic!("{sql}: no result set")
+        };
+        let cols = cursor
+            .schema()
+            .iter()
+            .map(|c| (c.name.clone(), c.dtype))
+            .collect();
+        (cols, cursor.is_lazy())
     }
 
     fn setup_t(e: &Engine, sid: SessionId) {
@@ -476,19 +521,65 @@ mod tests {
         let (d, e) = fresh();
         let sid = e.create_session().unwrap();
         setup_t(&e, sid);
-        let before = d.io_snapshot();
-        let (schema, rows) = e
-            .execute_collect(sid, "SELECT id, v, x FROM t WHERE 0=1")
-            .unwrap();
-        let after = d.io_snapshot();
-        assert_eq!(rows.len(), 0);
-        assert_eq!(schema.len(), 3);
-        assert_eq!(schema[0].name, "id");
-        assert_eq!(schema[0].dtype, crate::types::DataType::Int);
-        assert_eq!(schema[1].dtype, crate::types::DataType::Str);
-        assert_eq!(schema[2].dtype, crate::types::DataType::Float);
-        // Metadata-only: the heap was never read.
-        assert_eq!(after.reads, before.reads);
+        // The first query's shape streams lazily, the second's
+        // materializes: neither may open an access path.
+        for sql in [
+            "SELECT id, v, x FROM t WHERE 0=1",
+            "SELECT id, v, x FROM t WHERE 0=1 ORDER BY id",
+        ] {
+            let before = d.io_snapshot();
+            let opened = access_counts();
+            let (schema, rows) = e.execute_collect(sid, sql).unwrap();
+            let after = d.io_snapshot();
+            assert_eq!(rows.len(), 0);
+            assert_eq!(schema.len(), 3);
+            assert_eq!(schema[0].name, "id");
+            assert_eq!(schema[0].dtype, crate::types::DataType::Int);
+            assert_eq!(schema[1].dtype, crate::types::DataType::Str);
+            assert_eq!(schema[2].dtype, crate::types::DataType::Float);
+            // Metadata-only: the heap was never read, and no access path
+            // (with its table lock) was opened.
+            assert_eq!(after.reads, before.reads);
+            assert_eq!(access_counts(), opened, "{sql}");
+        }
+    }
+
+    /// One select-list expander names every result alike: the lazy
+    /// cursor, the materialized pipeline (`ORDER BY 1`) and the table
+    /// `SELECT … INTO` creates.
+    #[test]
+    fn select_lists_are_named_alike_on_every_path() {
+        let (_d, e) = fresh();
+        let sid = e.create_session().unwrap();
+        setup_t(&e, sid);
+        let lists = [
+            "UPPER(v), x + 1",
+            "*",
+            "t.*, LOWER(v)",
+            "id AS k, x * 2, ABS(x)",
+        ];
+        for (i, list) in lists.iter().enumerate() {
+            let (lazy, is_lazy) = columns_of(&e, sid, &format!("SELECT {list} FROM t"));
+            assert!(is_lazy, "{list}");
+            let (sorted, is_lazy) =
+                columns_of(&e, sid, &format!("SELECT {list} FROM t ORDER BY 1"));
+            assert!(!is_lazy, "{list}");
+            e.execute(sid, &format!("SELECT {list} INTO res{i} FROM t"))
+                .unwrap();
+            let meta = e.storage().catalog.resolve(&format!("res{i}")).unwrap();
+            let persisted: Vec<(String, DataType)> = meta
+                .read()
+                .schema
+                .columns
+                .iter()
+                .map(|c| (c.name.clone(), c.dtype))
+                .collect();
+            assert_eq!(lazy, sorted, "{list}");
+            assert_eq!(lazy, persisted, "{list}");
+        }
+        let (cols, _) = columns_of(&e, sid, "SELECT UPPER(v), x + 1 FROM t");
+        let names: Vec<&str> = cols.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["upper", "col2"]);
     }
 
     #[test]
@@ -544,6 +635,7 @@ mod tests {
 
     #[test]
     fn crash_loses_sessions_and_uncommitted_state() {
+        let _serial = serial();
         let d = Durable::new(DiskModel::default());
         let sid;
         {
@@ -572,6 +664,7 @@ mod tests {
     /// must still find the writer and undo it.
     #[test]
     fn checkpoint_beside_an_open_writer_keeps_it_a_loser() {
+        let _serial = serial();
         let d = Durable::new(DiskModel::default());
         {
             let e = Engine::recover(&d, RecoveryConfig::default()).unwrap();

@@ -1,7 +1,9 @@
-//! Access-path choice for one base table: which rows a statement reads
-//! and the locks it takes to read them. Every base-table read in the
-//! executor, whether for a SELECT, an UPDATE or a DELETE, goes through
-//! [`choose`] and [`open`].
+//! The executor's one read of a single table, and the access-path choice
+//! behind it: which rows a statement reads and the locks it takes to read
+//! them. Every base-table read, whether for the lazy cursor, the
+//! materialized scan, an UPDATE or a DELETE, is a [`TableRead`]: it
+//! calls [`choose`] when it is planned, then [`open`] and the filter when
+//! its rows are read.
 //!
 //! | path | when | locks (read / write) |
 //! |---|---|---|
@@ -13,19 +15,111 @@
 //! coerces exactly to the column's type. A value that does not (`'1'` or
 //! `1.5` or NULL against an INT key) ends the usable prefix there, so the
 //! index is used only where its byte equality agrees with SQL equality.
-//! Callers re-apply the whole filter to every row the path yields, so each
-//! path returns exactly the rows, in the order, that the full scan would.
+//! [`TableRead::rows`] re-applies the whole filter to every row the path
+//! yields, so each path returns exactly the rows, in the order, that the
+//! full scan would.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use super::ExecCtx;
-use crate::error::Result;
-use crate::schema::TableSchema;
-use crate::sql::ast::{BinOp, Expr};
+use super::binding::{BExpr, BoundCol};
+use super::eval::{eval, split_conjuncts, truthy, Binder, Env};
+use super::select::table_columns;
+use super::{ExecCtx, TableSource};
+use crate::error::{Error, Result};
+use crate::schema::{TableId, TableSchema};
+use crate::sql::ast::{BinOp, Expr, TableName};
 use crate::storage::heap::{pk_prefix_bytes, row_key_hash, ScanIter};
+use crate::storage::RowId;
 use crate::txn::locks::LockMode;
-use crate::types::{DataType, Value};
+use crate::types::{DataType, Row, Value};
+
+/// One table of a FROM clause, or the target of an UPDATE or DELETE,
+/// planned for reading: the table resolved, its columns bound, the
+/// WHERE filter bound against them, and the access path the filter's
+/// conjuncts allow.
+pub(crate) struct TableRead {
+    /// The resolved table.
+    pub source: TableSource,
+    /// Its columns, qualified by the alias, or else by the table name.
+    pub cols: Vec<BoundCol>,
+    /// The path [`TableRead::rows`] opens.
+    pub path: AccessPath,
+    filter: Option<BExpr>,
+}
+
+impl TableRead {
+    /// Resolve `table`, bind its columns under `alias` (or the table's
+    /// name) and `filter` against them, and choose the access path the
+    /// filter's conjuncts allow.
+    pub(crate) fn plan(
+        ctx: &ExecCtx,
+        table: &TableName,
+        alias: Option<&str>,
+        filter: Option<&Expr>,
+    ) -> Result<TableRead> {
+        let source = ctx.resolve_table(table)?;
+        let cols = table_columns(alias.unwrap_or(&table.name), source.schema());
+        let bound = filter
+            .map(|f| Binder::new(ctx, vec![cols.clone()]).bind(f))
+            .transpose()?;
+        let conjuncts = filter.map(split_conjuncts).unwrap_or_default();
+        let path = choose(ctx, source.schema(), &conjuncts);
+        Ok(TableRead {
+            source,
+            cols,
+            path,
+            filter: bound,
+        })
+    }
+
+    /// Whether `row` passes the filter.
+    pub(crate) fn accepts(&self, ctx: &ExecCtx, row: &[Value]) -> Result<bool> {
+        match &self.filter {
+            Some(f) => Ok(truthy(&eval(ctx, &Env::base(row), f)?) == Some(true)),
+            None => Ok(true),
+        }
+    }
+
+    /// The base table's id. A session temp table has none: it is read
+    /// from its snapshot, under no lock.
+    pub(crate) fn table_id(&self) -> Result<TableId> {
+        match &self.source {
+            TableSource::Base { meta, .. } => Ok(meta.read().id),
+            TableSource::Temp { .. } => {
+                Err(Error::Internal("a temp table has no access path".into()))
+            }
+        }
+    }
+
+    /// The executor's one scan-and-filter loop over a base table: take
+    /// the locks the path needs to read (`mode` = `Shared`) or write
+    /// (`Exclusive`), and stream the rows the filter accepts, in heap
+    /// order. The stream owns everything it reads through, so a lazy
+    /// cursor can carry it across calls. Callers stop at its first error.
+    pub(crate) fn rows(
+        self,
+        ctx: &ExecCtx,
+        mode: LockMode,
+    ) -> Result<impl Iterator<Item = Result<(RowId, Row)>> + Send + 'static> {
+        let mut scan = open(
+            ctx,
+            self.table_id()?,
+            self.source.schema(),
+            &self.path,
+            mode,
+        )?;
+        let ctx = ctx.clone();
+        Ok(std::iter::from_fn(move || loop {
+            let hit = scan
+                .next()?
+                .and_then(|(rid, row)| Ok(self.accepts(&ctx, &row)?.then_some((rid, row))));
+            if let Some(hit) = hit.transpose() {
+                return Some(hit);
+            }
+        }))
+    }
+}
 
 /// How a statement reaches a base table's rows.
 #[derive(Debug)]
@@ -41,7 +135,7 @@ pub(crate) enum AccessPath {
 /// Pick the access path the conjuncts `pushed` allow on a table with
 /// `schema`. The key values returned are coerced to the key columns'
 /// types.
-pub(crate) fn choose(ctx: &ExecCtx, schema: &TableSchema, pushed: &[&Expr]) -> AccessPath {
+fn choose(ctx: &ExecCtx, schema: &TableSchema, pushed: &[&Expr]) -> AccessPath {
     let mut pinned: HashMap<usize, Value> = HashMap::new();
     for c in pushed {
         let Expr::Binary {
@@ -105,10 +199,10 @@ fn const_value(ctx: &ExecCtx, e: &Expr) -> Option<Value> {
 
 /// Take the locks `path` needs to read (`mode` = `Shared`) or write
 /// (`Exclusive`) table `table_id`, and open the path's row stream. The
-/// stream may hold rows the caller's filter rejects.
-pub(crate) fn open(
+/// stream may hold rows the filter rejects.
+fn open(
     ctx: &ExecCtx,
-    table_id: crate::schema::TableId,
+    table_id: TableId,
     schema: &TableSchema,
     path: &AccessPath,
     mode: LockMode,

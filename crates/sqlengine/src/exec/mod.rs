@@ -16,16 +16,19 @@ use parking_lot::{Mutex, RwLock};
 use crate::catalog::TableMeta;
 use crate::error::{Error, Result};
 use crate::schema::{Column, TableSchema};
-use crate::sql::ast::{ColumnDef, InsertSource, SelectItem, SelectStmt, Stmt, TableName, TableRef};
+use crate::sql::ast::{
+    ColumnDef, Expr, InsertSource, SelectItem, SelectStmt, Stmt, TableName, TableRef,
+};
 use crate::sql::parser::{parse_one, parse_statements};
 use crate::storage::heap::DdlBatch;
-use crate::storage::Storage;
+use crate::storage::{RowId, Storage};
 use crate::txn::locks::LockMode;
 use crate::txn::TxnHandle;
 use crate::types::{DataType, Row, Value};
-use binding::{BExpr, BoundCol};
-use eval::{eval, truthy, Binder, Env};
-use select::{infer_output_schema, run_select_materialized};
+use access::{AccessPath, TableRead};
+use binding::BExpr;
+use eval::{eval, Binder, Env};
+use select::{bind_select_list, constant_false, infer_output_schema, run_select_materialized};
 
 /// Session-local temp tables: volatile, die with the session (the property
 /// Phoenix's post-crash liveness probe relies on).
@@ -264,10 +267,15 @@ fn render_proc_text(name: &str, params: &[(String, DataType)], body: &str) -> St
 // ---------------------------------------------------------------------------
 
 /// Execute a SELECT: lazy streaming pipeline when the shape allows it,
-/// otherwise the materializing pipeline.
-pub fn execute_select(ctx: &ExecCtx, q: &crate::sql::ast::SelectStmt) -> Result<Rows> {
-    if let Some(rows) = try_lazy_select(ctx, q)? {
-        return Ok(rows);
+/// otherwise the materializing pipeline. A false constant conjunct is
+/// checked before that choice: such a query takes the materializing
+/// pipeline, which answers it from its schema alone, so neither pipeline
+/// opens a scan for it.
+pub fn execute_select(ctx: &ExecCtx, q: &SelectStmt) -> Result<Rows> {
+    if !constant_false(ctx, q)? {
+        if let Some(rows) = try_lazy_select(ctx, q)? {
+            return Ok(rows);
+        }
     }
     let rel = run_select_materialized(ctx, q, &[], None)?;
     let schema = rel
@@ -281,11 +289,15 @@ pub fn execute_select(ctx: &ExecCtx, q: &crate::sql::ast::SelectStmt) -> Result<
     })
 }
 
-/// Lazy pipeline: single base table, no grouping/ordering/distinct, no
-/// subqueries. Produces rows on demand so a `TOP N` scan into a full
-/// network buffer suspends exactly as the paper describes.
-fn try_lazy_select(ctx: &ExecCtx, q: &crate::sql::ast::SelectStmt) -> Result<Option<Rows>> {
-    if q.from.len() != 1
+/// Lazy pipeline: one base table, no grouping/ordering/distinct, no
+/// subqueries, and no point read. Produces rows on demand so a `TOP N`
+/// scan into a full network buffer suspends exactly as the paper
+/// describes.
+fn try_lazy_select(ctx: &ExecCtx, q: &SelectStmt) -> Result<Option<Rows>> {
+    let [TableRef::Table { table, alias }] = q.from.as_slice() else {
+        return Ok(None);
+    };
+    if table.temp
         || !q.group_by.is_empty()
         || q.having.is_some()
         || !q.order_by.is_empty()
@@ -293,171 +305,52 @@ fn try_lazy_select(ctx: &ExecCtx, q: &crate::sql::ast::SelectStmt) -> Result<Opt
     {
         return Ok(None);
     }
-    let TableRef::Table { table, alias } = &q.from[0] else {
-        return Ok(None);
-    };
-    if table.temp {
-        return Ok(None);
-    }
     // No aggregates or subqueries anywhere.
-    let mut blocked = false;
-    let mut check = |e: &crate::sql::ast::Expr| {
-        if e.contains_aggregate() {
-            blocked = true;
-        }
+    let blocked = |e: &Expr| {
+        let mut found = e.contains_aggregate();
         e.walk(&mut |n| {
-            use crate::sql::ast::Expr as E;
-            if matches!(
+            found |= matches!(
                 n,
-                E::Exists { .. } | E::InSubquery { .. } | E::ScalarSubquery(_)
-            ) {
-                blocked = true;
-            }
+                Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_)
+            );
         });
+        found
     };
-    for it in &q.items {
-        if let SelectItem::Expr { expr, .. } = it {
-            check(expr);
-        }
-    }
-    if let Some(f) = &q.filter {
-        check(f);
-    }
-    if blocked {
+    let exprs = q.items.iter().filter_map(|it| match it {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    if exprs.chain(&q.filter).any(blocked) {
         return Ok(None);
     }
 
-    let src = ctx.resolve_table(table)?;
-    let TableSource::Base { meta, schema } = src else {
-        return Ok(None);
-    };
+    let read = TableRead::plan(ctx, table, alias.as_deref(), q.filter.as_ref())?;
     // Primary-key point queries go through the materialized path: a lazy
     // cursor would keep its row lock until the client drains it.
-    let conjuncts: Vec<&crate::sql::ast::Expr> = q
-        .filter
-        .as_ref()
-        .map(eval::split_conjuncts)
-        .unwrap_or_default();
-    let path = access::choose(ctx, &schema, &conjuncts);
-    if matches!(path, access::AccessPath::Point(_)) {
+    if matches!(read.path, AccessPath::Point(_)) {
         return Ok(None);
     }
-    let table_id = meta.read().id;
-
-    let qual = alias.clone().unwrap_or_else(|| table.name.clone());
-    let cols: Vec<BoundCol> = schema
-        .columns
+    let binder = Binder::new(ctx, vec![read.cols.clone()]);
+    let out = bind_select_list(&binder, &read.cols, &q.items)?;
+    let schema = out
         .iter()
-        .map(|c| BoundCol::new(Some(qual.clone()), c.name.clone(), c.dtype))
+        .map(|(e, name)| Column::new(name.clone(), e.dtype()))
         .collect();
-    let binder = Binder::new(ctx, vec![cols.clone()]);
-    let filter = q.filter.as_ref().map(|f| binder.bind(f)).transpose()?;
-
-    // Output items.
-    let mut out: Vec<(BExpr, String)> = Vec::new();
-    for (i, it) in q.items.iter().enumerate() {
-        match it {
-            SelectItem::Wildcard => {
-                for (k, c) in cols.iter().enumerate() {
-                    out.push((
-                        BExpr::Col {
-                            depth: 0,
-                            idx: k,
-                            dtype: c.dtype,
-                        },
-                        c.name.clone(),
-                    ));
-                }
-            }
-            SelectItem::QualifiedWildcard(qw) => {
-                for (k, c) in cols.iter().enumerate() {
-                    if c.qual
-                        .as_deref()
-                        .map(|x| x.eq_ignore_ascii_case(qw))
-                        .unwrap_or(false)
-                    {
-                        out.push((
-                            BExpr::Col {
-                                depth: 0,
-                                idx: k,
-                                dtype: c.dtype,
-                            },
-                            c.name.clone(),
-                        ));
-                    }
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let b = binder.bind(expr)?;
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    crate::sql::ast::Expr::Column { name, .. } => name.clone(),
-                    _ => format!("col{}", i + 1),
-                });
-                out.push((b, name));
-            }
-        }
-    }
-    let out_schema: Vec<Column> = out
-        .iter()
-        .map(|(e, n)| Column::new(n.clone(), e.dtype()))
-        .collect();
-
-    let mut scan = access::open(ctx, table_id, &schema, &path, LockMode::Shared)?;
-    // The iterator owns clones of everything it needs. `Storage` is kept
-    // alive through the context clone. `from_fn` (rather than filter_map)
-    // so a satisfied TOP-N stops the scan instead of draining the table.
     let ctx2 = ctx.clone();
-    let top = q.top;
-    let mut produced: u64 = 0;
-    let mut failed = false;
-    let iter = std::iter::from_fn(move || {
-        if failed {
-            return None;
-        }
-        if let Some(t) = top {
-            if produced >= t {
-                return None;
-            }
-        }
-        loop {
-            let row = match scan.next()? {
-                Ok((_, r)) => r,
-                Err(e) => {
-                    failed = true;
-                    return Some(Err(e));
-                }
-            };
-            let env = Env::base(&row);
-            if let Some(f) = &filter {
-                match eval(&ctx2, &env, f) {
-                    Ok(v) => {
-                        if truthy(&v) != Some(true) {
-                            continue;
-                        }
-                    }
-                    Err(e) => {
-                        failed = true;
-                        return Some(Err(e));
-                    }
-                }
-            }
-            let projected: Result<Row> = out.iter().map(|(e, _)| eval(&ctx2, &env, e)).collect();
-            return match projected {
-                Ok(r) => {
-                    produced += 1;
-                    Some(Ok(r))
-                }
-                Err(e) => {
-                    failed = true;
-                    Some(Err(e))
-                }
-            };
-        }
-    });
-
+    let project = move |row: Result<(RowId, Row)>| {
+        let (_, row) = row?;
+        let env = Env::base(&row);
+        out.iter().map(|(e, _)| eval(&ctx2, &env, e)).collect()
+    };
+    // `take` stops the scan once a TOP N is satisfied instead of
+    // draining the table.
+    let rows = read
+        .rows(ctx, LockMode::Shared)?
+        .map(project)
+        .take(q.top.map_or(usize::MAX, |n| n as usize));
     Ok(Some(Rows {
-        schema: out_schema,
-        source: RowsSource::Lazy(Box::new(iter)),
+        schema,
+        source: RowsSource::Lazy(Box::new(rows)),
     }))
 }
 
@@ -622,17 +515,12 @@ fn insert_rows(
 fn exec_update(
     ctx: &ExecCtx,
     table: &TableName,
-    sets: &[(String, crate::sql::ast::Expr)],
-    filter: Option<&crate::sql::ast::Expr>,
+    sets: &[(String, Expr)],
+    filter: Option<&Expr>,
 ) -> Result<StmtOutcome> {
-    let schema = ctx.resolve_table(table)?.schema().clone();
-    let cols: Vec<BoundCol> = schema
-        .columns
-        .iter()
-        .map(|c| BoundCol::new(Some(table.name.clone()), c.name.clone(), c.dtype))
-        .collect();
-    let binder = Binder::new(ctx, vec![cols]);
-    let bfilter = filter.map(|f| binder.bind(f)).transpose()?;
+    let mut read = TableRead::plan(ctx, table, None, filter)?;
+    let schema = read.source.schema().clone();
+    let binder = Binder::new(ctx, vec![read.cols.clone()]);
     let bsets: Vec<(usize, BExpr)> = sets
         .iter()
         .map(|(c, e)| {
@@ -642,6 +530,13 @@ fn exec_update(
             Ok((idx, binder.bind(e)?))
         })
         .collect::<Result<_>>()?;
+    let new_row = |row: &Row| -> Result<Row> {
+        let mut new_row = row.clone();
+        for (idx, e) in &bsets {
+            new_row[*idx] = eval(ctx, &Env::base(row), e)?.coerce(schema.columns[*idx].dtype)?;
+        }
+        Ok(new_row)
+    };
 
     if table.temp {
         let mut temps = ctx.temps.lock();
@@ -650,87 +545,35 @@ fn exec_update(
             .get_mut(&table.name.to_ascii_lowercase())
             .ok_or_else(|| Error::NotFound(format!("temp table #{}", table.name)))?;
         let mut n = 0u64;
-        for i in 0..tt.rows.len() {
-            let keep = match &bfilter {
-                Some(f) => truthy(&eval(ctx, &Env::base(&tt.rows[i]), f)?) == Some(true),
-                None => true,
-            };
-            if keep {
-                let mut new_row = tt.rows[i].clone();
-                for (idx, e) in &bsets {
-                    new_row[*idx] = eval(ctx, &Env::base(&tt.rows[i]), e)?
-                        .coerce(tt.schema.columns[*idx].dtype)?;
-                }
-                tt.rows[i] = new_row;
+        for row in &mut tt.rows {
+            if read.accepts(ctx, row)? {
+                *row = new_row(row)?;
                 n += 1;
             }
         }
         return Ok(StmtOutcome::Affected(n));
     }
 
-    let meta = ctx
-        .storage
-        .catalog
-        .resolve(&table.name)
-        .ok_or_else(|| Error::NotFound(format!("table {}", table.name)))?;
-    let table_id = meta.read().id;
-
-    // Collect matches first (updates relocate rows).
-    let conjuncts: Vec<&crate::sql::ast::Expr> =
-        filter.map(eval::split_conjuncts).unwrap_or_default();
-    let touches_pk = bsets.iter().any(|(i, _)| schema.primary_key.contains(i));
-    let path = match access::choose(ctx, &schema, &conjuncts) {
+    if bsets.iter().any(|(i, _)| schema.primary_key.contains(i)) {
         // The new key's row lock is not taken: lock the table instead.
-        access::AccessPath::Point(key) if touches_pk => access::AccessPath::Prefix(key),
-        path => path,
-    };
-    let targets = matching_rows(ctx, table_id, &schema, &path, bfilter.as_ref())?;
-    let n = targets.len();
-    for (rid, row) in targets {
-        let mut new_row = row.clone();
-        for (idx, e) in &bsets {
-            new_row[*idx] = eval(ctx, &Env::base(&row), e)?.coerce(schema.columns[*idx].dtype)?;
-        }
-        ctx.storage.update_row(&ctx.txn, table_id, rid, &new_row)?;
-    }
-    Ok(StmtOutcome::Affected(n as u64))
-}
-
-/// Write-lock the rows `path` reaches and return those `filter` accepts.
-fn matching_rows(
-    ctx: &ExecCtx,
-    table_id: crate::schema::TableId,
-    schema: &TableSchema,
-    path: &access::AccessPath,
-    filter: Option<&BExpr>,
-) -> Result<Vec<(crate::storage::RowId, Row)>> {
-    let mut targets = Vec::new();
-    for item in access::open(ctx, table_id, schema, path, LockMode::Exclusive)? {
-        let (rid, row) = item?;
-        let keep = match filter {
-            Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
-            None => true,
-        };
-        if keep {
-            targets.push((rid, row));
+        if let AccessPath::Point(key) = &read.path {
+            read.path = AccessPath::Prefix(key.clone());
         }
     }
-    Ok(targets)
+    let table_id = read.table_id()?;
+    // Collect matches first (updates relocate rows).
+    let targets: Vec<_> = read
+        .rows(ctx, LockMode::Exclusive)?
+        .collect::<Result<_>>()?;
+    for (rid, row) in &targets {
+        ctx.storage
+            .update_row(&ctx.txn, table_id, *rid, &new_row(row)?)?;
+    }
+    Ok(StmtOutcome::Affected(targets.len() as u64))
 }
 
-fn exec_delete(
-    ctx: &ExecCtx,
-    table: &TableName,
-    filter: Option<&crate::sql::ast::Expr>,
-) -> Result<StmtOutcome> {
-    let schema = ctx.resolve_table(table)?.schema().clone();
-    let cols: Vec<BoundCol> = schema
-        .columns
-        .iter()
-        .map(|c| BoundCol::new(Some(table.name.clone()), c.name.clone(), c.dtype))
-        .collect();
-    let binder = Binder::new(ctx, vec![cols]);
-    let bfilter = filter.map(|f| binder.bind(f)).transpose()?;
+fn exec_delete(ctx: &ExecCtx, table: &TableName, filter: Option<&Expr>) -> Result<StmtOutcome> {
+    let read = TableRead::plan(ctx, table, None, filter)?;
 
     if table.temp {
         let mut temps = ctx.temps.lock();
@@ -744,15 +587,12 @@ fn exec_delete(
             if err.is_some() {
                 return true;
             }
-            match &bfilter {
-                Some(f) => match eval(ctx, &Env::base(row), f) {
-                    Ok(v) => truthy(&v) != Some(true),
-                    Err(e) => {
-                        err = Some(e);
-                        true
-                    }
-                },
-                None => false,
+            match read.accepts(ctx, row) {
+                Ok(hit) => !hit,
+                Err(e) => {
+                    err = Some(e);
+                    true
+                }
             }
         });
         if let Some(e) = err {
@@ -761,22 +601,14 @@ fn exec_delete(
         return Ok(StmtOutcome::Affected((before - tt.rows.len()) as u64));
     }
 
-    let meta = ctx
-        .storage
-        .catalog
-        .resolve(&table.name)
-        .ok_or_else(|| Error::NotFound(format!("table {}", table.name)))?;
-    let table_id = meta.read().id;
-
-    let conjuncts: Vec<&crate::sql::ast::Expr> =
-        filter.map(eval::split_conjuncts).unwrap_or_default();
-    let path = access::choose(ctx, &schema, &conjuncts);
-    let targets = matching_rows(ctx, table_id, &schema, &path, bfilter.as_ref())?;
-    let n = targets.len();
-    for (rid, _) in targets {
-        ctx.storage.delete_row(&ctx.txn, table_id, rid)?;
+    let table_id = read.table_id()?;
+    let targets: Vec<_> = read
+        .rows(ctx, LockMode::Exclusive)?
+        .collect::<Result<_>>()?;
+    for (rid, _) in &targets {
+        ctx.storage.delete_row(&ctx.txn, table_id, *rid)?;
     }
-    Ok(StmtOutcome::Affected(n as u64))
+    Ok(StmtOutcome::Affected(targets.len() as u64))
 }
 
 fn exec_create_table(
@@ -913,12 +745,6 @@ fn exec_procedure(
         }
     }
     Ok(last)
-}
-
-/// Static metadata for a SELECT (the `WHERE 0=1` support surface, also
-/// exposed through the wire protocol's describe path).
-pub fn describe_select(ctx: &ExecCtx, q: &crate::sql::ast::SelectStmt) -> Result<Vec<Column>> {
-    infer_output_schema(ctx, q)
 }
 
 #[cfg(test)]

@@ -7,15 +7,16 @@
 
 use std::collections::HashMap;
 
+use super::access::TableRead;
 use super::binding::{AggCall, BExpr, BoundCol};
 use super::eval::{
     conjoin, eval, key_encode, normalize, split_conjuncts, truthy, Accumulator, AggContext, Binder,
     Env,
 };
-use super::{access, ExecCtx, TableSource};
+use super::{ExecCtx, TableSource};
 use crate::error::{Error, Result};
-use crate::schema::Column;
-use crate::sql::ast::{BinOp, Expr, OrderItem, SelectItem, SelectStmt, TableRef};
+use crate::schema::{Column, TableSchema};
+use crate::sql::ast::{BinOp, Expr, OrderItem, SelectItem, SelectStmt, TableName, TableRef};
 use crate::txn::locks::LockMode;
 use crate::types::{DataType, Row, Value};
 
@@ -55,10 +56,8 @@ fn table_ref_bindings(ctx: &ExecCtx, tr: &TableRef, out: &mut Vec<BoundCol>) -> 
     match tr {
         TableRef::Table { table, alias } => {
             let src = ctx.resolve_table(table)?;
-            let qual = alias.clone().unwrap_or_else(|| table.name.clone());
-            for c in &src.schema().columns {
-                out.push(BoundCol::new(Some(qual.clone()), c.name.clone(), c.dtype));
-            }
+            let qual = alias.as_deref().unwrap_or(&table.name);
+            out.extend(table_columns(qual, src.schema()));
         }
         TableRef::Derived { query, alias } => {
             let schema = infer_output_schema(ctx, query)?;
@@ -117,34 +116,68 @@ pub fn infer_output_schema(ctx: &ExecCtx, q: &SelectStmt) -> Result<Vec<Column>>
         agg_ctx: agg_ctx.as_ref(),
     };
 
+    Ok(bind_select_list(&binder, &input, &q.items)?
+        .into_iter()
+        .map(|(e, name)| Column::new(name, e.dtype()))
+        .collect())
+}
+
+/// A table's columns, qualified by `qual`: its alias, or else its name.
+pub(crate) fn table_columns(qual: &str, schema: &TableSchema) -> Vec<BoundCol> {
+    schema
+        .columns
+        .iter()
+        .map(|c| BoundCol::new(Some(qual.to_string()), c.name.clone(), c.dtype))
+        .collect()
+}
+
+/// The one select-list expander: bind `items` over the `input` columns
+/// with `binder` and name each output column. `*` and `t.*` pass the
+/// input columns they cover through under their own names; `expr [AS
+/// name]` takes its alias, or else [`default_name`]. Under an aggregate
+/// context a column a wildcard passes through is an error, since it is
+/// not grouped.
+pub(crate) fn bind_select_list(
+    binder: &Binder<'_>,
+    input: &[BoundCol],
+    items: &[SelectItem],
+) -> Result<Vec<(BExpr, String)>> {
     let mut out = Vec::new();
-    for (i, it) in q.items.iter().enumerate() {
-        match it {
-            SelectItem::Wildcard => {
-                for c in &input {
-                    out.push(Column::new(c.name.clone(), c.dtype));
-                }
-            }
-            SelectItem::QualifiedWildcard(qual) => {
-                for c in input.iter().filter(|c| {
-                    c.qual
-                        .as_deref()
-                        .map(|x| x.eq_ignore_ascii_case(qual))
-                        .unwrap_or(false)
-                }) {
-                    out.push(Column::new(c.name.clone(), c.dtype));
-                }
-            }
+    for (i, item) in items.iter().enumerate() {
+        let qual = match item {
             SelectItem::Expr { expr, alias } => {
-                let b = binder.bind(expr)?;
                 let name = alias.clone().unwrap_or_else(|| default_name(expr, i));
-                out.push(Column::new(name, b.dtype()));
+                out.push((binder.bind(expr)?, name));
+                continue;
             }
+            SelectItem::Wildcard => None,
+            SelectItem::QualifiedWildcard(qual) => Some(qual),
+        };
+        for (idx, c) in input.iter().enumerate() {
+            let covered =
+                qual.is_none_or(|q| c.qual.as_deref().is_some_and(|x| x.eq_ignore_ascii_case(q)));
+            if !covered {
+                continue;
+            }
+            if binder.agg_ctx.is_some() {
+                return Err(Error::Semantic(format!(
+                    "column '{}' must appear in GROUP BY",
+                    c.name
+                )));
+            }
+            let col = BExpr::Col {
+                depth: 0,
+                idx,
+                dtype: c.dtype,
+            };
+            out.push((col, c.name.clone()));
         }
     }
     Ok(out)
 }
 
+/// The output name of an unaliased select-list expression at position
+/// `idx`: a column's name, a function's lowercased name, else `col<n>`.
 fn default_name(e: &Expr, idx: usize) -> String {
     match e {
         Expr::Column { name, .. } => name.clone(),
@@ -153,66 +186,55 @@ fn default_name(e: &Expr, idx: usize) -> String {
     }
 }
 
+/// The one constant-predicate short circuit: whether a WHERE conjunct of
+/// `q` that reads no column and runs no subquery, such as the `WHERE
+/// 0=1` probe, is not true. Then no row can qualify and the query is
+/// answered from its schema alone. `execute_select` asks before it
+/// chooses between the lazy and the materialized pipeline, and
+/// [`run_select_materialized`] before it reads anything, so neither
+/// opens a scan or takes a lock.
+pub(crate) fn constant_false(ctx: &ExecCtx, q: &SelectStmt) -> Result<bool> {
+    let binder = Binder::new(ctx, vec![Vec::new()]);
+    for c in q.filter.iter().flat_map(split_conjuncts) {
+        if conjunct_units(c, &[]).is_some_and(|units| units.is_empty())
+            && truthy(&eval(ctx, &Env::base(&[]), &binder.bind(c)?)?) != Some(true)
+        {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
 // ---------------------------------------------------------------------------
 // Scanning with pushdown
 // ---------------------------------------------------------------------------
 
-/// Scan a base/temp table applying pushed-down conjuncts, through the
-/// access path they allow on a base table (see [`access`]).
+/// Read a base or temp table, keeping the rows the pushed-down conjuncts
+/// accept: a base table through the access path they allow.
 fn scan_filtered(
     ctx: &ExecCtx,
-    table: &crate::sql::ast::TableName,
+    table: &TableName,
     alias: Option<&str>,
     pushed: &[&Expr],
 ) -> Result<Rel> {
-    let src = ctx.resolve_table(table)?;
-    let qual = alias
-        .map(|s| s.to_string())
-        .unwrap_or_else(|| table.name.clone());
-    let cols: Vec<BoundCol> = src
-        .schema()
-        .columns
-        .iter()
-        .map(|c| BoundCol::new(Some(qual.clone()), c.name.clone(), c.dtype))
-        .collect();
-
-    let binder = Binder::new(ctx, vec![cols.clone()]);
-    let filter = match pushed.len() {
-        0 => None,
-        _ => Some(binder.bind(&conjoin(pushed.iter().map(|e| (*e).clone()).collect()))?),
+    let filter =
+        (!pushed.is_empty()).then(|| conjoin(pushed.iter().map(|e| (*e).clone()).collect()));
+    let read = TableRead::plan(ctx, table, alias, filter.as_ref())?;
+    let cols = read.cols.clone();
+    let rows = if let TableSource::Temp { rows, .. } = &read.source {
+        let mut kept = Vec::new();
+        for row in rows {
+            if read.accepts(ctx, row)? {
+                kept.push(row.clone());
+            }
+        }
+        kept
+    } else {
+        read.rows(ctx, LockMode::Shared)?
+            .map(|r| r.map(|(_, row)| row))
+            .collect::<Result<_>>()?
     };
-
-    match &src {
-        TableSource::Base { meta, schema } => {
-            let table_id = meta.read().id;
-            let path = access::choose(ctx, schema, pushed);
-            let mut rows = Vec::new();
-            for item in access::open(ctx, table_id, schema, &path, LockMode::Shared)? {
-                let (_, row) = item?;
-                let keep = match &filter {
-                    Some(f) => truthy(&eval(ctx, &Env::base(&row), f)?) == Some(true),
-                    None => true,
-                };
-                if keep {
-                    rows.push(row);
-                }
-            }
-            Ok(Rel { cols, rows })
-        }
-        TableSource::Temp { rows: trows, .. } => {
-            let mut rows = Vec::new();
-            for row in trows {
-                let keep = match &filter {
-                    Some(f) => truthy(&eval(ctx, &Env::base(row), f)?) == Some(true),
-                    None => true,
-                };
-                if keep {
-                    rows.push(row.clone());
-                }
-            }
-            Ok(Rel { cols, rows })
-        }
-    }
+    Ok(Rel { cols, rows })
 }
 
 // ---------------------------------------------------------------------------
@@ -536,6 +558,14 @@ pub fn run_select_materialized(
     outer_scopes: &[Vec<BoundCol>],
     outer_env: Option<&Env<'_>>,
 ) -> Result<Rel> {
+    if constant_false(ctx, q)? {
+        let cols = infer_output_schema(ctx, q)?
+            .into_iter()
+            .map(|c| BoundCol::new(None, c.name, c.dtype))
+            .collect();
+        return Ok(Rel::empty(cols));
+    }
+
     // ---- FROM + WHERE: build the joined, filtered input relation ----
     let unit_bindings: Vec<Vec<BoundCol>> = q
         .from
@@ -561,14 +591,13 @@ pub fn run_select_materialized(
         .unwrap_or_default();
     let conjuncts: Vec<&Expr> = factored.iter().collect();
 
-    // Classify conjuncts.
+    // Classify conjuncts. A constant one is true (see `constant_false`)
+    // unless OR-factorization produced it, so it joins the residual.
     let mut pushed: Vec<Vec<&Expr>> = vec![Vec::new(); q.from.len()];
-    let mut const_conjs: Vec<&Expr> = Vec::new();
     let mut join_edges: Vec<(&Expr, usize, usize)> = Vec::new();
     let mut residual: Vec<&Expr> = Vec::new();
     for c in &conjuncts {
         match conjunct_units(c, &unit_bindings) {
-            Some(units) if units.is_empty() => const_conjs.push(c),
             Some(units) if units.len() == 1 => pushed[units[0]].push(c),
             Some(units) if units.len() == 2 => {
                 if matches!(c, Expr::Binary { op: BinOp::Eq, .. }) {
@@ -581,26 +610,7 @@ pub fn run_select_materialized(
         }
     }
 
-    // Constant predicates (e.g. the Phoenix `WHERE 0=1` probe): evaluate
-    // before scanning anything.
     let full_bindings: Vec<BoundCol> = unit_bindings.iter().flatten().cloned().collect();
-    for c in &const_conjs {
-        let mut scopes = vec![Vec::<BoundCol>::new()];
-        scopes.extend(outer_scopes.iter().cloned());
-        let binder = Binder::new(ctx, scopes);
-        let b = binder.bind(c)?;
-        let empty_row: Row = Vec::new();
-        let env = Env::child(&empty_row, outer_env);
-        if truthy(&eval(ctx, &env, &b)?) != Some(true) {
-            // Short-circuit: nothing can qualify; also skip scans.
-            let out_schema = infer_output_schema(ctx, q)?;
-            let cols = out_schema
-                .into_iter()
-                .map(|c| BoundCol::new(None, c.name, c.dtype))
-                .collect();
-            return Ok(Rel::empty(cols));
-        }
-    }
 
     // Evaluate units with pushdown.
     let mut rels: Vec<Option<Rel>> = q
@@ -748,37 +758,6 @@ fn project_and_finish(
         .map(|OrderItem { expr, desc }| (resolve_order_expr(q, expr), *desc))
         .collect();
 
-    // Output item expressions (wildcards expanded).
-    enum OutItem {
-        Passthrough(usize),
-        Computed { expr: Expr, name: String },
-    }
-    let mut out_items: Vec<OutItem> = Vec::new();
-    for (i, it) in q.items.iter().enumerate() {
-        match it {
-            SelectItem::Wildcard => {
-                for k in 0..input.cols.len() {
-                    out_items.push(OutItem::Passthrough(k));
-                }
-            }
-            SelectItem::QualifiedWildcard(qual) => {
-                for (k, c) in input.cols.iter().enumerate() {
-                    if c.qual
-                        .as_deref()
-                        .map(|x| x.eq_ignore_ascii_case(qual))
-                        .unwrap_or(false)
-                    {
-                        out_items.push(OutItem::Passthrough(k));
-                    }
-                }
-            }
-            SelectItem::Expr { expr, alias } => out_items.push(OutItem::Computed {
-                expr: expr.clone(),
-                name: alias.clone().unwrap_or_else(|| default_name(expr, i)),
-            }),
-        }
-    }
-
     // Build bound output + order + having expressions, in aggregate mode
     // when required.
     let agg_ctx_opt: Option<AggContext>;
@@ -795,8 +774,8 @@ fn project_and_finish(
 
     if has_aggs {
         let mut aggs: Vec<AggCall> = Vec::new();
-        for it in &out_items {
-            if let OutItem::Computed { expr, .. } = it {
+        for it in &q.items {
+            if let SelectItem::Expr { expr, .. } = it {
                 binder.collect_aggs(expr, &mut aggs)?;
             }
         }
@@ -878,16 +857,7 @@ fn project_and_finish(
             scopes: scopes.clone(),
             agg_ctx: Some(&agg_ctx),
         };
-        bound_out = out_items
-            .iter()
-            .map(|it| match it {
-                OutItem::Passthrough(k) => Err(Error::Semantic(format!(
-                    "column '{}' must appear in GROUP BY",
-                    input.cols[*k].name
-                ))),
-                OutItem::Computed { expr, name } => Ok((agg_binder.bind(expr)?, name.clone())),
-            })
-            .collect::<Result<_>>()?;
+        bound_out = bind_select_list(&agg_binder, &input.cols, &q.items)?;
         bound_order = order_exprs
             .iter()
             .map(|(e, d)| Ok((agg_binder.bind(e)?, *d)))
@@ -904,20 +874,7 @@ fn project_and_finish(
                 aggs: Vec::new(),
             })
             .collect();
-        bound_out = out_items
-            .iter()
-            .map(|it| match it {
-                OutItem::Passthrough(k) => Ok((
-                    BExpr::Col {
-                        depth: 0,
-                        idx: *k,
-                        dtype: input.cols[*k].dtype,
-                    },
-                    input.cols[*k].name.clone(),
-                )),
-                OutItem::Computed { expr, name } => Ok((binder.bind(expr)?, name.clone())),
-            })
-            .collect::<Result<_>>()?;
+        bound_out = bind_select_list(&binder, &input.cols, &q.items)?;
         bound_order = order_exprs
             .iter()
             .map(|(e, d)| Ok((binder.bind(e)?, *d)))

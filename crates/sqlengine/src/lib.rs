@@ -11,10 +11,10 @@
 //! materialization, `SELECT * FROM t` reopen, status-table writes).
 //!
 //! The engine's headline capability for the paper is *crashability*: the
-//! [`server`] half exposes `SHUTDOWN WITH NOWAIT`, which drops all volatile
-//! state (sessions, temp tables, buffer pool, active transactions) while
-//! keeping durable state (disk pages + flushed WAL), and restart runs
-//! analysis/redo/undo recovery.
+//! server (`wire::DbServer`) exposes `SHUTDOWN WITH NOWAIT`, which drops
+//! all volatile state (sessions, temp tables, buffer pool, active
+//! transactions) while keeping durable state (disk pages + flushed WAL),
+//! and restart runs analysis/redo/undo recovery.
 
 // Tests exercise happy paths; the unwrap/expect hygiene baseline is
 // aimed at library code (enforced harder by `cargo xtask lint`).

@@ -62,7 +62,7 @@ struct PoolShard {
     tick: u64,
 }
 
-/// The buffer pool, lock-striped into [`PoolShard`]s so concurrent
+/// The buffer pool, lock-striped into `PoolShard`s so concurrent
 /// sessions touching different pages do not serialize on one latch.
 pub struct BufferPool {
     disk: Arc<MemDisk>,

@@ -13,7 +13,7 @@
 //!   within the stream (a lying fsync dropped its predecessor) fails
 //!   verification even though its bytes are individually intact.
 //!
-//! Both run the same slicing-by-8 kernel ([`update`]): eight 256-entry
+//! Both run the same slicing-by-8 kernel (`update`): eight 256-entry
 //! tables per polynomial fold one little-endian 8-byte word per step, so
 //! a restart that verifies megabytes of log and every page it reads
 //! pays one table lookup per byte with no loop-carried dependency

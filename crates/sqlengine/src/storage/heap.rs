@@ -610,25 +610,9 @@ impl Storage {
         }))
     }
 
-    /// Convenience: scan fully into memory (does not require `Arc`).
-    pub fn scan_all(&self, table: TableId) -> Result<Vec<(RowId, Row)>> {
-        let meta = self
-            .catalog
-            .get(table)
-            .ok_or_else(|| Error::NotFound(format!("table id {table}")))?;
-        let pages = meta.read().pages.clone();
-        let mut out = Vec::new();
-        for pid in pages {
-            for (rid, bytes) in self.page_rows(pid, None)? {
-                out.push((rid, decode_row(&bytes)?));
-            }
-        }
-        Ok(out)
-    }
-
     /// Rebuild every PK index by scanning heaps (restart path). Each key
     /// is cut from the encoded row in place under the page latch
-    /// ([`encoded_key`]), so a row is neither copied nor decoded, yet a
+    /// (`schema::encoded_key`), so a row is neither copied nor decoded, yet a
     /// bad encoding still fails restart with [`Error::Corruption`].
     pub fn rebuild_indexes(&self) -> Result<()> {
         for name in self.catalog.table_names() {
@@ -848,11 +832,11 @@ mod tests {
 
     /// The index as the decoding rebuild made it: `pk_key_bytes` of every
     /// decoded live row.
-    fn decoded_index(st: &Storage, table: TableId) -> BTreeMap<Vec<u8>, RowId> {
+    fn decoded_index(st: &Arc<Storage>, table: TableId) -> BTreeMap<Vec<u8>, RowId> {
         let schema = st.catalog.get(table).unwrap().read().schema.clone();
-        st.scan_all(table)
+        st.scan(table)
             .unwrap()
-            .into_iter()
+            .map(|r| r.unwrap())
             .map(|(rid, row)| (pk_key_bytes(&schema, &row).unwrap(), rid))
             .collect()
     }

@@ -128,7 +128,7 @@ struct LockShard {
 }
 
 /// The lock manager. One per engine instance (volatile). Partitioned
-/// into [`LOCK_SHARDS`] independent lock tables by resource hash.
+/// into `LOCK_SHARDS` independent lock tables by resource hash.
 pub struct LockManager {
     shards: Vec<LockShard>,
     /// Upper bound on lock waits before declaring deadlock (safety net for

@@ -573,6 +573,18 @@ impl LogStore {
         Ok(out)
     }
 
+    /// The record that starts at `lsn`, CRC-verified, or `None` when no
+    /// whole record starts there (`lsn` at or past the log end, or a
+    /// torn frame). Damage to that one frame is [`Error::Corruption`].
+    pub fn record_at(&self, lsn: Lsn) -> Result<Option<LogRecord>> {
+        let data = self.durable.lock();
+        let _lw = obskit::lockcheck::held("LogStore::durable");
+        match scan_frame(&data, lsn as usize)? {
+            Frame::Rec { mut payload, .. } => LogRecord::decode(&mut payload).map(Some),
+            Frame::End | Frame::Torn => Ok(None),
+        }
+    }
+
     /// Scan the whole durable stream and physically truncate a torn
     /// tail (the residue of a failed batched append). Returns the bytes
     /// removed. Mid-log CRC damage is *not* a tail and fails loudly
@@ -801,7 +813,7 @@ impl LogManager {
     /// session that sees every member of company parked, the batch full
     /// or its window expired leads one `flush_all` covering every
     /// parked LSN. A failed batch flush is broadcast to **all** waiters
-    /// via [`Group::dead`] — fail-stop semantics apply to the batch,
+    /// via `Group::dead` — fail-stop semantics apply to the batch,
     /// never just the leader.
     pub fn commit_flush(&self, lsn: Lsn) -> Result<()> {
         if !self.group_cfg.enabled {
@@ -1135,6 +1147,10 @@ mod tests {
         let recs = store.records_from(l2).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].1, LogRecord::Begin { txn: 2 });
+        // The single record there, and none at the log end.
+        let rec = store.record_at(l2).unwrap();
+        assert_eq!(rec, Some(LogRecord::Begin { txn: 2 }));
+        assert_eq!(store.record_at(store.durable_len()).unwrap(), None);
     }
 
     #[test]

@@ -124,23 +124,16 @@ pub fn recover(
     // to the Begin of every writer open at the checkpoint; DDL between it
     // and the checkpoint replays idempotently over the snapshot.
     let (catalog, scan_from) = match store.checkpoint() {
-        Some(cp_lsn) => {
-            let recs = store.records_from(cp_lsn)?;
-            match recs.first() {
-                Some((
-                    _,
-                    LogRecord::Checkpoint {
-                        scan_from,
-                        snapshot,
-                    },
-                )) => (Catalog::restore(snapshot)?, *scan_from),
-                // A master record pointing at a torn record or past the
-                // log end means the checkpoint never fully made it out;
-                // distrust it and replay from the start rather than
-                // aborting recovery.
-                _ => (Catalog::new(), 0),
-            }
-        }
+        Some(cp_lsn) => match store.record_at(cp_lsn)? {
+            Some(LogRecord::Checkpoint {
+                scan_from,
+                snapshot,
+            }) => (Catalog::restore(&snapshot)?, scan_from),
+            // A master record pointing at a torn record or past the log
+            // end means the checkpoint never fully made it out; distrust
+            // it and replay from the start rather than aborting recovery.
+            _ => (Catalog::new(), 0),
+        },
         None => (Catalog::new(), 0),
     };
     let catalog = Arc::new(catalog);
@@ -363,7 +356,7 @@ pub(crate) fn compensate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Column, TableSchema};
+    use crate::schema::{Column, TableId, TableSchema};
     use crate::storage::disk::DiskModel;
     use crate::storage::heap::DdlBatch;
     use crate::types::{DataType, Value};
@@ -398,6 +391,15 @@ mod tests {
         vec![Value::Int(i), Value::Str(format!("row-{i}"))]
     }
 
+    /// The live rows of `table`, in heap order.
+    fn rows_of(st: Storage, table: TableId) -> Vec<Vec<Value>> {
+        Arc::new(st)
+            .scan(table)
+            .unwrap()
+            .map(|r| r.unwrap().1)
+            .collect()
+    }
+
     #[test]
     fn committed_work_survives_crash() {
         let (disk, store) = fresh_durable();
@@ -415,10 +417,9 @@ mod tests {
         let (st2, stats) =
             recover(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
         assert!(stats.redo_applied > 0);
-        let rows = st2.scan_all(tid).unwrap();
-        assert_eq!(rows.len(), 100);
-        // Index rebuilt too.
         let st2 = Arc::new(st2);
+        assert_eq!(st2.scan(tid).unwrap().count(), 100);
+        // Index rebuilt too.
         let mut hits = st2.scan_key_prefix(tid, &[Value::Int(42)]).unwrap();
         let (_, found) = hits.next().unwrap().unwrap();
         assert_eq!(found[1], Value::Str("row-42".into()));
@@ -455,13 +456,7 @@ mod tests {
         let (st2, stats) = recover(disk, store, Default::default()).unwrap();
         assert_eq!(stats.losers_rolled_back, 1);
         assert!(stats.undo_actions >= 2);
-        let rows: Vec<_> = st2
-            .scan_all(tid)
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        assert_eq!(rows, vec![row(1)]);
+        assert_eq!(rows_of(st2, tid), vec![row(1)]);
     }
 
     #[test]
@@ -476,7 +471,7 @@ mod tests {
             st.commit(&txn).unwrap(); // commit flushes
         }
         let (st2, _) = recover(disk, store, Default::default()).unwrap();
-        assert_eq!(st2.scan_all(tid).unwrap().len(), 1);
+        assert_eq!(rows_of(st2, tid).len(), 1);
     }
 
     #[test]
@@ -499,7 +494,7 @@ mod tests {
         let (st2, s2) = recover(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
         // Second recovery sees the CLRs and skips re-undoing.
         assert_eq!(s2.undo_actions, 0);
-        assert_eq!(st2.scan_all(tid).unwrap().len(), 0);
+        assert_eq!(rows_of(st2, tid).len(), 0);
     }
 
     #[test]
@@ -522,7 +517,7 @@ mod tests {
         let (st2, stats) = recover(disk, store, Default::default()).unwrap();
         // Only the post-checkpoint insert should need redo.
         assert_eq!(stats.redo_applied, 1);
-        assert_eq!(st2.scan_all(tid).unwrap().len(), 51);
+        assert_eq!(rows_of(st2, tid).len(), 51);
     }
 
     #[test]
@@ -567,12 +562,6 @@ mod tests {
         }
         let (st2, stats) = recover(disk, store, Default::default()).unwrap();
         assert_eq!(stats.losers_rolled_back, 0);
-        let rows: Vec<_> = st2
-            .scan_all(tid)
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        assert_eq!(rows, vec![row(2)]);
+        assert_eq!(rows_of(st2, tid), vec![row(2)]);
     }
 }

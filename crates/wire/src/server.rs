@@ -597,7 +597,7 @@ fn stream_result(
     batch_size: usize,
     cancel: Arc<AtomicBool>,
 ) {
-    let columns = columns_to_wire(&cursor.schema);
+    let columns = columns_to_wire(cursor.schema());
     faultkit::crashpoint!("wire.stream.meta");
     if ep
         .tx

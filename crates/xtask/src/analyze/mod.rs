@@ -16,7 +16,7 @@
 //!   recovery-phase table is internally consistent;
 //! * the **lockcheck witness** ([`check_witness`]): a runtime acquisition
 //!   log from `obskit::lockcheck` is validated against the static graph;
-//! * **bench coverage** ([`bench`]): every bench binary emits its JSON
+//! * **bench coverage** ([`bench`](mod@bench)): every bench binary emits its JSON
 //!   twin, and every blessed baseline under `bench_baselines/` still
 //!   corresponds to a bench binary (or a `gate.extra` manifest entry).
 //!

@@ -13,11 +13,11 @@
 //!   tolerance bands from `<baselines>/gate.json`, and/or validate
 //!   streaming JSON-lines series files (see [`xtask::benchgate`]).
 //! * `cargo xtask ci` — the full pre-merge gate: `fmt --check`,
-//!   `clippy`, `lint`, `analyze`, `test` (twice: on the default test
-//!   threads and on one, failing if any test's outcome differs), fault
-//!   enumeration, chaos soak, obskit snapshot and lockcheck witness
-//!   validation, perf baselines via `bench-gate`, failing fast on the
-//!   first broken step.
+//!   `clippy`, `doc` (rustdoc warnings denied), `lint`, `analyze`,
+//!   `test` (twice: on the default test threads and on one, failing if
+//!   any test's outcome differs), fault enumeration, chaos soak, obskit
+//!   snapshot and lockcheck witness validation, perf baselines via
+//!   `bench-gate`, failing fast on the first broken step.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::env;
@@ -73,8 +73,8 @@ fn print_help() {
          \x20        bands; --bless adopts the current results as the new\n\
          \x20        baselines; --series validates streaming JSON-lines series\n\
          \x20        files (--series-only skips the baseline compare)\n\
-         \x20 ci     full pre-merge gate: fmt --check, clippy, lint, analyze,\n\
-         \x20        test, seeded fault enumeration, bounded chaos soak,\n\
+         \x20 ci     full pre-merge gate: fmt --check, clippy, doc, lint,\n\
+         \x20        analyze, test, seeded fault enumeration, bounded chaos soak,\n\
          \x20        obskit snapshot + lockcheck witness validation,\n\
          \x20        bench-gate perf baselines (fast live subset + series)"
     );
@@ -554,9 +554,16 @@ fn ci() -> ExitCode {
                 "clippy::expect_used",
             ]),
         );
+    // Rustdoc warnings (an unresolved link, a public doc linking a
+    // private item) fail the gate like compiler warnings do.
+    let doc_ok = clippy_ok
+        && step(
+            "doc (RUSTDOCFLAGS=-D warnings)",
+            cargo(&["doc", "--workspace", "--no-deps"]).env("RUSTDOCFLAGS", "-D warnings"),
+        );
     // One workspace load and one analysis serve lint, analyze and the
     // witness check.
-    let ws = clippy_ok.then(|| load("ci")).flatten();
+    let ws = doc_ok.then(|| load("ci")).flatten();
     let analysis = ws.as_ref().map(xtask::analyze::analyze);
     let lint_ok = ws.as_ref().zip(analysis.as_ref()).is_some_and(|(ws, a)| {
         println!("== xtask ci: lint ==");

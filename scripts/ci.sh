@@ -2,6 +2,7 @@
 # Pre-merge gate for this repository (see ROADMAP.md). Runs the tier-1
 # release build, then the full `cargo xtask ci` chain:
 #   fmt --check -> clippy (-D warnings, unwrap/expect stay advisory)
+#   -> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)
 #   -> xtask lint (panic-path / lock-discipline / error-hygiene rules on
 #      the token stream analyze also reads)
 #   -> xtask analyze (lock-order graph + instrumentation coverage)
