@@ -144,6 +144,19 @@ impl Catalog {
             .collect()
     }
 
+    /// Ids of the tables that have a primary key (unordered).
+    pub fn keyed_tables(&self) -> Vec<TableId> {
+        self.inner
+            .read()
+            .tables
+            .values()
+            .filter_map(|t| {
+                let m = t.read();
+                (!m.schema.primary_key.is_empty()).then_some(m.id)
+            })
+            .collect()
+    }
+
     /// Every page some table's heap owns.
     pub fn owned_pages(&self) -> HashSet<PageId> {
         self.inner

@@ -617,6 +617,53 @@ mod tests {
     }
 
     #[test]
+    fn temp_table_statements_share_its_rows() {
+        let (_d, e) = fresh();
+        let sid = e.create_session().unwrap();
+        e.execute(sid, "CREATE TABLE #t (k INT, v VARCHAR(8))")
+            .unwrap();
+        e.execute(sid, "INSERT INTO #t VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+            .unwrap();
+        // Where the rows live, and who else holds them.
+        let rows_at = || {
+            let (temps, _) = e.session_handles(sid).unwrap();
+            let temps = temps.lock();
+            let rows = &temps.tables["t"].rows;
+            (Arc::as_ptr(rows), Arc::strong_count(rows))
+        };
+        let (at, holders) = rows_at();
+        assert_eq!(holders, 1);
+        // Each statement binds the table by its schema alone and reads the
+        // shared rows, so no write has to copy them; filters and SET
+        // expressions may read the table they change.
+        for sql in [
+            "INSERT INTO #t VALUES (4, 'd')",
+            "SELECT a.k FROM #t a JOIN #t b ON a.k = b.k WHERE a.k > 1",
+            "UPDATE #t SET v = 'x' WHERE k IN (SELECT k FROM #t WHERE k > 2)",
+            "DELETE FROM #t WHERE k = (SELECT MIN(k) FROM #t)",
+            "INSERT INTO #t SELECT k + 10, v FROM #t",
+        ] {
+            e.execute_collect(sid, sql).unwrap();
+            assert_eq!(rows_at(), (at, 1), "{sql}");
+        }
+        let (_, rows) = e
+            .execute_collect(sid, "SELECT k, v FROM #t ORDER BY k")
+            .unwrap();
+        let want: Vec<Row> = [
+            (2, "b"),
+            (3, "x"),
+            (4, "x"),
+            (12, "b"),
+            (13, "x"),
+            (14, "x"),
+        ]
+        .into_iter()
+        .map(|(k, v)| vec![Value::Int(k), Value::Str(v.into())])
+        .collect();
+        assert_eq!(rows, want);
+    }
+
+    #[test]
     fn temp_tables_are_session_local_and_die_with_session() {
         let (_d, e) = fresh();
         let s1 = e.create_session().unwrap();

@@ -43,7 +43,8 @@ pub struct TempTable {
     /// Declared schema.
     pub schema: TableSchema,
     /// Row storage (no paging/WAL — temp tables are volatile by design).
-    pub rows: Vec<Row>,
+    /// A read shares it; a write copies it only while a read holds it.
+    pub rows: Arc<Vec<Row>>,
 }
 
 impl TempTables {
@@ -55,7 +56,7 @@ impl TempTables {
         let mut total = 0u64;
         for (name, t) in &self.tables {
             total += 64 + name.len() as u64;
-            for row in &t.rows {
+            for row in t.rows.iter() {
                 for v in row {
                     total += match v {
                         Value::Str(s) => 24 + s.len() as u64,
@@ -76,8 +77,9 @@ pub enum TableSource {
         meta: Arc<RwLock<TableMeta>>,
         schema: TableSchema,
     },
-    /// A snapshot of a session temp table.
-    Temp { schema: TableSchema, rows: Vec<Row> },
+    /// A session temp table; a scan reads its rows with
+    /// [`ExecCtx::temp_rows`].
+    Temp { schema: TableSchema },
 }
 
 impl TableSource {
@@ -133,18 +135,12 @@ impl ExecCtx {
         self.effects.lock().tables.push(effect);
     }
 
-    /// Resolve a (possibly temp) table name for reading.
+    /// Resolve a (possibly temp) table name for reading. A temp table
+    /// resolves to its schema alone: binding a statement copies no rows.
     pub fn resolve_table(&self, t: &TableName) -> Result<TableSource> {
         if t.temp {
-            let temps = self.temps.lock();
-            let tt = temps
-                .tables
-                .get(&t.name.to_ascii_lowercase())
-                .ok_or_else(|| Error::NotFound(format!("temp table #{}", t.name)))?;
-            Ok(TableSource::Temp {
-                schema: tt.schema.clone(),
-                rows: tt.rows.clone(),
-            })
+            let schema = self.with_temp(t, |tt| tt.schema.clone())?;
+            Ok(TableSource::Temp { schema })
         } else {
             let meta = self
                 .storage
@@ -154,6 +150,22 @@ impl ExecCtx {
             let schema = meta.read().schema.clone();
             Ok(TableSource::Base { meta, schema })
         }
+    }
+
+    /// The rows of temp table `t`, shared: the temps lock is released
+    /// before the caller reads them, so a filter may run subqueries.
+    pub fn temp_rows(&self, t: &TableName) -> Result<Arc<Vec<Row>>> {
+        self.with_temp(t, |tt| Arc::clone(&tt.rows))
+    }
+
+    /// Run `f` on temp table `t` under the session's temps lock.
+    fn with_temp<R>(&self, t: &TableName, f: impl FnOnce(&mut TempTable) -> R) -> Result<R> {
+        let mut temps = self.temps.lock();
+        let tt = temps
+            .tables
+            .get_mut(&t.name.to_ascii_lowercase())
+            .ok_or_else(|| Error::NotFound(format!("temp table #{}", t.name)))?;
+        Ok(f(tt))
     }
 }
 
@@ -467,13 +479,8 @@ fn insert_rows(
     }
 
     if table.temp {
-        let mut temps = ctx.temps.lock();
-        let tt = temps
-            .tables
-            .get_mut(&table.name.to_ascii_lowercase())
-            .ok_or_else(|| Error::NotFound(format!("temp table #{}", table.name)))?;
         let n = full_rows.len();
-        tt.rows.extend(full_rows);
+        ctx.with_temp(table, |tt| Arc::make_mut(&mut tt.rows).extend(full_rows))?;
         return Ok(StmtOutcome::Affected(n as u64));
     }
 
@@ -539,18 +546,21 @@ fn exec_update(
     };
 
     if table.temp {
-        let mut temps = ctx.temps.lock();
-        let tt = temps
-            .tables
-            .get_mut(&table.name.to_ascii_lowercase())
-            .ok_or_else(|| Error::NotFound(format!("temp table #{}", table.name)))?;
-        let mut n = 0u64;
-        for row in &mut tt.rows {
+        // Evaluated on the shared rows, outside the temps lock, since the
+        // expressions may read temp tables; then written under the lock.
+        let mut changes = Vec::new();
+        for (i, row) in ctx.temp_rows(table)?.iter().enumerate() {
             if read.accepts(ctx, row)? {
-                *row = new_row(row)?;
-                n += 1;
+                changes.push((i, new_row(row)?));
             }
         }
+        let n = changes.len() as u64;
+        ctx.with_temp(table, |tt| {
+            let rows = Arc::make_mut(&mut tt.rows);
+            for (i, row) in changes {
+                rows[i] = row;
+            }
+        })?;
         return Ok(StmtOutcome::Affected(n));
     }
 
@@ -576,29 +586,18 @@ fn exec_delete(ctx: &ExecCtx, table: &TableName, filter: Option<&Expr>) -> Resul
     let read = TableRead::plan(ctx, table, None, filter)?;
 
     if table.temp {
-        let mut temps = ctx.temps.lock();
-        let tt = temps
-            .tables
-            .get_mut(&table.name.to_ascii_lowercase())
-            .ok_or_else(|| Error::NotFound(format!("temp table #{}", table.name)))?;
-        let before = tt.rows.len();
-        let mut err = None;
-        tt.rows.retain(|row| {
-            if err.is_some() {
-                return true;
-            }
-            match read.accepts(ctx, row) {
-                Ok(hit) => !hit,
-                Err(e) => {
-                    err = Some(e);
-                    true
-                }
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        return Ok(StmtOutcome::Affected((before - tt.rows.len()) as u64));
+        // Filtered like UPDATE's: on the shared rows, outside the lock.
+        let hits: Vec<bool> = ctx
+            .temp_rows(table)?
+            .iter()
+            .map(|row| read.accepts(ctx, row))
+            .collect::<Result<_>>()?;
+        let n = hits.iter().filter(|&&hit| hit).count() as u64;
+        let mut hits = hits.into_iter();
+        ctx.with_temp(table, |tt| {
+            Arc::make_mut(&mut tt.rows).retain(|_| !hits.next().unwrap_or(false));
+        })?;
+        return Ok(StmtOutcome::Affected(n));
     }
 
     let table_id = read.table_id()?;
@@ -655,7 +654,7 @@ fn exec_create_table(
             key,
             TempTable {
                 schema,
-                rows: Vec::new(),
+                rows: Arc::new(Vec::new()),
             },
         );
         return Ok(StmtOutcome::Ok);

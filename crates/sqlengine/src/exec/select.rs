@@ -221,9 +221,9 @@ fn scan_filtered(
         (!pushed.is_empty()).then(|| conjoin(pushed.iter().map(|e| (*e).clone()).collect()));
     let read = TableRead::plan(ctx, table, alias, filter.as_ref())?;
     let cols = read.cols.clone();
-    let rows = if let TableSource::Temp { rows, .. } = &read.source {
+    let rows = if let TableSource::Temp { .. } = &read.source {
         let mut kept = Vec::new();
-        for row in rows {
+        for row in ctx.temp_rows(table)?.iter() {
             if read.accepts(ctx, row)? {
                 kept.push(row.clone());
             }

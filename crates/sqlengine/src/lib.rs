@@ -6,9 +6,10 @@
 //! with the WAL rule, ARIES-style restart recovery, strict two-phase
 //! table locking with wait-die, temp tables with session lifetime, stored
 //! procedures, and a SQL dialect rich enough to run TPC-H and TPC-C
-//! shaped workloads plus every statement Phoenix issues
-//! (`WHERE 0=1` metadata probes, `CREATE TABLE`, `INSERT ... SELECT`
-//! materialization, `SELECT * FROM t` reopen, status-table writes).
+//! shaped workloads plus every statement Phoenix issues: the one-batch
+//! persist of a result (`DROP TABLE IF EXISTS …; SELECT … INTO …;
+//! SELECT * FROM …`, DESIGN §18) and the `phx_status` ledger writes
+//! that wrap each update.
 //!
 //! The engine's headline capability for the paper is *crashability*: the
 //! server (`wire::DbServer`) exposes `SHUTDOWN WITH NOWAIT`, which drops

@@ -29,29 +29,16 @@ pub struct RowId {
     pub slot: u16,
 }
 
-/// Volatile unique ordered indexes over primary keys. Rebuilt at recovery.
 /// One table's PK index: encoded key bytes → row location, in byte order,
 /// so the keys sharing a leading-column prefix form one contiguous range.
+/// Volatile: each incarnation builds it from the heap on first use.
 type PkIndex = Arc<Mutex<BTreeMap<Vec<u8>, RowId>>>;
 
-#[derive(Default)]
-pub struct IndexManager {
-    maps: RwLock<HashMap<TableId, PkIndex>>,
-}
-
-impl IndexManager {
-    fn index_for(&self, table: TableId) -> PkIndex {
-        if let Some(m) = self.maps.read().get(&table) {
-            return Arc::clone(m);
-        }
-        let mut maps = self.maps.write();
-        Arc::clone(maps.entry(table).or_default())
-    }
-
-    fn drop_table(&self, table: TableId) {
-        self.maps.write().remove(&table);
-    }
-}
+/// One table's place in the index map: the index once built. The one
+/// build of the table's index holds the mutex while it reads the heap, so
+/// a second first user waits for it, and then finds the index or, after
+/// a failed build, builds it itself.
+type IndexSlot = Arc<Mutex<Option<PkIndex>>>;
 
 /// Encode a primary-key tuple into canonical index-key bytes.
 pub fn pk_key_bytes(schema: &TableSchema, row: &[Value]) -> Option<Vec<u8>> {
@@ -126,7 +113,9 @@ pub struct Storage {
     pub locks: LockManager,
     /// Transaction-id issuer.
     pub txns: TxnManager,
-    indexes: IndexManager,
+    /// Each table's PK index slot, made on the table's first keyed use
+    /// (see [`Storage::pk_index`]). Never held while a build reads pages.
+    indexes: RwLock<HashMap<TableId, IndexSlot>>,
     /// Dropped tables whose pages wait for the last transaction holding
     /// a lock on the table to end (see [`Storage::drop_table`]).
     dropped: Mutex<Vec<Arc<RwLock<TableMeta>>>>,
@@ -149,7 +138,7 @@ impl Storage {
             log,
             locks: LockManager::default(),
             txns,
-            indexes: IndexManager::default(),
+            indexes: RwLock::new(HashMap::new()),
             dropped: Mutex::new(Vec::new()),
             writers: Mutex::new(HashMap::new()),
         }
@@ -282,23 +271,22 @@ impl Storage {
     fn apply_undo(&self, txn: &TxnHandle, e: &UndoEntry) -> Result<()> {
         let guard = self.pool.fetch(e.page)?;
         compensate(&self.log, &guard, txn.id, e)?;
-        // Index maintenance once the page latch is released (page latch →
-        // index lock ordering would otherwise invert against insert_row).
+        // Index maintenance once the page latch is released: no caller
+        // asks for an index under a latch, as a build takes page latches.
         // A tombstone keeps the row's bytes in the page.
         let Some(bytes) = with_page(&guard, |p| p.get_raw(e.slot).map(<[u8]>::to_vec)) else {
             return Ok(());
         };
         let row = decode_row(&bytes)?;
-        match e.action {
-            ClrAction::Tombstone => self.index_remove(e.table, &row),
-            ClrAction::Untombstone => {
-                let rid = RowId {
-                    page: e.page,
-                    slot: e.slot,
-                };
-                self.index_add_unchecked(e.table, &row, rid)
-            }
-        }
+        let at = match e.action {
+            ClrAction::Tombstone => None,
+            ClrAction::Untombstone => Some(RowId {
+                page: e.page,
+                slot: e.slot,
+            }),
+        };
+        self.index_apply(e.table, &row, at);
+        Ok(())
     }
 
     // -- DDL (top actions: logged and applied now, durable once the batch's
@@ -329,8 +317,11 @@ impl Storage {
             .resolve(name)
             .ok_or_else(|| Error::NotFound(format!("table {name}")))?;
         let id = meta.read().id;
+        // The catalog entry goes first: `index_slot` makes no slot for a
+        // table it cannot find, so none is left behind by a build that
+        // raced this drop.
         self.catalog.drop_table(id)?;
-        self.indexes.drop_table(id);
+        self.indexes.write().remove(&id);
         ddl.logged(self.log.append(&LogRecord::DropTable { table_id: id }));
         ddl.dropped.push(meta);
         Ok(())
@@ -421,9 +412,11 @@ impl Storage {
         };
 
         // PK uniqueness.
-        let key = pk_key_bytes(&schema, row);
-        if let Some(k) = &key {
-            let idx = self.indexes.index_for(table);
+        let key = match pk_key_bytes(&schema, row) {
+            Some(k) => Some((self.pk_index(table)?, k)),
+            None => None,
+        };
+        if let Some((idx, k)) = &key {
             if idx.lock().contains_key(k) {
                 return Err(Error::DuplicateKey(format!(
                     "table {} pk {:?}",
@@ -470,8 +463,8 @@ impl Storage {
             self.log_update(txn, &mut data, &insert)?;
             break RowId { page: pid, slot };
         };
-        if let Some(k) = key {
-            self.indexes.index_for(table).lock().insert(k, rid);
+        if let Some((idx, k)) = key {
+            idx.lock().insert(k, rid);
         }
         Ok(rid)
     }
@@ -496,7 +489,7 @@ impl Storage {
             old
         };
         let old_row = decode_row(&old)?;
-        self.index_remove(table, &old_row)?;
+        self.index_apply(table, &old_row, None);
         Ok(old_row)
     }
 
@@ -512,26 +505,28 @@ impl Storage {
         self.insert_row(txn, table, new_row)
     }
 
-    fn index_remove(&self, table: TableId, row: &[Value]) -> Result<()> {
-        let Some(meta) = self.catalog.get(table) else {
-            return Ok(());
+    /// Bring `table`'s PK index in line with a change already made to its
+    /// heap: `row` left it (`at` is `None`) or is live again at `at`. Only
+    /// a built index needs it, since a build reads the heap as it is when
+    /// the build runs. A build in progress may have read the page before
+    /// the change, so this waits for the build and applies the change to
+    /// what it built; applying a change the build already saw changes
+    /// nothing.
+    fn index_apply(&self, table: TableId, row: &[Value], at: Option<RowId>) {
+        let Some(idx) = self.built_index(table) else {
+            return;
         };
-        let schema = meta.read().schema.clone();
-        if let Some(k) = pk_key_bytes(&schema, row) {
-            self.indexes.index_for(table).lock().remove(&k);
-        }
-        Ok(())
-    }
-
-    fn index_add_unchecked(&self, table: TableId, row: &[Value], rid: RowId) -> Result<()> {
         let Some(meta) = self.catalog.get(table) else {
-            return Ok(());
+            return;
         };
-        let schema = meta.read().schema.clone();
-        if let Some(k) = pk_key_bytes(&schema, row) {
-            self.indexes.index_for(table).lock().insert(k, rid);
-        }
-        Ok(())
+        let Some(k) = pk_key_bytes(&meta.read().schema, row) else {
+            return;
+        };
+        let mut idx = idx.lock();
+        match at {
+            Some(rid) => idx.insert(k, rid),
+            None => idx.remove(&k),
+        };
     }
 
     // -- reads ----------------------------------------------------------------
@@ -561,8 +556,7 @@ impl Storage {
         let lo = pk_prefix_bytes(&meta.read().schema, prefix)?;
         // The index mutex is released before any page is pinned.
         let rids: Vec<RowId> = self
-            .indexes
-            .index_for(table)
+            .pk_index(table)?
             .lock()
             .range::<[u8], _>((Bound::Included(&lo[..]), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(&lo))
@@ -610,43 +604,80 @@ impl Storage {
         }))
     }
 
-    /// Rebuild every PK index by scanning heaps (restart path). Each key
-    /// is cut from the encoded row in place under the page latch
-    /// (`schema::encoded_key`), so a row is neither copied nor decoded, yet a
-    /// bad encoding still fails restart with [`Error::Corruption`].
-    pub fn rebuild_indexes(&self) -> Result<()> {
-        for name in self.catalog.table_names() {
-            // Names come from the catalog itself, but a concurrent DROP can
-            // remove the entry between the two calls — skip it if so.
-            let Some(meta) = self.catalog.resolve(&name) else {
-                continue;
-            };
-            let (id, schema, pages) = {
-                let m = meta.read();
-                (m.id, m.schema.clone(), m.pages.clone())
-            };
-            if schema.primary_key.is_empty() {
-                continue;
-            }
-            let mut entries = Vec::new();
-            let mut fields = Vec::new();
-            for pid in pages {
-                let guard = self.pool.fetch(pid)?;
-                with_page(&guard, |p| {
-                    for slot in 0..p.slot_count() {
-                        // `get` passes over tombstoned slots.
-                        if let Some(row) = p.get(slot) {
-                            let key = encoded_key(row, &schema.primary_key, &mut fields)?;
-                            entries.push((key, RowId { page: pid, slot }));
-                        }
-                    }
-                    Ok::<_, Error>(())
-                })?;
-            }
-            // Collecting sorts once and bulk-builds the tree.
-            *self.indexes.index_for(id).lock() = entries.into_iter().collect();
+    // -- PK indexes -----------------------------------------------------------
+
+    /// `table`'s PK index, built from its heap on first use. The one build
+    /// runs under the table's slot mutex, not the map lock; another first
+    /// user waits for it. A failed build installs nothing, so the next use
+    /// builds again. Callers hold no page latch: the build takes them.
+    pub(crate) fn pk_index(&self, table: TableId) -> Result<PkIndex> {
+        let slot = self.index_slot(table)?;
+        let mut built = slot.lock();
+        if let Some(idx) = &*built {
+            return Ok(Arc::clone(idx));
         }
-        Ok(())
+        let idx = Arc::new(Mutex::new(self.build_index(table)?));
+        *built = Some(Arc::clone(&idx));
+        Ok(idx)
+    }
+
+    /// `table`'s slot, made on first use. The table is looked up under
+    /// the map lock, and [`Storage::drop_table`] removes the catalog
+    /// entry before the slot, so no slot outlives a dropped table.
+    fn index_slot(&self, table: TableId) -> Result<IndexSlot> {
+        if let Some(slot) = self.indexes.read().get(&table) {
+            return Ok(Arc::clone(slot));
+        }
+        let mut slots = self.indexes.write();
+        if self.catalog.get(table).is_none() {
+            return Err(Error::NotFound(format!("table id {table}")));
+        }
+        Ok(Arc::clone(slots.entry(table).or_default()))
+    }
+
+    /// `table`'s index once built, after any build in progress ends; `None`
+    /// if no build has succeeded yet.
+    fn built_index(&self, table: TableId) -> Option<PkIndex> {
+        let slot = self.indexes.read().get(&table).map(Arc::clone)?;
+        let built = slot.lock().clone();
+        built
+    }
+
+    /// Build `table`'s PK index from its heap: walk each page's live slots
+    /// in place under the page latch and cut each key from the encoded row
+    /// (`schema::encoded_key`), so a row is neither copied nor decoded, yet
+    /// a bad encoding fails the build with [`Error::Corruption`]. Every
+    /// page comes through the pool, whose misses verify (and repair) the
+    /// page image. Each completed build is timed as `sqlengine.index.build`.
+    fn build_index(&self, table: TableId) -> Result<BTreeMap<Vec<u8>, RowId>> {
+        let t_build = std::time::Instant::now();
+        let meta = self
+            .catalog
+            .get(table)
+            .ok_or_else(|| Error::NotFound(format!("table id {table}")))?;
+        let (key_cols, pages) = {
+            let m = meta.read();
+            (m.schema.primary_key.clone(), m.pages.clone())
+        };
+        let mut entries = Vec::new();
+        let mut fields = Vec::new();
+        for pid in pages {
+            let guard = self.pool.fetch(pid)?;
+            with_page(&guard, |p| {
+                for slot in 0..p.slot_count() {
+                    // `get` passes over tombstoned slots.
+                    if let Some(row) = p.get(slot) {
+                        let key = encoded_key(row, &key_cols, &mut fields)?;
+                        entries.push((key, RowId { page: pid, slot }));
+                    }
+                }
+                Ok::<_, Error>(())
+            })?;
+        }
+        // Collecting sorts once and bulk-builds the tree.
+        let index = entries.into_iter().collect();
+        obskit::metrics::global().record("sqlengine.index.build", t_build.elapsed());
+        Ok(index)
     }
 
     // -- checkpoint -----------------------------------------------------------
@@ -783,7 +814,7 @@ mod tests {
     use crate::storage::page::Page;
     use crate::types::DataType;
     use crate::wal::log::LogStore;
-    use crate::wal::recovery::{bootstrap, recover};
+    use crate::wal::recovery::{bootstrap, recover, RecoveryConfig};
 
     fn durable() -> (Arc<MemDisk>, Arc<LogStore>) {
         (
@@ -827,7 +858,7 @@ mod tests {
     }
 
     fn index_of(st: &Storage, table: TableId) -> BTreeMap<Vec<u8>, RowId> {
-        st.indexes.index_for(table).lock().clone()
+        st.pk_index(table).unwrap().lock().clone()
     }
 
     /// The index as the decoding rebuild made it: `pk_key_bytes` of every
@@ -928,7 +959,7 @@ mod tests {
         bad_utf8.extend_from_slice(&[0xC3, 0x28]);
         for bad in [bad_tag, bad_utf8] {
             let (disk, store) = durable();
-            {
+            let tid = {
                 let st =
                     bootstrap(Arc::clone(&disk), Arc::clone(&store), Default::default()).unwrap();
                 let tid = ddl(&st, |b| st.create_table(b, mixed_schema()));
@@ -940,12 +971,35 @@ mod tests {
                 Page::new(&mut guard.write()).insert(&bad).unwrap();
                 // The checkpoint stamps the page with a valid checksum.
                 st.checkpoint().unwrap();
-            }
-            match recover(disk, store, Default::default()) {
+                tid
+            };
+            // The scrub builds every PK index at restart, so the row fails
+            // restart.
+            let scrub = RecoveryConfig {
+                scrub: true,
+                ..Default::default()
+            };
+            match recover(Arc::clone(&disk), Arc::clone(&store), scrub) {
                 Err(Error::Corruption { .. }) => {}
                 Err(e) => panic!("restart failed with {e}, not corruption"),
                 Ok(_) => panic!("restart accepted a corrupt row"),
             }
+            // By default restart builds no index and succeeds. The table's
+            // first keyed use builds its index and fails, with no row
+            // returned and no index installed, and the retry fails the
+            // same way. A full scan fails at the bad row.
+            let st = Arc::new(recover(disk, store, Default::default()).unwrap().0);
+            let t = st.begin();
+            for _ in 0..2 {
+                let corrupt = |r: Result<_>| matches!(r, Err(Error::Corruption { .. }));
+                assert!(corrupt(
+                    st.scan_key_prefix(tid, &[Value::Float(-1.5)]).map(drop)
+                ));
+                assert!(corrupt(st.insert_row(&t, tid, &mixed_row(7)).map(drop)));
+                assert!(corrupt(st.scan(tid).unwrap().try_for_each(|r| r.map(drop))));
+                assert!(st.built_index(tid).is_none());
+            }
+            st.abort(&t).unwrap();
         }
     }
 }

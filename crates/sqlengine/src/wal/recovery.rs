@@ -27,10 +27,12 @@
 //!
 //! Each phase records its wall time in a `sqlengine.restart.*` histogram
 //! of the global registry — `log_scan` (the whole-log CRC sweep of
-//! [`LogStore::recover_tail`]), `redo` (analysis plus redo), `undo`
-//! (loser rollback and the flush of its CLRs) and `indexes` (the PK-index
-//! rebuild) — so a slow restart can be traced to its phase from a
-//! metrics snapshot alone.
+//! [`LogStore::recover_tail`]), `redo` (analysis plus redo) and `undo`
+//! (loser rollback and the flush of its CLRs) — so a slow restart can be
+//! traced to its phase from a metrics snapshot alone. Restart builds no
+//! PK index: each table builds its own on first use
+//! (`sqlengine.index.build`), unless [`RecoveryConfig::scrub`] asks for
+//! all of them up front.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -50,15 +52,18 @@ use crate::wal::log::{ClrAction, GroupCommit, LogManager, LogRecord, LogStore, L
 pub struct RecoveryConfig {
     /// Buffer-pool capacity (pages) for the recovered engine.
     pub pool_capacity: usize,
-    /// Run a full checksum scrub (detect + repair every allocated page)
-    /// after redo/undo complete. Off by default. Restart already verifies
-    /// (and repairs) every page of every table with a primary key as the
-    /// index rebuild reads it through the pool; the scrub reads every
-    /// allocated page from disk once more, which also covers pages the
-    /// rebuild never reaches (tables without a key, free pages). On the
-    /// `recovery` benchmark workload (TPC-H sf 0.005, ~670 pages, 2-core
-    /// host) that adds ~5.7 ms to a ~25 ms restart, so servers that
-    /// expect storage faults opt in rather than every restart paying it.
+    /// Verify the whole database before the engine serves traffic. Off
+    /// by default. Without it, restart reads only the pages the log
+    /// touches, and a page or row is checked when something first reads
+    /// it: a pool miss verifies (and repairs) the page image, and a PK
+    /// index build checks every row of its table. The scrub reads every
+    /// allocated page from disk and verifies (and repairs) it, then
+    /// builds every PK index, so a corrupt row fails restart instead of
+    /// the first statement that touches its table. On the `recovery`
+    /// benchmark workload (TPC-H sf 0.005) that is ~670 pages per
+    /// restart, where restart alone reads only the few its log replay
+    /// touches, so servers that expect storage faults opt in rather than
+    /// every restart paying it.
     pub scrub: bool,
     /// Group-commit window for the recovered engine's WAL manager.
     /// Disabled by default: single-session workloads gain nothing from
@@ -260,9 +265,13 @@ pub fn recover(
     pool.rebuild_free_list(&catalog.owned_pages())?;
 
     let storage = Storage::new(catalog, pool, log, TxnManager::starting_at(max_txn + 1));
-    let t_phase = Instant::now();
-    storage.rebuild_indexes()?;
-    metrics.record("sqlengine.restart.indexes", t_phase.elapsed());
+    // A PK index waits for its table's first use, except under the scrub,
+    // which builds them all now so that a corrupt row fails restart.
+    if config.scrub {
+        for table in storage.catalog.keyed_tables() {
+            storage.pk_index(table)?;
+        }
+    }
     Ok((storage, stats))
 }
 
@@ -419,7 +428,7 @@ mod tests {
         assert!(stats.redo_applied > 0);
         let st2 = Arc::new(st2);
         assert_eq!(st2.scan(tid).unwrap().count(), 100);
-        // Index rebuilt too.
+        // The first keyed read builds the index.
         let mut hits = st2.scan_key_prefix(tid, &[Value::Int(42)]).unwrap();
         let (_, found) = hits.next().unwrap().unwrap();
         assert_eq!(found[1], Value::Str("row-42".into()));

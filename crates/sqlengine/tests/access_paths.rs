@@ -33,7 +33,7 @@ fn boot(durable: &Durable) -> (Engine, SessionId) {
 }
 
 /// Simulated crash: fence the incarnation and drop it without flushing
-/// the pool, then restart (which rebuilds the PK indexes).
+/// the pool, then restart (the PK indexes are built again on first use).
 fn crash_and_restart(durable: &Durable, e: Engine) -> (Engine, SessionId) {
     e.mark_shutdown();
     durable.fence();
