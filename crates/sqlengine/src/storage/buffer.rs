@@ -13,7 +13,7 @@ use super::disk::{page_image_ok, MemDisk, PageId, PAGE_SIZE};
 use super::page::{Page, PageRef};
 use crate::error::Result;
 use crate::wal::log::LogManager;
-use crate::wal::recovery::redo;
+use crate::wal::recovery::{redo, redo_due};
 
 /// A cached page frame.
 pub struct Frame {
@@ -21,6 +21,12 @@ pub struct Frame {
     pub id: PageId,
     data: RwLock<Box<[u8; PAGE_SIZE]>>,
     dirty: AtomicBool,
+    /// The durable image passed verification when this frame read it,
+    /// and nothing has written the page since, so a scrub may skip it.
+    verified: AtomicBool,
+    /// The durable image failed verification when this frame read it and
+    /// the frame holds the rebuilt page, which no flush has written yet.
+    rebuilt: AtomicBool,
     pins: AtomicUsize,
     last_used: AtomicU64,
 }
@@ -129,17 +135,19 @@ impl BufferPool {
         self.disk.read_page(id, &mut buf)?;
         // Every miss is a verification point: a torn or bit-flipped
         // durable image must never serve rows. Quarantine the corrupt
-        // bytes (discard them) and rebuild the page from the log; the
-        // repaired frame is dirty so a later flush re-stamps the disk.
-        let mut dirty = false;
-        if !page_image_ok(&buf) {
+        // bytes (discard them) and rebuild the page from its archive image
+        // and the kept log; the rebuilt frame is dirty so a later flush
+        // re-stamps the disk.
+        let verified = page_image_ok(&buf);
+        if !verified {
             buf = self.repair_page(id)?;
-            dirty = true;
         }
         let frame = Arc::new(Frame {
             id,
             data: RwLock::new(buf),
-            dirty: AtomicBool::new(dirty),
+            dirty: AtomicBool::new(!verified),
+            verified: AtomicBool::new(verified),
+            rebuilt: AtomicBool::new(!verified),
             pins: AtomicUsize::new(1),
             last_used: AtomicU64::new(tick),
         });
@@ -147,33 +155,88 @@ impl BufferPool {
         Ok(PageGuard { frame })
     }
 
-    /// Rebuild page `id` from the durable log: start from a zeroed image
-    /// and replay every durable record touching the page through
-    /// [`redo`], the routine restart redo applies records with. Sound because the caller holds no
-    /// cached frame for the page (this runs on a pool miss), so the WAL
-    /// rule guarantees every record for the last flushed image is
-    /// durable. Counts `storage.corruption.{detected,repaired}` and
-    /// times the rebuild as `recovery.repair`.
+    /// Rebuild page `id` whose durable image failed verification (see
+    /// [`BufferPool::rebuild_page`]). Counts
+    /// `storage.corruption.{detected,repaired}` and
+    /// `storage.repair.from_archive` for a rebuild that started from an
+    /// archive image, and times the rebuild as `recovery.repair`.
     fn repair_page(&self, id: PageId) -> Result<Box<[u8; PAGE_SIZE]>> {
         faultkit::crashpoint!("disk.repair");
         let metrics = obskit::metrics::global();
         metrics.counter("storage.corruption.detected").incr();
         obskit::event!("disk.page.corrupt", "page {id} failed checksum; rebuilding");
         let t_repair = Instant::now();
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        // Unlike restart redo, no LSN guard is needed: the image starts
-        // from zero and the log holds its full clean history exactly
-        // once, in LSN order (the very first record of the log has LSN
-        // 0, which an `lsn() < lsn` guard would wrongly skip).
-        for (lsn, rec) in self.log.store().records_from(0)? {
-            if rec.page().is_some_and(|(_, page)| page == id) {
-                redo(&mut buf, lsn, &rec)?;
-            }
+        let (buf, from_archive) = self.rebuild_page(id)?;
+        if from_archive {
+            metrics.counter("storage.repair.from_archive").incr();
         }
         metrics.counter("storage.corruption.repaired").incr();
         metrics.record("recovery.repair", t_repair.elapsed());
         obskit::event!("recovery.repair", "page {id} rebuilt from wal redo");
         Ok(buf)
+    }
+
+    /// Rebuild page `id` from durable state alone: its archive image (a
+    /// zeroed page if it was never archived) with every kept log record
+    /// for the page that the image has not seen replayed through
+    /// `wal::recovery::redo`, under restart redo's LSN guard. Sound
+    /// because the checkpoint that truncated the log archived every page
+    /// written before its truncation point first, and the WAL rule keeps
+    /// every record of a flushed image durable. The log is read before the
+    /// image: a checkpoint archives before it truncates, so a concurrent
+    /// one can make the image newer than the log's base, which the guard
+    /// absorbs, but never the log shorter than the image needs. Also says
+    /// whether the rebuild started from an archive image.
+    pub fn rebuild_page(&self, id: PageId) -> Result<(Box<[u8; PAGE_SIZE]>, bool)> {
+        let kept = self.log.store().kept_records()?;
+        let archived = self.disk.read_archive(id);
+        let from_archive = archived.is_some();
+        let mut buf = Box::new(archived.map_or([0u8; PAGE_SIZE], |image| *image));
+        for (lsn, rec) in kept {
+            if rec.page().is_some_and(|(_, page)| page == id) && redo_due(&buf, lsn) {
+                redo(&mut buf, lsn, &rec)?;
+            }
+        }
+        Ok((buf, from_archive))
+    }
+
+    /// The checkpoint's archive pass: copy every page written since the
+    /// last pass into the disk's archive, after verifying its image. A
+    /// bad image is rebuilt (see [`BufferPool::rebuild_page`]) and the
+    /// rebuilt one is archived; the disk gets it too, unless the pool
+    /// caches the page, whose frame is marked dirty to re-stamp it. Runs
+    /// before the checkpoint truncates the log, whose records such a
+    /// rebuild may still need. Returns the pages archived.
+    pub fn archive_written(&self) -> Result<usize> {
+        let pending = self.disk.unarchived();
+        for (id, taken) in &pending {
+            faultkit::crashpoint!("disk.archive");
+            let copy = if page_image_ok(taken) {
+                Arc::clone(taken)
+            } else {
+                Arc::new(*self.mend(*id)?)
+            };
+            self.disk.archive(*id, taken, copy, self.epoch)?;
+        }
+        obskit::metrics::global()
+            .counter("storage.archive.pages")
+            .add(pending.len() as u64);
+        Ok(pending.len())
+    }
+
+    /// Rebuild page `id`, whose durable image failed verification, and
+    /// put the rebuilt image back: on disk, or, when the pool caches the
+    /// page, in the frame's next flush (marked dirty). Holds the page's
+    /// stripe lock, so no fetch or eviction of the page runs meanwhile.
+    fn mend(&self, id: PageId) -> Result<Box<[u8; PAGE_SIZE]>> {
+        let shard = self.shards[self.shard_of(id)].lock();
+        let _lw = obskit::lockcheck::held("BufferPool::shards");
+        let repaired = self.repair_page(id)?;
+        match shard.frames.get(&id) {
+            Some(frame) => frame.dirty.store(true, Ordering::Release),
+            None => self.disk.write_page(id, &repaired, self.epoch)?,
+        }
+        Ok(repaired)
     }
 
     /// Allocate a page on disk (fresh or reused), format it for
@@ -205,6 +268,8 @@ impl BufferPool {
             id,
             data: RwLock::new(buf),
             dirty: AtomicBool::new(true),
+            verified: AtomicBool::new(false),
+            rebuilt: AtomicBool::new(false),
             pins: AtomicUsize::new(1),
             last_used: AtomicU64::new(tick),
         });
@@ -247,7 +312,6 @@ impl BufferPool {
                 // here would lose the only copy of its (possibly dirty)
                 // content. Put it back, still dirty, and surface the
                 // error — a retry can evict it once the device behaves.
-                frame.dirty.store(true, Ordering::Release);
                 shard.frames.insert(vid, frame);
                 return Err(e);
             }
@@ -255,6 +319,9 @@ impl BufferPool {
         Ok(())
     }
 
+    /// Write a dirty frame to disk under the WAL rule. A failed write
+    /// leaves the frame dirty: its content is still not on disk, and a
+    /// checkpoint must not take it for flushed.
     fn flush_frame(&self, frame: &Frame) -> Result<()> {
         if !frame.dirty.swap(false, Ordering::AcqRel) {
             return Ok(());
@@ -262,10 +329,18 @@ impl BufferPool {
         let data = frame.data.read();
         let _lw = obskit::lockcheck::held("Frame::data");
         let lsn = PageRef::new(&data).lsn();
+        // The write may land damaged; only a later read can tell.
+        frame.verified.store(false, Ordering::Release);
+        frame.rebuilt.store(false, Ordering::Release);
         // WAL rule.
-        self.log.flush_to(lsn)?;
-        self.disk.write_page(frame.id, &data, self.epoch)?;
-        Ok(())
+        let written = self
+            .log
+            .flush_to(lsn)
+            .and_then(|()| self.disk.write_page(frame.id, &data, self.epoch));
+        if written.is_err() {
+            frame.dirty.store(true, Ordering::Release);
+        }
+        written
     }
 
     /// Flush every dirty frame (checkpoint path).
@@ -288,28 +363,36 @@ impl BufferPool {
     }
 
     /// Walk every allocated page verifying its durable checksum,
-    /// repairing damage in place via WAL redo. Background-free: runs to
-    /// completion on the caller's thread. Intended for quiet points
-    /// (post-recovery hook, maintenance API) — concurrent writers are
-    /// tolerated by re-verifying under the pool lock before repairing,
-    /// but scrubbing a quiescent engine is the meaningful mode.
+    /// repairing damage in place from the archive image and the kept log.
+    /// Background-free: runs to completion on the caller's thread.
+    /// Intended for quiet points (post-recovery hook, maintenance API).
+    /// Each page is checked under its stripe's lock, so no fetch or
+    /// eviction of it runs meanwhile. A page the pool verified on its
+    /// miss is not read again: one whose image passed is skipped, and one
+    /// the pool rebuilt gets its frame written back, as the scrub's own
+    /// repair would. So restart reads each page of a database that fits
+    /// the pool once, whether redo, an index build or the scrub reads it
+    /// first.
     pub fn scrub(&self) -> Result<ScrubReport> {
         faultkit::crashpoint!("disk.scrub");
         let t_scrub = Instant::now();
         let mut report = ScrubReport::default();
+        let mut buf = Box::new([0u8; PAGE_SIZE]);
         for id in 0..self.disk.num_pages() {
             report.pages += 1;
-            let mut buf = Box::new([0u8; PAGE_SIZE]);
-            self.disk.read_page(id, &mut buf)?;
-            if page_image_ok(&buf) {
-                continue;
-            }
-            // Serialize against fetch/eviction of this page: under its
-            // stripe's lock nobody can flush a newer image between our
-            // re-check and the repair write-back.
-            let si = self.shard_of(id);
-            let _shard = self.shards[si].lock();
+            let shard = self.shards[self.shard_of(id)].lock();
             let _lw = obskit::lockcheck::held("BufferPool::shards");
+            if let Some(frame) = shard.frames.get(&id) {
+                if frame.verified.load(Ordering::Acquire) {
+                    continue;
+                }
+                if frame.rebuilt.load(Ordering::Acquire) {
+                    self.flush_frame(frame)?;
+                    report.detected += 1;
+                    report.repaired += 1;
+                    continue;
+                }
+            }
             self.disk.read_page(id, &mut buf)?;
             if !page_image_ok(&buf) {
                 report.detected += 1;
@@ -337,7 +420,8 @@ pub struct ScrubReport {
     pub pages: u32,
     /// Pages whose durable image failed checksum verification.
     pub detected: u32,
-    /// Pages rebuilt from WAL redo and rewritten.
+    /// Pages rebuilt from their archive image and the kept log, and
+    /// rewritten.
     pub repaired: u32,
 }
 

@@ -7,9 +7,18 @@
 //! configurable per-I/O latency so a workload can be made disk-bound, with
 //! busy-time accounting from which the benchmark harness derives the paper's
 //! DISK UTIL column.
+//!
+//! The disk also holds an **image copy** of every page, the base that
+//! page repair replays the kept log onto once checkpoints have truncated
+//! the log below it (ARIES media recovery). A checkpoint's archive pass
+//! ([`BufferPool::archive_written`](super::buffer::BufferPool::archive_written))
+//! copies each page written since the last pass. A copy shares the
+//! page's buffer until the page is next written, so an archived database
+//! costs no second copy of its pages, only of those written since.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use faultkit::crashpoint;
@@ -42,6 +51,10 @@ pub fn page_image_ok(buf: &[u8; PAGE_SIZE]) -> bool {
 
 /// Page identifier: index into the disk's page array.
 pub type PageId = u32;
+
+/// One durable page image, shared between a page and its archive copy
+/// until the page is next written.
+pub type Image = [u8; PAGE_SIZE];
 
 /// Per-I/O latency model. Zero by default (tests); benchmarks configure
 /// small latencies to reproduce the paper's disk-limited server.
@@ -124,7 +137,7 @@ impl IoStats {
 /// incarnation (e.g. a buffer-pool flush racing the crash) are rejected
 /// instead of corrupting state the recovered server now owns.
 pub struct MemDisk {
-    pages: RwLock<Vec<Box<[u8; PAGE_SIZE]>>>,
+    pages: RwLock<Pages>,
     model: DiskModel,
     stats: IoStats,
     epoch: AtomicU64,
@@ -140,11 +153,27 @@ pub struct MemDisk {
     free: Mutex<Vec<PageId>>,
 }
 
+/// What [`MemDisk`] keeps under its page lock.
+struct Pages {
+    /// Each page's current durable image.
+    live: Vec<Arc<Image>>,
+    /// The image-copy area: each page's image as of the last archive
+    /// pass that took it. A page with no copy was never archived, and
+    /// the kept log holds its whole history.
+    archive: HashMap<PageId, Arc<Image>>,
+    /// Pages written since their image was last archived.
+    unarchived: HashSet<PageId>,
+}
+
 impl MemDisk {
     /// Empty disk with the given latency model.
     pub fn new(model: DiskModel) -> Self {
         MemDisk {
-            pages: RwLock::new(Vec::new()),
+            pages: RwLock::new(Pages {
+                live: Vec::new(),
+                archive: HashMap::new(),
+                unarchived: HashSet::new(),
+            }),
             model,
             stats: IoStats::default(),
             epoch: AtomicU64::new(0),
@@ -187,8 +216,12 @@ impl MemDisk {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Fence off all writers of earlier epochs (simulated crash).
+    /// Fence off all writers of earlier epochs (simulated crash). Taken
+    /// under the page lock, so a writer that checked its epoch there
+    /// finishes its write before the fence, never after it.
     pub fn bump_epoch(&self) -> u64 {
+        let _pages = self.pages.write();
+        let _lw = obskit::lockcheck::held("MemDisk::pages");
         self.epoch.fetch_add(1, Ordering::SeqCst) + 1
     }
 
@@ -201,7 +234,7 @@ impl MemDisk {
 
     /// Number of allocated pages.
     pub fn num_pages(&self) -> u32 {
-        self.pages.read().len() as u32
+        self.pages.read().live.len() as u32
     }
 
     /// Allocate a page and return its id: a freed page if one is
@@ -227,8 +260,8 @@ impl MemDisk {
                 let mut pages = self.pages.write();
                 let _lw = obskit::lockcheck::held("MemDisk::pages");
                 self.check_epoch(epoch)?;
-                pages.push(Box::new([0u8; PAGE_SIZE]));
-                (pages.len() - 1) as PageId
+                pages.live.push(Arc::new([0u8; PAGE_SIZE]));
+                (pages.live.len() - 1) as PageId
             }
         };
         metrics.counter("storage.pages.allocated").incr();
@@ -268,8 +301,8 @@ impl MemDisk {
         let mut pages = self.pages.write();
         let _lw = obskit::lockcheck::held("MemDisk::pages");
         self.check_epoch(epoch)?;
-        while (pages.len() as u32) < n {
-            pages.push(Box::new([0u8; PAGE_SIZE]));
+        while (pages.live.len() as u32) < n {
+            pages.live.push(Arc::new([0u8; PAGE_SIZE]));
         }
         Ok(())
     }
@@ -286,10 +319,68 @@ impl MemDisk {
         let pages = self.pages.read();
         let _lw = obskit::lockcheck::held("MemDisk::pages");
         let page = pages
+            .live
             .get(id as usize)
             .ok_or_else(|| Error::Storage(format!("read of unallocated page {id}")))?;
         out.copy_from_slice(&page[..]);
         Ok(())
+    }
+
+    /// The pages written since the archive last took them, each with its
+    /// current image, in page order. Taking them changes nothing: a page
+    /// leaves the set only when [`MemDisk::archive`] copies the image
+    /// taken here, so a pass that fails part-way leaves the rest for the
+    /// next one.
+    pub fn unarchived(&self) -> Vec<(PageId, Arc<Image>)> {
+        let pages = self.pages.read();
+        let _lw = obskit::lockcheck::held("MemDisk::pages");
+        let mut out: Vec<(PageId, Arc<Image>)> = pages
+            .unarchived
+            .iter()
+            .filter_map(|&id| Some((id, Arc::clone(pages.live.get(id as usize)?))))
+            .collect();
+        out.sort_unstable_by_key(|&(id, _)| id);
+        out
+    }
+
+    /// Make `copy` page `id`'s archive image. `taken` is the live image
+    /// [`MemDisk::unarchived`] returned: `copy` itself when it verified,
+    /// or the page rebuilt from it when it did not. The page stays
+    /// unarchived if it was written again since, so the next pass copies
+    /// the newer image. Rejects stale epochs, so a crashed incarnation's
+    /// pass cannot overwrite a copy its successor made. The copy shares
+    /// its buffer and charges no I/O.
+    pub fn archive(
+        &self,
+        id: PageId,
+        taken: &Arc<Image>,
+        copy: Arc<Image>,
+        epoch: u64,
+    ) -> Result<()> {
+        let mut pages = self.pages.write();
+        let _lw = obskit::lockcheck::held("MemDisk::pages");
+        self.check_epoch(epoch)?;
+        let pages = &mut *pages;
+        if pages
+            .live
+            .get(id as usize)
+            .is_some_and(|live| Arc::ptr_eq(live, taken))
+        {
+            pages.unarchived.remove(&id);
+        }
+        pages.archive.insert(id, copy);
+        Ok(())
+    }
+
+    /// Page `id`'s archive image, if a pass ever archived it. Charges one
+    /// read to the latency model. The archive draws no injected fault:
+    /// it stands for the separate, reliable media an image copy is kept
+    /// on.
+    pub fn read_archive(&self, id: PageId) -> Option<Arc<Image>> {
+        self.simulate(false);
+        let pages = self.pages.read();
+        let _lw = obskit::lockcheck::held("MemDisk::pages");
+        pages.archive.get(&id).map(Arc::clone)
     }
 
     /// Write a page, charging the latency model. Rejects stale epochs.
@@ -312,9 +403,14 @@ impl MemDisk {
         let mut pages = self.pages.write();
         let _lw = obskit::lockcheck::held("MemDisk::pages");
         self.check_epoch(epoch)?;
-        let page = pages
+        let pages = &mut *pages;
+        let live = pages
+            .live
             .get_mut(id as usize)
             .ok_or_else(|| Error::Storage(format!("write of unallocated page {id}")))?;
+        pages.unarchived.insert(id);
+        // Copy-on-write: a buffer the archive shares gets a new one.
+        let page = Arc::make_mut(live);
         match fault {
             Some(DiskFault::TornWrite { frac_pm }) => {
                 // Persist a prefix of the stamped image. The prefix

@@ -122,6 +122,8 @@ pub struct Storage {
     /// Begin LSN of every open transaction that has logged an update
     /// (see [`Storage::checkpoint`]).
     writers: Mutex<HashMap<TxnId, Lsn>>,
+    /// Held for a whole checkpoint, so checkpoints run one at a time.
+    checkpointing: Mutex<()>,
 }
 
 impl Storage {
@@ -141,6 +143,7 @@ impl Storage {
             indexes: RwLock::new(HashMap::new()),
             dropped: Mutex::new(Vec::new()),
             writers: Mutex::new(HashMap::new()),
+            checkpointing: Mutex::new(()),
         }
     }
 
@@ -683,16 +686,27 @@ impl Storage {
     // -- checkpoint -----------------------------------------------------------
 
     /// Checkpoint: flush data pages, snapshot the catalog, write the
-    /// checkpoint record, update the master record. Transactions may be
-    /// open: the record's `scan_from` is the lowest of the log end now
-    /// and the Begin LSN of every open writer, and restart scans from
-    /// there, so a writer whose uncommitted pages this flushes is still
-    /// found and undone, and an update logged during the flush is still
-    /// redone. A writer joins the open writers before it logs anything
-    /// for its first insert or delete, under the lock this reads them
-    /// under.
+    /// checkpoint record, update the master record, archive the pages
+    /// written since the last checkpoint, and truncate the log below
+    /// `scan_from`. Transactions may be open: the record's `scan_from` is
+    /// the lowest of the log end now and the Begin LSN of every open
+    /// writer, and restart scans from there, so a writer whose
+    /// uncommitted pages this flushes is still found and undone, and an
+    /// update logged during the flush is still redone. A writer joins the
+    /// open writers before it logs anything for its first insert or
+    /// delete, under the lock this reads them under.
+    ///
+    /// Crash order: master record, then archive, then truncation. Until
+    /// the truncation the whole old log is kept, so a crash at any point
+    /// leaves every page rebuildable from its archive image (old or new)
+    /// and the kept log. The archive pass runs after the pool flush, so
+    /// each archived image holds every record below `scan_from`; only then
+    /// may those records go. One checkpoint runs at a time: a second
+    /// pass could otherwise archive an older image over a newer one that
+    /// the first checkpoint's truncation relies on.
     pub fn checkpoint(&self) -> Result<()> {
         faultkit::crashpoint!("wal.checkpoint.pre");
+        let _one = self.checkpointing.lock();
         let t_ckpt = std::time::Instant::now();
         let scan_from = {
             let writers = self.writers.lock();
@@ -707,7 +721,21 @@ impl Storage {
             snapshot,
         });
         self.log.flush_all()?;
-        self.log.store().set_checkpoint(lsn);
+        // A flush that lied about the record must not reach the master
+        // record: restart would find no checkpoint below the truncation.
+        if !matches!(
+            self.log.store().record_at(lsn)?,
+            Some(LogRecord::Checkpoint { .. })
+        ) {
+            return Err(Error::Corruption {
+                device: "wal".into(),
+                detail: format!("checkpoint record at lsn {lsn} is not durable"),
+            });
+        }
+        self.log.set_checkpoint(lsn)?;
+        faultkit::crashpoint!("wal.checkpoint.master");
+        self.pool.archive_written()?;
+        self.log.truncate_below(scan_from)?;
         obskit::metrics::global().record("sqlengine.wal.checkpoint", t_ckpt.elapsed());
         obskit::trace::emit_span("sqlengine.wal.checkpoint", t_ckpt.elapsed(), String::new());
         faultkit::crashpoint!("wal.checkpoint.post");
@@ -715,7 +743,8 @@ impl Storage {
     }
 
     /// Verify every allocated page's checksum, repairing corrupt pages
-    /// from WAL redo. See [`BufferPool::scrub`].
+    /// from their archive image and the kept log. See
+    /// [`BufferPool::scrub`].
     pub fn scrub(&self) -> Result<crate::storage::buffer::ScrubReport> {
         self.pool.scrub()
     }

@@ -274,6 +274,13 @@ impl<'a> PageRef<'a> {
         u16::from_be_bytes(read_arr(self.buf, 14))
     }
 
+    /// Whether an `AllocPage` ever formatted this image. The tuple space
+    /// of a formatted page ends above the slot array, never at offset 0,
+    /// so only a page no record has touched (all zero) reads `false`.
+    pub fn is_formatted(&self) -> bool {
+        self.free_end() != 0
+    }
+
     /// Free bytes between the slot array and the tuple space.
     pub fn free_space(&self) -> usize {
         let slots_end = HEADER + self.slot_count() as usize * SLOT_BYTES;

@@ -1,10 +1,12 @@
 //! Write-ahead log: record format, durable store, and the log manager.
 //!
-//! LSNs are byte offsets of record starts in the global log stream. The
+//! LSNs are byte offsets of record starts in the global log stream, from
+//! the first byte ever written; truncation never renumbers them. The
 //! durable [`LogStore`] survives simulated crashes (it lives in the server's
-//! durable half); the [`LogManager`] adds a volatile tail that is lost on
-//! crash, which is exactly what makes the WAL flush rule observable in
-//! recovery tests.
+//! durable half) and holds the log from its base, the last checkpoint's
+//! truncation point, to its durable end; the [`LogManager`] adds a
+//! volatile tail that is lost on crash, which is exactly what makes the
+//! WAL flush rule observable in recovery tests.
 
 use bytes::{Buf, BufMut};
 use faultkit::disk::{DiskDevice, DiskFault, DiskOp, DiskPlan, DiskSchedule};
@@ -349,21 +351,36 @@ impl LogRecord {
     }
 }
 
-/// Durable log bytes plus the checkpoint master record. Survives crashes.
+/// The durable log: every byte from the truncation point on, plus the
+/// checkpoint master record. Survives crashes.
+///
+/// LSNs are absolute byte offsets in the log stream and never change.
+/// [`LogStore::truncate_below`] drops the bytes below a checkpoint's
+/// `scan_from` once every page image that needed them is in the disk's
+/// archive (see [`Storage::checkpoint`](crate::storage::heap::Storage::checkpoint)),
+/// and the store keeps the LSN of its first kept byte as its base. Every
+/// scan starts at or after the base; asking for a truncated LSN is
+/// [`Error::Corruption`].
 pub struct LogStore {
-    durable: Mutex<Vec<u8>>,
-    /// LSN of the most recent checkpoint record ("master record").
-    checkpoint_lsn: AtomicU64,
-    /// Whether any checkpoint has been taken.
-    has_checkpoint: AtomicU64,
+    durable: Mutex<KeptLog>,
     /// Writer-fencing epoch (see `MemDisk`): bumped on simulated crash so
-    /// a dead incarnation's log flushes cannot interleave with the
-    /// recovered server's appends.
+    /// a dead incarnation's log flushes, master-record updates and
+    /// truncations cannot interleave with the recovered server's.
     epoch: AtomicU64,
     /// Injected fault schedule for the log device. Lives with the store
     /// (the disk is faulty, not the process) so it survives simulated
     /// crashes. Never held across another lock.
     faults: Mutex<Option<DiskSchedule>>,
+}
+
+/// What [`LogStore`] keeps under its lock.
+struct KeptLog {
+    /// LSN of `bytes[0]`: the log below it was truncated.
+    base: Lsn,
+    /// The kept log, from `base` to the durable end.
+    bytes: Vec<u8>,
+    /// LSN of the most recent checkpoint record ("master record").
+    master: Option<Lsn>,
 }
 
 /// One step of a frame scan over the durable byte stream.
@@ -374,40 +391,79 @@ enum Frame<'a> {
     /// signature of a torn (never-acknowledged) append.
     Torn,
     /// A complete, CRC-verified record payload; `next` is the following
-    /// frame's offset.
-    Rec { payload: &'a [u8], next: usize },
+    /// frame's LSN.
+    Rec { payload: &'a [u8], next: Lsn },
 }
 
-/// Parse and verify the frame starting at `pos`. CRC or framing damage
-/// *within* the durable stream is [`Error::Corruption`]; only an
-/// incomplete frame at the very end classifies as torn.
-fn scan_frame(data: &[u8], pos: usize) -> Result<Frame<'_>> {
-    if pos >= data.len() {
-        return Ok(Frame::End);
+impl KeptLog {
+    /// LSN one past the last durable byte.
+    fn end(&self) -> Lsn {
+        self.base + self.bytes.len() as u64
     }
-    let header = data
-        .get(pos..pos + FRAME_HEADER)
-        .and_then(|b| <[u8; FRAME_HEADER]>::try_from(b).ok());
-    let Some(header) = header else {
-        return Ok(Frame::Torn);
-    };
-    // lint:allow(index): header is a fixed [u8; 8]; indices 0..8 are always in range
-    let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    // lint:allow(index): header is a fixed [u8; 8]; indices 0..8 are always in range
-    let crc = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
-    let Some(payload) = data.get(pos + FRAME_HEADER..pos + FRAME_HEADER + len) else {
-        return Ok(Frame::Torn);
-    };
-    if checksum::wal_record_crc(payload, pos as u64) != crc {
-        return Err(Error::Corruption {
-            device: "wal".into(),
-            detail: format!("record crc mismatch at lsn {pos}"),
-        });
+
+    /// Parse and verify the frame starting at `lsn`. CRC or framing
+    /// damage *within* the durable stream is [`Error::Corruption`], and
+    /// so is an `lsn` below the base; only an incomplete frame at the
+    /// very end classifies as torn.
+    fn frame(&self, lsn: Lsn) -> Result<Frame<'_>> {
+        let Some(pos) = lsn.checked_sub(self.base) else {
+            return Err(Error::Corruption {
+                device: "wal".into(),
+                detail: format!(
+                    "lsn {lsn} is below the kept log, which starts at {}",
+                    self.base
+                ),
+            });
+        };
+        let (data, pos) = (&self.bytes, pos as usize);
+        if pos >= data.len() {
+            return Ok(Frame::End);
+        }
+        let header = data
+            .get(pos..pos + FRAME_HEADER)
+            .and_then(|b| <[u8; FRAME_HEADER]>::try_from(b).ok());
+        let Some(header) = header else {
+            return Ok(Frame::Torn);
+        };
+        // lint:allow(index): header is a fixed [u8; 8]; indices 0..8 are always in range
+        let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        // lint:allow(index): header is a fixed [u8; 8]; indices 0..8 are always in range
+        let crc = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
+        let Some(payload) = data.get(pos + FRAME_HEADER..pos + FRAME_HEADER + len) else {
+            return Ok(Frame::Torn);
+        };
+        if checksum::wal_record_crc(payload, lsn) != crc {
+            return Err(Error::Corruption {
+                device: "wal".into(),
+                detail: format!("record crc mismatch at lsn {lsn}"),
+            });
+        }
+        Ok(Frame::Rec {
+            payload,
+            next: lsn + (FRAME_HEADER + len) as u64,
+        })
     }
-    Ok(Frame::Rec {
-        payload,
-        next: pos + FRAME_HEADER + len,
-    })
+
+    /// Decode and verify every record from `from` to the durable end.
+    fn records_from(&self, from: Lsn) -> Result<Vec<(Lsn, LogRecord)>> {
+        let mut out = Vec::new();
+        let mut lsn = from;
+        loop {
+            match self.frame(lsn)? {
+                Frame::End => return Ok(out),
+                Frame::Torn => {
+                    return Err(Error::Corruption {
+                        device: "wal".into(),
+                        detail: format!("torn frame at lsn {lsn}; tail not recovered"),
+                    })
+                }
+                Frame::Rec { mut payload, next } => {
+                    out.push((lsn, LogRecord::decode(&mut payload)?));
+                    lsn = next;
+                }
+            }
+        }
+    }
 }
 
 impl Default for LogStore {
@@ -420,9 +476,11 @@ impl LogStore {
     /// Empty durable log.
     pub fn new() -> Self {
         LogStore {
-            durable: Mutex::new(Vec::new()),
-            checkpoint_lsn: AtomicU64::new(0),
-            has_checkpoint: AtomicU64::new(0),
+            durable: Mutex::new(KeptLog {
+                base: 0,
+                bytes: Vec::new(),
+                master: None,
+            }),
             epoch: AtomicU64::new(0),
             faults: Mutex::new(None),
         }
@@ -451,9 +509,20 @@ impl LogStore {
         fault
     }
 
-    /// Bytes durably written (= next LSN a fresh manager will use).
-    pub fn durable_len(&self) -> u64 {
-        self.durable.lock().len() as u64
+    /// LSN one past the last durable byte (= next LSN a fresh manager
+    /// will use).
+    pub fn durable_end(&self) -> Lsn {
+        self.durable.lock().end()
+    }
+
+    /// LSN of the first kept byte: the log below it was truncated.
+    pub fn base(&self) -> Lsn {
+        self.durable.lock().base
+    }
+
+    /// Bytes of log the store holds: from the base to the durable end.
+    pub fn held_bytes(&self) -> u64 {
+        self.durable.lock().bytes.len() as u64
     }
 
     /// Current writer epoch (see `MemDisk` fencing).
@@ -461,24 +530,67 @@ impl LogStore {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Fence off all writers of earlier epochs (simulated crash).
+    /// Fence off all writers of earlier epochs (simulated crash). Taken
+    /// under the log lock, so a writer that checked its epoch there
+    /// finishes its write before the fence, never after it.
     pub fn bump_epoch(&self) -> u64 {
+        let _durable = self.durable.lock();
+        let _lw = obskit::lockcheck::held("LogStore::durable");
         self.epoch.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Record the master checkpoint pointer.
-    pub fn set_checkpoint(&self, lsn: Lsn) {
-        self.checkpoint_lsn.store(lsn, Ordering::SeqCst);
-        self.has_checkpoint.store(1, Ordering::SeqCst);
+    fn check_epoch(&self, epoch: u64) -> Result<()> {
+        if epoch != self.current_epoch() {
+            return Err(Error::ServerShutdown);
+        }
+        Ok(())
+    }
+
+    /// Point the master record at the checkpoint record at `lsn`.
+    /// Rejects stale epochs, so a crashed incarnation's checkpoint cannot
+    /// move the master record its successor restarted from.
+    pub fn set_checkpoint(&self, lsn: Lsn, epoch: u64) -> Result<()> {
+        let mut durable = self.durable.lock();
+        let _lw = obskit::lockcheck::held("LogStore::durable");
+        self.check_epoch(epoch)?;
+        durable.master = Some(lsn);
+        Ok(())
     }
 
     /// The last checkpoint's LSN, if any checkpoint was taken.
     pub fn checkpoint(&self) -> Option<Lsn> {
-        if self.has_checkpoint.load(Ordering::SeqCst) == 1 {
-            Some(self.checkpoint_lsn.load(Ordering::SeqCst))
-        } else {
-            None
+        self.durable.lock().master
+    }
+
+    /// Drop the kept log below `lsn` and release its memory. `lsn` must
+    /// start a durable record (or be the durable end) and lie at or
+    /// below the master record; a cut below the base drops nothing.
+    /// Returns the bytes dropped. Rejects stale epochs, so a checkpoint
+    /// of a crashed incarnation never truncates the log its successor
+    /// restarted from.
+    pub fn truncate_below(&self, lsn: Lsn, epoch: u64) -> Result<u64> {
+        faultkit::crashpoint!("wal.truncate");
+        let mut durable = self.durable.lock();
+        let _lw = obskit::lockcheck::held("LogStore::durable");
+        self.check_epoch(epoch)?;
+        if lsn <= durable.base {
+            return Ok(0);
         }
+        let below_master = durable.master.is_some_and(|m| lsn <= m);
+        if !below_master || !matches!(durable.frame(lsn)?, Frame::Rec { .. }) {
+            return Err(Error::Internal(format!(
+                "log truncation at lsn {lsn} is not a record at or below the master record {:?}",
+                durable.master
+            )));
+        }
+        let cut = (lsn - durable.base) as usize;
+        // A fresh vector: `drain` would keep the dropped bytes' capacity.
+        durable.bytes = durable.bytes.get(cut..).unwrap_or_default().to_vec();
+        durable.base = lsn;
+        obskit::metrics::global()
+            .counter("wal.truncated_bytes")
+            .add(cut as u64);
+        Ok(cut as u64)
     }
 
     /// Append flushed tail bytes at stream offset `at`. The offset check
@@ -497,18 +609,17 @@ impl LogStore {
         }
         let mut durable = self.durable.lock();
         let _lw = obskit::lockcheck::held("LogStore::durable");
-        if epoch != self.current_epoch() {
-            return Err(Error::ServerShutdown);
-        }
-        if at != durable.len() as u64 {
+        self.check_epoch(epoch)?;
+        if at != durable.end() {
             return Err(Error::Corruption {
                 device: "wal".into(),
                 detail: format!(
                     "lost flush detected: appending at lsn {at} but durable end is {}",
-                    durable.len()
+                    durable.end()
                 ),
             });
         }
+        let durable = &mut durable.bytes;
         match fault {
             Some(DiskFault::TornWrite { frac_pm }) => {
                 // Persist a strict prefix, then fail the flush: a torn
@@ -522,10 +633,10 @@ impl LogStore {
             Some(DiskFault::BitFlip { offset_seed, bit }) => {
                 // The flush "succeeds" with one durable bit flipped —
                 // mid-log damage the next scan reports as Corruption.
-                let base = durable.len();
+                let start = durable.len();
                 durable.extend_from_slice(bytes);
                 if !bytes.is_empty() {
-                    let off = base + (offset_seed % bytes.len() as u64) as usize;
+                    let off = start + (offset_seed % bytes.len() as u64) as usize;
                     if let Some(b) = durable.get_mut(off) {
                         *b ^= 1 << (bit & 7);
                     }
@@ -547,45 +658,38 @@ impl LogStore {
 
     /// Decode all records with LSN >= `from`, in order, verifying each
     /// record's CRC. Any framing or CRC damage — including an
-    /// un-recovered torn tail — is [`Error::Corruption`]; run
-    /// [`LogStore::recover_tail`] first to truncate a torn tail.
+    /// un-recovered torn tail — is [`Error::Corruption`], and so is a
+    /// `from` below the base; run [`LogStore::recover_tail`] first to
+    /// truncate a torn tail.
     pub fn records_from(&self, from: Lsn) -> Result<Vec<(Lsn, LogRecord)>> {
         let data = self.durable.lock();
         let _lw = obskit::lockcheck::held("LogStore::durable");
-        let mut out = Vec::new();
-        let mut pos = from as usize;
-        loop {
-            match scan_frame(&data, pos)? {
-                Frame::End => break,
-                Frame::Torn => {
-                    return Err(Error::Corruption {
-                        device: "wal".into(),
-                        detail: format!("torn frame at lsn {pos}; tail not recovered"),
-                    })
-                }
-                Frame::Rec { mut payload, next } => {
-                    let rec = LogRecord::decode(&mut payload)?;
-                    out.push((pos as Lsn, rec));
-                    pos = next;
-                }
-            }
-        }
-        Ok(out)
+        data.records_from(from)
+    }
+
+    /// Every kept record, from the base on, read under one lock so a
+    /// concurrent truncation cannot move the base under the scan (see
+    /// [`LogStore::records_from`]).
+    pub fn kept_records(&self) -> Result<Vec<(Lsn, LogRecord)>> {
+        let data = self.durable.lock();
+        let _lw = obskit::lockcheck::held("LogStore::durable");
+        data.records_from(data.base)
     }
 
     /// The record that starts at `lsn`, CRC-verified, or `None` when no
     /// whole record starts there (`lsn` at or past the log end, or a
-    /// torn frame). Damage to that one frame is [`Error::Corruption`].
+    /// torn frame). Damage to that one frame, or an `lsn` below the
+    /// base, is [`Error::Corruption`].
     pub fn record_at(&self, lsn: Lsn) -> Result<Option<LogRecord>> {
         let data = self.durable.lock();
         let _lw = obskit::lockcheck::held("LogStore::durable");
-        match scan_frame(&data, lsn as usize)? {
+        match data.frame(lsn)? {
             Frame::Rec { mut payload, .. } => LogRecord::decode(&mut payload).map(Some),
             Frame::End | Frame::Torn => Ok(None),
         }
     }
 
-    /// Scan the whole durable stream and physically truncate a torn
+    /// Scan the kept log from its base and physically truncate a torn
     /// tail (the residue of a failed batched append). Returns the bytes
     /// removed. Mid-log CRC damage is *not* a tail and fails loudly
     /// with [`Error::Corruption`]: truncating there would silently
@@ -594,18 +698,19 @@ impl LogStore {
         faultkit::crashpoint!("wal.scan");
         let mut data = self.durable.lock();
         let _lw = obskit::lockcheck::held("LogStore::durable");
-        let mut pos = 0usize;
+        let mut lsn = data.base;
         loop {
-            match scan_frame(&data, pos)? {
+            match data.frame(lsn)? {
                 Frame::End => return Ok(0),
                 Frame::Torn => {
-                    let torn = (data.len() - pos) as u64;
-                    data.truncate(pos);
+                    let torn = data.end() - lsn;
+                    let keep = (lsn - data.base) as usize;
+                    data.bytes.truncate(keep);
                     obskit::metrics::global().counter("wal.torn_tail").incr();
-                    obskit::event!("wal.torn_tail", "truncated {torn} bytes at lsn {pos}");
+                    obskit::event!("wal.torn_tail", "truncated {torn} bytes at lsn {lsn}");
                     return Ok(torn);
                 }
-                Frame::Rec { next, .. } => pos = next,
+                Frame::Rec { next, .. } => lsn = next,
             }
         }
     }
@@ -711,7 +816,7 @@ impl LogManager {
 
     /// Attach a volatile tail with the given group-commit tuning.
     pub fn with_group(store: Arc<LogStore>, group_cfg: GroupCommit) -> Self {
-        let base = store.durable_len();
+        let base = store.durable_end();
         let epoch = store.current_epoch();
         LogManager {
             store,
@@ -772,6 +877,18 @@ impl LogManager {
     /// The underlying durable store.
     pub fn store(&self) -> &Arc<LogStore> {
         &self.store
+    }
+
+    /// Point the master record at checkpoint record `lsn`, as this
+    /// incarnation (see [`LogStore::set_checkpoint`]).
+    pub fn set_checkpoint(&self, lsn: Lsn) -> Result<()> {
+        self.store.set_checkpoint(lsn, self.epoch)
+    }
+
+    /// Drop the durable log below `lsn`, as this incarnation (see
+    /// [`LogStore::truncate_below`]).
+    pub fn truncate_below(&self, lsn: Lsn) -> Result<u64> {
+        self.store.truncate_below(lsn, self.epoch)
     }
 
     /// Append a record to the volatile tail; returns its LSN.
@@ -1125,7 +1242,7 @@ mod tests {
         // A new manager resumes at the durable end.
         let log2 = LogManager::new(Arc::clone(&store));
         let lsn = log2.append(&LogRecord::Commit { txn: 1 });
-        assert_eq!(lsn, store.durable_len());
+        assert_eq!(lsn, store.durable_end());
     }
 
     #[test]
@@ -1150,7 +1267,7 @@ mod tests {
         // The single record there, and none at the log end.
         let rec = store.record_at(l2).unwrap();
         assert_eq!(rec, Some(LogRecord::Begin { txn: 2 }));
-        assert_eq!(store.record_at(store.durable_len()).unwrap(), None);
+        assert_eq!(store.record_at(store.durable_end()).unwrap(), None);
     }
 
     #[test]
@@ -1160,7 +1277,7 @@ mod tests {
         let log = LogManager::new(Arc::clone(&store));
         log.append(&LogRecord::Begin { txn: 1 });
         log.flush_all().unwrap();
-        let clean_len = store.durable_len();
+        let clean_len = store.durable_end();
 
         store.set_fault_plan(Some(DiskPlan::at(DiskFaultKind::TornWrite, 1)));
         log.append(&LogRecord::Commit { txn: 1 });
@@ -1174,7 +1291,7 @@ mod tests {
         // ...and recover_tail removes exactly the torn bytes.
         let torn = store.recover_tail().unwrap();
         assert!(torn > 0);
-        assert_eq!(store.durable_len(), clean_len);
+        assert_eq!(store.durable_end(), clean_len);
         assert_eq!(store.records_from(0).unwrap().len(), 1);
         // Idempotent on a clean log.
         assert_eq!(store.recover_tail().unwrap(), 0);
@@ -1207,7 +1324,7 @@ mod tests {
         store.set_fault_plan(Some(DiskPlan::at(DiskFaultKind::FsyncLie, 1)));
         log.append(&LogRecord::Begin { txn: 1 });
         log.flush_all().unwrap(); // lie: nothing landed
-        assert_eq!(store.durable_len(), 0);
+        assert_eq!(store.durable_end(), 0);
         log.append(&LogRecord::Commit { txn: 1 });
         let err = log.flush_all().unwrap_err();
         assert!(matches!(err, Error::Corruption { .. }), "got {err:?}");
@@ -1226,7 +1343,7 @@ mod tests {
         // No retry: the next flush fails without touching the device,
         // and nothing ever became durable.
         assert!(log.flush_all().is_err());
-        assert_eq!(store.durable_len(), 0);
+        assert_eq!(store.durable_end(), 0);
         // A fresh manager (post-restart) starts clean.
         store.set_fault_plan(None);
         let log2 = LogManager::new(Arc::clone(&store));
@@ -1249,10 +1366,65 @@ mod tests {
     fn checkpoint_master_record() {
         let store = LogStore::new();
         assert_eq!(store.checkpoint(), None);
-        store.set_checkpoint(0);
+        store.set_checkpoint(0, 0).unwrap();
         assert_eq!(store.checkpoint(), Some(0));
-        store.set_checkpoint(42);
+        store.set_checkpoint(42, 0).unwrap();
         assert_eq!(store.checkpoint(), Some(42));
+        // Only the current incarnation moves the master record.
+        store.bump_epoch();
+        assert_eq!(store.set_checkpoint(7, 0), Err(Error::ServerShutdown));
+        assert_eq!(store.checkpoint(), Some(42));
+    }
+
+    #[test]
+    fn truncation_keeps_absolute_lsns_and_releases_the_cut_bytes() {
+        let store = Arc::new(LogStore::new());
+        let log = LogManager::new(Arc::clone(&store));
+        let lsns: Vec<Lsn> = (0..64)
+            .map(|t| log.append(&LogRecord::Begin { txn: t }))
+            .collect();
+        let cp = log.append(&LogRecord::Checkpoint {
+            scan_from: lsns[40],
+            snapshot: vec![7; 32],
+        });
+        log.flush_all().unwrap();
+        // No cut above the master record, or with no master at all.
+        assert!(store.truncate_below(lsns[40], 0).is_err());
+        store.set_checkpoint(cp, 0).unwrap();
+        assert!(store.truncate_below(store.durable_end(), 0).is_err());
+        // A cut must land on a record boundary.
+        assert!(store.truncate_below(lsns[40] + 1, 0).is_err());
+        let end = store.durable_end();
+        assert_eq!(store.truncate_below(lsns[40], 0).unwrap(), lsns[40]);
+        assert_eq!((store.base(), store.durable_end()), (lsns[40], end));
+        assert_eq!(store.held_bytes(), end - lsns[40]);
+        // Records keep their LSNs; the truncated ones are gone loudly.
+        let kept = store.kept_records().unwrap();
+        assert_eq!(kept.len(), 25);
+        assert_eq!(kept[0], (lsns[40], LogRecord::Begin { txn: 40 }));
+        assert!(matches!(
+            store.record_at(lsns[39]),
+            Err(Error::Corruption { .. })
+        ));
+        assert!(matches!(
+            store.records_from(0),
+            Err(Error::Corruption { .. })
+        ));
+        // A cut at or below the base drops nothing; a fenced one nothing.
+        assert_eq!(store.truncate_below(lsns[10], 0).unwrap(), 0);
+        store.bump_epoch();
+        assert_eq!(store.truncate_below(cp, 0), Err(Error::ServerShutdown));
+        // A manager of the next incarnation appends at the absolute end,
+        // and a restart scan verifies only the kept bytes.
+        let log2 = LogManager::new(Arc::clone(&store));
+        let next = log2.append(&LogRecord::Commit { txn: 99 });
+        assert_eq!(next, end);
+        log2.flush_all().unwrap();
+        assert_eq!(store.recover_tail().unwrap(), 0);
+        assert_eq!(
+            store.record_at(next).unwrap(),
+            Some(LogRecord::Commit { txn: 99 })
+        );
     }
 
     fn grouped(max_batch: usize, max_wait_us: u64) -> (Arc<LogStore>, Arc<LogManager>) {
@@ -1401,7 +1573,7 @@ mod tests {
         // error, not just the leader that hit the device.
         assert!(errs.iter().all(|r| r.is_err()), "got {errs:?}");
         assert!(log.is_poisoned());
-        assert_eq!(store.durable_len(), 0);
+        assert_eq!(store.durable_end(), 0);
     }
 
     #[test]

@@ -16,34 +16,42 @@
 //!   handled by simply running recovery again — the property Phoenix
 //!   relies on, and which `tests/` fault-injects).
 //!
-//! `redo` is the one place a page record changes a page image. Restart
-//! redo, page repair ([`BufferPool::fetch`] rebuilding a corrupt page
-//! from the log) and runtime inserts, deletes and page allocations all
-//! apply records through it; each keeps its own policy (restart's LSN
-//! guard and dropped-table skip, repair's unguarded replay from LSN 0).
+//! `redo` is the one place a page record changes a page image, and
+//! `redo_due` the one LSN guard. Restart redo, page repair
+//! ([`BufferPool::rebuild_page`], on a pool miss of a corrupt page, in a
+//! checkpoint's archive pass or in the scrub) and runtime inserts,
+//! deletes and page allocations all apply records through `redo`;
+//! restart redo and repair both replay under `redo_due`. Restart also
+//! skips the records of dropped tables, and repair starts from the page's
+//! archive image, because a checkpoint truncates the log below its
+//! `scan_from` once it has archived every page written before it.
 //! `undo_entry` is the one place an update gets its inverse, and restart
 //! undo and runtime abort both append and apply their CLRs through
 //! `compensate`.
 //!
-//! Each phase records its wall time in a `sqlengine.restart.*` histogram
-//! of the global registry — `log_scan` (the whole-log CRC sweep of
-//! [`LogStore::recover_tail`]), `redo` (analysis plus redo) and `undo`
-//! (loser rollback and the flush of its CLRs) — so a slow restart can be
-//! traced to its phase from a metrics snapshot alone. Restart builds no
-//! PK index: each table builds its own on first use
-//! (`sqlengine.index.build`), unless [`RecoveryConfig::scrub`] asks for
-//! all of them up front.
+//! Restart is timed with one lap clock: each phase records its wall time
+//! in a `sqlengine.restart.*` histogram of the global registry —
+//! `log_scan` (the CRC sweep of the kept log, [`LogStore::recover_tail`]),
+//! `analysis` (the master record, the catalog restore, the pool and the
+//! classification pass), `redo`, `undo` (loser rollback and the flush of
+//! its CLRs), `free_list` (the free-list rebuild and the kernel) and
+//! `scrub` (empty unless [`RecoveryConfig::scrub`] is on) — and the whole
+//! restart, which is their sum by construction, in `sqlengine.restart`.
+//! So a slow restart can be traced to its phase from a metrics snapshot
+//! alone. Restart builds no PK index: each table builds its own on first
+//! use (`sqlengine.index.build`), unless the scrub asks for all of them
+//! up front.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::catalog::Catalog;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::storage::buffer::{BufferPool, PageGuard};
 use crate::storage::disk::{MemDisk, PAGE_SIZE};
 use crate::storage::heap::Storage;
-use crate::storage::page::Page;
+use crate::storage::page::{Page, PageRef};
 use crate::txn::{TxnManager, UndoEntry};
 use crate::wal::log::{ClrAction, GroupCommit, LogManager, LogRecord, LogStore, Lsn, TxnId};
 
@@ -53,13 +61,15 @@ pub struct RecoveryConfig {
     /// Buffer-pool capacity (pages) for the recovered engine.
     pub pool_capacity: usize,
     /// Verify the whole database before the engine serves traffic. Off
-    /// by default. Without it, restart reads only the pages the log
+    /// by default. Without it, restart reads only the pages the kept log
     /// touches, and a page or row is checked when something first reads
     /// it: a pool miss verifies (and repairs) the page image, and a PK
-    /// index build checks every row of its table. The scrub reads every
-    /// allocated page from disk and verifies (and repairs) it, then
-    /// builds every PK index, so a corrupt row fails restart instead of
-    /// the first statement that touches its table. On the `recovery`
+    /// index build checks every row of its table. The scrub builds every
+    /// PK index, so a corrupt row fails restart instead of the first
+    /// statement that touches its table, and then verifies (and repairs)
+    /// every allocated page the pool has not verified on the way. Each
+    /// page is read once: a database of N pages that fits the pool costs
+    /// N reads, plus an archive read per repaired page. On the `recovery`
     /// benchmark workload (TPC-H sf 0.005) that is ~670 pages per
     /// restart, where restart alone reads only the few its log replay
     /// touches, so servers that expect storage faults opt in rather than
@@ -95,9 +105,41 @@ pub struct RecoveryStats {
     pub undo_actions: usize,
     /// Bytes of torn log tail truncated before analysis.
     pub torn_tail_bytes: u64,
-    /// Pages found corrupt (and repaired) by the post-recovery scrub,
-    /// when [`RecoveryConfig::scrub`] is on.
+    /// Pages the post-recovery scrub rewrote after their durable image
+    /// failed verification, when [`RecoveryConfig::scrub`] is on: pages it
+    /// repaired itself, and pages the pool rebuilt on a miss earlier in
+    /// the restart, whose rebuilt frames the scrub writes back.
     pub scrub_repaired: u32,
+}
+
+/// The restart clock: one lap per phase, each recorded as
+/// `sqlengine.restart.<phase>`, and the whole restart, the sum of its
+/// laps by construction, as `sqlengine.restart`.
+struct Laps {
+    start: Instant,
+    last: Instant,
+}
+
+impl Laps {
+    fn start() -> Self {
+        let now = Instant::now();
+        Laps {
+            start: now,
+            last: now,
+        }
+    }
+
+    /// End the current phase here and record it.
+    fn lap(&mut self, phase: &'static str) {
+        let now = Instant::now();
+        obskit::metrics::global().record(phase, now.duration_since(self.last));
+        self.last = now;
+    }
+
+    /// Record the whole restart: from the start to the last lap.
+    fn finish(self) {
+        obskit::metrics::global().record("sqlengine.restart", self.last.duration_since(self.start));
+    }
 }
 
 /// Rebuild a [`Storage`] kernel from durable state.
@@ -110,14 +152,12 @@ pub fn recover(
     // truncated *before* anything reads the log, so the manager's base
     // offset and every scan below see only whole, verified records.
     // Mid-log corruption surfaces here as `Error::Corruption`.
-    let metrics = obskit::metrics::global();
-    let t_phase = Instant::now();
+    let mut laps = Laps::start();
     let mut stats = RecoveryStats {
         torn_tail_bytes: store.recover_tail()?,
         ..RecoveryStats::default()
     };
-    metrics.record("sqlengine.restart.log_scan", t_phase.elapsed());
-    let t_phase = Instant::now();
+    laps.lap("sqlengine.restart.log_scan");
     let log = Arc::new(LogManager::with_group(
         Arc::clone(&store),
         config.group_commit,
@@ -134,10 +174,18 @@ pub fn recover(
                 scan_from,
                 snapshot,
             }) => (Catalog::restore(&snapshot)?, scan_from),
-            // A master record pointing at a torn record or past the log
-            // end means the checkpoint never fully made it out; distrust
-            // it and replay from the start rather than aborting recovery.
-            _ => (Catalog::new(), 0),
+            // The checkpoint read its record back before it published the
+            // master record, so a master record that names no checkpoint
+            // record is damage. Replaying the kept log against an empty
+            // catalog would be wrong: the log below it may be truncated.
+            _ => {
+                return Err(Error::Corruption {
+                    device: "wal".into(),
+                    detail: format!(
+                        "master record names lsn {cp_lsn}, which holds no checkpoint record"
+                    ),
+                })
+            }
         },
         None => (Catalog::new(), 0),
     };
@@ -179,6 +227,7 @@ pub fn recover(
             }
         }
     }
+    laps.lap("sqlengine.restart.analysis");
 
     // --- Redo ---
     faultkit::crashpoint!("recovery.redo");
@@ -211,7 +260,7 @@ pub fn recover(
         }
         let guard = pool.fetch(page)?;
         let mut data = guard.write();
-        if Page::new(&mut data).lsn() < *lsn {
+        if redo_due(&data, *lsn) {
             redo(&mut data, *lsn, rec)?;
             stats.redo_applied += 1;
         }
@@ -220,12 +269,10 @@ pub fn recover(
             catalog.add_page(table, page)?;
         }
     }
-
-    metrics.record("sqlengine.restart.redo", t_phase.elapsed());
+    laps.lap("sqlengine.restart.redo");
 
     // --- Undo losers ---
     faultkit::crashpoint!("recovery.redo.done");
-    let t_phase = Instant::now();
     let losers: Vec<TxnId> = seen
         .iter()
         .copied()
@@ -247,15 +294,7 @@ pub fn recover(
     }
     faultkit::crashpoint!("recovery.flush");
     log.flush_all()?;
-    metrics.record("sqlengine.restart.undo", t_phase.elapsed());
-
-    // Post-recovery scrub hook: verify (and repair) every allocated
-    // page before the engine serves traffic, so latent disk damage
-    // cannot outlive a restart on servers that opt in.
-    if config.scrub {
-        let report = pool.scrub()?;
-        stats.scrub_repaired = report.repaired;
-    }
+    laps.lap("sqlengine.restart.undo");
 
     // The free list is volatile: every page no surviving table owns —
     // dropped tables' pages, whether or not they had reached the list
@@ -263,15 +302,22 @@ pub fn recover(
     // is free again. A reused page needs nothing more: its AllocPage
     // redo (or `repair_page`) re-initializes it.
     pool.rebuild_free_list(&catalog.owned_pages())?;
-
     let storage = Storage::new(catalog, pool, log, TxnManager::starting_at(max_txn + 1));
-    // A PK index waits for its table's first use, except under the scrub,
-    // which builds them all now so that a corrupt row fails restart.
+    laps.lap("sqlengine.restart.free_list");
+
+    // Post-recovery scrub hook: build every PK index, so that a corrupt
+    // row fails restart, then verify (and repair) every allocated page
+    // the pool has not verified on the way, so latent disk damage
+    // cannot outlive a restart on servers that opt in. Without it, a PK
+    // index waits for its table's first use.
     if config.scrub {
         for table in storage.catalog.keyed_tables() {
             storage.pk_index(table)?;
         }
+        stats.scrub_repaired = storage.pool.scrub()?.repaired;
     }
+    laps.lap("sqlengine.restart.scrub");
+    laps.finish();
     Ok((storage, stats))
 }
 
@@ -283,6 +329,16 @@ pub fn bootstrap(
 ) -> Result<Storage> {
     let (storage, _) = recover(disk, store, config)?;
     Ok(storage)
+}
+
+/// Whether the page record logged at `lsn` is due on `image`, the LSN
+/// guard of restart redo and page repair: a page carries the LSN of the
+/// last record applied to it, so only a newer record is due. An image no
+/// record ever formatted takes every record, since its LSN of 0 cannot
+/// tell the log's very first record apart from none.
+pub(crate) fn redo_due(image: &[u8; PAGE_SIZE], lsn: Lsn) -> bool {
+    let page = PageRef::new(image);
+    page.lsn() < lsn || !page.is_formatted()
 }
 
 /// Apply page record `rec`, logged at `lsn`, to page `image` and stamp

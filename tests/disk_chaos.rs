@@ -3,12 +3,17 @@
 //! writes, bit flips, read/write errors on the data device
 //! ([`DiskRates::mixed_data`]) and torn appends, write errors and fsync
 //! failures on the WAL device ([`DiskRates::mixed_wal`]) — interleaved
-//! with full server crashes, and must come out with **zero silent
-//! corruption**:
+//! with full server crashes and a checkpoint every few steps, and must
+//! come out with **zero silent corruption**:
 //!
 //! * every injected page corruption is either repaired transparently
-//!   (WAL-redo on a pool miss, or the restart scrub) or surfaced as an
-//!   explicit error — never served as wrong rows;
+//!   (from the page's archive image and the kept log, on a pool miss, in
+//!   a checkpoint's archive pass or in the restart scrub) or surfaced as
+//!   an explicit error — never served as wrong rows;
+//! * the checkpoints archive page images and truncate the log under the
+//!   same faults, so repairs after a truncation start from an archive
+//!   image (`storage.repair.from_archive`, which must count at least one
+//!   over the seeds);
 //! * a failed WAL flush poisons the log fail-stop; the soak restarts the
 //!   server (the fsyncgate discipline) and re-executes, and the final
 //!   tables still match the model exactly;
@@ -152,6 +157,29 @@ fn modify(
     }
 }
 
+/// A checkpoint under storage chaos: it archives pages and truncates the
+/// log, or fails on an injected fault, after which the soak restarts the
+/// server and checkpoints again.
+fn checkpoint_recovering(server: &DbServer, surfaced: &mut u64) {
+    let mut attempts = 0u32;
+    loop {
+        let outcome = match server.engine() {
+            Some(engine) => engine.checkpoint(),
+            None => Err(Error::ServerShutdown),
+        };
+        let Err(e) = outcome else {
+            return;
+        };
+        attempts += 1;
+        assert!(attempts <= 25, "checkpoint kept failing: {e}");
+        if matches!(e, Error::Corruption { .. }) {
+            *surfaced += 1;
+        }
+        server.crash();
+        restart_with_retry(server, 500);
+    }
+}
+
 fn run_seed(seed: u64) {
     let _trace = obskit::trace::session();
     obskit::trace::clear();
@@ -201,6 +229,10 @@ fn run_seed(seed: u64) {
         if rng.gen_range(0..STEPS) < 3 {
             server.crash();
             restart_with_retry(&server, 500);
+        }
+        // Every few steps a checkpoint archives and truncates mid-chaos.
+        if step % 5 == 4 {
+            checkpoint_recovering(&server, &mut surfaced);
         }
         match rng.gen_range(0..10u32) {
             0..=4 => {
@@ -320,6 +352,12 @@ fn disk_chaos_randomized_fault_schedules() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(2026);
     let series = series_recorder_if_requested(base, count);
+    let from_archive = || {
+        obskit::metrics::global()
+            .counter("storage.repair.from_archive")
+            .get()
+    };
+    let repairs_before = from_archive();
     for seed in base..base + count {
         let outcome = std::panic::catch_unwind(|| run_seed(seed));
         if let Some(rec) = &series {
@@ -338,6 +376,11 @@ fn disk_chaos_randomized_fault_schedules() {
             std::panic::resume_unwind(payload);
         }
     }
+    assert!(
+        from_archive() > repairs_before,
+        "no repair over seeds {base}..{} started from an archive image",
+        base + count
+    );
 }
 
 /// When `OBSKIT_SERIES=<path>` is set, stream a JSON-lines time series

@@ -304,6 +304,108 @@ fn crash_at_each_recovery_step_is_idempotent() {
     });
 }
 
+/// Crash at every point of a checkpoint that archives and truncates —
+/// among them the master record (`wal.checkpoint.master`), each page's
+/// archive copy (`disk.archive`) and the truncation (`wal.truncate`) —
+/// then restart with every page damaged on disk, so restart and every
+/// repair rebuild pages from the archive and the kept log. The rows must
+/// come back exactly once. A second checkpoint, more work and a second
+/// damaged restart check the repairs after a later truncation too.
+#[test]
+fn crash_at_each_checkpoint_step_keeps_restart_and_repair_exact() {
+    let fk = faultkit::session();
+
+    fn state() -> (Durable, Engine) {
+        let durable = Durable::new(DiskModel::default());
+        let engine = Engine::recover(&durable, RecoveryConfig::default()).unwrap();
+        let sid = engine.create_session().unwrap();
+        engine
+            .execute(sid, "CREATE TABLE t (a INT PRIMARY KEY, b VARCHAR(300))")
+            .unwrap();
+        let pad = "x".repeat(300);
+        let vals: Vec<String> = (0..60).map(|i| format!("({i}, '{pad}')")).collect();
+        engine
+            .execute(sid, &format!("INSERT INTO t VALUES {}", vals.join(",")))
+            .unwrap();
+        engine.checkpoint().unwrap();
+        engine
+            .execute(sid, "DELETE FROM t WHERE a % 5 = 0")
+            .unwrap();
+        engine
+            .execute(sid, "INSERT INTO t VALUES (100, 'y'), (101, 'y')")
+            .unwrap();
+        engine.close_session(sid);
+        (durable, engine)
+    }
+
+    /// Damage every page on disk, then restart.
+    fn damaged_restart(durable: &Durable) -> Engine {
+        let disk = &durable.disk;
+        for pid in 0..disk.num_pages() {
+            let mut raw = [0u8; sqlengine::storage::disk::PAGE_SIZE];
+            disk.read_page(pid, &mut raw).unwrap();
+            disk.set_fault_plan(Some(faultkit::disk::DiskPlan::at(
+                faultkit::disk::DiskFaultKind::BitFlip,
+                1,
+            )));
+            disk.write_page(pid, &raw, disk.current_epoch()).unwrap();
+            disk.set_fault_plan(None);
+        }
+        Engine::recover(durable, RecoveryConfig::default()).unwrap()
+    }
+
+    fn keys(engine: &Engine) -> Vec<i64> {
+        let sid = engine.create_session().unwrap();
+        let (_, rows) = engine
+            .execute_collect(sid, "SELECT a FROM t ORDER BY a")
+            .unwrap();
+        engine.close_session(sid);
+        rows.iter().map(|r| r[0].as_i64().unwrap()).collect()
+    }
+
+    let want: Vec<i64> = (0..60).filter(|a| a % 5 != 0).chain([100, 101]).collect();
+    let trace = {
+        let (_durable, engine) = state();
+        record_trace(&fk, || engine.checkpoint().unwrap())
+    };
+    let names: BTreeSet<&str> = trace.iter().map(|p| p.name).collect();
+    for step in ["wal.checkpoint.master", "disk.archive", "wal.truncate"] {
+        assert!(names.contains(step), "{step} never hit; trace: {names:?}");
+    }
+
+    explore("checkpoint_steps", &trace, |plan| {
+        let (durable, engine) = state();
+        let fence = durable.clone();
+        let armed = fk.arm(plan, move || fence.fence());
+        // The interrupted checkpoint fails once its incarnation is fenced.
+        let _ = engine.checkpoint();
+        assert!(armed.fired().is_some(), "plan {plan:?} never fired");
+        drop(armed);
+        drop(engine);
+
+        let engine = damaged_restart(&durable);
+        assert_eq!(keys(&engine), want, "after the crash");
+        engine.checkpoint().unwrap();
+        let sid = engine.create_session().unwrap();
+        engine
+            .execute(sid, "INSERT INTO t VALUES (200, 'z')")
+            .unwrap();
+        engine.execute(sid, "DELETE FROM t WHERE a = 1").unwrap();
+        engine.close_session(sid);
+        durable.fence();
+        drop(engine);
+
+        let engine = damaged_restart(&durable);
+        let later: Vec<i64> = want
+            .iter()
+            .copied()
+            .filter(|&a| a != 1)
+            .chain([200])
+            .collect();
+        assert_eq!(keys(&engine), later, "after a later truncation");
+    });
+}
+
 /// Engine-level: a crash mid-recovery must not corrupt durable state —
 /// run recovery, "crash" before any checkpoint, recover again, repeat.
 #[test]
