@@ -15,7 +15,7 @@ use sqlengine::sql::ast::Stmt;
 use sqlengine::sql::parser::parse_statements;
 use sqlengine::storage::disk::{DiskModel, IoSnapshot};
 use sqlengine::wal::recovery::{RecoveryConfig, RecoveryStats};
-use sqlengine::{Error, Result};
+use sqlengine::{Error, Result, Row};
 
 pub use sqlengine::wal::log::GroupCommit;
 
@@ -566,15 +566,16 @@ fn connection_loop(server: DbServer, engine: Arc<Engine>, ep: Arc<Endpoint>, cfg
                             return;
                         }
                         ExecOutcome::Rows(cursor) => {
-                            let flag = Arc::new(AtomicBool::new(false));
-                            cancels.lock().insert(stmt, Arc::clone(&flag));
-                            let ep2 = Arc::clone(&ep);
-                            let cancels2 = Arc::clone(&cancels);
-                            let batch = cfg.row_batch.max(1);
-                            std::thread::spawn(move || {
-                                stream_result(ep2, stmt, cursor, skip, batch, flag);
-                                cancels2.lock().remove(&stmt);
-                            });
+                            let mut stream = ResultStream::new(
+                                Arc::clone(&ep),
+                                stmt,
+                                cursor,
+                                skip,
+                                cfg.row_batch.max(1),
+                            );
+                            if stream.pump(false) == Pumped::Full {
+                                spill(stream, &cancels);
+                            }
                         }
                     },
                 }
@@ -586,83 +587,190 @@ fn connection_loop(server: DbServer, engine: Arc<Engine>, ep: Arc<Endpoint>, cfg
     }
 }
 
-/// Producer: push a statement's result into the (bounded) outbound pipe.
-/// Blocks when the buffer is full — the suspended-scan behaviour from the
-/// paper's Table 3 experiment.
-fn stream_result(
+/// Hand a stream the outbound pipe could not take to a producer thread
+/// of its own. The producer blocks on the full pipe — the suspended-scan
+/// behaviour from the paper's Table 3 experiment — and `CloseStmt`
+/// cancels it through its entry in `cancels`.
+fn spill(mut stream: ResultStream, cancels: &Arc<Mutex<HashMap<StmtId, Arc<AtomicBool>>>>) {
+    obskit::metrics::global()
+        .counter("wire.stream.spilled")
+        .incr();
+    let stmt = stream.stmt;
+    cancels.lock().insert(stmt, Arc::clone(&stream.cancel));
+    let cancels = Arc::clone(cancels);
+    std::thread::spawn(move || {
+        stream.pump(true);
+        cancels.lock().remove(&stmt);
+    });
+}
+
+/// How far one [`ResultStream::pump`] call got.
+#[derive(PartialEq, Eq)]
+enum Pumped {
+    /// The stream ended: sent in full, failed, cancelled, or its link died.
+    Finished,
+    /// The pipe could not take the next frame without blocking; the
+    /// stream holds that frame and resumes from it.
+    Full,
+}
+
+/// Where a [`ResultStream`] is in its frame sequence: `Meta`, then the
+/// skipped rows, then `RowBatch`es, then `Done` (or an `Error` in place
+/// of what is left).
+enum Stage {
+    Meta,
+    Skip,
+    Rows,
+    Done,
+    Finished,
+}
+
+/// One statement's result on its way into the (bounded) outbound pipe.
+/// The connection thread pumps it while the pipe takes each frame
+/// without blocking; a stream that meets a full pipe resumes on a
+/// producer thread ([`spill`]) from the frame it holds. Each frame is
+/// built once, so each `wire.stream.*` crashpoint fires once for its
+/// frame on either thread. Pumping on the connection thread never waits
+/// on a transaction lock: a cursor takes all its locks when it opens,
+/// and `next()` reads pages under short latches.
+struct ResultStream {
     ep: Arc<Endpoint>,
     stmt: StmtId,
-    mut cursor: Cursor,
+    cursor: Cursor,
+    /// Rows to advance past without transmitting (server-side
+    /// repositioning).
     skip: u64,
     batch_size: usize,
+    batch: Vec<Row>,
+    /// Rows sent so far, reported in `Done`.
+    sent: u64,
+    stage: Stage,
+    /// A built frame the pipe has not taken yet.
+    held: Option<Vec<u8>>,
+    /// Set by `CloseStmt` once the stream is registered in `cancels`.
     cancel: Arc<AtomicBool>,
-) {
-    let columns = columns_to_wire(cursor.schema());
-    faultkit::crashpoint!("wire.stream.meta");
-    if ep
-        .tx
-        .send(Response::Meta { stmt, columns }.encode(), Some(&cancel))
-        .is_err()
-    {
-        return;
-    }
-    // Server-side repositioning: advance without transmitting.
-    for _ in 0..skip {
-        match cursor.next() {
-            Some(Ok(_)) => {}
-            Some(Err(e)) => {
-                reply(&ep, Response::Error { stmt, error: e }, Some(&cancel));
-                return;
-            }
-            None => break,
+}
+
+impl ResultStream {
+    fn new(ep: Arc<Endpoint>, stmt: StmtId, cursor: Cursor, skip: u64, batch_size: usize) -> Self {
+        ResultStream {
+            ep,
+            stmt,
+            cursor,
+            skip,
+            batch_size,
+            batch: Vec::with_capacity(batch_size),
+            sent: 0,
+            stage: Stage::Meta,
+            held: None,
+            cancel: Arc::new(AtomicBool::new(false)),
         }
     }
-    let mut sent: u64 = 0;
-    let mut batch = Vec::with_capacity(batch_size);
-    loop {
-        if cancel.load(std::sync::atomic::Ordering::Relaxed) {
-            // Client abandoned the statement; drop cursor (releases locks).
-            return;
-        }
-        match cursor.next() {
-            Some(Ok(row)) => {
-                batch.push(row);
-                if batch.len() >= batch_size {
-                    sent += batch.len() as u64;
-                    let msg = Response::RowBatch {
-                        stmt,
-                        rows: std::mem::take(&mut batch),
-                    };
-                    faultkit::crashpoint!("wire.stream.batch");
-                    if ep.tx.send(msg.encode(), Some(&cancel)).is_err() {
-                        return;
-                    }
+
+    /// Send frames until the stream ends. With `block` unset, stop at the
+    /// first frame the pipe cannot take now and keep it for the next call;
+    /// with `block` set, wait for room (or for a cancel).
+    fn pump(&mut self, block: bool) -> Pumped {
+        loop {
+            let Some(frame) = self.held.take().or_else(|| self.next_frame()) else {
+                return Pumped::Finished;
+            };
+            let sent = if block {
+                self.ep.tx.send(frame, Some(&self.cancel)).map(|()| None)
+            } else {
+                self.ep.tx.try_send(frame)
+            };
+            match sent {
+                Ok(None) => {}
+                Ok(Some(frame)) => {
+                    self.held = Some(frame);
+                    return Pumped::Full;
+                }
+                Err(_) => {
+                    // Link dead or statement cancelled: drop the rest
+                    // (dropping the cursor releases its locks).
+                    self.stage = Stage::Finished;
+                    return Pumped::Finished;
                 }
             }
-            Some(Err(e)) => {
-                reply(&ep, Response::Error { stmt, error: e }, Some(&cancel));
-                return;
+        }
+    }
+
+    /// Build the next frame, advancing the cursor as far as it needs.
+    /// `None` once the stream has nothing left to send.
+    fn next_frame(&mut self) -> Option<Vec<u8>> {
+        let stmt = self.stmt;
+        loop {
+            match self.stage {
+                Stage::Meta => {
+                    let columns = columns_to_wire(self.cursor.schema());
+                    self.stage = Stage::Skip;
+                    faultkit::crashpoint!("wire.stream.meta");
+                    return Some(Response::Meta { stmt, columns }.encode());
+                }
+                Stage::Skip => {
+                    self.stage = Stage::Rows;
+                    for _ in 0..self.skip {
+                        match self.cursor.next() {
+                            Some(Ok(_)) => {}
+                            Some(Err(e)) => return Some(self.fail(e)),
+                            None => break,
+                        }
+                    }
+                }
+                Stage::Rows => loop {
+                    if self.cancel.load(Ordering::Relaxed) {
+                        // Client abandoned the statement.
+                        self.stage = Stage::Finished;
+                        return None;
+                    }
+                    match self.cursor.next() {
+                        Some(Ok(row)) => {
+                            self.batch.push(row);
+                            if self.batch.len() >= self.batch_size {
+                                let rows = self.take_batch();
+                                faultkit::crashpoint!("wire.stream.batch");
+                                return Some(Response::RowBatch { stmt, rows }.encode());
+                            }
+                        }
+                        Some(Err(e)) => return Some(self.fail(e)),
+                        None => {
+                            self.stage = Stage::Done;
+                            if self.batch.is_empty() {
+                                break;
+                            }
+                            let rows = self.take_batch();
+                            faultkit::crashpoint!("wire.stream.tail");
+                            return Some(Response::RowBatch { stmt, rows }.encode());
+                        }
+                    }
+                },
+                Stage::Done => {
+                    self.stage = Stage::Finished;
+                    faultkit::crashpoint!("wire.stream.done");
+                    let kind = DoneKind::Rows(self.sent);
+                    return Some(Response::Done { stmt, kind }.encode());
+                }
+                Stage::Finished => return None,
             }
-            None => break,
         }
     }
-    if !batch.is_empty() {
-        sent += batch.len() as u64;
-        let msg = Response::RowBatch { stmt, rows: batch };
-        faultkit::crashpoint!("wire.stream.tail");
-        if ep.tx.send(msg.encode(), Some(&cancel)).is_err() {
-            return;
-        }
+
+    /// The rows batched so far, counted as sent.
+    fn take_batch(&mut self) -> Vec<Row> {
+        self.sent += self.batch.len() as u64;
+        std::mem::take(&mut self.batch)
     }
-    faultkit::crashpoint!("wire.stream.done");
-    reply(
-        &ep,
-        Response::Done {
-            stmt,
-            kind: DoneKind::Rows(sent),
-        },
-        Some(&cancel),
-    );
+
+    /// End the stream with an `Error` frame in place of the rest.
+    fn fail(&mut self, error: Error) -> Vec<u8> {
+        self.stage = Stage::Finished;
+        Response::Error {
+            stmt: self.stmt,
+            error,
+        }
+        .encode()
+    }
 }
 
 #[cfg(test)]
@@ -855,11 +963,21 @@ mod tests {
         assert_eq!(rows.len(), 5);
     }
 
-    #[test]
-    fn close_stmt_cancels_suspended_stream() {
-        // Tiny output buffer so the producer suspends immediately.
+    /// Serializes the tests that start result streams which may spill:
+    /// `wire.stream.spilled` is a process-global counter.
+    static STREAMS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn spilled() -> u64 {
+        obskit::metrics::global()
+            .counter("wire.stream.spilled")
+            .get()
+    }
+
+    /// A server whose output buffer holds `buffer_bytes`, with table `t`
+    /// holding `rows` padded rows (about 35 bytes each on the wire).
+    fn padded_table(buffer_bytes: usize, rows: usize) -> (DbServer, ClientConn) {
         let mut cfg = ServerConfig::instant_net();
-        cfg.net_s2c.buffer_bytes = 256;
+        cfg.net_s2c.buffer_bytes = buffer_bytes;
         let server = DbServer::start(cfg).unwrap();
         let (conn, _) = connect(&server);
         exec_collect(
@@ -868,15 +986,86 @@ mod tests {
             "CREATE TABLE t (a INT PRIMARY KEY, pad VARCHAR(50))",
         )
         .unwrap();
-        let mut vals = String::from("INSERT INTO t VALUES ");
-        for i in 0..500 {
-            if i > 0 {
-                vals.push(',');
-            }
-            vals.push_str(&format!("({i}, 'ppppppppppppppppppppppppp')"));
-        }
-        exec_collect(&conn, 2, &vals).unwrap();
+        let vals: Vec<String> = (0..rows)
+            .map(|i| format!("({i}, 'ppppppppppppppppppppppppp')"))
+            .collect();
+        exec_collect(
+            &conn,
+            2,
+            &format!("INSERT INTO t VALUES {}", vals.join(",")),
+        )
+        .unwrap();
+        (server, conn)
+    }
 
+    #[test]
+    fn small_result_streams_without_a_spill() {
+        let _streams = STREAMS.lock().unwrap_or_else(|p| p.into_inner());
+        let (_server, conn) = padded_table(64 * 1024, 100);
+        let before = spilled();
+        let (cols, rows, kind) = exec_collect(&conn, 3, "SELECT * FROM t").unwrap();
+        assert_eq!(cols.len(), 2);
+        assert_eq!(rows.len(), 100);
+        assert_eq!(kind, DoneKind::Rows(100));
+        assert_eq!(spilled(), before, "a result that fits must not spill");
+    }
+
+    #[test]
+    fn large_result_spills_once_suspends_and_cancels() {
+        let _streams = STREAMS.lock().unwrap_or_else(|p| p.into_inner());
+        let (_server, conn) = padded_table(256, 500);
+        let before = spilled();
+        conn.send(&Request::Exec {
+            stmt: 3,
+            sql: "SELECT * FROM t".into(),
+            skip: 0,
+        })
+        .unwrap();
+        assert!(matches!(
+            conn.recv(Some(Duration::from_secs(5))).unwrap(),
+            Response::Meta { stmt: 3, .. }
+        ));
+        // The producer fills the pipe and suspends: the buffered bytes
+        // stop moving while nobody reads.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while conn.ep.rx.buffered_bytes() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let held = conn.ep.rx.buffered_bytes();
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(held > 0);
+        assert_eq!(conn.ep.rx.buffered_bytes(), held, "producer must suspend");
+        assert_eq!(spilled(), before + 1, "the stream spills exactly once");
+
+        // Cancel it. The connection thread sets the flag before it
+        // answers the ping, so once the pong is in, the producer sends at
+        // most the frame it was already placing.
+        conn.send(&Request::CloseStmt { stmt: 3 }).unwrap();
+        conn.send(&Request::Ping).unwrap();
+        let mut rows = 0;
+        let mut ponged = false;
+        loop {
+            let timeout = if ponged { 100 } else { 5000 };
+            match conn.recv(Some(Duration::from_millis(timeout))) {
+                Ok(Response::Pong) => ponged = true,
+                Ok(Response::RowBatch { stmt: 3, rows: r }) => rows += r.len(),
+                Ok(other) => panic!("cancelled stream sent {other:?}"),
+                Err(Error::Timeout) if ponged => break,
+                Err(e) => panic!("{e:?}"),
+            }
+        }
+        assert!(rows < 500, "cancelled stream delivered all {rows} rows");
+        assert_eq!(spilled(), before + 1);
+        // The connection still serves statements.
+        let (_, rows, _) = exec_collect(&conn, 4, "SELECT TOP 1 a FROM t WHERE a = 7").unwrap();
+        assert_eq!(rows.len(), 1);
+    }
+
+    #[test]
+    fn close_stmt_cancels_suspended_stream() {
+        let _streams = STREAMS.lock().unwrap_or_else(|p| p.into_inner());
+        // Tiny output buffer so the producer suspends immediately.
+        let (_server, conn) = padded_table(256, 500);
         conn.send(&Request::Exec {
             stmt: 3,
             sql: "SELECT * FROM t".into(),

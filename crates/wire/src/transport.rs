@@ -5,6 +5,18 @@
 //! plus the server's bounded output buffer. A full pipe blocks the sender,
 //! which is exactly the mechanism behind the paper's Table 3 observation
 //! that a native query's scan *suspends* once the output buffer fills.
+//! [`Pipe::try_send`] is the non-blocking form: it hands a frame back
+//! instead of waiting, so the server can stream a result that fits from
+//! its connection thread and spill only the rest to a producer thread.
+//!
+//! **Link timing.** Each frame gets a deadline, `deliver_at`, from the
+//! [`NetConfig`] model, and is never received before it. The receiver
+//! waits out the deadline with a timed condvar wait, and the first such
+//! wait on a thread sets that thread's timer slack to 1 ns (Linux lets a
+//! timer fire up to the slack late, 50 µs by default; other targets do
+//! nothing). Only the calling thread changes. Every delivered frame
+//! records its lateness, receive time minus deadline, in
+//! `wire.link.late_us`.
 //!
 //! Closing a pipe (server crash) wakes all blocked parties with a
 //! disconnect error.
@@ -19,9 +31,10 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use faultkit::net::{NetFault, NetFaultKind, NetSchedule};
+use obskit::Histogram;
 use sqlengine::Error;
 
 /// Static counter name for each injected fault kind (counter names are
@@ -35,6 +48,42 @@ fn fault_counter(kind: NetFaultKind) -> &'static str {
         NetFaultKind::Flap => "wire.net.fault.flap",
     }
 }
+
+/// Set the calling thread's timer slack to 1 ns, once per thread, before
+/// its first timed wait for a link deadline. Linux may fire a timed wait
+/// up to the thread's slack late (50 µs by default), which would make
+/// every frame arrive after its model time. The setting is per thread:
+/// nothing machine-wide changes. A failed call leaves the default slack,
+/// which costs only precision.
+#[cfg(target_os = "linux")]
+fn tighten_timer_slack() {
+    use std::cell::Cell;
+    use std::os::raw::{c_int, c_ulong};
+    thread_local! {
+        static TIGHTENED: Cell<bool> = const { Cell::new(false) };
+    }
+    const PR_SET_TIMERSLACK: c_int = 29;
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+    if TIGHTENED.with(|t| t.replace(true)) {
+        return;
+    }
+    // The workspace denies `unsafe_code`. This call is its one exception:
+    // std has no wrapper for prctl.
+    #[allow(unsafe_code)]
+    // SAFETY: PR_SET_TIMERSLACK reads one unsigned long passed by value
+    // and touches no memory of the caller. It changes only the calling
+    // thread's timer slack. Its result is ignored: a failure leaves the
+    // default slack.
+    unsafe {
+        prctl(PR_SET_TIMERSLACK, 1 as c_ulong);
+    }
+}
+
+/// Timer slack is a Linux notion; elsewhere there is nothing to set.
+#[cfg(not(target_os = "linux"))]
+fn tighten_timer_slack() {}
 
 /// Network model parameters for one direction.
 #[derive(Debug, Clone, Copy)]
@@ -83,7 +132,6 @@ impl NetConfig {
 /// reassembled (no retransmission on this model), so delivery halts
 /// silently at the hole — exactly how an unrecovered TCP segment loss
 /// presents to the receiver.
-#[derive(Clone)]
 struct Frame {
     payload: Vec<u8>,
     deliver_at: Instant,
@@ -109,6 +157,8 @@ pub struct Pipe {
     state: Mutex<PipeState>,
     readable: Condvar,
     writable: Condvar,
+    /// `wire.link.late_us`, held so delivery skips the registry lookup.
+    late: Arc<Histogram>,
 }
 
 impl Pipe {
@@ -126,6 +176,7 @@ impl Pipe {
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
+            late: obskit::metrics::global().histogram("wire.link.late_us"),
         })
     }
 
@@ -146,10 +197,17 @@ impl Pipe {
         self.readable.notify_all();
     }
 
+    /// Whether the buffer can take a `size`-byte message now. An empty
+    /// queue takes any message, so one larger than the whole buffer
+    /// still goes out.
+    fn fits(&self, st: &PipeState, size: usize) -> bool {
+        st.bytes + size <= self.cfg.buffer_bytes || st.queue.is_empty()
+    }
+
     /// Send a message, blocking while the buffer is full. Returns
     /// `Err(ServerShutdown)` if the pipe is closed, or if `cancel` is set
     /// while waiting.
-    pub fn send(&self, mut msg: Vec<u8>, cancel: Option<&AtomicBool>) -> Result<(), Error> {
+    pub fn send(&self, msg: Vec<u8>, cancel: Option<&AtomicBool>) -> Result<(), Error> {
         let size = msg.len().max(1);
         let mut st = self.state.lock();
         loop {
@@ -161,11 +219,32 @@ impl Pipe {
                     return Err(Error::TxnAborted("statement cancelled".into()));
                 }
             }
-            if st.bytes + size <= self.cfg.buffer_bytes || st.queue.is_empty() {
+            if self.fits(&st, size) {
                 break;
             }
             self.writable.wait_for(&mut st, Duration::from_millis(1));
         }
+        self.enqueue(st, msg)
+    }
+
+    /// Send a message only if the buffer can take it without blocking.
+    /// Returns `Ok(None)` once it is queued and `Ok(Some(msg))`, handing
+    /// the message back untouched, when the buffer is full. Errors as
+    /// [`Pipe::send`] does on a closed pipe.
+    pub fn try_send(&self, msg: Vec<u8>) -> Result<Option<Vec<u8>>, Error> {
+        let st = self.state.lock();
+        if st.closed {
+            return Err(Error::ServerShutdown);
+        }
+        if !self.fits(&st, msg.len().max(1)) {
+            return Ok(Some(msg));
+        }
+        self.enqueue(st, msg).map(|()| None)
+    }
+
+    /// Queue a message the buffer has room for: draw its injected fault,
+    /// give it a delivery deadline and wake a receiver.
+    fn enqueue(&self, mut st: MutexGuard<'_, PipeState>, mut msg: Vec<u8>) -> Result<(), Error> {
         // Injected network faults, one draw per message.
         let mut extra_delay = Duration::ZERO;
         let fault = st.faults.as_mut().and_then(NetSchedule::next_fault);
@@ -250,9 +329,8 @@ impl Pipe {
             // A hole at the front withholds everything behind it: the
             // receiver sees silence, not an error (fall through to the
             // timed waits below).
-            if let Some(frame) = st.queue.front().cloned().filter(|f| !f.hole) {
-                let msg = frame.payload;
-                let mut deliver_at = frame.deliver_at;
+            if let Some(mut deliver_at) = st.queue.front().filter(|f| !f.hole).map(|f| f.deliver_at)
+            {
                 let now = Instant::now();
                 // A stalled link withholds everything queued, silently.
                 match st.stall_until {
@@ -261,11 +339,15 @@ impl Pipe {
                     None => {}
                 }
                 if deliver_at <= now {
-                    st.queue.pop_front();
-                    st.bytes -= msg.len().max(1);
+                    let Some(frame) = st.queue.pop_front() else {
+                        continue;
+                    };
+                    st.bytes -= frame.payload.len().max(1);
                     drop(st);
                     self.writable.notify_one();
-                    return Ok(msg);
+                    let late = now.saturating_duration_since(deliver_at).as_micros();
+                    self.late.record(u64::try_from(late).unwrap_or(u64::MAX));
+                    return Ok(frame.payload);
                 }
                 // Wait out the simulated latency (bounded by deadline).
                 let mut wait = deliver_at - now;
@@ -275,6 +357,7 @@ impl Pipe {
                     }
                     wait = wait.min(d - now);
                 }
+                tighten_timer_slack();
                 self.readable.wait_for(&mut st, wait);
                 continue;
             }
@@ -456,6 +539,91 @@ mod tests {
         let start = Instant::now();
         pipe.recv(Some(Duration::from_secs(1))).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(25));
+    }
+
+    /// The calling thread's timer slack in nanoseconds. Per-thread slack
+    /// lives at `/proc/<tid>/timerslack_ns`; `/proc/thread-self` names
+    /// the tid (as `<pid>/task/<tid>`) but has no such file.
+    #[cfg(target_os = "linux")]
+    fn own_timer_slack_ns() -> u64 {
+        let link = std::fs::read_link("/proc/thread-self").unwrap();
+        let tid = link.file_name().unwrap().to_str().unwrap().to_string();
+        let raw = std::fs::read_to_string(format!("/proc/{tid}/timerslack_ns")).unwrap();
+        raw.trim().parse().unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn timed_recv_tightens_the_threads_timer_slack() {
+        // A fresh thread starts from the inherited slack; one link-deadline
+        // wait sets it to 1 ns for that thread alone.
+        let pipe = Pipe::new(NetConfig {
+            latency: Duration::from_millis(2),
+            ..NetConfig::instant()
+        });
+        let p2 = Arc::clone(&pipe);
+        let (before, after) = std::thread::spawn(move || {
+            let before = own_timer_slack_ns();
+            p2.send(b"x".to_vec(), None).unwrap();
+            p2.recv(Some(Duration::from_secs(1))).unwrap();
+            (before, own_timer_slack_ns())
+        })
+        .join()
+        .unwrap();
+        assert_eq!(after, 1, "slack after a timed recv (was {before} ns)");
+    }
+
+    #[test]
+    fn no_frame_arrives_before_its_model_time() {
+        let latency = Duration::from_millis(2);
+        let pipe = Pipe::new(NetConfig {
+            latency,
+            ..NetConfig::instant()
+        });
+        let late0 = pipe.late.snapshot().count;
+        let p2 = Arc::clone(&pipe);
+        let sender = std::thread::spawn(move || {
+            (0..200u32)
+                .map(|i| {
+                    // Read the clock before the send: the frame's deadline
+                    // is at least this instant plus the latency.
+                    let sent = Instant::now();
+                    p2.send(i.to_le_bytes().to_vec(), None).unwrap();
+                    std::thread::sleep(Duration::from_micros(100));
+                    sent
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut got = Vec::new();
+        for _ in 0..200 {
+            let frame = pipe.recv(Some(Duration::from_secs(5))).unwrap();
+            got.push((frame, Instant::now()));
+        }
+        let sent = sender.join().unwrap();
+        for (i, (frame, at)) in got.iter().enumerate() {
+            assert_eq!(frame, &(i as u32).to_le_bytes().to_vec(), "order");
+            let early = (sent[i] + latency).saturating_duration_since(*at);
+            assert_eq!(early, Duration::ZERO, "frame {i} arrived {early:?} early");
+        }
+        // Every delivered frame recorded its lateness (other tests may
+        // add samples of their own to the shared histogram).
+        assert!(pipe.late.snapshot().count >= late0 + 200);
+    }
+
+    #[test]
+    fn try_send_hands_back_what_the_buffer_cannot_take() {
+        let pipe = Pipe::new(NetConfig {
+            buffer_bytes: 100,
+            ..NetConfig::instant()
+        });
+        // An empty queue takes even an oversized frame.
+        assert_eq!(pipe.try_send(vec![1u8; 150]).unwrap(), None);
+        assert_eq!(pipe.try_send(vec![2u8; 10]).unwrap(), Some(vec![2u8; 10]));
+        assert_eq!(pipe.recv(Some(Duration::from_secs(1))).unwrap().len(), 150);
+        assert_eq!(pipe.try_send(vec![2u8; 10]).unwrap(), None);
+        assert_eq!(pipe.buffered_bytes(), 10);
+        pipe.close();
+        assert_eq!(pipe.try_send(vec![3u8; 1]), Err(Error::ServerShutdown));
     }
 
     #[test]

@@ -407,31 +407,57 @@ fn validate_snapshot(path: &Path) -> bool {
 }
 
 /// Parse the group-commit snapshot and check that the 4-session commit
-/// mix actually coalesced: the `wal.flush.batch_size` histogram must be
-/// present with a median batch of at least 2 commits per fsync.
+/// mix actually coalesced (see [`group_commit_findings`]).
 fn validate_group_commit_snapshot(path: &Path) -> bool {
     println!("== xtask ci: validate group-commit batching ==");
     let Some(doc) = read_json(path) else {
         return false;
     };
-    let hist = doc
-        .get("histograms")
-        .and_then(|h| h.get("wal.flush.batch_size"));
-    let Some(hist) = hist else {
-        eprintln!("xtask ci: snapshot has no wal.flush.batch_size histogram");
-        return false;
-    };
-    let count = hist.get("count").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let p50 = hist.get("p50").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    if count < 1.0 || p50 < 2.0 {
-        eprintln!(
-            "xtask ci: group commit did not coalesce under the 4-session mix \
-             (batch_size count: {count}, p50: {p50}, need p50 >= 2)"
-        );
-        return false;
+    match group_commit_findings(&doc) {
+        Ok(summary) => {
+            println!("group commit ok: {summary}");
+            true
+        }
+        Err(why) => {
+            eprintln!("xtask ci: group commit did not coalesce under the 4-session mix: {why}");
+            false
+        }
     }
-    println!("group commit ok: {count} covering fsyncs, batch p50 = {p50}");
-    true
+}
+
+/// The group-commit gate, on quantities the schedule cannot move. The
+/// raw fsync count can: a session whose `BEGIN` lands after the others
+/// park gets a flush of its own. So the gate asks for at most one fsync
+/// per two of the mix's commits (`meta.commits`; the count also holds
+/// the set-up's few flushes) and a median batch of at least 2 commits
+/// per covering fsync. Without group commit every commit forces its own
+/// fsync and both fail.
+fn group_commit_findings(doc: &Json) -> Result<String, String> {
+    let hist = |name: &str| doc.get("histograms").and_then(|h| h.get(name));
+    let field = |h: &Json, key: &str| h.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+    let commits = doc
+        .get("meta")
+        .and_then(|m| m.get("commits"))
+        .and_then(Json::as_str)
+        .and_then(|s| s.parse::<f64>().ok())
+        .ok_or("snapshot has no meta.commits")?;
+    let fsyncs = hist("sqlengine.wal.flush").map_or(0.0, |h| field(h, "count"));
+    let batch = hist("wal.flush.batch_size").ok_or("snapshot has no wal.flush.batch_size")?;
+    let (batches, p50) = (field(batch, "count"), field(batch, "p50"));
+    let per_commit = fsyncs / commits.max(1.0);
+    if batches < 1.0 || p50 < 2.0 {
+        return Err(format!(
+            "batch_size count {batches}, p50 {p50}; need a p50 of at least 2"
+        ));
+    }
+    if per_commit > 0.5 {
+        return Err(format!(
+            "{fsyncs} fsyncs for {commits} commits ({per_commit:.2} per commit); need at most 0.5"
+        ));
+    }
+    Ok(format!(
+        "{fsyncs} fsyncs for {commits} commits ({per_commit:.2} per commit), batch p50 = {p50}"
+    ))
 }
 
 /// Parse the reconnect-storm snapshot and check that the admission
@@ -827,6 +853,33 @@ test src/lib.rs - f (line 3) ... ok
             Some("ignored, runs for minutes")
         );
         assert_eq!(get("Doc-tests a :: src/lib.rs - f (line 3)"), Some("ok"));
+    }
+
+    /// A group-commit snapshot with `fsyncs` flushes, of which `batches`
+    /// led a batch with median `p50`, for 96 commits.
+    fn gc_snapshot(fsyncs: u64, batches: u64, p50: u64) -> Json {
+        let text = format!(
+            r#"{{"meta": {{"commits": "96"}}, "histograms": {{
+                "sqlengine.wal.flush": {{"count": {fsyncs}}},
+                "wal.flush.batch_size": {{"count": {batches}, "p50": {p50}}}}}}}"#
+        );
+        Json::parse(&text).unwrap()
+    }
+
+    #[test]
+    fn group_commit_gate_ignores_the_schedule_but_not_batching() {
+        // The blessed run, and runs where late sessions flushed alone.
+        assert!(group_commit_findings(&gc_snapshot(30, 24, 4)).is_ok());
+        assert!(group_commit_findings(&gc_snapshot(37, 31, 4)).is_ok());
+        // No batching: one fsync per commit (plus set-up flushes).
+        assert!(group_commit_findings(&gc_snapshot(102, 96, 1)).is_err());
+        // Batches of two-thirds singles: the median falls to 1.
+        assert!(group_commit_findings(&gc_snapshot(70, 64, 1)).is_err());
+        // Pairs and singles: the median batch is 2, but the fsyncs
+        // outnumber half the commits.
+        assert!(group_commit_findings(&gc_snapshot(60, 54, 2)).is_err());
+        let unlabeled = Json::parse(r#"{"histograms": {}}"#).unwrap();
+        assert!(group_commit_findings(&unlabeled).is_err());
     }
 
     #[test]

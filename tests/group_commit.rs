@@ -221,8 +221,8 @@ fn crash_at_each_group_commit_point_is_exactly_once() {
 
 /// Four concurrent committing sessions must coalesce: fewer fsyncs than
 /// commits overall, and the average batch a leader's fsync covers ≥ 2.
-/// With `OBSKIT_SNAPSHOT` set, exports the registry for the CI check
-/// that `wal.flush.batch_size` p50 ≥ 2.
+/// With `OBSKIT_SNAPSHOT` set, exports the registry for the CI check on
+/// fsyncs per commit and the `wal.flush.batch_size` p50.
 #[test]
 fn four_session_commit_mix_batches_fsyncs() {
     // Serializes against the explorer test above (the crashpoint
@@ -294,7 +294,7 @@ fn four_session_commit_mix_batches_fsyncs() {
     while server.admission_stats().active != 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
-    write_snapshot_if_requested();
+    write_snapshot_if_requested(commits);
     drop(pxs);
 }
 
@@ -303,14 +303,17 @@ fn four_session_commit_mix_batches_fsyncs() {
 const DRAIN_GRACE: Duration = Duration::from_secs(3);
 
 /// When `OBSKIT_SNAPSHOT=<path>` is set, export the global metrics
-/// registry plus the trace timeline — `cargo xtask ci` runs the
-/// 4-session mix this way and asserts `wal.flush.batch_size` p50 ≥ 2.
-fn write_snapshot_if_requested() {
+/// registry plus the trace timeline, with the mix's commit count as
+/// `meta.commits` — `cargo xtask ci` runs the 4-session mix this way and
+/// asserts at most 0.5 fsyncs per commit and a `wal.flush.batch_size`
+/// p50 ≥ 2.
+fn write_snapshot_if_requested(commits: u64) {
     let Ok(path) = std::env::var("OBSKIT_SNAPSHOT") else {
         return;
     };
     let mut meta = BTreeMap::new();
     meta.insert("source".to_string(), "group_commit".to_string());
+    meta.insert("commits".to_string(), commits.to_string());
     let json = obskit::export::snapshot_json(
         &meta,
         &obskit::metrics::global().snapshot(),
