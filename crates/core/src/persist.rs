@@ -37,7 +37,7 @@ pub struct PersistedResult {
     pub table: String,
     /// Columns of the persistent table, as the reopen reports them.
     pub columns: Vec<(String, DataType)>,
-    /// The reopened `SELECT * FROM <table>` statement, positioned at row 0.
+    /// The reopened `SELECT * FROM <table>` statement, past `skip` rows.
     pub stmt: OdbcStatement,
     /// Per-step elapsed times.
     pub timing: PersistTiming,
@@ -59,12 +59,14 @@ fn persist_batch_sql(retiring: &[String], table: &str, select_sql: &str) -> Resu
 /// Persist `select_sql` into `table` with one request on the application
 /// connection, dropping the `retiring` result tables on the way. Once the
 /// server acknowledges the batch the result is crash-durable, the retired
-/// tables are gone, and the returned statement streams the result.
+/// tables are gone, and the returned statement streams the result from
+/// row `skip` on (the server skips the rows before it).
 pub fn persist_result(
     app: &OdbcConnection,
     retiring: &[String],
     table: &str,
     select_sql: &str,
+    skip: u64,
     parse_time: Duration,
 ) -> Result<PersistedResult> {
     let batch = persist_batch_sql(retiring, table, select_sql)?;
@@ -73,7 +75,7 @@ pub fn persist_result(
     // inside `SELECT … INTO` (`persist.create`, `persist.materialize`).
     faultkit::crashpoint!("persist.batch");
     let t = Instant::now();
-    let stmt = app.exec_direct(&batch)?;
+    let stmt = app.exec_direct_skip(&batch, skip)?;
     let load = t.elapsed();
     obskit::metrics::global().record("phoenix.persist.materialize", load);
     obskit::trace::emit_span("phoenix.persist.materialize", load, String::new());

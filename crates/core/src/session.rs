@@ -3,14 +3,16 @@
 //! A [`PhoenixConnection`] is what the application holds instead of a raw
 //! driver connection. Underneath it maps to *two* real connections — the
 //! application's and a private one that masks Phoenix's own traffic
-//! (the status table, pings, recovery probes). Result tables live on the
+//! (the status table's ledger and pings). Result tables live on the
 //! application connection: each is loaded, reopened and later dropped by
 //! batches sent there, so its server-side memory charge is the
 //! application session's. When the server
 //! crashes, Phoenix detects it (driver error or timeout), reconnects,
 //! re-binds the virtual session, reinstalls SQL state (reopening the
 //! persistent result table and repositioning), and the application simply
-//! continues — it pauses, it does not fail.
+//! continues — it pauses, it does not fail. A recovery sends four
+//! requests: the pair's two handshakes, the re-created session probe and
+//! the repositioned reopen.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +33,7 @@ use crate::persist::{persist_result, PersistTiming};
 /// Phoenix-managed status table for exactly-once modification statements.
 pub const STATUS_TABLE: &str = "phx_status";
 /// Session liveness proxy: a temp table that dies with the real session.
-const PROBE_TABLE: &str = "#phx_probe";
+const CREATE_PROBE: &str = "CREATE TABLE #phx_probe (x INT)";
 
 static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -92,9 +94,11 @@ pub struct RecoveryPhases {
     /// Re-opening the connection pair until the server answers, including
     /// reconnect backoff waits.
     pub reconnect: Duration,
-    /// Re-binding the virtual session (probe table + status table).
+    /// Re-binding the virtual session: re-creating its `#phx_probe` temp
+    /// table (`phx_status` is durable, created at connect).
     pub rebind: Duration,
-    /// Verifying — and if lost, re-persisting — the result table.
+    /// Re-persisting the result table when the reopen finds it lost; ~0
+    /// otherwise, as it then sends nothing.
     pub reinstall: Duration,
     /// Reopening the persisted result and repositioning to the last
     /// delivered tuple.
@@ -231,11 +235,19 @@ pub struct PhoenixConnection {
 impl PhoenixConnection {
     /// Open a persistent session: connects the application connection and
     /// the private connection, installs the session probe and ensures the
-    /// status table exists.
+    /// status table exists. The table is durable once this returns, so
+    /// recovery never re-creates it.
     pub fn connect(server: &DbServer, cfg: PhoenixConfig) -> Result<PhoenixConnection> {
         let conn_id = NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed);
         let (app, private) = Self::open_pair(server, &cfg)?;
-        Self::install_session_context(&app, &private)?;
+        app.exec_direct(CREATE_PROBE)?;
+        match private.exec_direct(&format!(
+            "CREATE TABLE {STATUS_TABLE} (app_key VARCHAR(64), req_id INT, affected INT, \
+             PRIMARY KEY (app_key, req_id))"
+        )) {
+            Ok(_) | Err(Error::AlreadyExists(_)) => {}
+            Err(e) => return Err(e),
+        }
         Ok(PhoenixConnection {
             server: server.clone(),
             cfg,
@@ -269,19 +281,6 @@ impl PhoenixConnection {
             },
         )?;
         Ok((app, private))
-    }
-
-    fn install_session_context(app: &OdbcConnection, private: &OdbcConnection) -> Result<()> {
-        // Session-liveness proxy (temp table, dies with the session).
-        app.exec_direct(&format!("CREATE TABLE {PROBE_TABLE} (x INT)"))?;
-        // Status table for exactly-once updates (shared, persistent).
-        match private.exec_direct(&format!(
-            "CREATE TABLE {STATUS_TABLE} (app_key VARCHAR(64), req_id INT, affected INT, \
-             PRIMARY KEY (app_key, req_id))"
-        )) {
-            Ok(_) | Err(Error::AlreadyExists(_)) => Ok(()),
-            Err(e) => Err(e),
-        }
     }
 
     /// The key this connection's wrapped modifications are ledgered under
@@ -563,7 +562,7 @@ impl PhoenixConnection {
         let pr = self.masked(inner, budget, false, |i| {
             let table = format!("phx_res_{}_{}", self.conn_id, i.next_result);
             i.next_result += 1;
-            let r = persist_result(&i.app, &i.pending_drop, &table, sql, parse_time);
+            let r = persist_result(&i.app, &i.pending_drop, &table, sql, 0, parse_time);
             match r {
                 Ok(_) => i.pending_drop.clear(),
                 Err(_) => i.pending_drop.push(table),
@@ -753,30 +752,21 @@ impl PhoenixConnection {
             // Reconnect time includes the backoff waits between attempts.
             if inner.app.is_dead() || inner.private.ping().is_err() {
                 let t_reconnect = Instant::now();
-                let fresh = match Self::open_pair(&self.server, &self.cfg) {
-                    // Ping over the private connection, then decide whether
-                    // the database session survived via the temp-table
-                    // proxy (temp tables die with their session).
-                    Ok((app, private)) if private.ping().is_ok() => {
-                        let _session_survived = app
-                            .exec_direct(&format!("SELECT * FROM {PROBE_TABLE} WHERE 0=1"))
-                            .is_ok();
-                        // (In this substrate a broken link always implies a
-                        // dead session, so the probe is informational.)
-                        Ok((app, private))
-                    }
+                // The pair's two handshakes are the liveness test: each
+                // answer comes from a fresh session on a live server.
+                let fresh = Self::open_pair(&self.server, &self.cfg).map_err(|e| match e {
                     // Shed by admission control: the next wait honors the
                     // server's hint.
-                    Err(busy @ Error::ServerBusy { .. }) => Err(busy),
+                    busy @ Error::ServerBusy { .. } => busy,
                     // Any other phase-1 failure: the server is still down.
-                    _ => Err(Error::ServerShutdown),
-                };
+                    _ => Error::ServerShutdown,
+                });
                 phases.reconnect += t_reconnect.elapsed();
                 let rebound = fresh.and_then(|(app, private)| {
                     let t_rebind = Instant::now();
-                    let r = Self::install_session_context(&app, &private);
+                    let r = app.exec_direct(CREATE_PROBE);
                     phases.rebind += t_rebind.elapsed();
-                    r.map(|()| (app, private))
+                    r.map(|_| (app, private))
                 });
                 match rebound {
                     Ok((app, private)) => {
@@ -824,14 +814,12 @@ impl PhoenixConnection {
     /// connections. Failures leave `inner.active` in place with
     /// `needs_reinstall` set, so the work can be resumed — the virtual
     /// session is never torn down by a failed reinstall. Time spent is
-    /// accumulated into `phases` (verification/re-persist → `reinstall`,
-    /// reopen/skip → `reposition`), including on the error paths, so a
-    /// retried phase 2 reports its full cost.
+    /// accumulated into `phases` (re-persist → `reinstall`, reopen and
+    /// client-side skip → `reposition`), including on the error paths, so
+    /// a retried phase 2 reports its full cost.
     fn reinstall_sql_state(&self, inner: &mut Inner, phases: &mut RecoveryPhases) -> Result<()> {
-        let t_reinstall = Instant::now();
         let Inner {
             app,
-            private,
             in_app_txn,
             active,
             next_result,
@@ -852,54 +840,54 @@ impl PhoenixConnection {
             ..
         }) = active.as_mut()
         else {
-            phases.reinstall += t_reinstall.elapsed();
             return Ok(());
         };
         *needs_reinstall = true;
-        // Verify database recovery restored the result table. If it is
-        // somehow gone (it was dropped out of band, or never reached
-        // commit), redo the whole persistence from the remembered request
-        // — the result is recomputed, not lost.
-        let verified = match private.exec_direct(&format!("SELECT * FROM {table} WHERE 0=1")) {
-            Ok(_) => Ok(()),
+        // Reopen at the last delivered tuple. The server advances past it,
+        // so no tuples cross the wire (the repositioning stored
+        // procedure); client repositioning reopens at row 0 and sequences.
+        let skip = match self.cfg.reposition {
+            RepositionMode::Server => *delivered,
+            RepositionMode::Client => 0,
+        };
+        let t_reposition = Instant::now();
+        let reopened = app.exec_direct_skip(&reopen_sql(table), skip);
+        phases.reposition += t_reposition.elapsed();
+        let mut reopened = match reopened {
+            // Database recovery did not restore the result table (it was
+            // dropped out of band, or never reached commit): redo the
+            // persistence from the remembered request under a fresh name —
+            // the result is recomputed, not lost. Its batch reopens at
+            // `skip` too.
             Err(Error::NotFound(_)) => {
+                let t_reinstall = Instant::now();
                 let fresh = format!("phx_res_{}_{}", self.conn_id, *next_result);
                 *next_result += 1;
-                persist_result(app, &[], &fresh, sql, Duration::ZERO).map(|pr| {
-                    // lint:allow(discard): the persisted table is what matters; the probe stmt is disposable
-                    let _ = pr.stmt.close();
-                    *table = fresh;
-                })
+                let r = persist_result(app, &[], &fresh, sql, skip, Duration::ZERO);
+                phases.reinstall += t_reinstall.elapsed();
+                let pr = r?;
+                *table = pr.table;
+                pr.stmt
             }
-            Err(e) => Err(e),
+            r => r?,
         };
-        phases.reinstall += t_reinstall.elapsed();
-        verified?;
-        // Reopen and reposition to the last delivered tuple.
-        let t_reposition = Instant::now();
-        let reopened = match self.cfg.reposition {
-            // Advance server-side; no tuples cross the wire (the
-            // repositioning stored procedure).
-            RepositionMode::Server => app.exec_direct_skip(&reopen_sql(table), *delivered),
+        if self.cfg.reposition == RepositionMode::Client {
             // Sequence through the result from the client. A reopened
             // result shorter than the remembered position means the
             // persisted table lost rows — surface that, never silently
             // resume short.
-            RepositionMode::Client => (|| {
-                let mut s = app.exec_direct(&reopen_sql(table))?;
-                for consumed in 0..*delivered {
-                    if s.fetch()?.is_none() {
-                        return Err(Error::Storage(format!(
-                            "persisted result {table} ended at row {consumed} \
-                             while repositioning to {delivered}"
-                        )));
-                    }
-                }
-                Ok(s)
-            })(),
-        };
-        phases.reposition += t_reposition.elapsed();
-        *stmt = reopened?;
+            let t_skip = Instant::now();
+            let skipped = (0..*delivered).try_for_each(|consumed| match reopened.fetch()? {
+                Some(_) => Ok(()),
+                None => Err(Error::Storage(format!(
+                    "persisted result {table} ended at row {consumed} \
+                     while repositioning to {delivered}"
+                ))),
+            });
+            phases.reposition += t_skip.elapsed();
+            skipped?;
+        }
+        *stmt = reopened;
         *needs_reinstall = false;
         Ok(())
     }

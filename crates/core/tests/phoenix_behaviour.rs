@@ -510,6 +510,46 @@ fn result_tables(server: &DbServer) -> Vec<String> {
 }
 
 #[test]
+fn lost_result_table_is_re_persisted_at_the_delivered_row() {
+    for mode in [RepositionMode::Server, RepositionMode::Client] {
+        let server = server_with_rows(300);
+        let px = PhoenixConnection::connect(&server, cfg_with(mode, CacheMode::Disabled)).unwrap();
+        let q = "SELECT k, v FROM items ORDER BY k";
+        let reference = px.query_all(q).unwrap();
+        px.exec(q).unwrap();
+        let mut rows = px.fetch_block(120).unwrap();
+        // Lose the open result's table out of band, then crash: restart
+        // cannot bring it back, so recovery's reopen answers `NotFound`.
+        let lost = result_tables(&server);
+        assert_eq!(lost.len(), 1, "{mode:?}: only the open result's table");
+        let engine = server.engine().unwrap();
+        let sid = engine.create_session().unwrap();
+        engine
+            .execute(sid, &format!("DROP TABLE {}", lost[0]))
+            .unwrap();
+        engine.close_session(sid);
+        server.crash();
+        server.restart().unwrap();
+
+        rows.extend(px.fetch_all().unwrap());
+        assert_eq!(
+            rows, reference,
+            "{mode:?}: same rows, same order, once each"
+        );
+        assert_eq!(px.stats().recoveries, 1, "{mode:?}");
+        let now = result_tables(&server);
+        assert_eq!(now.len(), 1, "{mode:?}: the re-persisted table only");
+        assert_ne!(now, lost, "{mode:?}: re-persisted under a fresh name");
+        px.close_result();
+        assert!(
+            result_tables(&server).is_empty(),
+            "{mode:?}: nothing outlives close_result"
+        );
+        px.close();
+    }
+}
+
+#[test]
 fn failed_persist_does_not_leak_its_result_table() {
     let server = server_with_rows(10);
     let px = PhoenixConnection::connect(

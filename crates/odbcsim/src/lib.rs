@@ -276,7 +276,8 @@ pub struct OdbcStatement {
     inner: Arc<ConnInner>,
     id: StmtId,
     columns: Vec<(String, DataType)>,
-    buf: VecDeque<Row>,
+    /// Rows received but not yet fetched, each beside its encoded size.
+    buf: VecDeque<(Row, usize)>,
     buf_bytes: usize,
     done: Option<DoneKind>,
     fetched: u64,
@@ -325,14 +326,21 @@ impl OdbcStatement {
         self.fetched
     }
 
-    /// `SQLFetch`: next row, or `None` at end of the result set.
+    /// `SQLFetch`: next row, or `None` at end of the result set. A
+    /// statement that a later `exec_direct` on its connection superseded
+    /// before its result fully arrived has been cancelled: its fetch fails
+    /// at once with a (not connection-fatal) sequence error.
     pub fn fetch(&mut self) -> Result<Option<Row>> {
+        if self.done.is_none() && *self.inner.active.lock() != Some(self.id) {
+            return Err(Error::Semantic(format!(
+                "function sequence error: statement {} was superseded on its connection",
+                self.id
+            )));
+        }
         let wd = Watchdog::start(&self.inner.cfg);
         loop {
-            if let Some(row) = self.buf.pop_front() {
-                let mut tmp = Vec::new();
-                encode_row(&row, &mut tmp);
-                self.buf_bytes = self.buf_bytes.saturating_sub(tmp.len());
+            if let Some((row, bytes)) = self.buf.pop_front() {
+                self.buf_bytes -= bytes;
                 self.fetched += 1;
                 return Ok(Some(row));
             }
@@ -396,11 +404,12 @@ impl OdbcStatement {
                     self.columns = columns;
                 }
                 Response::RowBatch { stmt, rows } if stmt == self.id => {
+                    let mut enc = Vec::new();
                     for r in rows {
-                        let mut tmp = Vec::new();
-                        encode_row(&r, &mut tmp);
-                        self.buf_bytes += tmp.len();
-                        self.buf.push_back(r);
+                        enc.clear();
+                        encode_row(&r, &mut enc);
+                        self.buf_bytes += enc.len();
+                        self.buf.push_back((r, enc.len()));
                     }
                     if !until_full {
                         return Ok(());
@@ -647,5 +656,44 @@ mod tests {
         let mut st2 = c.exec_direct("SELECT TOP 1 a FROM t WHERE a = 42").unwrap();
         let rows = st2.fetch_block(10).unwrap();
         assert_eq!(rows.len(), 1);
+    }
+
+    #[test]
+    fn superseded_statement_fails_at_once_and_connection_stays_usable() {
+        let mut scfg = ServerConfig::instant_net();
+        scfg.net_s2c.buffer_bytes = 1024;
+        let s = DbServer::start(scfg).unwrap();
+        let cfg = DriverConfig {
+            buffer_bytes: 1024,
+            query_timeout: Some(Duration::from_secs(5)),
+            ..Default::default()
+        };
+        let c = OdbcConnection::connect(&s, cfg).unwrap();
+        c.exec_direct("CREATE TABLE t (a INT PRIMARY KEY, pad VARCHAR(100))")
+            .unwrap();
+        let vals: Vec<String> = (0..150)
+            .map(|i| format!("({i}, 'pppppppppppppppppppppppppppppp')"))
+            .collect();
+        c.exec_direct(&format!("INSERT INTO t VALUES {}", vals.join(",")))
+            .unwrap();
+        let mut old = c.exec_direct("SELECT * FROM t").unwrap();
+        assert!(!old.fully_received(), "150 wide rows exceed 2 KiB");
+        let mut new = c.exec_direct("SELECT a FROM t WHERE a = 42").unwrap();
+
+        let t = Instant::now();
+        let e = old.fetch().unwrap_err();
+        assert!(
+            t.elapsed() < Duration::from_secs(1),
+            "a retired statement must not wait out the query timeout, took {:?}",
+            t.elapsed()
+        );
+        assert!(matches!(e, Error::Semantic(_)), "got {e:?}");
+        assert!(
+            !c.is_dead(),
+            "a sequence error leaves the connection usable"
+        );
+        assert_eq!(new.fetch_block(10).unwrap().len(), 1);
+        assert!(old.fetch().is_err(), "the retired statement stays retired");
+        c.exec_direct("INSERT INTO t VALUES (150, 'x')").unwrap();
     }
 }

@@ -7,7 +7,9 @@
 //! * the JSON export (one histogram per phase with at least one sample),
 //!
 //! with the phase durations summing to no more than the application-visible
-//! wall-clock time of the recovering fetch.
+//! wall-clock time of the recovering fetch. It also pins the requests that
+//! one recovery sends: the pair's two handshakes, the session probe's
+//! CREATE and the repositioned reopen — no ping, no existence checks.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -58,12 +60,39 @@ fn crash_recovery_exports_six_phase_timeline() {
     server.crash();
     restart_with_retry(&server, 200);
 
+    let pings = || {
+        obskit::metrics::global()
+            .histogram("odbcsim.roundtrip.ping")
+            .snapshot()
+            .count
+    };
+    let admitted_before = server.admission_stats().admitted;
+    let pings_before = pings();
+    obskit::trace::clear();
     let t0 = Instant::now();
     assert!(
         px.fetch().unwrap().is_some(),
         "rows must resume after crash"
     );
     let wall = t0.elapsed();
+
+    // The requests this recovery sent: two handshakes (one session each),
+    // then `CREATE TABLE #phx_probe` and the reopen with its skip.
+    assert_eq!(
+        server.admission_stats().admitted - admitted_before,
+        2,
+        "recovery opens exactly the connection pair"
+    );
+    let execs = obskit::trace::snapshot()
+        .iter()
+        .filter(|e| e.name == "odbcsim.roundtrip.exec")
+        .count();
+    assert_eq!(execs, 2, "recovery sends the probe's CREATE and the reopen");
+    assert_eq!(
+        pings() - pings_before,
+        0,
+        "the handshakes already showed liveness"
+    );
 
     // View 1: the structured per-phase breakdown.
     let phases = px
