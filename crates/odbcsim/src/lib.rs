@@ -222,9 +222,15 @@ impl OdbcConnection {
         };
         // Default result set: pump until done or driver buffer full.
         let wd = Watchdog::start(&stmt.inner.cfg);
-        stmt.pump(true, &wd)?;
-        obskit::metrics::global().record("odbcsim.roundtrip.exec", t_round.elapsed());
-        obskit::trace::emit_span("odbcsim.roundtrip.exec", t_round.elapsed(), String::new());
+        let pumped = stmt.pump(true, &wd);
+        // A response came back, rows or a server error (which sets
+        // `done`): the round trip counts. A failed or timed-out link
+        // answered nothing.
+        if pumped.is_ok() || stmt.done.is_some() {
+            obskit::metrics::global().record("odbcsim.roundtrip.exec", t_round.elapsed());
+            obskit::trace::emit_span("odbcsim.roundtrip.exec", t_round.elapsed(), String::new());
+        }
+        pumped?;
         Ok(stmt)
     }
 

@@ -736,6 +736,32 @@ mod tests {
         assert_eq!(rows, vec![vec![Value::Int(1)]]);
     }
 
+    /// A statement that fails before it writes aborts without forcing the
+    /// log, and a restart right after it finds nothing to undo.
+    #[test]
+    fn failed_read_only_statement_forces_nothing() {
+        let _serial = serial();
+        let d = Durable::new(DiskModel::default());
+        {
+            let e = Engine::recover(&d, RecoveryConfig::default()).unwrap();
+            let sid = e.create_session().unwrap();
+            setup_t(&e, sid);
+            let durable_end = d.log.durable_end();
+            assert!(matches!(
+                e.execute(sid, "SELECT * FROM missing"),
+                Err(Error::NotFound(_))
+            ));
+            assert_eq!(d.log.durable_end(), durable_end, "the Abort was forced");
+            e.mark_shutdown();
+            d.fence();
+        }
+        let e2 = Engine::recover(&d, RecoveryConfig::default()).unwrap();
+        assert_eq!(e2.recovery_stats().undo_actions, 0);
+        let s = e2.create_session().unwrap();
+        let (_, rows) = e2.execute_collect(s, "SELECT id FROM t").unwrap();
+        assert_eq!(rows.len(), 3);
+    }
+
     #[test]
     fn shutdown_statement_bubbles_up() {
         let (_d, e) = fresh();

@@ -66,15 +66,16 @@ pub struct GroupedInner {
     pub map: HashMap<Vec<u8>, Vec<Row>>,
 }
 
-/// Mutable evaluation state for a subquery plan.
+/// Mutable evaluation state for a subquery plan. Each result is built
+/// once and shared: a cache hit hands out another reference to it.
 #[derive(Default)]
 pub struct SubState {
-    cached: Option<SubResult>,
+    cached: Option<Arc<SubResult>>,
     groups: Option<Arc<GroupedInner>>,
-    memo: HashMap<Vec<u8>, SubResult>,
+    memo: HashMap<Vec<u8>, Arc<SubResult>>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum SubResult {
     Bool(bool),
     Scalar(Value),
@@ -893,16 +894,20 @@ pub fn eval(ctx: &ExecCtx, env: &Env<'_>, e: &BExpr) -> Result<Value> {
         } => {
             let v = eval(ctx, env, expr)?;
             let r = eval_subquery(ctx, env, plan)?;
-            let SubResult::Set { keys, has_null } = r else {
+            let SubResult::Set { keys, has_null } = &*r else {
                 return Err(Error::Internal("IN subquery produced non-set".into()));
             };
+            // An empty set holds nothing to compare with, not even a NULL.
+            if keys.is_empty() && !has_null {
+                return Ok(bool_val(Some(*negated)));
+            }
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let k = key_encode(std::slice::from_ref(&v));
             let b = if keys.contains(&k) {
                 Some(true)
-            } else if has_null {
+            } else if *has_null {
                 None
             } else {
                 Some(false)
@@ -911,19 +916,19 @@ pub fn eval(ctx: &ExecCtx, env: &Env<'_>, e: &BExpr) -> Result<Value> {
         }
         BExpr::Exists { plan, negated } => {
             let r = eval_subquery(ctx, env, plan)?;
-            let SubResult::Bool(b) = r else {
+            let SubResult::Bool(b) = *r else {
                 return Err(Error::Internal("EXISTS produced non-bool".into()));
             };
             Ok(bool_val(Some(b != *negated)))
         }
         BExpr::Scalar { plan } => {
             let r = eval_subquery(ctx, env, plan)?;
-            let SubResult::Scalar(v) = r else {
+            let SubResult::Scalar(v) = &*r else {
                 return Err(Error::Internal(
                     "scalar subquery produced non-scalar".into(),
                 ));
             };
-            Ok(v)
+            Ok(v.clone())
         }
         BExpr::Case {
             branches,
@@ -1136,15 +1141,15 @@ fn result_from_rows(kind: SubKind, rows: &[Row]) -> SubResult {
     }
 }
 
-fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<SubResult> {
+fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<Arc<SubResult>> {
     match &plan.strategy {
         SubStrategy::Uncorrelated => {
             if let Some(r) = &plan.state.lock().cached {
-                return Ok(r.clone());
+                return Ok(Arc::clone(r));
             }
             let rel = run_select_materialized(ctx, &plan.query, &[], None)?;
-            let r = result_from_rows(plan.kind, &rel.rows);
-            plan.state.lock().cached = Some(r.clone());
+            let r = Arc::new(result_from_rows(plan.kind, &rel.rows));
+            plan.state.lock().cached = Some(Arc::clone(&r));
             Ok(r)
         }
         SubStrategy::Memoized { outer_refs } => {
@@ -1154,11 +1159,11 @@ fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<SubResu
                 .collect::<Result<_>>()?;
             let key = key_encode(&key_vals);
             if let Some(r) = plan.state.lock().memo.get(&key) {
-                return Ok(r.clone());
+                return Ok(Arc::clone(r));
             }
             let rel = run_select_materialized(ctx, &plan.query, &plan.outer_scopes, Some(env))?;
-            let r = result_from_rows(plan.kind, &rel.rows);
-            plan.state.lock().memo.insert(key, r.clone());
+            let r = Arc::new(result_from_rows(plan.kind, &rel.rows));
+            plan.state.lock().memo.insert(key, Arc::clone(&r));
             Ok(r)
         }
         SubStrategy::Decorrelated {
@@ -1185,6 +1190,10 @@ fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<SubResu
                             .iter()
                             .map(|k| eval(ctx, &renv, k))
                             .collect::<Result<_>>()?;
+                        // `inner = outer` is never true of a NULL key.
+                        if kv.iter().any(Value::is_null) {
+                            continue;
+                        }
                         map.entry(key_encode(&kv)).or_default().push(row);
                     }
                     let g = Arc::new(GroupedInner {
@@ -1206,11 +1215,15 @@ fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<SubResu
             let cacheable = residual.is_none();
             if cacheable {
                 if let Some(r) = plan.state.lock().memo.get(&probe) {
-                    return Ok(r.clone());
+                    return Ok(Arc::clone(r));
                 }
             }
             let empty: Vec<Row> = Vec::new();
-            let candidates = groups.map.get(&probe).unwrap_or(&empty);
+            let candidates = if probe_vals.iter().any(Value::is_null) {
+                &empty
+            } else {
+                groups.map.get(&probe).unwrap_or(&empty)
+            };
             // Apply residual with (inner row, outer env).
             let passing: Vec<&Row> = match residual {
                 None => candidates.iter().collect(),
@@ -1282,8 +1295,9 @@ fn eval_subquery(ctx: &ExecCtx, env: &Env<'_>, plan: &SubPlan) -> Result<SubResu
                     SubResult::Set { keys, has_null }
                 }
             };
+            let r = Arc::new(r);
             if cacheable {
-                plan.state.lock().memo.insert(probe, r.clone());
+                plan.state.lock().memo.insert(probe, Arc::clone(&r));
             }
             Ok(r)
         }
@@ -1488,6 +1502,75 @@ mod tests {
         assert_eq!(cs.len(), 3);
         let rejoined = conjoin(cs.into_iter().cloned().collect());
         assert_eq!(split_conjuncts(&rejoined).len(), 3);
+    }
+
+    /// A cached subquery result is shared: a second evaluation of an
+    /// uncorrelated plan, or a second probe of one decorrelated or
+    /// memoized key, hands back the result the first one built.
+    #[test]
+    fn cached_subquery_results_are_shared() {
+        use crate::engine::{Durable, Engine};
+        use crate::sql::ast::Stmt;
+        use crate::storage::disk::DiskModel;
+        use crate::wal::recovery::RecoveryConfig;
+
+        let d = Durable::new(DiskModel::default());
+        let e = Engine::recover(&d, RecoveryConfig::default()).unwrap();
+        let storage = Arc::clone(e.storage());
+        let ctx = ExecCtx {
+            txn: Arc::new(storage.begin()),
+            storage,
+            temps: Arc::default(),
+            params: Arc::default(),
+            depth: 0,
+            effects: Arc::default(),
+        };
+        // A temp table: reading it moves none of the process-global
+        // `sqlengine.access.*` counters that `engine::tests` assert on.
+        for sql in [
+            "CREATE TABLE #u (b INT)",
+            "INSERT INTO #u VALUES (1), (2), (2), (3)",
+        ] {
+            let stmt = crate::sql::parser::parse_one(sql).unwrap();
+            crate::exec::execute_stmt(&ctx, &stmt).unwrap();
+        }
+        // Subqueries inside `SELECT … FROM t WHERE <pred>`, with `t.a` the
+        // outer row.
+        let binder = Binder::new(
+            &ctx,
+            vec![vec![BoundCol::new(Some("t".into()), "a", DataType::Int)]],
+        );
+        let plan = |pred: &str| -> Arc<SubPlan> {
+            let sql = format!("SELECT 1 FROM t WHERE {pred}");
+            let Stmt::Select(q) = crate::sql::parser::parse_one(&sql).unwrap() else {
+                panic!("{sql}")
+            };
+            match binder.bind(q.filter.as_ref().unwrap()).unwrap() {
+                BExpr::InSub { plan, .. } | BExpr::Exists { plan, .. } => plan,
+                other => panic!("{pred}: {other:?}"),
+            }
+        };
+        let shared = |plan: &SubPlan, a: i64| {
+            let row = [Value::Int(a)];
+            let env = Env::base(&row);
+            let first = eval_subquery(&ctx, &env, plan).unwrap();
+            let again = eval_subquery(&ctx, &env, plan).unwrap();
+            Arc::ptr_eq(&first, &again)
+        };
+
+        let uncorrelated = plan("a IN (SELECT b FROM #u)");
+        assert!(matches!(uncorrelated.strategy, SubStrategy::Uncorrelated));
+        assert!(shared(&uncorrelated, 2));
+        let decorrelated = plan("EXISTS (SELECT 1 FROM #u u WHERE u.b = t.a)");
+        assert!(matches!(
+            decorrelated.strategy,
+            SubStrategy::Decorrelated { residual: None, .. }
+        ));
+        assert!(shared(&decorrelated, 2));
+        let memoized = plan("EXISTS (SELECT 1 FROM #u u WHERE u.b > t.a)");
+        assert!(matches!(memoized.strategy, SubStrategy::Memoized { .. }));
+        assert!(shared(&memoized, 2));
+        ctx.storage.commit(&ctx.txn).unwrap();
     }
 
     #[test]

@@ -760,7 +760,6 @@ fn project_and_finish(
 
     // Build bound output + order + having expressions, in aggregate mode
     // when required.
-    let agg_ctx_opt: Option<AggContext>;
     let bound_out: Vec<(BExpr, String)>;
     let bound_order: Vec<(BExpr, bool)>;
     let bound_having: Option<BExpr>;
@@ -863,7 +862,6 @@ fn project_and_finish(
             .map(|(e, d)| Ok((agg_binder.bind(e)?, *d)))
             .collect::<Result<_>>()?;
         bound_having = q.having.as_ref().map(|h| agg_binder.bind(h)).transpose()?;
-        agg_ctx_opt = Some(agg_ctx);
     } else {
         groups_out = input
             .rows
@@ -880,9 +878,7 @@ fn project_and_finish(
             .map(|(e, d)| Ok((binder.bind(e)?, *d)))
             .collect::<Result<_>>()?;
         bound_having = q.having.as_ref().map(|h| binder.bind(h)).transpose()?;
-        agg_ctx_opt = None;
     }
-    let _ = &agg_ctx_opt;
 
     // Project (+ order keys), applying HAVING.
     let mut projected: Vec<(Row, Vec<Value>)> = Vec::with_capacity(groups_out.len());

@@ -262,11 +262,16 @@ impl Storage {
     }
 
     fn abort_inner(&self, txn: &TxnHandle) -> Result<()> {
+        let wrote = txn.undo_len() > 0;
         for e in txn.take_undo_reversed() {
             self.apply_undo(txn, &e)?;
         }
         let lsn = self.log.append(&LogRecord::Abort { txn: txn.id });
-        self.log.flush_to(lsn)?;
+        // As for a read-only commit: a lost Abort leaves a loser with
+        // nothing to undo (DESIGN §16).
+        if wrote {
+            self.log.flush_to(lsn)?;
+        }
         self.end(txn);
         Ok(())
     }

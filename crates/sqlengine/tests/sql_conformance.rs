@@ -588,3 +588,253 @@ fn top_zero_and_large() {
     assert_eq!(q(&e, sid, "SELECT TOP 99 * FROM people").len(), 5);
     assert_eq!(q(&e, sid, "SELECT * FROM people LIMIT 2").len(), 2);
 }
+
+/// Outer rows of the subquery matrix, `(id, k, lim)`: 120 rows, so each
+/// cached subquery result is read many times. Every 11th `k` is NULL and
+/// `k` 6 and 7 have no inner rows.
+fn matrix_outer() -> Vec<(i64, Option<i64>, i64)> {
+    (1..=120)
+        .map(|id| (id, (id % 11 != 0).then_some(id % 8), id % 5))
+        .collect()
+}
+
+/// Inner rows, `(id, k, v)`: `k` in 0..=5, every 9th NULL if `null_keys`;
+/// `v` with every 10th NULL.
+fn matrix_inner(null_keys: bool) -> Vec<(i64, Option<i64>, Option<i64>)> {
+    (1..=24)
+        .map(|id| {
+            let k = (!null_keys || id % 9 != 0).then_some(id % 6);
+            (id, k, (id % 10 != 0).then_some(id % 7))
+        })
+        .collect()
+}
+
+fn sql_int(v: Option<i64>) -> String {
+    v.map_or("NULL".into(), |x| x.to_string())
+}
+
+/// An engine holding `mo` (the outer rows), `mi` (`inner`), `s_plain`
+/// {1, 2, 3} and `s_null` {1, 2, NULL}.
+fn matrix_engine(inner: &[(i64, Option<i64>, Option<i64>)]) -> (Engine, SessionId) {
+    let (e, sid) = engine();
+    for ddl in [
+        "CREATE TABLE mo (id INT PRIMARY KEY, k INT, lim INT)",
+        "CREATE TABLE mi (id INT PRIMARY KEY, k INT, v INT)",
+        "CREATE TABLE s_plain (x INT)",
+        "CREATE TABLE s_null (x INT)",
+        "INSERT INTO s_plain VALUES (1), (2), (3)",
+        "INSERT INTO s_null VALUES (1), (2), (NULL)",
+    ] {
+        e.execute(sid, ddl).unwrap();
+    }
+    let outer: Vec<String> = matrix_outer()
+        .iter()
+        .map(|&(id, k, lim)| format!("({id}, {}, {lim})", sql_int(k)))
+        .collect();
+    e.execute(sid, &format!("INSERT INTO mo VALUES {}", outer.join(", ")))
+        .unwrap();
+    let inner: Vec<String> = inner
+        .iter()
+        .map(|&(id, k, v)| format!("({id}, {}, {})", sql_int(k), sql_int(v)))
+        .collect();
+    e.execute(sid, &format!("INSERT INTO mi VALUES {}", inner.join(", ")))
+        .unwrap();
+    (e, sid)
+}
+
+/// SQL `probe IN set`, three-valued.
+fn in_set(probe: Option<i64>, set: &[Option<i64>]) -> Option<bool> {
+    if set.is_empty() {
+        return Some(false);
+    }
+    let p = probe?;
+    if set.contains(&Some(p)) {
+        Some(true)
+    } else if set.contains(&None) {
+        None
+    } else {
+        Some(false)
+    }
+}
+
+fn not3(b: Option<bool>) -> Option<bool> {
+    b.map(|x| !x)
+}
+
+/// Asserts that `pred` is true, false or unknown on each outer row as
+/// `model` says, both as a projected truth value and as a WHERE filter.
+fn check_pred(e: &Engine, sid: SessionId, pred: &str, model: impl Fn(i64) -> Option<bool>) {
+    let outer = matrix_outer();
+    let code = |b: Option<bool>| match b {
+        Some(true) => 1,
+        Some(false) => 0,
+        None => -1,
+    };
+    let want: Vec<Row> = outer
+        .iter()
+        .map(|&(id, _, _)| vec![Value::Int(id), Value::Int(code(model(id)))])
+        .collect();
+    let got = q(
+        e,
+        sid,
+        &format!(
+            "SELECT id, CASE WHEN {pred} THEN 1 WHEN NOT ({pred}) THEN 0 ELSE -1 END \
+             FROM mo ORDER BY id"
+        ),
+    );
+    assert_eq!(got, want, "truth of {pred}");
+    let want_ids: Vec<Row> = outer
+        .iter()
+        .filter(|&&(id, _, _)| model(id) == Some(true))
+        .map(|&(id, _, _)| vec![Value::Int(id)])
+        .collect();
+    let got_ids = q(
+        e,
+        sid,
+        &format!("SELECT id FROM mo WHERE {pred} ORDER BY id"),
+    );
+    assert_eq!(got_ids, want_ids, "rows passing {pred}");
+}
+
+/// The decorrelated cases, probing `mi` on `mi.k = mo.k`: `EXISTS` and
+/// `NOT EXISTS` with and without a residual that reads the outer row, an
+/// `IN` whose group may hold a NULL, and scalar aggregates over groups
+/// that may be empty.
+fn check_decorrelated(e: &Engine, sid: SessionId, inner: &[(i64, Option<i64>, Option<i64>)]) {
+    let outer = matrix_outer();
+    let row = |id: i64| outer[(id - 1) as usize];
+    // Inner rows whose key equals the outer row's (a NULL key equals nothing).
+    let group = |id: i64| -> Vec<Option<i64>> {
+        let (_, k, _) = row(id);
+        inner
+            .iter()
+            .filter(|&&(_, ik, _)| k.is_some() && ik == k)
+            .map(|&(_, _, v)| v)
+            .collect()
+    };
+
+    let exists = "EXISTS (SELECT 1 FROM mi WHERE mi.k = mo.k)";
+    check_pred(e, sid, exists, |id| Some(!group(id).is_empty()));
+    check_pred(e, sid, &format!("NOT {exists}"), |id| {
+        Some(group(id).is_empty())
+    });
+    let exists_res = "EXISTS (SELECT 1 FROM mi WHERE mi.k = mo.k AND mi.v > mo.lim)";
+    let res_model = |id: i64| {
+        let lim = row(id).2;
+        group(id).iter().any(|v| v.is_some_and(|v| v > lim))
+    };
+    check_pred(e, sid, exists_res, |id| Some(res_model(id)));
+    check_pred(e, sid, &format!("NOT {exists_res}"), |id| {
+        Some(!res_model(id))
+    });
+    check_pred(
+        e,
+        sid,
+        "lim IN (SELECT v FROM mi WHERE mi.k = mo.k)",
+        |id| in_set(Some(row(id).2), &group(id)),
+    );
+
+    // An empty group sums to NULL and counts 0.
+    let got = q(
+        e,
+        sid,
+        "SELECT id, (SELECT SUM(v) FROM mi WHERE mi.k = mo.k), \
+         (SELECT COUNT(*) FROM mi WHERE mi.k = mo.k) FROM mo ORDER BY id",
+    );
+    let want: Vec<Row> = outer
+        .iter()
+        .map(|&(id, _, _)| {
+            let g = group(id);
+            let vals: Vec<i64> = g.iter().flatten().copied().collect();
+            let sum = if vals.is_empty() {
+                Value::Null
+            } else {
+                Value::Int(vals.iter().sum())
+            };
+            vec![Value::Int(id), sum, Value::Int(g.len() as i64)]
+        })
+        .collect();
+    assert_eq!(got, want, "decorrelated scalar aggregates");
+}
+
+/// Every subquery strategy (uncorrelated cached, decorrelated probe with
+/// and without a residual, memoized fallback) over 120 outer rows, against
+/// a row-by-row model of SQL's three-valued semantics.
+#[test]
+fn subquery_strategy_matrix() {
+    let inner = matrix_inner(false);
+    let (e, sid) = matrix_engine(&inner);
+    let outer = matrix_outer();
+    let k = |id: i64| outer[(id - 1) as usize].1;
+    let plain = [Some(1), Some(2), Some(3)];
+    let with_null = [Some(1), Some(2), None];
+
+    // Uncorrelated: one cached set, NULL probes on every 11th row.
+    check_pred(&e, sid, "k IN (SELECT x FROM s_plain)", |id| {
+        in_set(k(id), &plain)
+    });
+    check_pred(&e, sid, "k NOT IN (SELECT x FROM s_plain)", |id| {
+        not3(in_set(k(id), &plain))
+    });
+    check_pred(&e, sid, "k IN (SELECT x FROM s_null)", |id| {
+        in_set(k(id), &with_null)
+    });
+    check_pred(&e, sid, "k NOT IN (SELECT x FROM s_null)", |id| {
+        not3(in_set(k(id), &with_null))
+    });
+
+    check_decorrelated(&e, sid, &inner);
+
+    // Memoized fallback: no equality with the outer row to probe on.
+    check_pred(
+        &e,
+        sid,
+        "EXISTS (SELECT 1 FROM mi WHERE mi.v > mo.lim)",
+        |id| {
+            let lim = outer[(id - 1) as usize].2;
+            Some(inner.iter().any(|&(_, _, v)| v.is_some_and(|v| v > lim)))
+        },
+    );
+    let got = q(
+        &e,
+        sid,
+        "SELECT id, (SELECT MAX(v) FROM mi WHERE mi.k < mo.k) FROM mo ORDER BY id",
+    );
+    let want: Vec<Row> = outer
+        .iter()
+        .map(|&(id, k, _)| {
+            let max = inner
+                .iter()
+                .filter(|&&(_, ik, _)| matches!((ik, k), (Some(a), Some(b)) if a < b))
+                .filter_map(|&(_, _, v)| v)
+                .max();
+            vec![Value::Int(id), max.map_or(Value::Null, Value::Int)]
+        })
+        .collect();
+    assert_eq!(got, want, "memoized scalar");
+}
+
+/// A NULL correlation key equals nothing, not even an inner NULL key, and
+/// an empty `IN` set holds no NULL: `x IN (empty)` is false and
+/// `x NOT IN (empty)` true, NULL probes included.
+#[test]
+fn subquery_null_keys_and_empty_sets() {
+    let inner = matrix_inner(true);
+    let (e, sid) = matrix_engine(&inner);
+    check_decorrelated(&e, sid, &inner);
+    check_pred(&e, sid, "k IN (SELECT x FROM s_plain WHERE x > 9)", |_| {
+        Some(false)
+    });
+    check_pred(
+        &e,
+        sid,
+        "k NOT IN (SELECT x FROM s_plain WHERE x > 9)",
+        |_| Some(true),
+    );
+    check_pred(
+        &e,
+        sid,
+        "k IN (SELECT v FROM mi WHERE mi.k = mo.lim + 10)",
+        |_| Some(false),
+    );
+}
