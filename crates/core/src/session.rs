@@ -10,9 +10,10 @@
 //! crashes, Phoenix detects it (driver error or timeout), reconnects,
 //! re-binds the virtual session, reinstalls SQL state (reopening the
 //! persistent result table and repositioning), and the application simply
-//! continues — it pauses, it does not fail. A recovery sends four
-//! requests: the pair's two handshakes, the re-created session probe and
-//! the repositioned reopen.
+//! continues — it pauses, it does not fail. A recovery sends three
+//! requests: the pair's two handshakes and the repositioned reopen. The
+//! handshakes are the liveness test: a reconnect always gets a fresh
+//! session, so no temp table needs probing.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,8 +33,6 @@ use crate::persist::{persist_result, PersistTiming};
 
 /// Phoenix-managed status table for exactly-once modification statements.
 pub const STATUS_TABLE: &str = "phx_status";
-/// Session liveness proxy: a temp table that dies with the real session.
-const CREATE_PROBE: &str = "CREATE TABLE #phx_probe (x INT)";
 
 static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -94,8 +93,9 @@ pub struct RecoveryPhases {
     /// Re-opening the connection pair until the server answers, including
     /// reconnect backoff waits.
     pub reconnect: Duration,
-    /// Re-binding the virtual session: re-creating its `#phx_probe` temp
-    /// table (`phx_status` is durable, created at connect).
+    /// Re-binding the virtual session to the fresh pair. It sends nothing
+    /// (`phx_status` is durable, created at connect; the handshakes prove
+    /// the session fresh), so it reads zero.
     pub rebind: Duration,
     /// Re-persisting the result table when the reopen finds it lost; ~0
     /// otherwise, as it then sends nothing.
@@ -234,13 +234,12 @@ pub struct PhoenixConnection {
 
 impl PhoenixConnection {
     /// Open a persistent session: connects the application connection and
-    /// the private connection, installs the session probe and ensures the
-    /// status table exists. The table is durable once this returns, so
-    /// recovery never re-creates it.
+    /// the private connection and ensures the status table exists. The
+    /// table is durable once this returns, so recovery never re-creates
+    /// it.
     pub fn connect(server: &DbServer, cfg: PhoenixConfig) -> Result<PhoenixConnection> {
         let conn_id = NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed);
         let (app, private) = Self::open_pair(server, &cfg)?;
-        app.exec_direct(CREATE_PROBE)?;
         match private.exec_direct(&format!(
             "CREATE TABLE {STATUS_TABLE} (app_key VARCHAR(64), req_id INT, affected INT, \
              PRIMARY KEY (app_key, req_id))"
@@ -762,13 +761,7 @@ impl PhoenixConnection {
                     _ => Error::ServerShutdown,
                 });
                 phases.reconnect += t_reconnect.elapsed();
-                let rebound = fresh.and_then(|(app, private)| {
-                    let t_rebind = Instant::now();
-                    let r = app.exec_direct(CREATE_PROBE);
-                    phases.rebind += t_rebind.elapsed();
-                    r.map(|_| (app, private))
-                });
-                match rebound {
+                match fresh {
                     Ok((app, private)) => {
                         inner.app = app;
                         inner.private = private;

@@ -546,7 +546,10 @@ mod tests {
 
     /// One select-list expander names every result alike: the lazy
     /// cursor, the materialized pipeline (`ORDER BY 1`) and the table
-    /// `SELECT … INTO` creates.
+    /// `SELECT … INTO` creates. Over a join whose greedy order differs
+    /// from FROM order, wildcards still read FROM order on every path,
+    /// and a query whose only aggregate is in HAVING aggregates on every
+    /// path, the `WHERE 0=1` probe's included.
     #[test]
     fn select_lists_are_named_alike_on_every_path() {
         let (_d, e) = fresh();
@@ -580,6 +583,95 @@ mod tests {
         let (cols, _) = columns_of(&e, sid, "SELECT UPPER(v), x + 1 FROM t");
         let names: Vec<&str> = cols.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["upper", "col2"]);
+
+        // The smallest table comes last, so the join runs c, b, a.
+        for sql in [
+            "CREATE TABLE a (ak INT PRIMARY KEY, av VARCHAR(8))",
+            "CREATE TABLE b (bk INT PRIMARY KEY, ba INT, bv FLOAT)",
+            "CREATE TABLE c (ck INT PRIMARY KEY, cb INT)",
+            "INSERT INTO a VALUES (1, 'a1'), (2, 'a2'), (3, 'a3')",
+            "INSERT INTO b VALUES (10, 1, 1.5), (20, 2, 2.5), (30, 3, 3.5)",
+            "INSERT INTO c VALUES (100, 20), (200, 10)",
+        ] {
+            e.execute(sid, sql).unwrap();
+        }
+        let from = "FROM a, b, c WHERE a.ak = b.ba AND b.bk = c.cb";
+        let (i, s, f) = (Value::Int, |v: &str| Value::Str(v.into()), Value::Float);
+        let (int, str, float) = (DataType::Int, DataType::Str, DataType::Float);
+        let cases = [
+            (
+                "*",
+                "",
+                vec![
+                    ("ak", int),
+                    ("av", str),
+                    ("bk", int),
+                    ("ba", int),
+                    ("bv", float),
+                    ("ck", int),
+                    ("cb", int),
+                ],
+                vec![
+                    vec![i(2), s("a2"), i(20), i(2), f(2.5), i(100), i(20)],
+                    vec![i(1), s("a1"), i(10), i(1), f(1.5), i(200), i(10)],
+                ],
+            ),
+            (
+                "b.*, a.*",
+                "",
+                vec![
+                    ("bk", int),
+                    ("ba", int),
+                    ("bv", float),
+                    ("ak", int),
+                    ("av", str),
+                ],
+                vec![
+                    vec![i(20), i(2), f(2.5), i(2), s("a2")],
+                    vec![i(10), i(1), f(1.5), i(1), s("a1")],
+                ],
+            ),
+            (
+                "bv, av",
+                " HAVING COUNT(*) = 2",
+                vec![("bv", float), ("av", str)],
+                vec![vec![f(2.5), s("a2")]],
+            ),
+        ];
+        for (n, (list, having, cols, rows)) in cases.into_iter().enumerate() {
+            let cols: Vec<(String, DataType)> =
+                cols.into_iter().map(|(c, t)| (c.to_string(), t)).collect();
+            let sql = format!("SELECT {list} {from}{having}");
+            let (schema, got) = e.execute_collect(sid, &sql).unwrap();
+            let named: Vec<(String, DataType)> =
+                schema.into_iter().map(|c| (c.name, c.dtype)).collect();
+            assert_eq!((named, got), (cols.clone(), rows.clone()), "{sql}");
+            let probe = format!("SELECT {list} {from} AND 0=1{having}");
+            assert_eq!(columns_of(&e, sid, &probe).0, cols, "{probe}");
+            e.execute(sid, &format!("SELECT {list} INTO abc{n} {from}{having}"))
+                .unwrap();
+            let (schema, got) = e
+                .execute_collect(sid, &format!("SELECT * FROM abc{n}"))
+                .unwrap();
+            let named: Vec<(String, DataType)> =
+                schema.into_iter().map(|c| (c.name, c.dtype)).collect();
+            assert_eq!((named, got), (cols, rows), "{sql} INTO");
+        }
+        // An aggregate in HAVING alone makes the query aggregate, so `*`
+        // passes through ungrouped columns on every path.
+        for sql in [
+            format!("SELECT * {from} HAVING COUNT(*) > 0"),
+            format!("SELECT * {from} AND 0=1 HAVING COUNT(*) > 0"),
+            format!("SELECT * INTO abc_having {from} HAVING COUNT(*) > 0"),
+        ] {
+            match e.execute(sid, &sql) {
+                Err(Error::Semantic(m)) => {
+                    assert_eq!(m, "column 'ak' must appear in GROUP BY", "{sql}")
+                }
+                Err(other) => panic!("{sql}: {other:?}"),
+                Ok(_) => panic!("{sql}: accepted"),
+            }
+        }
     }
 
     #[test]

@@ -343,7 +343,8 @@ fn try_lazy_select(ctx: &ExecCtx, q: &SelectStmt) -> Result<Option<Rows>> {
         return Ok(None);
     }
     let binder = Binder::new(ctx, vec![read.cols.clone()]);
-    let out = bind_select_list(&binder, &read.cols, &q.items)?;
+    let from_order: Vec<usize> = (0..read.cols.len()).collect();
+    let out = bind_select_list(&binder, &read.cols, &from_order, &q.items)?;
     let schema = out
         .iter()
         .map(|(e, name)| Column::new(name.clone(), e.dtype()))

@@ -18,7 +18,7 @@ use crate::error::{Error, Result};
 use crate::schema::{Column, TableSchema};
 use crate::sql::ast::{BinOp, Expr, OrderItem, SelectItem, SelectStmt, TableName, TableRef};
 use crate::txn::locks::LockMode;
-use crate::types::{DataType, Row, Value};
+use crate::types::{Row, Value};
 
 /// A materialized relation.
 #[derive(Debug, Clone)]
@@ -78,48 +78,54 @@ fn table_ref_bindings(ctx: &ExecCtx, tr: &TableRef, out: &mut Vec<BoundCol>) -> 
 /// gets complete result metadata from a query that never scans.
 pub fn infer_output_schema(ctx: &ExecCtx, q: &SelectStmt) -> Result<Vec<Column>> {
     let input = relation_bindings(ctx, &q.from)?;
-    let binder = Binder::new(ctx, vec![input.clone()]);
-
-    // Aggregate context if needed (types of SUM(x) etc.).
-    let has_aggs = q
-        .items
-        .iter()
-        .any(|it| matches!(it, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-        || !q.group_by.is_empty();
-    let agg_ctx = if has_aggs {
-        let mut aggs: Vec<AggCall> = Vec::new();
-        for it in &q.items {
-            if let SelectItem::Expr { expr, .. } = it {
-                binder.collect_aggs(expr, &mut aggs)?;
-            }
-        }
-        if let Some(h) = &q.having {
-            binder.collect_aggs(h, &mut aggs)?;
-        }
-        let group_exprs: Vec<Expr> = q.group_by.iter().map(normalize).collect();
-        let key_types: Vec<DataType> = q
-            .group_by
-            .iter()
-            .map(|g| binder.bind(g).map(|b| b.dtype()))
-            .collect::<Result<_>>()?;
-        Some(AggContext {
-            group_exprs,
-            key_types,
-            aggs,
-        })
-    } else {
-        None
-    };
+    let scopes = vec![input.clone()];
+    let grouping = grouping(&Binder::new(ctx, scopes.clone()), q)?;
     let binder = Binder {
         ctx,
-        scopes: vec![input.clone()],
-        agg_ctx: agg_ctx.as_ref(),
+        scopes,
+        agg_ctx: grouping.as_ref().map(|(agg_ctx, _)| agg_ctx),
     };
-
-    Ok(bind_select_list(&binder, &input, &q.items)?
+    let from_order: Vec<usize> = (0..input.len()).collect();
+    Ok(bind_select_list(&binder, &input, &from_order, &q.items)?
         .into_iter()
         .map(|(e, name)| Column::new(name, e.dtype()))
         .collect())
+}
+
+/// The one aggregation rule: `q` aggregates when it has a GROUP BY or an
+/// aggregate in its select list or HAVING. Then this returns its
+/// aggregate context (the calls of the select list, HAVING and ORDER BY)
+/// and its GROUP BY expressions, bound by `binder` for per-row
+/// evaluation. Schema inference and execution both ask here, so a
+/// query's static schema and its executed one cannot disagree.
+fn grouping(binder: &Binder<'_>, q: &SelectStmt) -> Result<Option<(AggContext, Vec<BExpr>)>> {
+    let items = q.items.iter().filter_map(|it| match it {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    if q.group_by.is_empty() && !items.clone().chain(&q.having).any(Expr::contains_aggregate) {
+        return Ok(None);
+    }
+    let order: Vec<Expr> = q
+        .order_by
+        .iter()
+        .map(|o| resolve_order_expr(q, &o.expr))
+        .collect();
+    let mut aggs: Vec<AggCall> = Vec::new();
+    for e in items.chain(&q.having).chain(&order) {
+        binder.collect_aggs(e, &mut aggs)?;
+    }
+    let keys: Vec<BExpr> = q
+        .group_by
+        .iter()
+        .map(|g| binder.bind(g))
+        .collect::<Result<_>>()?;
+    let agg_ctx = AggContext {
+        group_exprs: q.group_by.iter().map(normalize).collect(),
+        key_types: keys.iter().map(BExpr::dtype).collect(),
+        aggs,
+    };
+    Ok(Some((agg_ctx, keys)))
 }
 
 /// A table's columns, qualified by `qual`: its alias, or else its name.
@@ -133,13 +139,16 @@ pub(crate) fn table_columns(qual: &str, schema: &TableSchema) -> Vec<BoundCol> {
 
 /// The one select-list expander: bind `items` over the `input` columns
 /// with `binder` and name each output column. `*` and `t.*` pass the
-/// input columns they cover through under their own names; `expr [AS
-/// name]` takes its alias, or else [`default_name`]. Under an aggregate
-/// context a column a wildcard passes through is an error, since it is
-/// not grouped.
+/// input columns they cover through under their own names, in FROM
+/// order: `from_order` holds each FROM-order column's position in
+/// `input`, so a join that placed its units in another order moves no
+/// value. `expr [AS name]` takes its alias, or else [`default_name`].
+/// Under an aggregate context a column a wildcard passes through is an
+/// error, since it is not grouped.
 pub(crate) fn bind_select_list(
     binder: &Binder<'_>,
     input: &[BoundCol],
+    from_order: &[usize],
     items: &[SelectItem],
 ) -> Result<Vec<(BExpr, String)>> {
     let mut out = Vec::new();
@@ -153,7 +162,8 @@ pub(crate) fn bind_select_list(
             SelectItem::Wildcard => None,
             SelectItem::QualifiedWildcard(qual) => Some(qual),
         };
-        for (idx, c) in input.iter().enumerate() {
+        for &idx in from_order {
+            let c = &input[idx];
             let covered =
                 qual.is_none_or(|q| c.qual.as_deref().is_some_and(|x| x.eq_ignore_ascii_case(q)));
             if !covered {
@@ -256,7 +266,7 @@ fn eval_table_ref(ctx: &ExecCtx, tr: &TableRef, pushed: &[&Expr]) -> Result<Rel>
                 cols,
                 rows: rel.rows,
             };
-            apply_filter(ctx, &mut out, pushed)?;
+            keep_rows(ctx, &mut out, pushed, &[], None)?;
             Ok(out)
         }
         TableRef::Join {
@@ -267,22 +277,33 @@ fn eval_table_ref(ctx: &ExecCtx, tr: &TableRef, pushed: &[&Expr]) -> Result<Rel>
         } => {
             let l = eval_table_ref(ctx, left, &[])?;
             let r = eval_table_ref(ctx, right, &[])?;
-            let mut joined = join_on(ctx, l, r, on, *outer)?;
-            apply_filter(ctx, &mut joined, pushed)?;
+            let mut joined = join_on(ctx, l, r, &split_conjuncts(on), *outer)?;
+            keep_rows(ctx, &mut joined, pushed, &[], None)?;
             Ok(joined)
         }
     }
 }
 
-fn apply_filter(ctx: &ExecCtx, rel: &mut Rel, pushed: &[&Expr]) -> Result<()> {
-    if pushed.is_empty() {
+/// The one row filter: keep the rows of `rel` on which every conjunct
+/// is true. Correlated references bind to `outer_scopes` and read
+/// `outer_env`; a pushed-down filter passes neither.
+fn keep_rows(
+    ctx: &ExecCtx,
+    rel: &mut Rel,
+    conjuncts: &[&Expr],
+    outer_scopes: &[Vec<BoundCol>],
+    outer_env: Option<&Env<'_>>,
+) -> Result<()> {
+    if conjuncts.is_empty() {
         return Ok(());
     }
-    let binder = Binder::new(ctx, vec![rel.cols.clone()]);
-    let f = binder.bind(&conjoin(pushed.iter().map(|e| (*e).clone()).collect()))?;
+    let mut scopes = vec![rel.cols.clone()];
+    scopes.extend(outer_scopes.iter().cloned());
+    let f = Binder::new(ctx, scopes)
+        .bind(&conjoin(conjuncts.iter().map(|e| (*e).clone()).collect()))?;
     let mut kept = Vec::with_capacity(rel.rows.len());
     for row in rel.rows.drain(..) {
-        if truthy(&eval(ctx, &Env::base(&row), &f)?) == Some(true) {
+        if truthy(&eval(ctx, &Env::child(&row, outer_env), &f)?) == Some(true) {
             kept.push(row);
         }
     }
@@ -290,20 +311,24 @@ fn apply_filter(ctx: &ExecCtx, rel: &mut Rel, pushed: &[&Expr]) -> Result<()> {
     Ok(())
 }
 
-/// Hash join (or nested loop for non-equi ON) of two relations.
-fn join_on(ctx: &ExecCtx, left: Rel, right: Rel, on: &Expr, outer: bool) -> Result<Rel> {
+/// Hash join of two relations on the equi-conjuncts of `on`: build on
+/// the right, then probe with each left row in order. The other
+/// conjuncts filter each combined pair, and an outer join pads an
+/// unmatched left row with NULLs. With no equi-conjunct the key is
+/// empty, so one bucket holds every right row in input order: a nested
+/// loop, with the same outer padding, since an empty key is never NULL.
+fn join_on(ctx: &ExecCtx, left: Rel, right: Rel, on: &[&Expr], outer: bool) -> Result<Rel> {
     let mut cols = left.cols.clone();
     cols.extend(right.cols.clone());
     let combined_binder = Binder::new(ctx, vec![cols.clone()]);
 
-    // Try to extract equi-conditions usable for hashing.
-    let conjuncts = split_conjuncts(on);
+    // Split the equi-conditions usable as hash keys from the rest.
     let lbinder = Binder::new(ctx, vec![left.cols.clone()]);
     let rbinder = Binder::new(ctx, vec![right.cols.clone()]);
     let mut lkeys = Vec::new();
     let mut rkeys = Vec::new();
     let mut residual: Vec<Expr> = Vec::new();
-    for c in conjuncts {
+    for &c in on {
         if let Expr::Binary {
             op: BinOp::Eq,
             left: a,
@@ -335,70 +360,46 @@ fn join_on(ctx: &ExecCtx, left: Rel, right: Rel, on: &Expr, outer: bool) -> Resu
 
     let rwidth = right.cols.len();
     let mut out_rows = Vec::new();
-    if !lkeys.is_empty() {
-        // Build on right, probe left (preserves left order; left outer easy).
-        let mut table: HashMap<Vec<u8>, Vec<&Row>> = HashMap::new();
-        for rrow in &right.rows {
-            let env = Env::base(rrow);
-            let kv: Vec<Value> = rkeys
-                .iter()
-                .map(|k| eval(ctx, &env, k))
-                .collect::<Result<_>>()?;
-            if kv.iter().any(Value::is_null) {
-                continue;
-            }
-            table.entry(key_encode(&kv)).or_default().push(rrow);
+    // Build on right, probe left (preserves left order; left outer easy).
+    let mut table: HashMap<Vec<u8>, Vec<&Row>> = HashMap::new();
+    for rrow in &right.rows {
+        let env = Env::base(rrow);
+        let kv: Vec<Value> = rkeys
+            .iter()
+            .map(|k| eval(ctx, &env, k))
+            .collect::<Result<_>>()?;
+        if kv.iter().any(Value::is_null) {
+            continue;
         }
-        for lrow in &left.rows {
-            let env = Env::base(lrow);
-            let kv: Vec<Value> = lkeys
-                .iter()
-                .map(|k| eval(ctx, &env, k))
-                .collect::<Result<_>>()?;
-            let mut matched = false;
-            if !kv.iter().any(Value::is_null) {
-                if let Some(cands) = table.get(&key_encode(&kv)) {
-                    for rrow in cands {
-                        let mut combined = lrow.clone();
-                        combined.extend(rrow.iter().cloned());
-                        let ok = match &residual_b {
-                            Some(f) => truthy(&eval(ctx, &Env::base(&combined), f)?) == Some(true),
-                            None => true,
-                        };
-                        if ok {
-                            matched = true;
-                            out_rows.push(combined);
-                        }
+        table.entry(key_encode(&kv)).or_default().push(rrow);
+    }
+    for lrow in &left.rows {
+        let env = Env::base(lrow);
+        let kv: Vec<Value> = lkeys
+            .iter()
+            .map(|k| eval(ctx, &env, k))
+            .collect::<Result<_>>()?;
+        let mut matched = false;
+        if !kv.iter().any(Value::is_null) {
+            if let Some(cands) = table.get(&key_encode(&kv)) {
+                for rrow in cands {
+                    let mut combined = lrow.clone();
+                    combined.extend(rrow.iter().cloned());
+                    let ok = match &residual_b {
+                        Some(f) => truthy(&eval(ctx, &Env::base(&combined), f)?) == Some(true),
+                        None => true,
+                    };
+                    if ok {
+                        matched = true;
+                        out_rows.push(combined);
                     }
                 }
             }
-            if outer && !matched {
-                let mut combined = lrow.clone();
-                combined.extend(std::iter::repeat_n(Value::Null, rwidth));
-                out_rows.push(combined);
-            }
         }
-    } else {
-        // Nested loop.
-        for lrow in &left.rows {
-            let mut matched = false;
-            for rrow in &right.rows {
-                let mut combined = lrow.clone();
-                combined.extend(rrow.iter().cloned());
-                let ok = match &residual_b {
-                    Some(f) => truthy(&eval(ctx, &Env::base(&combined), f)?) == Some(true),
-                    None => true,
-                };
-                if ok {
-                    matched = true;
-                    out_rows.push(combined);
-                }
-            }
-            if outer && !matched {
-                let mut combined = lrow.clone();
-                combined.extend(std::iter::repeat_n(Value::Null, rwidth));
-                out_rows.push(combined);
-            }
+        if outer && !matched {
+            let mut combined = lrow.clone();
+            combined.extend(std::iter::repeat_n(Value::Null, rwidth));
+            out_rows.push(combined);
         }
     }
     Ok(Rel {
@@ -589,14 +590,13 @@ pub fn run_select_materialized(
                 .collect()
         })
         .unwrap_or_default();
-    let conjuncts: Vec<&Expr> = factored.iter().collect();
 
     // Classify conjuncts. A constant one is true (see `constant_false`)
     // unless OR-factorization produced it, so it joins the residual.
     let mut pushed: Vec<Vec<&Expr>> = vec![Vec::new(); q.from.len()];
     let mut join_edges: Vec<(&Expr, usize, usize)> = Vec::new();
     let mut residual: Vec<&Expr> = Vec::new();
-    for c in &conjuncts {
+    for c in &factored {
         match conjunct_units(c, &unit_bindings) {
             Some(units) if units.len() == 1 => pushed[units[0]].push(c),
             Some(units) if units.len() == 2 => {
@@ -610,8 +610,6 @@ pub fn run_select_materialized(
         }
     }
 
-    let full_bindings: Vec<BoundCol> = unit_bindings.iter().flatten().cloned().collect();
-
     // Evaluate units with pushdown.
     let mut rels: Vec<Option<Rel>> = q
         .from
@@ -620,10 +618,13 @@ pub fn run_select_materialized(
         .map(|(tr, p)| eval_table_ref(ctx, tr, p).map(Some))
         .collect::<Result<_>>()?;
 
-    // Greedy join order: start from the smallest relation.
+    // Greedy join order: start from the smallest relation. Joined
+    // columns stay where the join put them; `spans[u]` records where
+    // unit `u`'s columns landed in the joined row.
     let n = rels.len();
     let mut current: Rel;
     let mut joined_units: Vec<usize> = Vec::new();
+    let mut spans = vec![0..0; n];
     if n == 0 {
         current = Rel {
             cols: Vec::new(),
@@ -637,6 +638,7 @@ pub fn run_select_materialized(
             .take()
             .ok_or_else(|| Error::Storage("join planner lost its starting relation".into()))?;
         joined_units.push(start);
+        spans[start] = 0..current.cols.len();
         while joined_units.len() < n {
             // Prefer a unit connected by an equi-edge.
             let next = (0..n)
@@ -656,256 +658,138 @@ pub fn run_select_materialized(
             let Some(right) = rels[next].take() else {
                 break;
             };
-            // Collect all edges now satisfied (between joined set+next).
-            let mut on_parts: Vec<Expr> = Vec::new();
-            join_edges.retain(|(c, a, b)| {
-                let usable = (joined_units.contains(a) && *b == next)
-                    || (joined_units.contains(b) && *a == next);
+            // Collect all edges now satisfied (between joined set+next);
+            // with none, this is a cartesian product.
+            let mut on_parts: Vec<&Expr> = Vec::new();
+            join_edges.retain(|&(c, a, b)| {
+                let usable = (joined_units.contains(&a) && b == next)
+                    || (joined_units.contains(&b) && a == next);
                 if usable {
-                    on_parts.push((*c).clone());
+                    on_parts.push(c);
                 }
                 !usable
             });
-            current = if on_parts.is_empty() {
-                // Cartesian.
-                join_on(ctx, current, right, &Expr::Literal(Value::Int(1)), false)?
-            } else {
-                join_on(ctx, current, right, &conjoin(on_parts), false)?
-            };
+            let at = current.cols.len();
+            spans[next] = at..at + right.cols.len();
+            current = join_on(ctx, current, right, &on_parts, false)?;
             joined_units.push(next);
         }
         // Edges that connected units in arbitrary order but were not
         // consumed become residual filters.
-        for (c, _, _) in join_edges {
-            residual.push(c);
-        }
+        residual.extend(join_edges.into_iter().map(|(c, _, _)| c));
     }
 
-    // Column order must match `relation_bindings` (wildcard contract):
-    // re-project to FROM order if the greedy join permuted units.
-    if joined_units.len() > 1 && joined_units.windows(2).any(|w| w[0] > w[1]) {
-        let mut perm: Vec<usize> = Vec::with_capacity(full_bindings.len());
-        // Offsets of each unit inside `current`.
-        let mut unit_offset_in_current: Vec<usize> = vec![0; n];
-        let mut acc = 0;
-        for &u in &joined_units {
-            unit_offset_in_current[u] = acc;
-            acc += unit_bindings[u].len();
-        }
-        for (u, b) in unit_bindings.iter().enumerate() {
-            let off = unit_offset_in_current[u];
-            for k in 0..b.len() {
-                perm.push(off + k);
-            }
-        }
-        current = Rel {
-            cols: full_bindings.clone(),
-            rows: current
-                .rows
-                .into_iter()
-                .map(|r| perm.iter().map(|&i| r[i].clone()).collect())
-                .collect(),
-        };
-    } else if n > 0 {
-        current.cols = full_bindings.clone();
-    }
+    // A wildcard reads each FROM-order column at its joined position.
+    let from_order: Vec<usize> = spans.into_iter().flatten().collect();
 
     // Residual filter (may be correlated → bind with outer scopes).
-    if !residual.is_empty() {
-        let mut scopes = vec![current.cols.clone()];
-        scopes.extend(outer_scopes.iter().cloned());
-        let binder = Binder::new(ctx, scopes);
-        let f = binder.bind(&conjoin(residual.iter().map(|e| (*e).clone()).collect()))?;
-        let mut kept = Vec::with_capacity(current.rows.len());
-        for row in current.rows.drain(..) {
-            let env = Env::child(&row, outer_env);
-            if truthy(&eval(ctx, &env, &f)?) == Some(true) {
-                kept.push(row);
-            }
-        }
-        current.rows = kept;
-    }
+    keep_rows(ctx, &mut current, &residual, outer_scopes, outer_env)?;
 
     // ---- Aggregation / projection / order / distinct / top ----
-    project_and_finish(ctx, q, current, outer_scopes, outer_env)
+    project_and_finish(ctx, q, &current, &from_order, outer_scopes, outer_env)
 }
 
-/// Everything after the joined+filtered input relation.
+/// Everything after the joined+filtered input relation, whose FROM-order
+/// columns sit at the positions `from_order` gives.
 fn project_and_finish(
     ctx: &ExecCtx,
     q: &SelectStmt,
-    input: Rel,
+    input: &Rel,
+    from_order: &[usize],
     outer_scopes: &[Vec<BoundCol>],
     outer_env: Option<&Env<'_>>,
 ) -> Result<Rel> {
     let mut scopes = vec![input.cols.clone()];
     scopes.extend(outer_scopes.iter().cloned());
-    let binder = Binder::new(ctx, scopes.clone());
-
-    let has_aggs = !q.group_by.is_empty()
-        || q.items
-            .iter()
-            .any(|it| matches!(it, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-        || q.having
-            .as_ref()
-            .map(|h| h.contains_aggregate())
-            .unwrap_or(false);
-
-    // Resolve ORDER BY aliases / ordinals into plain expressions.
-    let order_exprs: Vec<(Expr, bool)> = q
+    let grouping = grouping(&Binder::new(ctx, scopes.clone()), q)?;
+    let binder = Binder {
+        ctx,
+        scopes,
+        agg_ctx: grouping.as_ref().map(|(agg_ctx, _)| agg_ctx),
+    };
+    let bound_out = bind_select_list(&binder, &input.cols, from_order, &q.items)?;
+    // ORDER BY aliases and ordinals resolve to plain expressions.
+    let bound_order: Vec<(BExpr, bool)> = q
         .order_by
         .iter()
-        .map(|OrderItem { expr, desc }| (resolve_order_expr(q, expr), *desc))
-        .collect();
+        .map(|OrderItem { expr, desc }| Ok((binder.bind(&resolve_order_expr(q, expr))?, *desc)))
+        .collect::<Result<_>>()?;
+    let bound_having = q.having.as_ref().map(|h| binder.bind(h)).transpose()?;
 
-    // Build bound output + order + having expressions, in aggregate mode
-    // when required.
-    let bound_out: Vec<(BExpr, String)>;
-    let bound_order: Vec<(BExpr, bool)>;
-    let bound_having: Option<BExpr>;
-    // Rows to project: either raw rows, or (rep row, keys, agg values).
-    struct GroupOut {
-        rep: Row,
-        keys: Vec<Value>,
-        aggs: Vec<Value>,
-    }
-    let groups_out: Vec<GroupOut>;
-
-    if has_aggs {
-        let mut aggs: Vec<AggCall> = Vec::new();
-        for it in &q.items {
-            if let SelectItem::Expr { expr, .. } = it {
-                binder.collect_aggs(expr, &mut aggs)?;
-            }
-        }
-        if let Some(h) = &q.having {
-            binder.collect_aggs(h, &mut aggs)?;
-        }
-        for (e, _) in &order_exprs {
-            binder.collect_aggs(e, &mut aggs)?;
-        }
-        let group_bound: Vec<BExpr> = q
-            .group_by
-            .iter()
-            .map(|g| binder.bind(g))
-            .collect::<Result<_>>()?;
-        let agg_ctx = AggContext {
-            group_exprs: q.group_by.iter().map(normalize).collect(),
-            key_types: group_bound.iter().map(|b| b.dtype()).collect(),
-            aggs,
-        };
-
-        // Accumulate.
-        struct GroupAcc {
-            rep: Row,
-            keys: Vec<Value>,
-            accs: Vec<Accumulator>,
-        }
-        let mut groups: HashMap<Vec<u8>, GroupAcc> = HashMap::new();
-        let mut order: Vec<Vec<u8>> = Vec::new();
-        for row in &input.rows {
-            let env = Env::child(row, outer_env);
-            let keys: Vec<Value> = group_bound
-                .iter()
-                .map(|g| eval(ctx, &env, g))
-                .collect::<Result<_>>()?;
-            let gk = key_encode(&keys);
-            let entry = groups.entry(gk.clone()).or_insert_with(|| {
-                order.push(gk);
-                GroupAcc {
-                    rep: row.clone(),
-                    keys,
-                    accs: agg_ctx.aggs.iter().map(Accumulator::new).collect(),
-                }
-            });
-            for (acc, call) in entry.accs.iter_mut().zip(&agg_ctx.aggs) {
-                let v = match &call.arg {
-                    Some(a) => eval(ctx, &env, a)?,
-                    None => Value::Int(1),
-                };
-                acc.add(v);
-            }
-        }
-        // Scalar aggregate over empty input still yields one row.
-        if groups.is_empty() && q.group_by.is_empty() {
-            let gk = Vec::new();
-            order.push(gk.clone());
-            groups.insert(
-                gk,
-                GroupAcc {
-                    rep: vec![Value::Null; input.cols.len()],
-                    keys: Vec::new(),
-                    accs: agg_ctx.aggs.iter().map(Accumulator::new).collect(),
-                },
-            );
-        }
-        // `order` holds each group key exactly once, in first-seen order,
-        // so draining `groups` through it visits every accumulator.
-        groups_out = order
-            .into_iter()
-            .filter_map(|gk| groups.remove(&gk))
-            .map(|g| GroupOut {
-                rep: g.rep,
-                keys: g.keys,
-                aggs: g.accs.into_iter().map(Accumulator::finish).collect(),
-            })
-            .collect();
-
-        let agg_binder = Binder {
-            ctx,
-            scopes: scopes.clone(),
-            agg_ctx: Some(&agg_ctx),
-        };
-        bound_out = bind_select_list(&agg_binder, &input.cols, &q.items)?;
-        bound_order = order_exprs
-            .iter()
-            .map(|(e, d)| Ok((agg_binder.bind(e)?, *d)))
-            .collect::<Result<_>>()?;
-        bound_having = q.having.as_ref().map(|h| agg_binder.bind(h)).transpose()?;
-    } else {
-        groups_out = input
-            .rows
-            .iter()
-            .map(|r| GroupOut {
-                rep: r.clone(),
-                keys: Vec::new(),
-                aggs: Vec::new(),
-            })
-            .collect();
-        bound_out = bind_select_list(&binder, &input.cols, &q.items)?;
-        bound_order = order_exprs
-            .iter()
-            .map(|(e, d)| Ok((binder.bind(e)?, *d)))
-            .collect::<Result<_>>()?;
-        bound_having = q.having.as_ref().map(|h| binder.bind(h)).transpose()?;
-    }
-
-    // Project (+ order keys), applying HAVING.
-    let mut projected: Vec<(Row, Vec<Value>)> = Vec::with_capacity(groups_out.len());
-    for g in &groups_out {
-        let env = Env {
-            row: &g.rep,
-            agg: if has_aggs {
-                Some((g.keys.as_slice(), g.aggs.as_slice()))
-            } else {
-                None
-            },
-            parent: outer_env,
-        };
+    // One output row and its ORDER BY keys, unless HAVING rejects it.
+    let project = |env: &Env<'_>| -> Result<Option<(Row, Vec<Value>)>> {
         if let Some(h) = &bound_having {
-            if truthy(&eval(ctx, &env, h)?) != Some(true) {
-                continue;
+            if truthy(&eval(ctx, env, h)?) != Some(true) {
+                return Ok(None);
             }
         }
         let row: Row = bound_out
             .iter()
-            .map(|(e, _)| eval(ctx, &env, e))
+            .map(|(e, _)| eval(ctx, env, e))
             .collect::<Result<_>>()?;
         let okeys: Vec<Value> = bound_order
             .iter()
-            .map(|(e, _)| eval(ctx, &env, e))
+            .map(|(e, _)| eval(ctx, env, e))
             .collect::<Result<_>>()?;
-        projected.push((row, okeys));
+        Ok(Some((row, okeys)))
+    };
+    let mut projected: Vec<(Row, Vec<Value>)> = Vec::new();
+    match &grouping {
+        None => {
+            for row in &input.rows {
+                projected.extend(project(&Env::child(row, outer_env))?);
+            }
+        }
+        Some((agg_ctx, key_exprs)) => {
+            // One representative row per group, with its keys and
+            // accumulators.
+            struct Group {
+                rep: Row,
+                keys: Vec<Value>,
+                accs: Vec<Accumulator>,
+            }
+            let new_group = |rep: Row, keys: Vec<Value>| Group {
+                rep,
+                keys,
+                accs: agg_ctx.aggs.iter().map(Accumulator::new).collect(),
+            };
+            let mut groups: HashMap<Vec<u8>, Group> = HashMap::new();
+            let mut order: Vec<Vec<u8>> = Vec::new();
+            for row in &input.rows {
+                let env = Env::child(row, outer_env);
+                let keys: Vec<Value> = key_exprs
+                    .iter()
+                    .map(|g| eval(ctx, &env, g))
+                    .collect::<Result<_>>()?;
+                let gk = key_encode(&keys);
+                let group = groups.entry(gk.clone()).or_insert_with(|| {
+                    order.push(gk);
+                    new_group(row.clone(), keys)
+                });
+                for (acc, call) in group.accs.iter_mut().zip(&agg_ctx.aggs) {
+                    acc.add(match &call.arg {
+                        Some(a) => eval(ctx, &env, a)?,
+                        None => Value::Int(1),
+                    });
+                }
+            }
+            // Scalar aggregate over empty input still yields one row.
+            if order.is_empty() && q.group_by.is_empty() {
+                order.push(Vec::new());
+                let rep = vec![Value::Null; input.cols.len()];
+                groups.insert(Vec::new(), new_group(rep, Vec::new()));
+            }
+            // `order` holds each group key exactly once, in first-seen
+            // order, so draining `groups` through it visits every group.
+            for g in order.iter().filter_map(|gk| groups.remove(gk)) {
+                let aggs: Vec<Value> = g.accs.into_iter().map(Accumulator::finish).collect();
+                projected.extend(project(&Env {
+                    row: &g.rep,
+                    agg: Some((&g.keys, &aggs)),
+                    parent: outer_env,
+                })?);
+            }
+        }
     }
 
     // DISTINCT.

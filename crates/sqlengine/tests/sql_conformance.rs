@@ -273,10 +273,11 @@ fn joins_inner_outer_self() {
         .unwrap();
     e.execute(sid, "INSERT INTO b VALUES (2), (3), (4)")
         .unwrap();
+    let i = Value::Int;
     // Inner join via JOIN..ON.
     assert_eq!(
-        q(&e, sid, "SELECT x FROM a JOIN b ON x = y ORDER BY x").len(),
-        2
+        q(&e, sid, "SELECT x FROM a JOIN b ON x = y ORDER BY x"),
+        [[i(2)], [i(3)]]
     );
     // Left outer.
     let rows = q(
@@ -284,16 +285,22 @@ fn joins_inner_outer_self() {
         sid,
         "SELECT x, y FROM a LEFT JOIN b ON x = y ORDER BY x",
     );
-    assert_eq!(rows[0], vec![Value::Int(1), Value::Null]);
-    // Cartesian via comma join without predicate.
-    assert_eq!(q(&e, sid, "SELECT x, y FROM a, b").len(), 9);
+    assert_eq!(rows, [[i(1), Value::Null], [i(2), i(2)], [i(3), i(3)]]);
+    // Cartesian via comma join without predicate: each left row in
+    // order, with every right row in order.
+    let rows = q(&e, sid, "SELECT x, y FROM a, b");
+    let want: Vec<Vec<Value>> = [1, 2, 3]
+        .into_iter()
+        .flat_map(|x| [2, 3, 4].map(|y| vec![i(x), i(y)]))
+        .collect();
+    assert_eq!(rows, want);
     // Self join with aliases.
     let rows = q(
         &e,
         sid,
         "SELECT a1.x, a2.x FROM a a1, a a2 WHERE a1.x < a2.x ORDER BY a1.x, a2.x",
     );
-    assert_eq!(rows.len(), 3);
+    assert_eq!(rows, [[i(1), i(2)], [i(1), i(3)], [i(2), i(3)]]);
 }
 
 #[test]
@@ -303,12 +310,30 @@ fn non_equi_join_condition() {
     e.execute(sid, "CREATE TABLE hi (w INT)").unwrap();
     e.execute(sid, "INSERT INTO lo VALUES (1), (5)").unwrap();
     e.execute(sid, "INSERT INTO hi VALUES (3), (7)").unwrap();
+    let i = Value::Int;
+    let pairs = [[i(1), i(3)], [i(1), i(7)], [i(5), i(7)]];
     let rows = q(
         &e,
         sid,
         "SELECT v, w FROM lo JOIN hi ON v < w ORDER BY v, w",
     );
-    assert_eq!(rows.len(), 3);
+    assert_eq!(rows, pairs);
+    // Without ORDER BY: each left row in order, with its matches in
+    // right-row order.
+    assert_eq!(q(&e, sid, "SELECT v, w FROM lo JOIN hi ON v < w"), pairs);
+    // A left row that matches nothing is padded where it stands.
+    e.execute(sid, "INSERT INTO lo VALUES (9), (2)").unwrap();
+    assert_eq!(
+        q(&e, sid, "SELECT v, w FROM lo LEFT JOIN hi ON v < w"),
+        [
+            [i(1), i(3)],
+            [i(1), i(7)],
+            [i(5), i(7)],
+            [i(9), Value::Null],
+            [i(2), i(3)],
+            [i(2), i(7)],
+        ]
+    );
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //!
 //! with the phase durations summing to no more than the application-visible
 //! wall-clock time of the recovering fetch. It also pins the requests that
-//! one recovery sends: the pair's two handshakes, the session probe's
-//! CREATE and the repositioned reopen — no ping, no existence checks.
+//! one recovery sends: the pair's two handshakes and the repositioned
+//! reopen — no ping, no existence checks.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -77,7 +77,7 @@ fn crash_recovery_exports_six_phase_timeline() {
     let wall = t0.elapsed();
 
     // The requests this recovery sent: two handshakes (one session each),
-    // then `CREATE TABLE #phx_probe` and the reopen with its skip.
+    // then the reopen with its skip.
     assert_eq!(
         server.admission_stats().admitted - admitted_before,
         2,
@@ -87,7 +87,7 @@ fn crash_recovery_exports_six_phase_timeline() {
         .iter()
         .filter(|e| e.name == "odbcsim.roundtrip.exec")
         .count();
-    assert_eq!(execs, 2, "recovery sends the probe's CREATE and the reopen");
+    assert_eq!(execs, 1, "recovery sends only the reopen");
     assert_eq!(
         pings() - pings_before,
         0,
