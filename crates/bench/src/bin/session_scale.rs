@@ -173,7 +173,7 @@ fn run_point(sessions: usize, pending_cap: usize, seed: u64) -> Point {
         sessions,
         admit_us,
         recover_us,
-        // Both links (app + private) serve one virtual session.
+        // One link serves one virtual session.
         bytes_per_session: st.traffic_total / sessions as u64,
         shed: st.shed,
         pending_peak: st.pending_peak,

@@ -16,9 +16,9 @@
 //!   INTO` a fresh table and reopens it ([`persist`]);
 //! * wraps modification statements in a transaction with a **status
 //!   table** write, giving exactly-once semantics across crashes;
-//! * maps the application onto a **virtual session** backed by an
-//!   application connection plus a private Phoenix connection
-//!   ([`session`]);
+//! * maps the application onto a **virtual session** backed by one
+//!   connection, which carries Phoenix's own requests between the
+//!   application's ([`session`]);
 //! * detects failures via driver errors and timeouts, then automatically
 //!   reconnects, re-binds the virtual session, reopens the persistent
 //!   result and **repositions** to the last delivered tuple — either by

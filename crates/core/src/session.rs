@@ -1,19 +1,18 @@
 //! The virtual ODBC database session (Sections 2.2–2.3, 4.1).
 //!
 //! A [`PhoenixConnection`] is what the application holds instead of a raw
-//! driver connection. Underneath it maps to *two* real connections — the
-//! application's and a private one that masks Phoenix's own traffic
-//! (the status table's ledger and pings). Result tables live on the
-//! application connection: each is loaded, reopened and later dropped by
-//! batches sent there, so its server-side memory charge is the
-//! application session's. When the server
+//! driver connection. Underneath it maps to *one* real connection, which
+//! also carries Phoenix's own traffic between application requests: the
+//! status table's creation and ledger, and the result tables, each loaded,
+//! reopened and later dropped by batches sent there, so its server-side
+//! memory charge is the application session's. When the server
 //! crashes, Phoenix detects it (driver error or timeout), reconnects,
 //! re-binds the virtual session, reinstalls SQL state (reopening the
 //! persistent result table and repositioning), and the application simply
-//! continues — it pauses, it does not fail. A recovery sends three
-//! requests: the pair's two handshakes and the repositioned reopen. The
-//! handshakes are the liveness test: a reconnect always gets a fresh
-//! session, so no temp table needs probing.
+//! continues — it pauses, it does not fail. A recovery sends two
+//! requests: the handshake and the repositioned reopen. The handshake is
+//! the liveness test: a reconnect always gets a fresh session, so no temp
+//! table needs probing.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use odbcsim::{DriverConfig, OdbcConnection, OdbcStatement};
+use odbcsim::{OdbcConnection, OdbcStatement};
 use sqlengine::schema::encode_row;
 use sqlengine::types::{DataType, Row, Value};
 use sqlengine::{Error, Result};
@@ -46,9 +45,6 @@ static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
 pub struct PhoenixStats {
     /// Real session recoveries: phase-1 reconnects actually performed.
     pub recoveries: u64,
-    /// Suspected failures that turned out to be transient: the existing
-    /// connections still answered, nothing was rebuilt.
-    pub false_alarms: u64,
     /// Result sets persisted as server tables (Section 2 path).
     pub results_persisted: u64,
     /// Result sets served entirely from the client cache (Section 4 path).
@@ -86,16 +82,19 @@ pub struct RecoveryTiming {
 /// obskit registry, and emitted as a trace span when tracing is on.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RecoveryPhases {
-    /// Deciding the suspected failure is real (app-link liveness check).
+    /// Reading the link's liveness flag: every connection-fatal error
+    /// marks the link dead, so this sends nothing.
     pub detect: Duration,
-    /// Pinging the surviving private connection (false-alarm probe).
+    /// Probing the server before reconnecting. Nothing is probed (the
+    /// handshake is the liveness test), so it reads zero; it stays in the
+    /// breakdown for the sum rule.
     pub ping: Duration,
-    /// Re-opening the connection pair until the server answers, including
+    /// Re-opening the connection until the server answers, including
     /// reconnect backoff waits.
     pub reconnect: Duration,
-    /// Re-binding the virtual session to the fresh pair. It sends nothing
-    /// (`phx_status` is durable, created at connect; the handshakes prove
-    /// the session fresh), so it reads zero.
+    /// Re-binding the virtual session to the fresh connection. It sends
+    /// nothing (`phx_status` is durable, created at connect; the handshake
+    /// proves the session fresh), so it reads zero.
     pub rebind: Duration,
     /// Re-persisting the result table when the reopen finds it lost; ~0
     /// otherwise, as it then sends nothing.
@@ -165,16 +164,10 @@ struct Active {
     columns: Vec<(String, DataType)>,
     delivered: u64,
     source: ActiveSource,
-    /// Set while the server-side state backing this result is stale
-    /// (recovery phase 2 started but did not finish). Cleared only when
-    /// reinstall fully succeeds, so an interrupted recovery is resumed —
-    /// never served from a dead statement.
-    needs_reinstall: bool,
 }
 
 struct Inner {
     app: OdbcConnection,
-    private: OdbcConnection,
     in_app_txn: bool,
     next_req: u64,
     active: Option<Active>,
@@ -196,7 +189,6 @@ struct Inner {
 struct ConnMetrics {
     registry: std::sync::Arc<obskit::Registry>,
     recoveries: std::sync::Arc<obskit::Counter>,
-    false_alarms: std::sync::Arc<obskit::Counter>,
     results_persisted: std::sync::Arc<obskit::Counter>,
     results_cached: std::sync::Arc<obskit::Counter>,
     cache_overflows: std::sync::Arc<obskit::Counter>,
@@ -210,7 +202,6 @@ impl ConnMetrics {
         let registry = std::sync::Arc::new(obskit::Registry::new());
         ConnMetrics {
             recoveries: registry.counter("phoenix.session.recoveries"),
-            false_alarms: registry.counter("phoenix.session.false_alarms"),
             results_persisted: registry.counter("phoenix.session.results_persisted"),
             results_cached: registry.counter("phoenix.session.results_cached"),
             cache_overflows: registry.counter("phoenix.session.cache_overflows"),
@@ -234,13 +225,12 @@ pub struct PhoenixConnection {
 
 impl PhoenixConnection {
     /// Open a persistent session: connects the application connection and
-    /// the private connection and ensures the status table exists. The
-    /// table is durable once this returns, so recovery never re-creates
-    /// it.
+    /// ensures the status table exists. The table is durable once this
+    /// returns, so recovery never re-creates it.
     pub fn connect(server: &DbServer, cfg: PhoenixConfig) -> Result<PhoenixConnection> {
         let conn_id = NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed);
-        let (app, private) = Self::open_pair(server, &cfg)?;
-        match private.exec_direct(&format!(
+        let app = OdbcConnection::connect(server, cfg.driver.clone())?;
+        match app.exec_direct(&format!(
             "CREATE TABLE {STATUS_TABLE} (app_key VARCHAR(64), req_id INT, affected INT, \
              PRIMARY KEY (app_key, req_id))"
         )) {
@@ -254,7 +244,6 @@ impl PhoenixConnection {
             metrics: ConnMetrics::new(),
             inner: Mutex::new(Inner {
                 app,
-                private,
                 in_app_txn: false,
                 next_req: 1,
                 active: None,
@@ -265,21 +254,6 @@ impl PhoenixConnection {
                 next_result: 1,
             }),
         })
-    }
-
-    fn open_pair(
-        server: &DbServer,
-        cfg: &PhoenixConfig,
-    ) -> Result<(OdbcConnection, OdbcConnection)> {
-        let app = OdbcConnection::connect(server, cfg.driver.clone())?;
-        let private = OdbcConnection::connect(
-            server,
-            DriverConfig {
-                login: format!("{}:phoenix-private", cfg.driver.login),
-                ..cfg.driver.clone()
-            },
-        )?;
-        Ok((app, private))
     }
 
     /// The key this connection's wrapped modifications are ledgered under
@@ -296,7 +270,6 @@ impl PhoenixConnection {
     pub fn stats(&self) -> PhoenixStats {
         PhoenixStats {
             recoveries: self.metrics.recoveries.get(),
-            false_alarms: self.metrics.false_alarms.get(),
             results_persisted: self.metrics.results_persisted.get(),
             results_cached: self.metrics.results_cached.get(),
             cache_overflows: self.metrics.cache_overflows.get(),
@@ -317,8 +290,7 @@ impl PhoenixConnection {
         self.inner.lock().last_recovery
     }
 
-    /// Per-phase breakdown of the most recent *real* recovery (a false
-    /// alarm does not produce one).
+    /// Per-phase breakdown of the most recent recovery.
     pub fn last_recovery_phases(&self) -> Option<RecoveryPhases> {
         self.inner.lock().last_phases
     }
@@ -433,15 +405,29 @@ impl PhoenixConnection {
         self.process_pending_drops(&mut inner);
     }
 
-    /// Orderly close: drop pending result tables, clear status rows.
+    /// Orderly close: drop pending result tables, clear status rows. An
+    /// application transaction still open is rolled back in the same
+    /// batch, ahead of the `DELETE`, so the `DELETE` commits by itself and
+    /// the transaction's uncommitted work is not committed.
     pub fn close(self) {
         self.close_result();
         let inner = self.inner.lock();
-        // lint:allow(discard): close is best-effort; stale status rows are reclaimed on next connect
-        let _ = inner.private.exec_direct(&format!(
+        let delete = format!(
             "DELETE FROM {STATUS_TABLE} WHERE app_key = '{}'",
             self.app_key()
-        ));
+        );
+        let batch = if inner.in_app_txn {
+            format!("ROLLBACK; {delete}")
+        } else {
+            delete.clone()
+        };
+        // A transaction the server already ended (a failed statement
+        // rolls it back) fails the ROLLBACK, which stops the batch: the
+        // DELETE is then sent alone.
+        if inner.app.exec_direct(&batch).is_err() && inner.in_app_txn {
+            // lint:allow(discard): close is best-effort; a dead link leaves the status rows behind
+            let _ = inner.app.exec_direct(&delete);
+        }
     }
 
     // -- masking policy (Section 2.3) --------------------------------------------
@@ -666,9 +652,7 @@ impl PhoenixConnection {
                 // check itself runs over the network and can hit the next
                 // fault, so it is masked too, on the same budget.
                 self.apply(inner, budget, action, e)
-                    .and_then(|()| {
-                        self.masked(inner, budget, true, |i| query_all(&i.private, &ledger))
-                    })
+                    .and_then(|()| self.masked(inner, budget, true, |i| query_all(&i.app, &ledger)))
                     .map(|check| match check.first().and_then(|row| row.first()) {
                         Some(Value::Int(n)) => Some(*n as u64),
                         _ => None,
@@ -702,25 +686,6 @@ impl PhoenixConnection {
         let t0 = Instant::now();
         let mut phases = RecoveryPhases::default();
 
-        // Transient-failure short circuit: if the private connection still
-        // answers pings, the app connection is alive, and no interrupted
-        // phase-2 work is outstanding, nothing needs rebuilding.
-        let app_dead = inner.app.is_dead();
-        phases.detect = t0.elapsed();
-        let t_ping = Instant::now();
-        let private_alive = !app_dead && inner.private.ping().is_ok();
-        phases.ping = t_ping.elapsed();
-        if !app_dead && private_alive && !inner.active.as_ref().is_some_and(|a| a.needs_reinstall) {
-            self.metrics.false_alarms.incr();
-            obskit::event!("phoenix.recovery.false_alarm");
-            inner.last_recovery = Some(RecoveryTiming {
-                virtual_session: t0.elapsed(),
-                sql_state: Duration::ZERO,
-                attempts: 0,
-            });
-            return Ok(());
-        }
-
         // Concurrent-recovery telemetry: the inflight gauge (and its
         // high-water mark) rises while this recovery is actively working
         // and falls on every exit path — a reconnect storm shows up as
@@ -746,14 +711,20 @@ impl PhoenixConnection {
         // across a storm.
         let mut backoff = Backoff::for_stream(&self.cfg.reconnect, self.conn_id);
         let (virtual_session, sql_state) = loop {
-            // Phase 1: re-establish connections and the virtual session
-            // (skipped when the links survived and only phase 2 remains).
-            // Reconnect time includes the backoff waits between attempts.
-            if inner.app.is_dead() || inner.private.ping().is_err() {
+            // Phase 1: re-establish the connection and the virtual session
+            // (skipped when the link survived and only phase 2 remains).
+            // Detection reads the link's dead flag, which every
+            // connection-fatal error sets. Reconnect time includes the
+            // backoff waits between attempts.
+            let t_detect = Instant::now();
+            let dead = inner.app.is_dead();
+            phases.detect += t_detect.elapsed();
+            if dead {
                 let t_reconnect = Instant::now();
-                // The pair's two handshakes are the liveness test: each
-                // answer comes from a fresh session on a live server.
-                let fresh = Self::open_pair(&self.server, &self.cfg).map_err(|e| match e {
+                // The handshake is the liveness test: its answer comes
+                // from a fresh session on a live server.
+                let fresh = OdbcConnection::connect(&self.server, self.cfg.driver.clone());
+                let fresh = fresh.map_err(|e| match e {
                     // Shed by admission control: the next wait honors the
                     // server's hint.
                     busy @ Error::ServerBusy { .. } => busy,
@@ -762,9 +733,8 @@ impl PhoenixConnection {
                 });
                 phases.reconnect += t_reconnect.elapsed();
                 match fresh {
-                    Ok((app, private)) => {
+                    Ok(app) => {
                         inner.app = app;
-                        inner.private = private;
                         self.metrics.recoveries.incr();
                     }
                     Err(e) => {
@@ -776,9 +746,8 @@ impl PhoenixConnection {
             let virtual_session = t0.elapsed();
 
             // Phase 2: reinstall SQL state for the interrupted request.
-            // On a retryable failure `needs_reinstall` stays set, so the
-            // loop retries the reinstall (after phase 1 if the link died
-            // again).
+            // On a retryable failure the loop retries the reinstall (after
+            // phase 1 if the link died again).
             let t1 = Instant::now();
             match self.reinstall_sql_state(inner, &mut phases) {
                 Ok(()) => break (virtual_session, t1.elapsed()),
@@ -803,10 +772,10 @@ impl PhoenixConnection {
         Ok(())
     }
 
-    /// Phase 2 of recovery: reinstall SQL state on the (fresh or verified)
-    /// connections. Failures leave `inner.active` in place with
-    /// `needs_reinstall` set, so the work can be resumed — the virtual
-    /// session is never torn down by a failed reinstall. Time spent is
+    /// Phase 2 of recovery: reinstall SQL state on the (fresh or surviving)
+    /// connection. Failures leave `inner.active` in place, so the next
+    /// recovery resumes the work — the virtual session is never torn down
+    /// by a failed reinstall. Time spent is
     /// accumulated into `phases` (re-persist → `reinstall`, reopen and
     /// client-side skip → `reposition`), including on the error paths, so
     /// a retried phase 2 reports its full cost.
@@ -829,13 +798,11 @@ impl PhoenixConnection {
             sql,
             delivered,
             source: ActiveSource::Persisted { table, stmt },
-            needs_reinstall,
             ..
         }) = active.as_mut()
         else {
             return Ok(());
         };
-        *needs_reinstall = true;
         // Reopen at the last delivered tuple. The server advances past it,
         // so no tuples cross the wire (the repositioning stored
         // procedure); client repositioning reopens at row 0 and sequences.
@@ -881,7 +848,6 @@ impl PhoenixConnection {
             skipped?;
         }
         *stmt = reopened;
-        *needs_reinstall = false;
         Ok(())
     }
 }
@@ -901,7 +867,6 @@ fn activate(
         columns: columns.clone(),
         delivered: 0,
         source,
-        needs_reinstall: false,
     });
     ExecKind::ResultSet { columns }
 }

@@ -310,6 +310,86 @@ fn result_tables_are_cleaned_up() {
         leftovers.is_empty(),
         "leftover result tables: {leftovers:?}"
     );
+    assert_eq!(
+        server.admission_stats().active,
+        1,
+        "one server session per virtual session"
+    );
+
+    // `close` clears this session's ledger and releases its session.
+    let sid = engine.create_session().unwrap();
+    let ledger_rows = |key: &str| {
+        let sql = format!("SELECT req_id FROM phx_status WHERE app_key = '{key}'");
+        engine.execute_collect(sid, &sql).unwrap().1.len()
+    };
+    for v in ["a", "b"] {
+        let n = px
+            .exec(&format!("UPDATE items SET v = '{v}' WHERE k = 1"))
+            .unwrap();
+        assert_eq!(n, ExecKind::RowCount(1));
+    }
+    let key = px.app_key();
+    assert_eq!(ledger_rows(&key), 2, "both updates are ledgered");
+    px.close();
+    assert_eq!(ledger_rows(&key), 0, "close leaves no ledger rows");
+    let drained = || {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while server.admission_stats().active != 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        server.admission_stats().active
+    };
+    assert_eq!(drained(), 0, "close releases the session");
+
+    // Closing inside an application transaction rolls it back: the
+    // ledger is still cleared, and the uncommitted update never lands.
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+    px.exec("UPDATE items SET v = 'c' WHERE k = 2").unwrap();
+    px.exec("BEGIN TRAN").unwrap();
+    px.exec("UPDATE items SET v = 'uncommitted' WHERE k = 3")
+        .unwrap();
+    let key = px.app_key();
+    px.close();
+    assert_eq!(
+        ledger_rows(&key),
+        0,
+        "close in a transaction leaves no ledger rows"
+    );
+    assert_eq!(drained(), 0, "close releases the session");
+
+    // A failed statement ends the transaction at the server, so the
+    // ROLLBACK ahead of the DELETE fails: the ledger is still cleared.
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+    px.exec("UPDATE items SET v = 'd' WHERE k = 4").unwrap();
+    px.exec("BEGIN TRAN").unwrap();
+    let dup = px.exec("INSERT INTO items VALUES (4, 'dup')").unwrap_err();
+    assert!(matches!(dup, Error::DuplicateKey(_)), "got {dup:?}");
+    let key = px.app_key();
+    px.close();
+    assert_eq!(
+        ledger_rows(&key),
+        0,
+        "close after a failed statement leaves no ledger rows"
+    );
+    assert_eq!(drained(), 0, "close releases the session");
+    engine.close_session(sid);
+    let fresh = OdbcConnection::connect(&server, DriverConfig::default()).unwrap();
+    let mut st = fresh
+        .exec_direct("SELECT v FROM items WHERE k = 3")
+        .unwrap();
+    assert_eq!(
+        st.fetch().unwrap().unwrap()[0],
+        Value::Str("value-3".into()),
+        "the open transaction's update must not be committed by close"
+    );
 }
 
 #[test]

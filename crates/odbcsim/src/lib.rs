@@ -129,8 +129,8 @@ impl ConnInner {
 
 impl Drop for ConnInner {
     fn drop(&mut self) {
-        // A handle dropped without `close()` (e.g. recovery abandoning a
-        // half-built connection pair after a shed) must still tear the
+        // A handle dropped without `close()` (e.g. recovery replacing a
+        // dead connection with a fresh one) must still tear the
         // endpoint down, or the server keeps its admission slot charged
         // until the idle sweeper notices.
         self.conn.close();

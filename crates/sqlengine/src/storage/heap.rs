@@ -408,7 +408,9 @@ impl Storage {
 
     // -- DML ------------------------------------------------------------------
 
-    /// Insert a conformed row. Caller holds the table X lock.
+    /// Insert a conformed row. Caller holds the table X lock, or (keyed
+    /// tables) IX plus the row's X lock, so inserts into one table may
+    /// run concurrently.
     pub fn insert_row(&self, txn: &TxnHandle, table: TableId, row: &[Value]) -> Result<RowId> {
         let meta = self
             .catalog
@@ -442,19 +444,33 @@ impl Storage {
         encode_row(row, &mut bytes);
 
         self.open_writer(txn);
+        // `seen` is the last page this insert has found; it allocates only
+        // once that page is absent or full.
+        let mut seen = last_page;
         let mut candidate = last_page;
         let rid = loop {
             let (pid, guard) = match candidate.take() {
                 Some(pid) => (pid, self.pool.fetch(pid)?),
                 None => {
-                    // Allocate a fresh page (top action).
+                    // Allocate a fresh page (top action) under the table's
+                    // metadata lock, and only if `seen` is still the last
+                    // page: otherwise a concurrent insert allocated first,
+                    // and its page is tried instead.
+                    let mut m = meta.write();
+                    let last = m.pages.last().copied();
+                    if last != seen {
+                        candidate = last;
+                        seen = last;
+                        continue;
+                    }
                     let (pid, guard) = self.pool.new_page(table)?;
                     let alloc = LogRecord::AllocPage { table, page: pid };
                     redo(&mut guard.write(), self.log.append(&alloc), &alloc)?;
-                    self.catalog.add_page(table, pid)?;
+                    m.pages.push(pid);
                     (pid, guard)
                 }
             };
+            seen = Some(pid);
             let mut data = guard.write();
             let page = PageRef::new(&data);
             if !page.fits(bytes.len()) {

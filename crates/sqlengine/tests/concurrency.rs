@@ -150,6 +150,44 @@ fn concurrent_inserts_then_crash_recovers_all_committed() {
     }
 }
 
+/// Inserts that find a fresh table empty at the same moment share one
+/// page: only the first allocates, the rest insert into its page.
+#[test]
+fn concurrent_first_inserts_allocate_one_page() {
+    let (_d, e) = engine();
+    let sid = e.create_session().unwrap();
+    e.execute(sid, "CREATE TABLE fresh (k INT PRIMARY KEY, v INT)")
+        .unwrap();
+    let sessions = 8;
+    let barrier = Arc::new(std::sync::Barrier::new(sessions));
+    let handles: Vec<_> = (0..sessions)
+        .map(|k| {
+            let e2 = Arc::clone(&e);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let sid = e2.create_session().unwrap();
+                barrier.wait();
+                e2.execute(sid, &format!("INSERT INTO fresh VALUES ({k}, {k})"))
+                    .unwrap();
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let (_, rows) = e
+        .execute_collect(sid, "SELECT COUNT(*) FROM fresh")
+        .unwrap();
+    assert_eq!(rows[0][0], Value::Int(sessions as i64));
+    let meta = e.storage().catalog.resolve("fresh").unwrap();
+    let pages = meta.read().pages.clone();
+    assert_eq!(
+        pages.len(),
+        1,
+        "8 one-row inserts allocated pages {pages:?}"
+    );
+}
+
 #[test]
 fn wait_die_stress_many_threads_no_hangs_or_lost_updates() {
     // 10 threads hammer 16 overlapping rows with transfer transactions

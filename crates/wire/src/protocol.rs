@@ -38,7 +38,7 @@ pub enum Request {
         /// The statement to cancel.
         stmt: StmtId,
     },
-    /// Liveness probe (Phoenix's private-connection ping).
+    /// Liveness probe, answered with [`Response::Pong`].
     Ping,
     /// Orderly session close.
     Disconnect,

@@ -1099,16 +1099,15 @@ mod tests {
     }
 
     /// A client that opens its next connection the moment a handshake's
-    /// reply arrives (as Phoenix opens its private connection after the
-    /// application one) never overlaps two pending handshakes: the slot
-    /// is released before the reply goes out.
+    /// reply arrives never overlaps two pending handshakes: the slot is
+    /// released before the reply goes out.
     #[test]
     fn handshake_releases_its_pending_slot_before_replying() {
         let server = DbServer::start(ServerConfig::instant_net()).unwrap();
         for _ in 0..100 {
-            let app = connect(&server);
-            let private = connect(&server);
-            drop((app, private));
+            let first = connect(&server);
+            let second = connect(&server);
+            drop((first, second));
         }
         assert_eq!(server.admission_stats().pending_peak, 1);
     }

@@ -360,15 +360,12 @@ fn evicted_idle_session_runs_full_recovery_repositioned_at_delivered() {
     }
 
     // Idle past the timeout: the liveness clock ticks only on inbound
-    // frames, so both of the session's links go stale and are evicted
-    // (the background sweeper or this direct call — whichever first).
+    // frames, so the session's link goes stale and is evicted (the
+    // background sweeper or this direct call — whichever first).
     std::thread::sleep(Duration::from_millis(600));
     server.sweep_idle_sessions();
     let st = server.admission_stats();
-    assert!(
-        st.evicted >= 2,
-        "both idle links (app + private) must be evicted: {st:?}"
-    );
+    assert!(st.evicted >= 1, "the idle link must be evicted: {st:?}");
 
     // Next call: dead link -> full recovery -> repositioned at row 10.
     // The remaining rows arrive exactly once, in order: ids 10..31 then
@@ -384,7 +381,6 @@ fn evicted_idle_session_runs_full_recovery_repositioned_at_delivered() {
     want.push(1_000);
     assert_eq!(got, want, "no gaps, no duplicates after eviction recovery");
     assert_eq!(px.stats().recoveries, 1, "one real recovery");
-    assert_eq!(px.stats().false_alarms, 0, "eviction is not a false alarm");
     assert!(
         px.last_recovery_phases().is_some(),
         "full phase-1/2 breakdown must be reported"
@@ -546,9 +542,9 @@ fn shed_hint_is_clipped_to_recovery_budget_and_exhaustion_resumes() {
 fn lifecycle_setup() -> (DbServer, PhoenixConnection) {
     let mut cfg = ServerConfig::instant_net();
     cfg.admission = AdmissionConfig {
-        // Exactly the two slots the Phoenix session occupies: a third
+        // Exactly the one slot the Phoenix session occupies: a second
         // connect is deterministically shed.
-        max_sessions: 2,
+        max_sessions: 1,
         pending_accepts: 64,
         idle_timeout: Duration::from_millis(120),
         session_budget_bytes: u64::MAX,
@@ -567,8 +563,8 @@ fn lifecycle_setup() -> (DbServer, PhoenixConnection) {
 /// past the timeout), and the post-eviction recovery insert.
 fn run_lifecycle(server: &DbServer, px: &PhoenixConnection, round: i64) {
     wrapped_insert(px, round * 10 + 1, 1);
-    // Registry full (both slots are the session's): a third connect is
-    // shed. Under an armed crash the slots may already have been freed
+    // Registry full (the one slot is the session's): a second connect is
+    // shed. Under an armed crash the slot may already have been freed
     // (or the link died mid-handshake) — any outcome is acceptable, the
     // session-level assertions below are what must hold.
     // lint:allow(discard): outcome intentionally ignored, see above

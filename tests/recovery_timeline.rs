@@ -8,8 +8,8 @@
 //!
 //! with the phase durations summing to no more than the application-visible
 //! wall-clock time of the recovering fetch. It also pins the requests that
-//! one recovery sends: the pair's two handshakes and the repositioned
-//! reopen — no ping, no existence checks.
+//! one recovery sends: one handshake and the repositioned reopen — no
+//! ping, no existence checks.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -76,12 +76,12 @@ fn crash_recovery_exports_six_phase_timeline() {
     );
     let wall = t0.elapsed();
 
-    // The requests this recovery sent: two handshakes (one session each),
-    // then the reopen with its skip.
+    // The requests this recovery sent: one handshake (one session), then
+    // the reopen with its skip.
     assert_eq!(
         server.admission_stats().admitted - admitted_before,
-        2,
-        "recovery opens exactly the connection pair"
+        1,
+        "recovery opens exactly one connection"
     );
     let execs = obskit::trace::snapshot()
         .iter()
@@ -91,7 +91,7 @@ fn crash_recovery_exports_six_phase_timeline() {
     assert_eq!(
         pings() - pings_before,
         0,
-        "the handshakes already showed liveness"
+        "the handshake already showed liveness"
     );
 
     // View 1: the structured per-phase breakdown.
@@ -101,7 +101,7 @@ fn crash_recovery_exports_six_phase_timeline() {
     assert!(phases.total() > Duration::ZERO);
     assert!(
         phases.reconnect > Duration::ZERO,
-        "recovery must have rebuilt the connection pair"
+        "recovery must have rebuilt the connection"
     );
     assert!(
         phases.total() <= wall,
