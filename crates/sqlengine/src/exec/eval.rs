@@ -10,7 +10,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use super::binding::{agg_kind, resolve_col, AggCall, AggKind, BExpr, BoundCol, FuncKind};
-use super::select::{relation_bindings, run_select_materialized};
+use super::select::{names_hold, read_names, relation_bindings, run_select_materialized};
 use super::ExecCtx;
 use crate::error::{Error, Result};
 use crate::sql::ast::{BinOp, Expr, SelectItem, SelectStmt};
@@ -524,6 +524,43 @@ impl<'b> Binder<'b> {
         kind: SubKind,
         inner_scope: &[BoundCol],
     ) -> Result<SubStrategy> {
+        // The inner columns the subquery reads. Every inner column that
+        // has a name the subquery reads stays, so each reference binds
+        // against them as it would against the whole scope.
+        let mut names = Vec::new();
+        read_names(q, &mut names);
+        let read: Vec<BoundCol> = inner_scope
+            .iter()
+            .filter(|c| names_hold(&names, &c.name))
+            .cloned()
+            .collect();
+        // A decorrelated inner query selects them by qualified name, which
+        // cannot tell apart two columns of one qualifier and name; such a
+        // scope stays whole under `*`.
+        let nameable = read.iter().enumerate().all(|(i, c)| {
+            !read[..i].iter().any(|d| {
+                d.name.eq_ignore_ascii_case(&c.name)
+                    && d.qual.as_deref().map(str::to_ascii_lowercase)
+                        == c.qual.as_deref().map(str::to_ascii_lowercase)
+            })
+        });
+        let (narrowed, inner_items) = if nameable {
+            let items = read
+                .iter()
+                .map(|c| SelectItem::Expr {
+                    expr: Expr::Column {
+                        table: c.qual.clone(),
+                        name: c.name.clone(),
+                    },
+                    alias: None,
+                })
+                .collect();
+            (read, items)
+        } else {
+            (inner_scope.to_vec(), vec![SelectItem::Wildcard])
+        };
+        let inner_scope = narrowed.as_slice();
+
         let decorrelatable = q.group_by.is_empty()
             && q.having.is_none()
             && q.top.is_none()
@@ -623,7 +660,7 @@ impl<'b> Binder<'b> {
                 let inner_query = SelectStmt {
                     distinct: false,
                     top: None,
-                    items: vec![SelectItem::Wildcard],
+                    items: inner_items,
                     from: q.from.clone(),
                     filter: if inner_conj.is_empty() {
                         None
@@ -1504,13 +1541,12 @@ mod tests {
         assert_eq!(split_conjuncts(&rejoined).len(), 3);
     }
 
-    /// A cached subquery result is shared: a second evaluation of an
-    /// uncorrelated plan, or a second probe of one decorrelated or
-    /// memoized key, hands back the result the first one built.
-    #[test]
-    fn cached_subquery_results_are_shared() {
+    /// An execution context whose session holds the temp table
+    /// `#u (b INT, c INT)`. Reading a temp table moves none of the
+    /// process-global `sqlengine.access.*` counters that `engine::tests`
+    /// assert on.
+    fn subquery_ctx() -> ExecCtx {
         use crate::engine::{Durable, Engine};
-        use crate::sql::ast::Stmt;
         use crate::storage::disk::DiskModel;
         use crate::wal::recovery::RecoveryConfig;
 
@@ -1525,31 +1561,41 @@ mod tests {
             depth: 0,
             effects: Arc::default(),
         };
-        // A temp table: reading it moves none of the process-global
-        // `sqlengine.access.*` counters that `engine::tests` assert on.
         for sql in [
-            "CREATE TABLE #u (b INT)",
-            "INSERT INTO #u VALUES (1), (2), (2), (3)",
+            "CREATE TABLE #u (b INT, c INT)",
+            "INSERT INTO #u VALUES (1, 10), (2, 20), (2, 21), (3, 30)",
         ] {
             let stmt = crate::sql::parser::parse_one(sql).unwrap();
             crate::exec::execute_stmt(&ctx, &stmt).unwrap();
         }
-        // Subqueries inside `SELECT … FROM t WHERE <pred>`, with `t.a` the
-        // outer row.
+        ctx
+    }
+
+    /// The plan of the subquery in `SELECT 1 FROM t WHERE <pred>`, with
+    /// `t.a` the outer row.
+    fn subquery_plan(ctx: &ExecCtx, pred: &str) -> Arc<SubPlan> {
+        use crate::sql::ast::Stmt;
+
         let binder = Binder::new(
-            &ctx,
+            ctx,
             vec![vec![BoundCol::new(Some("t".into()), "a", DataType::Int)]],
         );
-        let plan = |pred: &str| -> Arc<SubPlan> {
-            let sql = format!("SELECT 1 FROM t WHERE {pred}");
-            let Stmt::Select(q) = crate::sql::parser::parse_one(&sql).unwrap() else {
-                panic!("{sql}")
-            };
-            match binder.bind(q.filter.as_ref().unwrap()).unwrap() {
-                BExpr::InSub { plan, .. } | BExpr::Exists { plan, .. } => plan,
-                other => panic!("{pred}: {other:?}"),
-            }
+        let sql = format!("SELECT 1 FROM t WHERE {pred}");
+        let Stmt::Select(q) = crate::sql::parser::parse_one(&sql).unwrap() else {
+            panic!("{sql}")
         };
+        match binder.bind(q.filter.as_ref().unwrap()).unwrap() {
+            BExpr::InSub { plan, .. } | BExpr::Exists { plan, .. } => plan,
+            other => panic!("{pred}: {other:?}"),
+        }
+    }
+
+    /// A cached subquery result is shared: a second evaluation of an
+    /// uncorrelated plan, or a second probe of one decorrelated or
+    /// memoized key, hands back the result the first one built.
+    #[test]
+    fn cached_subquery_results_are_shared() {
+        let ctx = subquery_ctx();
         let shared = |plan: &SubPlan, a: i64| {
             let row = [Value::Int(a)];
             let env = Env::base(&row);
@@ -1558,18 +1604,43 @@ mod tests {
             Arc::ptr_eq(&first, &again)
         };
 
-        let uncorrelated = plan("a IN (SELECT b FROM #u)");
+        let uncorrelated = subquery_plan(&ctx, "a IN (SELECT b FROM #u)");
         assert!(matches!(uncorrelated.strategy, SubStrategy::Uncorrelated));
         assert!(shared(&uncorrelated, 2));
-        let decorrelated = plan("EXISTS (SELECT 1 FROM #u u WHERE u.b = t.a)");
+        let decorrelated = subquery_plan(&ctx, "EXISTS (SELECT 1 FROM #u u WHERE u.b = t.a)");
         assert!(matches!(
             decorrelated.strategy,
             SubStrategy::Decorrelated { residual: None, .. }
         ));
         assert!(shared(&decorrelated, 2));
-        let memoized = plan("EXISTS (SELECT 1 FROM #u u WHERE u.b > t.a)");
+        let memoized = subquery_plan(&ctx, "EXISTS (SELECT 1 FROM #u u WHERE u.b > t.a)");
         assert!(matches!(memoized.strategy, SubStrategy::Memoized { .. }));
         assert!(shared(&memoized, 2));
+        ctx.storage.commit(&ctx.txn).unwrap();
+    }
+
+    /// A decorrelated inner query selects exactly the inner columns the
+    /// subquery names, and its plan still answers from them.
+    #[test]
+    fn decorrelated_inner_query_selects_only_named_columns() {
+        let ctx = subquery_ctx();
+        let plan = subquery_plan(&ctx, "EXISTS (SELECT 1 FROM #u u WHERE u.b = t.a)");
+        let SubStrategy::Decorrelated { inner_query, .. } = &plan.strategy else {
+            panic!("not decorrelated: {:?}", plan.strategy)
+        };
+        let u_b = SelectItem::Expr {
+            expr: Expr::Column {
+                table: Some("u".into()),
+                name: "b".into(),
+            },
+            alias: None,
+        };
+        assert_eq!(inner_query.items, [u_b]);
+        for (a, exists) in [(2, true), (5, false)] {
+            let row = [Value::Int(a)];
+            let r = eval_subquery(&ctx, &Env::base(&row), &plan).unwrap();
+            assert!(matches!(*r, SubResult::Bool(b) if b == exists), "a = {a}");
+        }
         ctx.storage.commit(&ctx.txn).unwrap();
     }
 

@@ -1,9 +1,9 @@
-//! SELECT execution: scan with predicate pushdown and primary-key access
-//! paths, greedy hash-join planning, grouping/aggregation, HAVING,
-//! DISTINCT, ORDER BY, TOP, and projection — plus static output-schema
-//! inference, which is what makes the Phoenix `WHERE 0=1` metadata probe
-//! metadata-only on this engine too (constant-false predicates are folded
-//! before any scan happens).
+//! SELECT execution: scan with predicate pushdown, column pruning and
+//! primary-key access paths, greedy hash-join planning, grouping and
+//! aggregation, HAVING, DISTINCT, ORDER BY, TOP, and projection — plus
+//! static output-schema inference, which is what makes the Phoenix
+//! `WHERE 0=1` metadata probe metadata-only on this engine too
+//! (constant-false predicates are folded before any scan happens).
 
 use std::collections::HashMap;
 
@@ -216,32 +216,108 @@ pub(crate) fn constant_false(ctx: &ExecCtx, q: &SelectStmt) -> Result<bool> {
 }
 
 // ---------------------------------------------------------------------------
+// Column pruning
+// ---------------------------------------------------------------------------
+
+/// Add every column name `q` reads to `out`, once whatever its case: the
+/// names in its select list, WHERE, JOIN … ON, GROUP BY, HAVING and
+/// ORDER BY, and in every subquery inside them, since a correlated
+/// subquery reads outer columns. A wildcard adds no name, and neither
+/// does a derived table, which runs on its own.
+pub(crate) fn read_names<'a>(q: &'a SelectStmt, out: &mut Vec<&'a str>) {
+    fn expr_names<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
+        e.walk(&mut |n| match n {
+            Expr::Column { name, .. } if !names_hold(out, name) => out.push(name),
+            Expr::Exists { query, .. }
+            | Expr::InSubquery { query, .. }
+            | Expr::ScalarSubquery(query) => read_names(query, out),
+            _ => {}
+        });
+    }
+    fn on_names<'a>(tr: &'a TableRef, out: &mut Vec<&'a str>) {
+        if let TableRef::Join {
+            left, right, on, ..
+        } = tr
+        {
+            on_names(left, out);
+            on_names(right, out);
+            expr_names(on, out);
+        }
+    }
+    let items = q.items.iter().filter_map(|it| match it {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    let order = q.order_by.iter().map(|o| &o.expr);
+    for e in items
+        .chain(&q.filter)
+        .chain(&q.group_by)
+        .chain(&q.having)
+        .chain(order)
+    {
+        expr_names(e, out);
+    }
+    for tr in &q.from {
+        on_names(tr, out);
+    }
+}
+
+/// Whether `names` holds `name`, whatever the case of either.
+pub(crate) fn names_hold(names: &[&str], name: &str) -> bool {
+    names.iter().any(|n| n.eq_ignore_ascii_case(name))
+}
+
+// ---------------------------------------------------------------------------
 // Scanning with pushdown
 // ---------------------------------------------------------------------------
 
 /// Read a base or temp table, keeping the rows the pushed-down conjuncts
-/// accept: a base table through the access path they allow.
+/// accept: a base table through the access path they allow. Each kept
+/// row then drops the columns whose names are not in `reads`; `None`
+/// keeps them all.
 fn scan_filtered(
     ctx: &ExecCtx,
     table: &TableName,
     alias: Option<&str>,
     pushed: &[&Expr],
+    reads: Option<&[&str]>,
 ) -> Result<Rel> {
     let filter =
         (!pushed.is_empty()).then(|| conjoin(pushed.iter().map(|e| (*e).clone()).collect()));
     let read = TableRead::plan(ctx, table, alias, filter.as_ref())?;
-    let cols = read.cols.clone();
+    // The positions of the columns the statement reads, unless that is
+    // every column.
+    let keep: Option<Vec<usize>> = reads
+        .map(|names| {
+            (0..read.cols.len())
+                .filter(|&i| names_hold(names, &read.cols[i].name))
+                .collect::<Vec<_>>()
+        })
+        .filter(|k| k.len() < read.cols.len());
+    let narrow = |mut row: Row| -> Row {
+        match &keep {
+            Some(k) => k
+                .iter()
+                .map(|&i| std::mem::replace(&mut row[i], Value::Null))
+                .collect(),
+            None => row,
+        }
+    };
+    let cols = match &keep {
+        Some(k) => k.iter().map(|&i| read.cols[i].clone()).collect(),
+        None => read.cols.clone(),
+    };
     let rows = if let TableSource::Temp { .. } = &read.source {
         let mut kept = Vec::new();
         for row in ctx.temp_rows(table)?.iter() {
             if read.accepts(ctx, row)? {
-                kept.push(row.clone());
+                kept.push(narrow(row.clone()));
             }
         }
         kept
     } else {
         read.rows(ctx, LockMode::Shared)?
-            .map(|r| r.map(|(_, row)| row))
+            .map(|r| r.map(|(_, row)| narrow(row)))
             .collect::<Result<_>>()?
     };
     Ok(Rel { cols, rows })
@@ -251,10 +327,19 @@ fn scan_filtered(
 // Join planning
 // ---------------------------------------------------------------------------
 
-/// Evaluate one FROM unit (table / derived / join tree) into a relation.
-fn eval_table_ref(ctx: &ExecCtx, tr: &TableRef, pushed: &[&Expr]) -> Result<Rel> {
+/// Evaluate one FROM unit (table / derived / join tree) into a relation,
+/// its tables keeping only the columns named in `reads` (see
+/// [`scan_filtered`]).
+fn eval_table_ref(
+    ctx: &ExecCtx,
+    tr: &TableRef,
+    pushed: &[&Expr],
+    reads: Option<&[&str]>,
+) -> Result<Rel> {
     match tr {
-        TableRef::Table { table, alias } => scan_filtered(ctx, table, alias.as_deref(), pushed),
+        TableRef::Table { table, alias } => {
+            scan_filtered(ctx, table, alias.as_deref(), pushed, reads)
+        }
         TableRef::Derived { query, alias } => {
             let rel = run_select_materialized(ctx, query, &[], None)?;
             let cols = rel
@@ -275,8 +360,8 @@ fn eval_table_ref(ctx: &ExecCtx, tr: &TableRef, pushed: &[&Expr]) -> Result<Rel>
             on,
             outer,
         } => {
-            let l = eval_table_ref(ctx, left, &[])?;
-            let r = eval_table_ref(ctx, right, &[])?;
+            let l = eval_table_ref(ctx, left, &[], reads)?;
+            let r = eval_table_ref(ctx, right, &[], reads)?;
             let mut joined = join_on(ctx, l, r, &split_conjuncts(on), *outer)?;
             keep_rows(ctx, &mut joined, pushed, &[], None)?;
             Ok(joined)
@@ -592,30 +677,39 @@ pub fn run_select_materialized(
         .unwrap_or_default();
 
     // Classify conjuncts. A constant one is true (see `constant_false`)
-    // unless OR-factorization produced it, so it joins the residual.
+    // unless OR-factorization produced it, so it joins the residual. One
+    // that names two or more units joins the first join that holds all
+    // of them; one that runs a subquery or reads an outer column waits
+    // for the final residual.
     let mut pushed: Vec<Vec<&Expr>> = vec![Vec::new(); q.from.len()];
-    let mut join_edges: Vec<(&Expr, usize, usize)> = Vec::new();
+    let mut join_conds: Vec<(&Expr, Vec<usize>)> = Vec::new();
     let mut residual: Vec<&Expr> = Vec::new();
     for c in &factored {
         match conjunct_units(c, &unit_bindings) {
             Some(units) if units.len() == 1 => pushed[units[0]].push(c),
-            Some(units) if units.len() == 2 => {
-                if matches!(c, Expr::Binary { op: BinOp::Eq, .. }) {
-                    join_edges.push((c, units[0], units[1]));
-                } else {
-                    residual.push(c);
-                }
-            }
+            Some(units) if units.len() > 1 => join_conds.push((c, units)),
             _ => residual.push(c),
         }
     }
 
-    // Evaluate units with pushdown.
+    // Evaluate units with pushdown. Unless the select list holds a
+    // wildcard, each table keeps only the columns whose names the
+    // statement reads somewhere. A name that is read stays in every unit
+    // that has it, so every reference binds as it would to whole rows.
+    let wildcard = q
+        .items
+        .iter()
+        .any(|it| !matches!(it, SelectItem::Expr { .. }));
+    let reads = (!wildcard).then(|| {
+        let mut names = Vec::new();
+        read_names(q, &mut names);
+        names
+    });
     let mut rels: Vec<Option<Rel>> = q
         .from
         .iter()
         .zip(&pushed)
-        .map(|(tr, p)| eval_table_ref(ctx, tr, p).map(Some))
+        .map(|(tr, p)| eval_table_ref(ctx, tr, p, reads.as_deref()).map(Some))
         .collect::<Result<_>>()?;
 
     // Greedy join order: start from the smallest relation. Joined
@@ -640,13 +734,16 @@ pub fn run_select_materialized(
         joined_units.push(start);
         spans[start] = 0..current.cols.len();
         while joined_units.len() < n {
-            // Prefer a unit connected by an equi-edge.
+            // Prefer a unit connected to the joined ones by an equi-edge,
+            // an `=` between two units.
             let next = (0..n)
                 .filter(|i| rels[*i].is_some())
                 .find(|&i| {
-                    join_edges.iter().any(|(_, a, b)| {
-                        (joined_units.contains(a) && *b == i)
-                            || (joined_units.contains(b) && *a == i)
+                    join_conds.iter().any(|(c, units)| {
+                        matches!(c, Expr::Binary { op: BinOp::Eq, .. })
+                            && units.len() == 2
+                            && units.contains(&i)
+                            && units.iter().any(|u| joined_units.contains(u))
                     })
                 })
                 .or_else(|| {
@@ -658,12 +755,13 @@ pub fn run_select_materialized(
             let Some(right) = rels[next].take() else {
                 break;
             };
-            // Collect all edges now satisfied (between joined set+next);
-            // with none, this is a cartesian product.
+            // The conjuncts whose units are all joined once `next` is
+            // are this join's ON clause; with none, this is a cartesian
+            // product.
+            joined_units.push(next);
             let mut on_parts: Vec<&Expr> = Vec::new();
-            join_edges.retain(|&(c, a, b)| {
-                let usable = (joined_units.contains(&a) && b == next)
-                    || (joined_units.contains(&b) && a == next);
+            join_conds.retain(|(c, units)| {
+                let usable = units.iter().all(|u| joined_units.contains(u));
                 if usable {
                     on_parts.push(c);
                 }
@@ -672,11 +770,9 @@ pub fn run_select_materialized(
             let at = current.cols.len();
             spans[next] = at..at + right.cols.len();
             current = join_on(ctx, current, right, &on_parts, false)?;
-            joined_units.push(next);
         }
-        // Edges that connected units in arbitrary order but were not
-        // consumed become residual filters.
-        residual.extend(join_edges.into_iter().map(|(c, _, _)| c));
+        // Conjuncts no join took become residual filters.
+        residual.extend(join_conds.into_iter().map(|(c, _)| c));
     }
 
     // A wildcard reads each FROM-order column at its joined position.
