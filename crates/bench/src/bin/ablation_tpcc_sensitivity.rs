@@ -51,6 +51,8 @@ fn main() {
                                     query_timeout: Some(Duration::from_secs(60)),
                                     ..Default::default()
                                 },
+                                // Table 4's "Phoenix/ODBC" configuration.
+                                persist_txn_results: true,
                                 ..Default::default()
                             },
                         )

@@ -268,6 +268,12 @@ pub struct PhoenixConfig {
     pub reposition: RepositionMode,
     /// Reconnect cadence and give-up bound.
     pub reconnect: ReconnectPolicy,
+    /// Persist (or cache) a result opened inside an application
+    /// transaction, as the paper's Phoenix does. Off by default: a crash
+    /// aborts that transaction, so its results can never be redelivered,
+    /// and Phoenix streams them from a native cursor instead. Table 4's
+    /// Phoenix columns turn it on to measure the paper's overhead.
+    pub persist_txn_results: bool,
 }
 
 impl Default for PhoenixConfig {
@@ -277,6 +283,7 @@ impl Default for PhoenixConfig {
             cache: CacheMode::Disabled,
             reposition: RepositionMode::Server,
             reconnect: ReconnectPolicy::default(),
+            persist_txn_results: false,
         }
     }
 }

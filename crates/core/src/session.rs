@@ -153,10 +153,14 @@ enum ActiveSource {
     /// Fully cached at the client (Section 4): crash-proof by construction.
     Cached(VecDeque<Row>),
     /// Persisted as a server table; `stmt` streams from the reopen query.
-    /// Inside an application transaction the persistence work still
-    /// happens (it is the overhead the paper measures in Table 4), but a
+    /// Autocommit results take this path (or the cache). Inside an
+    /// application transaction only `persist_txn_results` does: there a
     /// crash surfaces as a transaction abort rather than being masked.
     Persisted { table: String, stmt: OdbcStatement },
+    /// Opened inside an application transaction: the driver's own
+    /// cursor, with no table behind it. A crash aborts the transaction,
+    /// so no recovery ever reopens it.
+    Native(OdbcStatement),
 }
 
 struct Active {
@@ -362,8 +366,11 @@ impl PhoenixConnection {
             let row = match &mut active.source {
                 ActiveSource::Cached(rows) => rows.pop_front(),
                 // After a recovery the reopened, repositioned statement
-                // resumes delivery seamlessly.
-                ActiveSource::Persisted { stmt, .. } => stmt.fetch()?,
+                // resumes delivery seamlessly; a native cursor never
+                // survives one (the transaction aborts with it).
+                ActiveSource::Persisted { stmt, .. } | ActiveSource::Native(stmt) => {
+                    stmt.fetch()?
+                }
             };
             if row.is_some() {
                 active.delivered += 1;
@@ -398,7 +405,9 @@ impl PhoenixConnection {
         }
     }
 
-    /// Close the open result set (drops the persistent result table).
+    /// Close the open result set. Its persistent result table, and any
+    /// other pending one, is dropped now, or once the application
+    /// transaction in progress ends.
     pub fn close_result(&self) {
         let mut inner = self.inner.lock();
         self.retire_active(&mut inner);
@@ -408,10 +417,11 @@ impl PhoenixConnection {
     /// Orderly close: drop pending result tables, clear status rows. An
     /// application transaction still open is rolled back in the same
     /// batch, ahead of the `DELETE`, so the `DELETE` commits by itself and
-    /// the transaction's uncommitted work is not committed.
+    /// the transaction's uncommitted work is not committed; the result
+    /// tables that waited for it to end are dropped last.
     pub fn close(self) {
         self.close_result();
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
         let delete = format!(
             "DELETE FROM {STATUS_TABLE} WHERE app_key = '{}'",
             self.app_key()
@@ -428,6 +438,8 @@ impl PhoenixConnection {
             // lint:allow(discard): close is best-effort; a dead link leaves the status rows behind
             let _ = inner.app.exec_direct(&delete);
         }
+        inner.in_app_txn = false;
+        self.process_pending_drops(&mut inner);
     }
 
     // -- masking policy (Section 2.3) --------------------------------------------
@@ -488,23 +500,31 @@ impl PhoenixConnection {
 
     // -- internals --------------------------------------------------------------
 
-    /// Retire the current result set: persistent tables are scheduled for
-    /// dropping; statements close implicitly when superseded.
+    /// Retire the current result set: its statement is closed, and a
+    /// persistent table is scheduled for dropping.
     fn retire_active(&self, inner: &mut Inner) {
-        if let Some(active) = inner.active.take() {
-            if let ActiveSource::Persisted { table, stmt } = active.source {
-                // lint:allow(discard): a dead link closes the statement server-side anyway
-                let _ = stmt.close();
+        let Some(active) = inner.active.take() else {
+            return;
+        };
+        let stmt = match active.source {
+            ActiveSource::Cached(_) => return,
+            ActiveSource::Native(stmt) => stmt,
+            ActiveSource::Persisted { table, stmt } => {
                 inner.pending_drop.push(table);
+                stmt
             }
-        }
+        };
+        // lint:allow(discard): a dead link closes the statement server-side anyway
+        let _ = stmt.close();
     }
 
     /// Drop every pending result table in one batch on the application
     /// connection. On failure they all stay pending for a later attempt
-    /// (`IF EXISTS`: some may already be gone).
+    /// (`IF EXISTS`: some may already be gone). Inside an application
+    /// transaction nothing is sent: the DROPs wait for it to end, so
+    /// Phoenix adds no DDL, and no log force, to it.
     fn process_pending_drops(&self, inner: &mut Inner) {
-        if inner.pending_drop.is_empty() {
+        if inner.pending_drop.is_empty() || inner.in_app_txn {
             return;
         }
         let batch: Vec<String> = inner
@@ -517,7 +537,11 @@ impl PhoenixConnection {
         }
     }
 
-    /// Section 2.1 + 4.1: open a result set recoverably.
+    /// Section 2.1 + 4.1: open a result set recoverably. Inside an
+    /// application transaction a crash aborts the transaction, so its
+    /// results are never redelivered: unless `persist_txn_results` asks
+    /// for the paper's behaviour, such a result streams from a native
+    /// cursor (paper §2.3).
     fn open_result(
         &self,
         inner: &mut Inner,
@@ -525,6 +549,12 @@ impl PhoenixConnection {
         sql: &str,
         parse_time: Duration,
     ) -> Result<ExecKind> {
+        if inner.in_app_txn && !self.cfg.persist_txn_results {
+            let stmt = self.masked(inner, budget, false, |i| i.app.exec_direct(sql))?;
+            let columns = stmt.columns().to_vec();
+            return Ok(activate(inner, sql, columns, ActiveSource::Native(stmt)));
+        }
+
         // Client caching first (Section 4): execute the original statement
         // and pull the whole result into the client cache.
         if let CacheMode::Enabled { capacity_bytes } = self.cfg.cache {

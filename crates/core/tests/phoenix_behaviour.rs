@@ -746,13 +746,23 @@ fn result_table_charges_are_released_by_the_batch_that_drops_them() {
 
 /// A SELECT that fails inside an application transaction rolls the
 /// transaction back, through Phoenix exactly as through the native driver:
-/// the persist batch runs on the application connection.
+/// the native cursor, and with `persist_txn_results` the persist batch,
+/// run on the application connection.
 #[test]
 fn failing_select_in_a_transaction_behaves_as_natively() {
+    for persist_txn_results in [false, true] {
+        failing_select_in_a_transaction(persist_txn_results);
+    }
+}
+
+fn failing_select_in_a_transaction(persist_txn_results: bool) {
     let server = server_with_rows(5);
     let px = PhoenixConnection::connect(
         &server,
-        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+        PhoenixConfig {
+            persist_txn_results,
+            ..cfg_with(RepositionMode::Server, CacheMode::Disabled)
+        },
     )
     .unwrap();
     let native = OdbcConnection::connect(&server, DriverConfig::default()).unwrap();
@@ -789,6 +799,121 @@ fn failing_select_in_a_transaction_behaves_as_natively() {
     let want = ["value-0", "value-1", "value-2"].map(|v| Value::Str(v.into()));
     assert_eq!(values, want);
     assert_eq!(px.stats().recoveries, 0);
+}
+
+/// Inside an application transaction a SELECT streams from a native
+/// cursor, cache on or off: a crash would abort the transaction, so its
+/// result could never be redelivered. No table, no cached copy.
+#[test]
+fn results_inside_a_transaction_are_native_cursors() {
+    for cache in [CacheMode::Disabled, CacheMode::enabled(1 << 20)] {
+        let server = server_with_rows(300);
+        let px =
+            PhoenixConnection::connect(&server, cfg_with(RepositionMode::Server, cache)).unwrap();
+        let q = "SELECT k, v FROM items ORDER BY k";
+        let reference = px.query_all(q).unwrap();
+        px.close_result();
+        let before = px.stats();
+        px.exec("BEGIN TRAN").unwrap();
+        px.exec("UPDATE items SET v = 'txn' WHERE k = 299").unwrap();
+        let ExecKind::ResultSet { columns } = px.exec(q).unwrap() else {
+            panic!("{cache:?}: no result set")
+        };
+        assert_eq!(columns.len(), 2, "{cache:?}");
+        let mut rows = px.fetch_block(100).unwrap();
+        assert!(result_tables(&server).is_empty(), "{cache:?}");
+        rows.extend(px.fetch_all().unwrap());
+        assert_eq!(rows.len(), reference.len(), "{cache:?}");
+        assert_eq!(rows[..299], reference[..299], "{cache:?}");
+        assert_eq!(
+            rows[299][1],
+            Value::Str("txn".into()),
+            "{cache:?}: reads its own write"
+        );
+        px.exec("COMMIT").unwrap();
+        let after = px.stats();
+        assert_eq!(
+            after.results_persisted, before.results_persisted,
+            "{cache:?}"
+        );
+        assert_eq!(after.results_cached, before.results_cached, "{cache:?}");
+        assert!(result_tables(&server).is_empty(), "{cache:?}");
+        px.close();
+    }
+}
+
+/// `persist_txn_results` keeps the paper's path: a result opened inside
+/// an application transaction is persisted, or cached when the cache is
+/// on, exactly as an autocommit one.
+#[test]
+fn persist_txn_results_keeps_the_papers_path() {
+    for cache in [CacheMode::Disabled, CacheMode::enabled(1 << 20)] {
+        let server = server_with_rows(50);
+        let px = PhoenixConnection::connect(
+            &server,
+            PhoenixConfig {
+                persist_txn_results: true,
+                ..cfg_with(RepositionMode::Server, cache)
+            },
+        )
+        .unwrap();
+        px.exec("BEGIN TRAN").unwrap();
+        px.exec("SELECT k FROM items WHERE k < 20").unwrap();
+        assert_eq!(px.fetch_all().unwrap().len(), 20, "{cache:?}");
+        let stats = px.stats();
+        if cache.is_enabled() {
+            assert_eq!(stats.results_cached, 1, "{cache:?}");
+            assert_eq!(stats.results_persisted, 0, "{cache:?}");
+            assert!(result_tables(&server).is_empty(), "{cache:?}");
+        } else {
+            assert_eq!(stats.results_persisted, 1, "{cache:?}");
+            assert_eq!(result_tables(&server).len(), 1, "{cache:?}: one table");
+        }
+        px.exec("COMMIT").unwrap();
+        px.close();
+        assert!(result_tables(&server).is_empty(), "{cache:?}");
+    }
+}
+
+/// Phoenix sends no DDL inside an application transaction: a result
+/// table retired there stays pending until the transaction has ended,
+/// and `close` inside a transaction still drops it, after the rollback.
+#[test]
+fn result_tables_are_dropped_only_outside_a_transaction() {
+    let server = server_with_rows(20);
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+    px.exec("SELECT k FROM items").unwrap();
+    assert_eq!(px.fetch_all().unwrap().len(), 20);
+    let open = result_tables(&server);
+    assert_eq!(open.len(), 1, "the autocommit result is persisted");
+    px.exec("BEGIN TRAN").unwrap();
+    px.exec("UPDATE items SET v = 'x' WHERE k = 1").unwrap();
+    px.close_result();
+    assert_eq!(
+        result_tables(&server),
+        open,
+        "close_result sent a DROP inside the transaction"
+    );
+    px.exec("COMMIT").unwrap();
+    assert_eq!(result_tables(&server), open, "COMMIT sends nothing more");
+    px.close_result();
+    assert!(result_tables(&server).is_empty(), "dropped once it ended");
+
+    px.exec("SELECT k FROM items").unwrap();
+    px.fetch_all().unwrap();
+    px.exec("BEGIN TRAN").unwrap();
+    assert_eq!(result_tables(&server).len(), 1);
+    px.close();
+    assert!(result_tables(&server).is_empty(), "close drops it last");
+    let fresh = OdbcConnection::connect(&server, DriverConfig::default()).unwrap();
+    let mut st = fresh
+        .exec_direct("SELECT v FROM items WHERE k = 1")
+        .unwrap();
+    assert_eq!(st.fetch().unwrap().unwrap()[0], Value::Str("x".into()));
 }
 
 #[test]

@@ -420,6 +420,9 @@ fn join_on(ctx: &ExecCtx, left: Rel, right: Rel, on: &[&Expr], outer: bool) -> R
             right: b,
         } = c
         {
+            // A name both sides hold is ambiguous in a key as it is in
+            // the residual, though each side alone would bind it.
+            combined_binder.bind(c)?;
             match (lbinder.bind(a), rbinder.bind(b)) {
                 (Ok(la), Ok(rb)) => {
                     lkeys.push(la);
@@ -597,25 +600,26 @@ fn factor_or_conjunct(e: &Expr) -> Vec<Expr> {
 }
 
 /// Which FROM units a conjunct references (by unit index); `None` if it
-/// references something outside all units (outer scope) or a subquery.
+/// references something outside all units (outer scope), a name that
+/// two or more units hold, or a subquery. Such a conjunct waits for the
+/// final residual, which binds it over the joined row: an ambiguous name
+/// then fails there, as it does in ORDER BY.
 fn conjunct_units(conj: &Expr, unit_bindings: &[Vec<BoundCol>]) -> Option<Vec<usize>> {
     let mut units = Vec::new();
-    let mut external = false;
+    let mut unplaced = false;
     let mut has_sub = false;
     conj.walk(&mut |e| match e {
         Expr::Column { table, name } => {
-            let mut found = false;
-            for (i, b) in unit_bindings.iter().enumerate() {
-                if super::binding::resolve_col(&[b.as_slice()], table.as_deref(), name).is_ok() {
+            let mut holders = unit_bindings.iter().enumerate().filter(|(_, b)| {
+                super::binding::resolve_col(&[b.as_slice()], table.as_deref(), name).is_ok()
+            });
+            match (holders.next(), holders.next()) {
+                (Some((i, _)), None) => {
                     if !units.contains(&i) {
                         units.push(i);
                     }
-                    found = true;
-                    break;
                 }
-            }
-            if !found {
-                external = true;
+                _ => unplaced = true,
             }
         }
         Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_) => {
@@ -623,7 +627,7 @@ fn conjunct_units(conj: &Expr, unit_bindings: &[Vec<BoundCol>]) -> Option<Vec<us
         }
         _ => {}
     });
-    if external || has_sub {
+    if unplaced || has_sub {
         None
     } else {
         Some(units)

@@ -1118,10 +1118,13 @@ fn column_pruning_is_invisible() {
         ]
     );
 
-    // Ambiguous and unknown names fail as they do on whole rows.
+    // Ambiguous and unknown names fail as they do on whole rows, in the
+    // select list, ORDER BY, a WHERE conjunct and a JOIN … ON key alike.
     for sql in [
         "SELECT note FROM cust, ord WHERE id = cid",
         "SELECT name FROM cust, ord WHERE id = cid ORDER BY note",
+        "SELECT name FROM cust, ord WHERE id = cid AND note = 'c1'",
+        "SELECT name FROM cust JOIN ord ON id = cid AND note = 'c1'",
     ] {
         assert!(
             semantic_error(&e, sid, sql).contains("ambiguous column 'note'"),

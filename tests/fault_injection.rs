@@ -506,6 +506,146 @@ fn exactly_once_updates_at_every_crashpoint() {
 }
 
 // ---------------------------------------------------------------------------
+// A result opened inside an application transaction
+// ---------------------------------------------------------------------------
+
+/// Both tables of the transaction scenario: `t` to read, `acc` to update.
+fn txn_scenario_setup() -> (DbServer, PhoenixConnection) {
+    let server = test_server();
+    seed_table(&server, QUERY_ROWS);
+    {
+        let engine = server.engine().unwrap();
+        let client = EngineClient::new(engine).unwrap();
+        client
+            .execute("CREATE TABLE acc (id INT PRIMARY KEY, n INT)")
+            .unwrap();
+        client
+            .execute("INSERT INTO acc VALUES (1, 0), (2, 0)")
+            .unwrap();
+    }
+    let px = PhoenixConnection::connect(&server, px_cfg()).unwrap();
+    (server, px)
+}
+
+/// How the scenario's application transaction ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TxnOutcome {
+    /// `COMMIT` was acknowledged.
+    Committed,
+    /// `TxnAborted` surfaced before the `COMMIT` was sent.
+    AbortedBeforeCommit,
+    /// `TxnAborted` surfaced for the `COMMIT` itself: its outcome is
+    /// unknown to the application, as it is natively.
+    AbortedAtCommit,
+}
+
+/// One wrapped autocommit UPDATE, then a transaction that updates, opens
+/// a SELECT on a native cursor, reads part of it and commits. A crash
+/// inside the transaction surfaces as `TxnAborted`, and the application
+/// gives the attempt up.
+fn run_txn_scenario(px: &PhoenixConnection) -> TxnOutcome {
+    let r = px.exec("UPDATE acc SET n = n + 1 WHERE id = 1").unwrap();
+    assert_eq!(r, phoenix::ExecKind::RowCount(1));
+    px.exec("BEGIN TRAN").unwrap();
+    let body = || -> sqlengine::Result<()> {
+        px.exec("UPDATE acc SET n = n + 10 WHERE id = 2")?;
+        px.exec("SELECT a FROM t ORDER BY a")?;
+        let rows = px.fetch_block(40)?;
+        assert_eq!(rows.len(), 40);
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(r[0], Value::Int(i as i64));
+        }
+        Ok(())
+    };
+    let aborted = |e: sqlengine::Error| {
+        assert!(
+            matches!(e, sqlengine::Error::TxnAborted(_)),
+            "only an abort may surface, got {e:?}"
+        );
+    };
+    if let Err(e) = body() {
+        aborted(e);
+        return TxnOutcome::AbortedBeforeCommit;
+    }
+    match px.exec("COMMIT") {
+        Ok(_) => TxnOutcome::Committed,
+        Err(e) => {
+            aborted(e);
+            TxnOutcome::AbortedAtCommit
+        }
+    }
+}
+
+/// Crash at every point of a transaction that reads from a native
+/// cursor (paper §2.3): the application sees at most one abort, the
+/// wrapped update before it stays exactly-once, the transaction's own
+/// update is applied only if its outcome allows, and no result table is
+/// ever made or left behind.
+#[test]
+fn crash_at_each_point_of_a_transaction_with_a_native_cursor() {
+    let fk = faultkit::session();
+    let (server, px) = txn_scenario_setup();
+    let trace = record_trace(&fk, || {
+        assert_eq!(run_txn_scenario(&px), TxnOutcome::Committed);
+    });
+    px.close();
+    drop(server);
+    let names: BTreeSet<&str> = trace.iter().map(|p| p.name).collect();
+    for point in ["phoenix.status.commit", "odbc.recv"] {
+        assert!(names.contains(point), "{point} never hit; trace: {names:?}");
+    }
+    assert!(
+        !names.iter().any(|n| n.starts_with("persist.")),
+        "an in-transaction SELECT was persisted; trace: {names:?}"
+    );
+
+    explore("txn_native_cursor", &trace, |plan| {
+        let (server, px) = txn_scenario_setup();
+        let armed = fk.arm(plan, crash_restart_action(&server));
+        let outcome = run_txn_scenario(&px);
+        let fired = armed.fired();
+        drop(armed);
+        assert!(fired.is_some(), "plan {plan:?} never fired");
+
+        let stats = px.stats();
+        assert!(stats.txn_aborts_surfaced <= 1, "{stats:?}");
+        assert_eq!(
+            stats.txn_aborts_surfaced,
+            u64::from(outcome != TxnOutcome::Committed),
+            "{outcome:?}"
+        );
+        assert_eq!(stats.results_persisted, 0, "{stats:?}");
+        let n = |id: i64| {
+            px.query_all(&format!("SELECT n FROM acc WHERE id = {id}"))
+                .unwrap()[0][0]
+                .as_i64()
+                .unwrap()
+        };
+        assert_eq!(n(1), 1, "the wrapped update applies exactly once");
+        let status = px
+            .query_all(&format!(
+                "SELECT affected FROM phx_status WHERE app_key = '{}'",
+                px.app_key()
+            ))
+            .unwrap();
+        assert_eq!(status, vec![vec![Value::Int(1)]], "one ledger row");
+        match outcome {
+            TxnOutcome::Committed => assert_eq!(n(2), 10, "a committed update is applied"),
+            TxnOutcome::AbortedBeforeCommit => assert_eq!(n(2), 0, "an aborted update is absent"),
+            TxnOutcome::AbortedAtCommit => {
+                assert!([0, 10].contains(&n(2)), "applied once or not at all")
+            }
+        }
+        px.close();
+        let leftovers = result_tables(&server);
+        assert!(
+            leftovers.is_empty(),
+            "leftover result tables: {leftovers:?}"
+        );
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Driver resume semantics at a block boundary (raw odbcsim)
 // ---------------------------------------------------------------------------
 
@@ -640,6 +780,17 @@ fn enumeration_covers_all_instrumented_layers() {
         record_trace(&fk, || run_update_scenario(&px))
             .iter()
             .map(|p| p.name),
+    );
+    px.close();
+    drop(server);
+
+    let (server, px) = txn_scenario_setup();
+    names.extend(
+        record_trace(&fk, || {
+            run_txn_scenario(&px);
+        })
+        .iter()
+        .map(|p| p.name),
     );
     px.close();
     drop(server);
