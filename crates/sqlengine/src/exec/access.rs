@@ -24,10 +24,10 @@ use std::collections::HashMap;
 
 use super::binding::{BExpr, BoundCol};
 use super::eval::{eval, split_conjuncts, truthy, Binder, Env};
-use super::select::table_columns;
+use super::select::names_hold;
 use super::{ExecCtx, TableSource};
 use crate::error::{Error, Result};
-use crate::schema::{TableId, TableSchema};
+use crate::schema::{decode_cols, TableId, TableSchema};
 use crate::sql::ast::{BinOp, Expr, TableName};
 use crate::storage::heap::{pk_prefix_bytes, row_key_hash, ScanIter};
 use crate::storage::RowId;
@@ -35,45 +35,68 @@ use crate::txn::locks::LockMode;
 use crate::types::{DataType, Row, Value};
 
 /// One table of a FROM clause, or the target of an UPDATE or DELETE,
-/// planned for reading: the table resolved, its columns bound, the
-/// WHERE filter bound against them, and the access path the filter's
+/// planned for reading: the table resolved, the columns it yields bound,
+/// the WHERE filter bound against them, and the access path the filter's
 /// conjuncts allow.
 pub(crate) struct TableRead {
     /// The resolved table.
     pub source: TableSource,
-    /// Its columns, qualified by the alias, or else by the table name.
+    /// The columns it yields, qualified by the alias, or else by the
+    /// table name: every column, or only those a statement reads.
     pub cols: Vec<BoundCol>,
     /// The path [`TableRead::rows`] opens.
     pub path: AccessPath,
+    /// The positions of `cols` in the table's rows, ascending.
+    keep: Vec<usize>,
     filter: Option<BExpr>,
 }
 
 impl TableRead {
-    /// Resolve `table`, bind its columns under `alias` (or the table's
+    /// Resolve `table`, keep the columns whose names are in `reads`
+    /// (`None` keeps them all), bind them under `alias` (or the table's
     /// name) and `filter` against them, and choose the access path the
-    /// filter's conjuncts allow.
+    /// filter's conjuncts allow. `reads` must hold every name `filter`
+    /// reads.
     pub(crate) fn plan(
         ctx: &ExecCtx,
         table: &TableName,
         alias: Option<&str>,
         filter: Option<&Expr>,
+        reads: Option<&[&str]>,
     ) -> Result<TableRead> {
         let source = ctx.resolve_table(table)?;
-        let cols = table_columns(alias.unwrap_or(&table.name), source.schema());
+        let schema = source.schema();
+        let qual = alias.unwrap_or(&table.name);
+        let keep: Vec<usize> = (0..schema.arity())
+            .filter(|&i| reads.is_none_or(|names| names_hold(names, &schema.columns[i].name)))
+            .collect();
+        let cols: Vec<BoundCol> = keep
+            .iter()
+            .map(|&i| {
+                let c = &schema.columns[i];
+                BoundCol::new(Some(qual.to_string()), c.name.clone(), c.dtype)
+            })
+            .collect();
         let bound = filter
             .map(|f| Binder::new(ctx, vec![cols.clone()]).bind(f))
             .transpose()?;
         let conjuncts = filter.map(split_conjuncts).unwrap_or_default();
-        let path = choose(ctx, source.schema(), &conjuncts);
+        let path = choose(ctx, schema, &conjuncts);
         Ok(TableRead {
             source,
             cols,
             path,
+            keep,
             filter: bound,
         })
     }
 
-    /// Whether `row` passes the filter.
+    /// A whole row of the table cut to the columns this read yields.
+    pub(crate) fn project(&self, row: &[Value]) -> Row {
+        self.keep.iter().map(|&i| row[i].clone()).collect()
+    }
+
+    /// Whether `row`, cut to this read's columns, passes the filter.
     pub(crate) fn accepts(&self, ctx: &ExecCtx, row: &[Value]) -> Result<bool> {
         match &self.filter {
             Some(f) => Ok(truthy(&eval(ctx, &Env::base(row), f)?) == Some(true)),
@@ -95,8 +118,13 @@ impl TableRead {
     /// The executor's one scan-and-filter loop over a base table: take
     /// the locks the path needs to read (`mode` = `Shared`) or write
     /// (`Exclusive`), and stream the rows the filter accepts, in heap
-    /// order. The stream owns everything it reads through, so a lazy
-    /// cursor can carry it across calls. Callers stop at its first error.
+    /// order, cut to this read's columns. Each row is decoded, only in
+    /// those columns, from the scan's page copy into one reused scratch
+    /// row that the filter reads; an accepted row is cloned out at its
+    /// exact width. Every other column is still checked as
+    /// [`crate::schema::decode_row`] checks it. The stream owns
+    /// everything it reads through, so a lazy cursor can carry it across
+    /// calls. Callers stop at its first error.
     pub(crate) fn rows(
         self,
         ctx: &ExecCtx,
@@ -110,14 +138,23 @@ impl TableRead {
             mode,
         )?;
         let ctx = ctx.clone();
-        Ok(std::iter::from_fn(move || loop {
-            let hit = scan
-                .next()?
-                .and_then(|(rid, row)| Ok(self.accepts(&ctx, &row)?.then_some((rid, row))));
-            if let Some(hit) = hit.transpose() {
-                return Some(hit);
+        let mut scratch = vec![Value::Null; self.keep.len()];
+        let mut next = move || -> Result<Option<(RowId, Row)>> {
+            while let Some(raw) = scan.next_raw() {
+                let (rid, bytes) = raw?;
+                if self.filter.is_none() {
+                    let mut row = vec![Value::Null; self.keep.len()];
+                    decode_cols(bytes, &self.keep, &mut row)?;
+                    return Ok(Some((rid, row)));
+                }
+                decode_cols(bytes, &self.keep, &mut scratch)?;
+                if self.accepts(&ctx, &scratch)? {
+                    return Ok(Some((rid, scratch.clone())));
+                }
             }
-        }))
+            Ok(None)
+        };
+        Ok(std::iter::from_fn(move || next().transpose()))
     }
 }
 

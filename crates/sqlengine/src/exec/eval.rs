@@ -148,6 +148,14 @@ impl<'a> Env<'a> {
 /// different storage types compare equal (Int 42 == Float 42.0 == that Date).
 pub fn key_encode(vals: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * 9);
+    key_encode_into(vals, &mut out);
+    out
+}
+
+/// [`key_encode`] into `out`, cleared first, so a loop can reuse one
+/// buffer.
+pub fn key_encode_into(vals: &[Value], out: &mut Vec<u8>) {
+    out.clear();
     for v in vals {
         match v {
             Value::Null => out.push(0),
@@ -170,7 +178,6 @@ pub fn key_encode(vals: &[Value]) -> Vec<u8> {
             }
         }
     }
-    out
 }
 
 // ---------------------------------------------------------------------------

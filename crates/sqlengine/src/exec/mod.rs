@@ -28,7 +28,9 @@ use crate::types::{DataType, Row, Value};
 use access::{AccessPath, TableRead};
 use binding::BExpr;
 use eval::{eval, Binder, Env};
-use select::{bind_select_list, constant_false, infer_output_schema, run_select_materialized};
+use select::{
+    bind_select_list, constant_false, infer_output_schema, run_select_materialized, statement_reads,
+};
 
 /// Session-local temp tables: volatile, die with the session (the property
 /// Phoenix's post-crash liveness probe relies on).
@@ -336,7 +338,14 @@ fn try_lazy_select(ctx: &ExecCtx, q: &SelectStmt) -> Result<Option<Rows>> {
         return Ok(None);
     }
 
-    let read = TableRead::plan(ctx, table, alias.as_deref(), q.filter.as_ref())?;
+    let reads = statement_reads(q);
+    let read = TableRead::plan(
+        ctx,
+        table,
+        alias.as_deref(),
+        q.filter.as_ref(),
+        reads.as_deref(),
+    )?;
     // Primary-key point queries go through the materialized path: a lazy
     // cursor would keep its row lock until the client drains it.
     if matches!(read.path, AccessPath::Point(_)) {
@@ -526,7 +535,7 @@ fn exec_update(
     sets: &[(String, Expr)],
     filter: Option<&Expr>,
 ) -> Result<StmtOutcome> {
-    let mut read = TableRead::plan(ctx, table, None, filter)?;
+    let mut read = TableRead::plan(ctx, table, None, filter, None)?;
     let schema = read.source.schema().clone();
     let binder = Binder::new(ctx, vec![read.cols.clone()]);
     let bsets: Vec<(usize, BExpr)> = sets
@@ -584,7 +593,7 @@ fn exec_update(
 }
 
 fn exec_delete(ctx: &ExecCtx, table: &TableName, filter: Option<&Expr>) -> Result<StmtOutcome> {
-    let read = TableRead::plan(ctx, table, None, filter)?;
+    let read = TableRead::plan(ctx, table, None, filter, None)?;
 
     if table.temp {
         // Filtered like UPDATE's: on the shared rows, outside the lock.

@@ -10,8 +10,8 @@ use std::collections::HashMap;
 use super::access::TableRead;
 use super::binding::{AggCall, BExpr, BoundCol};
 use super::eval::{
-    conjoin, eval, key_encode, normalize, split_conjuncts, truthy, Accumulator, AggContext, Binder,
-    Env,
+    conjoin, eval, key_encode, key_encode_into, normalize, split_conjuncts, truthy, Accumulator,
+    AggContext, Binder, Env,
 };
 use super::{ExecCtx, TableSource};
 use crate::error::{Error, Result};
@@ -262,6 +262,22 @@ pub(crate) fn read_names<'a>(q: &'a SelectStmt, out: &mut Vec<&'a str>) {
     }
 }
 
+/// The column names a table of `q` must yield: [`read_names`], or `None`
+/// (every column) when the select list holds a wildcard. A name that is
+/// read stays in every table that has it, so every reference binds as it
+/// would to whole rows, and an ambiguous one still fails.
+pub(crate) fn statement_reads(q: &SelectStmt) -> Option<Vec<&str>> {
+    let wildcard = q
+        .items
+        .iter()
+        .any(|it| !matches!(it, SelectItem::Expr { .. }));
+    (!wildcard).then(|| {
+        let mut names = Vec::new();
+        read_names(q, &mut names);
+        names
+    })
+}
+
 /// Whether `names` holds `name`, whatever the case of either.
 pub(crate) fn names_hold(names: &[&str], name: &str) -> bool {
     names.iter().any(|n| n.eq_ignore_ascii_case(name))
@@ -272,9 +288,9 @@ pub(crate) fn names_hold(names: &[&str], name: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Read a base or temp table, keeping the rows the pushed-down conjuncts
-/// accept: a base table through the access path they allow. Each kept
-/// row then drops the columns whose names are not in `reads`; `None`
-/// keeps them all.
+/// accept: a base table through the access path they allow. Each row
+/// carries only the columns whose names are in `reads`, which holds every
+/// name the conjuncts read; `None` keeps them all.
 fn scan_filtered(
     ctx: &ExecCtx,
     table: &TableName,
@@ -284,40 +300,20 @@ fn scan_filtered(
 ) -> Result<Rel> {
     let filter =
         (!pushed.is_empty()).then(|| conjoin(pushed.iter().map(|e| (*e).clone()).collect()));
-    let read = TableRead::plan(ctx, table, alias, filter.as_ref())?;
-    // The positions of the columns the statement reads, unless that is
-    // every column.
-    let keep: Option<Vec<usize>> = reads
-        .map(|names| {
-            (0..read.cols.len())
-                .filter(|&i| names_hold(names, &read.cols[i].name))
-                .collect::<Vec<_>>()
-        })
-        .filter(|k| k.len() < read.cols.len());
-    let narrow = |mut row: Row| -> Row {
-        match &keep {
-            Some(k) => k
-                .iter()
-                .map(|&i| std::mem::replace(&mut row[i], Value::Null))
-                .collect(),
-            None => row,
-        }
-    };
-    let cols = match &keep {
-        Some(k) => k.iter().map(|&i| read.cols[i].clone()).collect(),
-        None => read.cols.clone(),
-    };
+    let read = TableRead::plan(ctx, table, alias, filter.as_ref(), reads)?;
+    let cols = read.cols.clone();
     let rows = if let TableSource::Temp { .. } = &read.source {
         let mut kept = Vec::new();
         for row in ctx.temp_rows(table)?.iter() {
-            if read.accepts(ctx, row)? {
-                kept.push(narrow(row.clone()));
+            let row = read.project(row);
+            if read.accepts(ctx, &row)? {
+                kept.push(row);
             }
         }
         kept
     } else {
         read.rows(ctx, LockMode::Shared)?
-            .map(|r| r.map(|(_, row)| narrow(row)))
+            .map(|r| r.map(|(_, row)| row))
             .collect::<Result<_>>()?
     };
     Ok(Rel { cols, rows })
@@ -449,27 +445,26 @@ fn join_on(ctx: &ExecCtx, left: Rel, right: Rel, on: &[&Expr], outer: bool) -> R
     let rwidth = right.cols.len();
     let mut out_rows = Vec::new();
     // Build on right, probe left (preserves left order; left outer easy).
+    // Every key is evaluated and encoded into the same two buffers; only
+    // a key that opens a bucket is copied.
+    let mut kv = Vec::new();
+    let mut kb = Vec::new();
     let mut table: HashMap<Vec<u8>, Vec<&Row>> = HashMap::new();
     for rrow in &right.rows {
-        let env = Env::base(rrow);
-        let kv: Vec<Value> = rkeys
-            .iter()
-            .map(|k| eval(ctx, &env, k))
-            .collect::<Result<_>>()?;
-        if kv.iter().any(Value::is_null) {
+        if !join_key(ctx, &rkeys, rrow, &mut kv, &mut kb)? {
             continue;
         }
-        table.entry(key_encode(&kv)).or_default().push(rrow);
+        match table.get_mut(kb.as_slice()) {
+            Some(bucket) => bucket.push(rrow),
+            None => {
+                table.insert(kb.clone(), vec![rrow]);
+            }
+        }
     }
     for lrow in &left.rows {
-        let env = Env::base(lrow);
-        let kv: Vec<Value> = lkeys
-            .iter()
-            .map(|k| eval(ctx, &env, k))
-            .collect::<Result<_>>()?;
         let mut matched = false;
-        if !kv.iter().any(Value::is_null) {
-            if let Some(cands) = table.get(&key_encode(&kv)) {
+        if join_key(ctx, &lkeys, lrow, &mut kv, &mut kb)? {
+            if let Some(cands) = table.get(kb.as_slice()) {
                 for rrow in cands {
                     let mut combined = lrow.clone();
                     combined.extend(rrow.iter().cloned());
@@ -494,6 +489,27 @@ fn join_on(ctx: &ExecCtx, left: Rel, right: Rel, on: &[&Expr], outer: bool) -> R
         cols,
         rows: out_rows,
     })
+}
+
+/// Evaluate the join key `keys` on `row` into `kv` and encode it into
+/// `kb`. False if a key value is NULL: such a row matches nothing.
+fn join_key(
+    ctx: &ExecCtx,
+    keys: &[BExpr],
+    row: &[Value],
+    kv: &mut Vec<Value>,
+    kb: &mut Vec<u8>,
+) -> Result<bool> {
+    let env = Env::base(row);
+    kv.clear();
+    for k in keys {
+        kv.push(eval(ctx, &env, k)?);
+    }
+    if kv.iter().any(Value::is_null) {
+        return Ok(false);
+    }
+    key_encode_into(kv, kb);
+    Ok(true)
 }
 
 /// Split an OR tree into disjuncts.
@@ -696,19 +712,9 @@ pub fn run_select_materialized(
         }
     }
 
-    // Evaluate units with pushdown. Unless the select list holds a
-    // wildcard, each table keeps only the columns whose names the
-    // statement reads somewhere. A name that is read stays in every unit
-    // that has it, so every reference binds as it would to whole rows.
-    let wildcard = q
-        .items
-        .iter()
-        .any(|it| !matches!(it, SelectItem::Expr { .. }));
-    let reads = (!wildcard).then(|| {
-        let mut names = Vec::new();
-        read_names(q, &mut names);
-        names
-    });
+    // Evaluate units with pushdown, each table reading only the columns
+    // the statement reads.
+    let reads = statement_reads(q);
     let mut rels: Vec<Option<Rel>> = q
         .from
         .iter()
@@ -842,7 +848,9 @@ fn project_and_finish(
         }
         Some((agg_ctx, key_exprs)) => {
             // One representative row per group, with its keys and
-            // accumulators.
+            // accumulators, in first-seen order. Every row's key is
+            // evaluated and encoded into the same two buffers; only a
+            // key that opens a group is copied.
             struct Group {
                 rep: Row,
                 keys: Vec<Value>,
@@ -853,20 +861,26 @@ fn project_and_finish(
                 keys,
                 accs: agg_ctx.aggs.iter().map(Accumulator::new).collect(),
             };
-            let mut groups: HashMap<Vec<u8>, Group> = HashMap::new();
-            let mut order: Vec<Vec<u8>> = Vec::new();
+            let mut groups: Vec<Group> = Vec::new();
+            let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
+            let mut keys = Vec::with_capacity(key_exprs.len());
+            let mut gk = Vec::new();
             for row in &input.rows {
                 let env = Env::child(row, outer_env);
-                let keys: Vec<Value> = key_exprs
-                    .iter()
-                    .map(|g| eval(ctx, &env, g))
-                    .collect::<Result<_>>()?;
-                let gk = key_encode(&keys);
-                let group = groups.entry(gk.clone()).or_insert_with(|| {
-                    order.push(gk);
-                    new_group(row.clone(), keys)
-                });
-                for (acc, call) in group.accs.iter_mut().zip(&agg_ctx.aggs) {
+                keys.clear();
+                for g in key_exprs {
+                    keys.push(eval(ctx, &env, g)?);
+                }
+                key_encode_into(&keys, &mut gk);
+                let at = match index.get(gk.as_slice()) {
+                    Some(&at) => at,
+                    None => {
+                        index.insert(gk.clone(), groups.len());
+                        groups.push(new_group(row.clone(), keys.clone()));
+                        groups.len() - 1
+                    }
+                };
+                for (acc, call) in groups[at].accs.iter_mut().zip(&agg_ctx.aggs) {
                     acc.add(match &call.arg {
                         Some(a) => eval(ctx, &env, a)?,
                         None => Value::Int(1),
@@ -874,14 +888,11 @@ fn project_and_finish(
                 }
             }
             // Scalar aggregate over empty input still yields one row.
-            if order.is_empty() && q.group_by.is_empty() {
-                order.push(Vec::new());
+            if groups.is_empty() && q.group_by.is_empty() {
                 let rep = vec![Value::Null; input.cols.len()];
-                groups.insert(Vec::new(), new_group(rep, Vec::new()));
+                groups.push(new_group(rep, Vec::new()));
             }
-            // `order` holds each group key exactly once, in first-seen
-            // order, so draining `groups` through it visits every group.
-            for g in order.iter().filter_map(|gk| groups.remove(gk)) {
+            for g in groups {
                 let aggs: Vec<Value> = g.accs.into_iter().map(Accumulator::finish).collect();
                 projected.extend(project(&Env {
                     row: &g.rep,

@@ -241,6 +241,12 @@ impl<'a> PageRef<'a> {
 
     /// Read a live tuple. `None` for tombstoned or missing slots.
     pub fn get(&self, slot: SlotId) -> Option<&'a [u8]> {
+        self.tuple_range(slot).map(|r| &self.buf[r])
+    }
+
+    /// Where a live tuple's bytes lie in the page image. `None` for
+    /// tombstoned or missing slots.
+    pub fn tuple_range(&self, slot: SlotId) -> Option<std::ops::Range<usize>> {
         if slot >= self.slot_count() {
             return None;
         }
@@ -249,7 +255,7 @@ impl<'a> PageRef<'a> {
             return None;
         }
         let len = (lf & LEN_MASK) as usize;
-        Some(&self.buf[off as usize..off as usize + len])
+        Some(off as usize..off as usize + len)
     }
 
     /// Read tuple bytes regardless of tombstone state (undo/debug path).

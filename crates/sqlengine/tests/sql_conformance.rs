@@ -8,7 +8,7 @@ use sqlengine::engine::{Durable, Engine};
 use sqlengine::session::SessionId;
 use sqlengine::types::Value;
 use sqlengine::wal::recovery::RecoveryConfig;
-use sqlengine::{Error, Row};
+use sqlengine::{Error, ExecOutcome, Row};
 
 fn engine() -> (Engine, SessionId) {
     let durable = Durable::new(Default::default());
@@ -1154,6 +1154,139 @@ fn column_pruning_is_invisible() {
          WHERE EXISTS (SELECT 1 FROM ord WHERE cid = id))",
     );
     assert!(msg.contains("unknown column 'id' in subquery"), "{msg}");
+}
+
+/// A scan decodes only the columns the statement reads and filters each
+/// row before it keeps it; no answer, column order or error may show it,
+/// on the lazy cursor, the materialized pipeline, a temp table, or the
+/// whole rows an UPDATE or DELETE reads.
+#[test]
+fn narrowed_scans_answer_as_whole_rows() {
+    let (e, sid) = pruning_engine();
+    let i = Value::Int;
+    let s = |v: &str| Value::Str(v.to_string());
+
+    // A filter on columns the select list leaves out, before and after
+    // the selected one in the table's column order.
+    assert_eq!(
+        q(
+            &e,
+            sid,
+            "SELECT name FROM cust WHERE score > 8 AND note <> 'c2' AND id < 4 ORDER BY name"
+        ),
+        strs(&["ann", "cal"])
+    );
+    assert_eq!(
+        q(&e, sid, "SELECT note, id FROM cust WHERE region = 'south'"),
+        [[s("c2"), i(2)], [s("c4"), i(4)]]
+    );
+    assert_eq!(
+        one(
+            &e,
+            sid,
+            "SELECT COUNT(*) FROM ord WHERE note > 'o12' AND amount < 40"
+        ),
+        i(2)
+    );
+    // A name held by two FROM tables and read only by a filter is still
+    // ambiguous.
+    let msg = semantic_error(&e, sid, "SELECT id FROM cust, ord WHERE note = 'c1'");
+    assert!(msg.contains("ambiguous column 'note'"), "{msg}");
+
+    // `*` and `t.*` over one table keep every column in table order.
+    let (schema, rows) = e
+        .execute_collect(sid, "SELECT * FROM cust WHERE score > 20")
+        .unwrap();
+    let names: Vec<&str> = schema.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(names, ["id", "Name", "region", "score", "note"]);
+    assert_eq!(
+        rows,
+        [
+            [i(2), s("bob"), s("south"), i(30), s("c2")],
+            [i(3), s("cal"), s("north"), i(25), s("c3")],
+        ]
+    );
+    assert_eq!(
+        q(&e, sid, "SELECT o.*, amount FROM ord o WHERE cid = 3"),
+        [
+            [i(13), i(3), i(15), s("o13"), i(15)],
+            [i(14), i(3), i(30), s("o14"), i(30)]
+        ]
+    );
+
+    // A lazy cursor with TOP: the first rows the filter accepts, in heap
+    // order, cut to the columns read.
+    let sql = "SELECT TOP 2 name, region FROM cust WHERE score > 5";
+    let ExecOutcome::Rows(cursor) = e.execute(sid, sql).unwrap().outcome else {
+        panic!("{sql}: no rows");
+    };
+    assert!(cursor.is_lazy(), "{sql}");
+    assert_eq!(
+        cursor.collect::<Result<Vec<_>, _>>().unwrap(),
+        [[s("ann"), s("north")], [s("bob"), s("south")]]
+    );
+    assert_eq!(
+        q(&e, sid, "SELECT TOP 1 * FROM ord WHERE amount > 25"),
+        [[i(12), i(2), i(40), s("o12")]]
+    );
+
+    // A temp table alone: filtered on a column it does not select, and
+    // whole under `*`.
+    e.execute(
+        sid,
+        "CREATE TABLE #vip (vid INT, tag VARCHAR(10), extra INT)",
+    )
+    .unwrap();
+    e.execute(
+        sid,
+        "INSERT INTO #vip VALUES (2, 'gold', 7), (3, 'silver', 8), (4, 'tin', 9)",
+    )
+    .unwrap();
+    assert_eq!(
+        q(&e, sid, "SELECT tag FROM #vip WHERE extra > 7 AND vid < 4"),
+        strs(&["silver"])
+    );
+    assert_eq!(
+        q(&e, sid, "SELECT * FROM #vip WHERE extra = 9"),
+        [[i(4), s("tin"), i(9)]]
+    );
+
+    // LEFT JOIN padding when a pushed filter and the ON clause read
+    // columns the select list leaves out.
+    assert_eq!(
+        q(
+            &e,
+            sid,
+            "SELECT name, oid FROM cust LEFT JOIN ord ON id = cid AND amount > 25 \
+             WHERE region = 'north' ORDER BY name"
+        ),
+        [[s("ann"), Value::Null], [s("cal"), i(14)]]
+    );
+
+    // UPDATE and DELETE whose WHERE reads the same table through
+    // `IN (SELECT …)`.
+    e.execute(
+        sid,
+        "UPDATE ord SET amount = amount + 1 WHERE cid IN (SELECT cid FROM ord WHERE amount > 35)",
+    )
+    .unwrap();
+    assert_eq!(
+        q(
+            &e,
+            sid,
+            "SELECT oid, amount FROM ord WHERE amount > 35 ORDER BY oid"
+        ),
+        [[i(12), i(41)], [i(15), i(51)]]
+    );
+    e.execute(
+        sid,
+        "DELETE FROM ord WHERE oid IN (SELECT oid FROM ord WHERE note = 'o11' OR amount > 45)",
+    )
+    .unwrap();
+    assert_eq!(
+        q(&e, sid, "SELECT oid FROM ord ORDER BY oid"),
+        [[i(10)], [i(12)], [i(13)], [i(14)]]
+    );
 }
 
 /// A WHERE conjunct that names several FROM units and is no equi-join
