@@ -88,7 +88,6 @@ fn run_point(sessions: usize, pending_cap: usize, seed: u64) -> Point {
         max_sessions: sessions * 4,
         pending_accepts: pending_cap,
         idle_timeout: Duration::from_secs(60),
-        session_budget_bytes: u64::MAX,
         handshake_timeout: Duration::from_secs(10),
     };
     let server = DbServer::start(cfg).unwrap();

@@ -267,6 +267,14 @@ impl PhoenixConnection {
         format!("phx_{}", self.conn_id)
     }
 
+    /// A fresh result-table name, `phx_res_<conn>_<seq>`, advancing this
+    /// connection's sequence: no two persist attempts share a name.
+    fn next_result_table(&self, next_result: &mut u64) -> String {
+        let table = format!("phx_res_{}_{}", self.conn_id, next_result);
+        *next_result += 1;
+        table
+    }
+
     // -- observability --------------------------------------------------------
 
     /// Counters describing this session's activity (a snapshot view over
@@ -575,8 +583,7 @@ impl PhoenixConnection {
         // queues its table for DROP (`IF EXISTS`: the failure may have
         // come before the table existed).
         let pr = self.masked(inner, budget, false, |i| {
-            let table = format!("phx_res_{}_{}", self.conn_id, i.next_result);
-            i.next_result += 1;
+            let table = self.next_result_table(&mut i.next_result);
             let r = persist_result(&i.app, &i.pending_drop, &table, sql, 0, parse_time);
             match r {
                 Ok(_) => i.pending_drop.clear(),
@@ -851,8 +858,7 @@ impl PhoenixConnection {
             // `skip` too.
             Err(Error::NotFound(_)) => {
                 let t_reinstall = Instant::now();
-                let fresh = format!("phx_res_{}_{}", self.conn_id, *next_result);
-                *next_result += 1;
+                let fresh = self.next_result_table(next_result);
                 let r = persist_result(app, &[], &fresh, sql, skip, Duration::ZERO);
                 phases.reinstall += t_reinstall.elapsed();
                 let pr = r?;

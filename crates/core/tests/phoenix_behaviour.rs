@@ -33,11 +33,7 @@ fn cfg_with(reposition: RepositionMode, cache: CacheMode) -> PhoenixConfig {
 }
 
 fn server_with_rows(n: usize) -> DbServer {
-    server_with(ServerConfig::instant_net(), n)
-}
-
-fn server_with(cfg: ServerConfig, n: usize) -> DbServer {
-    let server = DbServer::start(cfg).unwrap();
+    let server = DbServer::start(ServerConfig::instant_net()).unwrap();
     let engine = server.engine().unwrap();
     let sid = engine.create_session().unwrap();
     engine
@@ -292,24 +288,20 @@ fn result_tables_are_cleaned_up() {
         cfg_with(RepositionMode::Server, CacheMode::Disabled),
     )
     .unwrap();
-    for _ in 0..4 {
+    // The batch that persists a result drops its predecessor: only one
+    // result table is ever live.
+    for i in 0..10 {
         px.exec("SELECT k FROM items").unwrap();
-        px.fetch_all().unwrap();
+        assert_eq!(px.fetch_all().unwrap().len(), 20, "result {i}");
+        assert_eq!(result_tables(&server).len(), 1, "result {i}");
     }
     px.close_result();
-    let engine = server.engine().unwrap();
-    let leftovers: Vec<String> = engine
-        .storage()
-        .catalog
-        .table_names()
-        .into_iter()
-        .filter(|n| n.starts_with("phx_res_"))
-        .collect();
-    // At most the currently-open (none) result's table may remain.
+    let leftovers = result_tables(&server);
     assert!(
         leftovers.is_empty(),
         "leftover result tables: {leftovers:?}"
     );
+    assert_eq!(px.stats().recoveries, 0);
     assert_eq!(
         server.admission_stats().active,
         1,
@@ -317,6 +309,7 @@ fn result_tables_are_cleaned_up() {
     );
 
     // `close` clears this session's ledger and releases its session.
+    let engine = server.engine().unwrap();
     let sid = engine.create_session().unwrap();
     let ledger_rows = |key: &str| {
         let sql = format!("SELECT req_id FROM phx_status WHERE app_key = '{key}'");
@@ -679,69 +672,6 @@ fn failed_wrapped_update_keeps_the_ledger_dense() {
         .unwrap();
     let ids: Vec<i64> = ledger.iter().map(|r| r[0].as_i64().unwrap()).collect();
     assert_eq!(ids, vec![1, 2], "a failed insert left a gap in the ledger");
-}
-
-#[test]
-fn over_budget_statement_surfaces_server_busy_and_session_survives_the_drop() {
-    let mut scfg = ServerConfig::instant_net();
-    scfg.admission.session_budget_bytes = wire::admission::SLOT_BASE_BYTES + 512;
-    let server = server_with(scfg, 20);
-    let px = PhoenixConnection::connect(
-        &server,
-        cfg_with(RepositionMode::Server, CacheMode::Disabled),
-    )
-    .unwrap();
-
-    // Materializing 9 rows charges 9 * 64 = 576 bytes, past the 512 the
-    // budget leaves. The reopen travels in the same batch as the load, so
-    // the result itself is delivered in full.
-    px.exec("SELECT k, v FROM items WHERE k < 9").unwrap();
-    assert_eq!(px.fetch_all().unwrap().len(), 9);
-
-    // The next request that retires nothing is shed. A shed is
-    // statement-level, so Phoenix surfaces it rather than masking it.
-    let insert = "INSERT INTO items VALUES (100, 'late')";
-    let err = px.exec(insert).unwrap_err();
-    assert!(
-        matches!(err, Error::ServerBusy { .. }),
-        "expected ServerBusy, got {err:?}"
-    );
-    assert_eq!(px.stats().recoveries, 0, "a shed is not a failure");
-
-    // Dropping the result table is admitted and restores service.
-    px.close_result();
-    assert!(result_tables(&server).is_empty());
-    assert_eq!(px.exec(insert).unwrap(), ExecKind::RowCount(1));
-    assert_eq!(px.stats().recoveries, 0);
-}
-
-#[test]
-fn result_table_charges_are_released_by_the_batch_that_drops_them() {
-    let mut scfg = ServerConfig::instant_net();
-    scfg.admission.session_budget_bytes = wire::admission::SLOT_BASE_BYTES + 512;
-    let server = server_with(scfg, 20);
-    let px = PhoenixConnection::connect(
-        &server,
-        cfg_with(RepositionMode::Server, CacheMode::Disabled),
-    )
-    .unwrap();
-    let idle = server.admission_stats().bytes_active;
-    // Each result is 3 rows (192 bytes) and only one result table is live
-    // at a time, so every one fits: the batch that loads a result drops
-    // its predecessor and releases that table's charge.
-    for i in 0..10 {
-        px.exec("SELECT k FROM items WHERE k < 3")
-            .unwrap_or_else(|e| panic!("result {i}: {e:?}"));
-        assert_eq!(px.fetch_all().unwrap().len(), 3, "result {i}");
-        assert_eq!(result_tables(&server).len(), 1, "result {i}");
-    }
-    px.close_result();
-    assert_eq!(
-        server.admission_stats().bytes_active,
-        idle,
-        "no result table stays charged after close_result"
-    );
-    assert_eq!(px.stats().recoveries, 0);
 }
 
 /// A SELECT that fails inside an application transaction rolls the

@@ -12,14 +12,13 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
-use crate::exec::{
-    execute_stmt, BatchEffects, ExecCtx, Rows, RowsSource, StmtOutcome, TableEffect, TempTables,
-};
+use crate::exec::{execute_stmt, ExecCtx, Rows, RowsSource, StmtOutcome, TempTables};
 use crate::schema::Column;
 use crate::session::{SessionId, SessionState};
 use crate::sql::ast::Stmt;
 use crate::sql::parser::parse_statements;
 use crate::storage::disk::{DiskModel, IoSnapshot, MemDisk};
+use crate::storage::heap::DdlBatch;
 use crate::storage::Storage;
 use crate::txn::TxnHandle;
 use crate::types::Row;
@@ -148,15 +147,6 @@ pub enum ExecOutcome {
     ShutdownRequested { nowait: bool },
 }
 
-/// Result of executing a batch (the last statement's outcome).
-pub struct StatementResult {
-    /// The last statement's outcome.
-    pub outcome: ExecOutcome,
-    /// Rows the batch wrote into durable tables and the tables it
-    /// dropped, in execution order: the server's admission accounting.
-    pub tables: Vec<TableEffect>,
-}
-
 /// The volatile database engine.
 pub struct Engine {
     storage: Arc<Storage>,
@@ -219,22 +209,6 @@ impl Engine {
         }
     }
 
-    /// Approximate resident bytes of one session's engine-side state
-    /// (its temp tables) — feeds the server's per-session memory budget.
-    /// `0` for an unknown session. The temps handle is cloned out before
-    /// measuring so the session map lock is never held across it.
-    pub fn session_state_bytes(&self, id: SessionId) -> u64 {
-        let temps = {
-            let sessions = self.sessions.lock();
-            match sessions.get(&id) {
-                Some(s) => Arc::clone(&s.temps),
-                None => return 0,
-            }
-        };
-        let bytes = temps.lock().approx_bytes();
-        bytes
-    }
-
     fn check_alive(&self) -> Result<()> {
         if self.is_shut_down() {
             Err(Error::ServerShutdown)
@@ -264,38 +238,33 @@ impl Engine {
     /// outcome. On any error the current transaction (explicit or
     /// autocommit) is rolled back, matching the retry model TPC-style
     /// applications use for deadlock victims.
-    pub fn execute(&self, sid: SessionId, sql: &str) -> Result<StatementResult> {
+    ///
+    /// The statements run in order until one fails. Their DDL records are
+    /// appended as they run and forced once, here, before the batch
+    /// returns, whether it succeeded or not: one force covers every DDL
+    /// statement of the batch.
+    pub fn execute(&self, sid: SessionId, sql: &str) -> Result<ExecOutcome> {
         self.check_alive()?;
-        self.execute_parsed(sid, &parse_statements(sql)?)
-    }
-
-    /// [`Engine::execute`] for an already parsed batch. The statements
-    /// run in order until one fails. Their DDL records are appended as
-    /// they run and forced once, here, before the batch returns, whether
-    /// it succeeded or not: one force covers every DDL statement of the
-    /// batch, and a batch of one DDL statement forces exactly as before.
-    pub fn execute_parsed(&self, sid: SessionId, stmts: &[Stmt]) -> Result<StatementResult> {
-        self.check_alive()?;
-        let effects = Arc::new(Mutex::new(BatchEffects::default()));
+        let stmts = parse_statements(sql)?;
+        let ddl = Arc::new(Mutex::new(DdlBatch::default()));
         let mut last = Ok(ExecOutcome::Ok);
-        for stmt in stmts {
-            last = self.execute_one(sid, stmt, &effects);
+        for stmt in &stmts {
+            last = self.execute_one(sid, stmt, &ddl);
             if matches!(last, Err(_) | Ok(ExecOutcome::ShutdownRequested { .. })) {
                 break;
             }
         }
-        let BatchEffects { ddl, tables } = std::mem::take(&mut *effects.lock());
-        let forced = self.storage.finish_ddl(ddl);
+        let forced = self.storage.finish_ddl(std::mem::take(&mut *ddl.lock()));
         let outcome = last?;
         forced?;
-        Ok(StatementResult { outcome, tables })
+        Ok(outcome)
     }
 
     fn execute_one(
         &self,
         sid: SessionId,
         stmt: &Stmt,
-        effects: &Arc<Mutex<BatchEffects>>,
+        ddl: &Arc<Mutex<DdlBatch>>,
     ) -> Result<ExecOutcome> {
         self.check_alive()?;
         let (temps, cur_txn) = self.session_handles(sid)?;
@@ -338,7 +307,7 @@ impl Engine {
                     temps,
                     params: Arc::new(HashMap::new()),
                     depth: 0,
-                    effects: Arc::clone(effects),
+                    ddl: Arc::clone(ddl),
                 };
                 match execute_stmt(&ctx, stmt) {
                     Ok(StmtOutcome::Rows(rows)) => {
@@ -391,7 +360,7 @@ impl Engine {
 
     /// Convenience for tests and tools: execute and fully collect rows.
     pub fn execute_collect(&self, sid: SessionId, sql: &str) -> Result<(Vec<Column>, Vec<Row>)> {
-        match self.execute(sid, sql)?.outcome {
+        match self.execute(sid, sql)? {
             ExecOutcome::Rows(cursor) => {
                 let schema = cursor.schema().to_vec();
                 let rows: Result<Vec<Row>> = cursor.collect();
@@ -467,7 +436,7 @@ mod tests {
     /// Output column names and types of `sql`, and whether its cursor
     /// streams lazily.
     fn columns_of(e: &Engine, sid: SessionId, sql: &str) -> (Vec<(String, DataType)>, bool) {
-        let ExecOutcome::Rows(cursor) = e.execute(sid, sql).unwrap().outcome else {
+        let ExecOutcome::Rows(cursor) = e.execute(sid, sql).unwrap() else {
             panic!("{sql}: no result set")
         };
         let cols = cursor
@@ -506,9 +475,9 @@ mod tests {
         let r = e
             .execute(sid, "UPDATE t SET v = 'TWO' WHERE id = 2")
             .unwrap();
-        assert!(matches!(r.outcome, ExecOutcome::Affected(1)));
+        assert!(matches!(r, ExecOutcome::Affected(1)));
         let r = e.execute(sid, "DELETE FROM t WHERE id = 1").unwrap();
-        assert!(matches!(r.outcome, ExecOutcome::Affected(1)));
+        assert!(matches!(r, ExecOutcome::Affected(1)));
         let (_, rows) = e
             .execute_collect(sid, "SELECT v FROM t ORDER BY id")
             .unwrap();
@@ -859,10 +828,7 @@ mod tests {
         let (_d, e) = fresh();
         let sid = e.create_session().unwrap();
         let r = e.execute(sid, "SHUTDOWN WITH NOWAIT").unwrap();
-        assert!(matches!(
-            r.outcome,
-            ExecOutcome::ShutdownRequested { nowait: true }
-        ));
+        assert!(matches!(r, ExecOutcome::ShutdownRequested { nowait: true }));
         e.mark_shutdown();
         assert!(matches!(
             e.execute(sid, "SELECT 1"),
@@ -891,7 +857,7 @@ mod tests {
             e.execute(sid, &sql).unwrap();
         }
         let r = e.execute(sid, "SELECT TOP 5 * FROM big").unwrap();
-        let ExecOutcome::Rows(cursor) = r.outcome else {
+        let ExecOutcome::Rows(cursor) = r else {
             panic!()
         };
         assert!(cursor.is_lazy());
@@ -910,7 +876,7 @@ mod tests {
         )
         .unwrap();
         let r = e.execute(sid, "EXEC bump 2").unwrap();
-        assert!(matches!(r.outcome, ExecOutcome::Affected(2)));
+        assert!(matches!(r, ExecOutcome::Affected(2)));
         let (_, rows) = e
             .execute_collect(sid, "SELECT x FROM t WHERE id = 3")
             .unwrap();
@@ -927,7 +893,7 @@ mod tests {
         let r = e
             .execute(sid, "INSERT INTO res SELECT id, v FROM t WHERE x > 1.6")
             .unwrap();
-        assert!(matches!(r.outcome, ExecOutcome::Affected(2)));
+        assert!(matches!(r, ExecOutcome::Affected(2)));
         let (_, rows) = e
             .execute_collect(sid, "SELECT * FROM res ORDER BY id")
             .unwrap();
@@ -945,7 +911,7 @@ mod tests {
                 "SELECT id, v, x * 2 INTO res FROM t WHERE x > 1.6 ORDER BY id DESC",
             )
             .unwrap();
-        assert!(matches!(r.outcome, ExecOutcome::Affected(2)));
+        assert!(matches!(r, ExecOutcome::Affected(2)));
         let schema = e
             .storage()
             .catalog
@@ -967,6 +933,24 @@ mod tests {
         // The target must not exist yet.
         let err = e.execute(sid, "SELECT id INTO res FROM t").err().unwrap();
         assert!(matches!(err, Error::AlreadyExists(_)), "got {err:?}");
+        // One batch retires a table, loads the next, adds to it and
+        // reopens it: its outcome is the reopened result.
+        let r = e
+            .execute(
+                sid,
+                "DROP TABLE IF EXISTS res; DROP TABLE IF EXISTS gone; \
+                 SELECT id INTO res FROM t; INSERT INTO res VALUES (7); SELECT * FROM res",
+            )
+            .unwrap();
+        let ExecOutcome::Rows(cursor) = r else {
+            panic!("the batch's last outcome is the reopened result")
+        };
+        assert_eq!(cursor.count(), 4);
+        // A temp table loads and drops within one batch as well.
+        let r = e
+            .execute(sid, "SELECT id INTO #tmp FROM t; DROP TABLE #tmp")
+            .unwrap();
+        assert!(matches!(r, ExecOutcome::Ok));
     }
 
     #[test]
@@ -985,44 +969,6 @@ mod tests {
             .execute(sid, "SELECT id INTO res FROM t WHERE id LIKE '1%'")
             .is_err());
         assert!(e.storage().catalog.resolve("res").is_none());
-    }
-
-    #[test]
-    fn a_batch_reports_its_table_effects_in_order() {
-        let (_d, e) = fresh();
-        let sid = e.create_session().unwrap();
-        setup_t(&e, sid);
-        e.execute(sid, "CREATE TABLE old (id INT)").unwrap();
-        let r = e
-            .execute(
-                sid,
-                "DROP TABLE IF EXISTS old; DROP TABLE IF EXISTS gone; \
-                 SELECT id INTO res FROM t; INSERT INTO res VALUES (7); SELECT * FROM res",
-            )
-            .unwrap();
-        let ExecOutcome::Rows(cursor) = r.outcome else {
-            panic!("the batch's last outcome is the reopened result")
-        };
-        assert_eq!(cursor.count(), 4);
-        let loaded = |t: &str, rows| TableEffect::Loaded {
-            table: t.into(),
-            rows,
-        };
-        let dropped = |t: &str| TableEffect::Dropped { table: t.into() };
-        assert_eq!(
-            r.tables,
-            [
-                dropped("old"),
-                dropped("gone"),
-                loaded("res", 3),
-                loaded("res", 1)
-            ]
-        );
-        // Temp tables are session state, not reported.
-        let r = e
-            .execute(sid, "SELECT id INTO #tmp FROM t; DROP TABLE #tmp")
-            .unwrap();
-        assert!(r.tables.is_empty());
     }
 
     #[test]

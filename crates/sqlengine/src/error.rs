@@ -42,12 +42,11 @@ pub enum Error {
     /// preserved: the call is *retryable*, and a later call on the same
     /// connection resumes recovery where it left off.
     RecoveryExhausted,
-    /// The server shed the request under overload (session registry
-    /// full, pending-accept queue full, or the session's memory budget
-    /// exceeded). Nothing was torn down and nothing executed: the call
-    /// is *retryable*, and `retry_after` is the server's hint for when
-    /// capacity is expected back (clients clip it to their own recovery
-    /// budget and add jitter before honoring it).
+    /// The server shed a connection under overload (session registry
+    /// full or pending-accept queue full). Nothing was torn down and
+    /// nothing executed: the call is *retryable*, and `retry_after` is
+    /// the server's hint for when capacity is expected back (clients clip
+    /// it to their own recovery budget and add jitter before honoring it).
     ServerBusy {
         /// Server hint: earliest useful retry time.
         retry_after: Duration,

@@ -1,7 +1,7 @@
 //! Name resolution: turning AST expressions into bound expressions with
 //! column indexes resolved against relation scopes, plus static type
-//! inference (which powers the `WHERE 0=1` metadata-only path Phoenix
-//! relies on).
+//! inference (which answers a constant-false query such as `WHERE 0=1`
+//! with its columns alone, and types a `SELECT … INTO` target).
 
 #![allow(missing_docs)] // executor-internal IR: names mirror the AST
 

@@ -1566,7 +1566,7 @@ mod tests {
             temps: Arc::default(),
             params: Arc::default(),
             depth: 0,
-            effects: Arc::default(),
+            ddl: Arc::default(),
         };
         for sql in [
             "CREATE TABLE #u (b INT, c INT)",

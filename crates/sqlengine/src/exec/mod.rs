@@ -32,8 +32,8 @@ use select::{
     bind_select_list, constant_false, infer_output_schema, run_select_materialized, statement_reads,
 };
 
-/// Session-local temp tables: volatile, die with the session (the property
-/// Phoenix's post-crash liveness probe relies on).
+/// Session-local temp tables: volatile, they die with the session and
+/// with every crash of the server.
 #[derive(Default)]
 pub struct TempTables {
     /// Tables keyed by lowercased name (without the `#`).
@@ -47,28 +47,6 @@ pub struct TempTable {
     /// Row storage (no paging/WAL — temp tables are volatile by design).
     /// A read shares it; a write copies it only while a read holds it.
     pub rows: Arc<Vec<Row>>,
-}
-
-impl TempTables {
-    /// Approximate resident bytes across every temp table — the engine's
-    /// contribution to a session's memory-budget charge in the server's
-    /// admission controller. An accounting estimate (fixed widths plus
-    /// string payloads), not an allocator measurement.
-    pub fn approx_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for (name, t) in &self.tables {
-            total += 64 + name.len() as u64;
-            for row in t.rows.iter() {
-                for v in row {
-                    total += match v {
-                        Value::Str(s) => 24 + s.len() as u64,
-                        _ => 8,
-                    };
-                }
-            }
-        }
-        total
-    }
 }
 
 /// Either a catalog table or a session temp table, resolved for reading.
@@ -107,36 +85,12 @@ pub struct ExecCtx {
     pub params: Arc<HashMap<String, Value>>,
     /// Procedure call depth (recursion guard).
     pub depth: u32,
-    /// What the statement batch this statement belongs to has done so far.
-    pub effects: Arc<Mutex<BatchEffects>>,
-}
-
-/// A table change the server's admission accounting follows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TableEffect {
-    /// `rows` were written into `table` (INSERT, or `SELECT … INTO`).
-    Loaded { table: String, rows: u64 },
-    /// A `DROP TABLE` of `table` succeeded (`IF EXISTS` included, whether
-    /// or not the table existed).
-    Dropped { table: String },
-}
-
-/// What a statement batch leaves for [`crate::Engine::execute`] to finish:
-/// the DDL to force before the batch returns, and the table effects to
-/// report, in execution order. Temp tables appear in neither.
-#[derive(Default)]
-pub struct BatchEffects {
-    /// DDL top actions awaiting the batch's one log force.
-    pub ddl: DdlBatch,
-    /// Durable-table writes and drops.
-    pub tables: Vec<TableEffect>,
+    /// The DDL of the statement batch this statement belongs to, which
+    /// [`crate::Engine::execute`] forces once before the batch returns.
+    pub ddl: Arc<Mutex<DdlBatch>>,
 }
 
 impl ExecCtx {
-    fn report(&self, effect: TableEffect) {
-        self.effects.lock().tables.push(effect);
-    }
-
     /// Resolve a (possibly temp) table name for reading. A temp table
     /// resolves to its schema alone: binding a statement copies no rows.
     pub fn resolve_table(&self, t: &TableName) -> Result<TableSource> {
@@ -242,11 +196,11 @@ pub fn execute_stmt(ctx: &ExecCtx, stmt: &Stmt) -> Result<StmtOutcome> {
         } => {
             let text = render_proc_text(name, params, body);
             ctx.storage
-                .create_proc(&mut ctx.effects.lock().ddl, name, &text, *or_replace)?;
+                .create_proc(&mut ctx.ddl.lock(), name, &text, *or_replace)?;
             Ok(StmtOutcome::Ok)
         }
         Stmt::DropProc { name } => {
-            ctx.storage.drop_proc(&mut ctx.effects.lock().ddl, name)?;
+            ctx.storage.drop_proc(&mut ctx.ddl.lock(), name)?;
             Ok(StmtOutcome::Ok)
         }
         Stmt::Exec { name, args } => exec_procedure(ctx, name, args),
@@ -518,15 +472,10 @@ fn insert_rows(
             }
         }
     }
-    let n = full_rows.len() as u64;
     for row in &full_rows {
         ctx.storage.insert_row(&ctx.txn, table_id, row)?;
     }
-    ctx.report(TableEffect::Loaded {
-        table: table.name.clone(),
-        rows: n,
-    });
-    Ok(StmtOutcome::Affected(n))
+    Ok(StmtOutcome::Affected(full_rows.len() as u64))
 }
 
 fn exec_update(
@@ -670,8 +619,7 @@ fn exec_create_table(
         return Ok(StmtOutcome::Ok);
     }
 
-    ctx.storage
-        .create_table(&mut ctx.effects.lock().ddl, schema)?;
+    ctx.storage.create_table(&mut ctx.ddl.lock(), schema)?;
     Ok(StmtOutcome::Ok)
 }
 
@@ -684,18 +632,11 @@ fn exec_drop_table(ctx: &ExecCtx, table: &TableName, if_exists: bool) -> Result<
             None => Err(Error::NotFound(format!("temp table #{}", table.name))),
         };
     }
-    match ctx
-        .storage
-        .drop_table(&mut ctx.effects.lock().ddl, &table.name)
-    {
-        Ok(()) => {}
-        Err(Error::NotFound(_)) if if_exists => {}
-        Err(e) => return Err(e),
+    match ctx.storage.drop_table(&mut ctx.ddl.lock(), &table.name) {
+        Ok(()) => Ok(StmtOutcome::Ok),
+        Err(Error::NotFound(_)) if if_exists => Ok(StmtOutcome::Ok),
+        Err(e) => Err(e),
     }
-    ctx.report(TableEffect::Dropped {
-        table: table.name.clone(),
-    });
-    Ok(StmtOutcome::Ok)
 }
 
 fn exec_procedure(
@@ -736,7 +677,7 @@ fn exec_procedure(
         temps: Arc::clone(&ctx.temps),
         params: Arc::new(bound),
         depth: ctx.depth + 1,
-        effects: Arc::clone(&ctx.effects),
+        ddl: Arc::clone(&ctx.ddl),
     };
     let stmts = parse_statements(&body)?;
     let mut last = StmtOutcome::Ok;

@@ -1,9 +1,8 @@
 //! SELECT execution: scan with predicate pushdown, column pruning and
 //! primary-key access paths, greedy hash-join planning, grouping and
 //! aggregation, HAVING, DISTINCT, ORDER BY, TOP, and projection — plus
-//! static output-schema inference, which is what makes the Phoenix
-//! `WHERE 0=1` metadata probe metadata-only on this engine too
-//! (constant-false predicates are folded before any scan happens).
+//! static output-schema inference: a query whose predicate folds to a
+//! constant false (`WHERE 0=1`) returns its columns without any scan.
 
 use std::collections::HashMap;
 
@@ -74,8 +73,8 @@ fn table_ref_bindings(ctx: &ExecCtx, tr: &TableRef, out: &mut Vec<BoundCol>) -> 
 }
 
 /// Static output schema of a SELECT — names and types — without executing
-/// it. This is the engine-side substrate for the `WHERE 0=1` trick: Phoenix
-/// gets complete result metadata from a query that never scans.
+/// it. A constant-false query (`WHERE 0=1`) answers with this schema and
+/// no rows, and `SELECT … INTO` types its new table from it.
 pub fn infer_output_schema(ctx: &ExecCtx, q: &SelectStmt) -> Result<Vec<Column>> {
     let input = relation_bindings(ctx, &q.from)?;
     let scopes = vec![input.clone()];

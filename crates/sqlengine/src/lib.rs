@@ -33,8 +33,7 @@ pub mod txn;
 pub mod types;
 pub mod wal;
 
-pub use engine::{Cursor, Durable, Engine, ExecOutcome, StatementResult};
+pub use engine::{Cursor, Durable, Engine, ExecOutcome};
 pub use error::{Error, Result};
-pub use exec::TableEffect;
 pub use schema::{Column, TableSchema};
 pub use types::{DataType, Row, Value};

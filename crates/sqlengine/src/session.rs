@@ -1,8 +1,7 @@
 //! Server-side session state.
 //!
-//! A session owns its temp tables (volatile — they vanish on crash, which
-//! is the proxy Phoenix probes to detect that a database session died) and
-//! at most one explicit transaction.
+//! A session owns its temp tables (volatile: they vanish when the session
+//! closes or the server crashes) and at most one explicit transaction.
 
 use std::sync::Arc;
 
@@ -15,12 +14,6 @@ use crate::txn::TxnHandle;
 /// NOT stable across crashes: a restarted engine issues fresh ids and all
 /// old ids dangle (`Error::NoSuchSession`), exactly like a real server.
 pub type SessionId = u64;
-
-/// Name prefix of Phoenix persisted-result tables
-/// (`phx_res_<conn>_<seq>`). Shared between the client that names them
-/// (`phoenix::intercept`) and the server's admission controller, which
-/// charges their materialized rows against the session memory budget.
-pub const RESULT_TABLE_PREFIX: &str = "phx_res_";
 
 /// State the engine tracks per session.
 pub struct SessionState {

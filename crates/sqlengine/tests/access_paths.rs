@@ -64,7 +64,7 @@ fn write_effect(
     e.execute(sid, "BEGIN TRAN").unwrap();
     match e.execute(sid, sql) {
         Ok(r) => {
-            let ExecOutcome::Affected(n) = r.outcome else {
+            let ExecOutcome::Affected(n) = r else {
                 panic!("{sql}: not a write");
             };
             let after = query(e, sid, snapshot).unwrap();

@@ -230,8 +230,7 @@ fn check_reuse_survives_crash(checkpoint: bool) {
     create(&e, sid, "t4");
     fill(&e, sid, "t4", "held", 80);
     let reader = e.create_session().unwrap();
-    let ExecOutcome::Rows(mut cursor) = e.execute(reader, "SELECT k FROM t4").unwrap().outcome
-    else {
+    let ExecOutcome::Rows(mut cursor) = e.execute(reader, "SELECT k FROM t4").unwrap() else {
         panic!("expected rows")
     };
     cursor.next().unwrap().unwrap();
@@ -317,8 +316,7 @@ fn lazy_cursor_keeps_a_dropped_tables_pages_until_its_txn_ends() {
     fill(&e, reader, "t1", "old", 120);
     let t1_pages: HashSet<PageId> = pages_of(&e, "t1").into_iter().collect();
 
-    let ExecOutcome::Rows(mut cursor) = e.execute(reader, "SELECT k, v FROM t1").unwrap().outcome
-    else {
+    let ExecOutcome::Rows(mut cursor) = e.execute(reader, "SELECT k, v FROM t1").unwrap() else {
         panic!("expected rows")
     };
     assert!(cursor.is_lazy());

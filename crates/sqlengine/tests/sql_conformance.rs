@@ -1217,7 +1217,7 @@ fn narrowed_scans_answer_as_whole_rows() {
     // A lazy cursor with TOP: the first rows the filter accepts, in heap
     // order, cut to the columns read.
     let sql = "SELECT TOP 2 name, region FROM cust WHERE score > 5";
-    let ExecOutcome::Rows(cursor) = e.execute(sid, sql).unwrap().outcome else {
+    let ExecOutcome::Rows(cursor) = e.execute(sid, sql).unwrap() else {
         panic!("{sql}: no rows");
     };
     assert!(cursor.is_lazy(), "{sql}");

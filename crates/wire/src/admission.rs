@@ -2,7 +2,8 @@
 //!
 //! The paper's recovery story is per-session; this module is what keeps
 //! the *server* alive when every session exercises that story at once (a
-//! reconnect storm after a crash). It owns three bounded resources:
+//! reconnect storm after a crash). It owns two bounded resources and
+//! one clock:
 //!
 //! * a **session registry** capped at [`AdmissionConfig::max_sessions`] —
 //!   one slot per wire connection, released on every exit path (orderly
@@ -12,11 +13,12 @@
 //!   accepted but not yet finished the `Connect` handshake. This is the
 //!   bound on *concurrent reconnects*: a post-crash herd cannot occupy
 //!   more than this many handshakes at a time, the rest are shed;
-//! * a **per-session memory budget**
-//!   ([`AdmissionConfig::session_budget_bytes`]) charged with the
-//!   session's engine-side state (temp tables) and the Phoenix result
-//!   tables it has materialized, plus idle-session **eviction** after
-//!   [`AdmissionConfig::idle_timeout`] without traffic.
+//! * idle-session **eviction** after [`AdmissionConfig::idle_timeout`]
+//!   without traffic.
+//!
+//! Every gate acts on a connection, never on a statement: once a session
+//! is admitted, its requests run. The controller knows nothing of what a
+//! session stores or of the middleware above the client driver.
 //!
 //! Saturation is never a stall or an OOM: the server sheds with
 //! [`Error::ServerBusy`], carrying a `retry_after` hint the client folds
@@ -37,18 +39,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use sqlengine::session::{SessionId, RESULT_TABLE_PREFIX};
-use sqlengine::{Error, TableEffect};
+use sqlengine::session::SessionId;
+use sqlengine::Error;
 
 use crate::transport::Endpoint;
-
-/// Fixed per-slot overhead charged against the memory budget (registry
-/// entry, network buffers' bookkeeping) before any session state.
-pub const SLOT_BASE_BYTES: u64 = 4096;
-
-/// Bytes charged per materialized result row (the engine stores rows
-/// unserialized; this is the accounting width, not an exact measure).
-pub const RESULT_ROW_BYTES: u64 = 64;
 
 /// Admission tuning. `Copy`, like [`crate::ServerConfig`] which embeds it.
 #[derive(Debug, Clone, Copy)]
@@ -65,10 +59,6 @@ pub struct AdmissionConfig {
     /// is torn down. The client's next call finds a dead link and runs
     /// full Phoenix recovery.
     pub idle_timeout: Duration,
-    /// Per-session memory budget. A session over budget has further
-    /// `Exec` requests shed (statement-level, session preserved) until
-    /// it drops state, e.g. `DROP TABLE phx_res_*`.
-    pub session_budget_bytes: u64,
     /// How long an accepted connection may sit in the handshake without
     /// delivering its `Connect` frame before the link is dropped. The
     /// pending-accept gate is a hard cap on concurrent handshakes, so
@@ -85,7 +75,6 @@ impl Default for AdmissionConfig {
             max_sessions: 4096,
             pending_accepts: 1024,
             idle_timeout: Duration::from_secs(60),
-            session_budget_bytes: u64::MAX,
             handshake_timeout: Duration::from_secs(10),
         }
     }
@@ -103,26 +92,8 @@ struct SessionSlot {
     ep: Arc<Endpoint>,
     /// Last inbound frame (any request counts, including `Ping`).
     last_activity: Instant,
-    /// Engine-side session state estimate (temp tables).
-    state_bytes: u64,
-    /// Bytes charged per materialized Phoenix result table.
-    result_bytes: HashMap<String, u64>,
     /// Cumulative inbound traffic (for per-session footprint reporting).
     traffic_bytes: u64,
-}
-
-impl SessionSlot {
-    fn charged_bytes(&self) -> u64 {
-        SLOT_BASE_BYTES
-            .saturating_add(self.state_bytes)
-            .saturating_add(self.result_bytes.values().sum())
-    }
-}
-
-/// The admission key of a Phoenix result table (`phx_res_*`, any case).
-fn result_table(name: &str) -> Option<String> {
-    let lower = name.to_ascii_lowercase();
-    lower.starts_with(RESULT_TABLE_PREFIX).then_some(lower)
 }
 
 /// A session evicted by [`AdmissionController::sweep_idle`]; the caller
@@ -150,17 +121,15 @@ pub struct AdmissionStats {
     pub pending_peak: i64,
     /// Sessions ever admitted.
     pub admitted: u64,
-    /// Requests shed (connect-level and statement-level).
+    /// Connections shed (by the pending-accept gate or the registry cap).
     pub shed: u64,
     /// Sessions evicted for idleness.
     pub evicted: u64,
-    /// Memory charge across currently registered sessions.
-    pub bytes_active: u64,
     /// Inbound traffic across all sessions ever registered.
     pub traffic_total: u64,
 }
 
-/// The bounded session registry + pending gate + budgets.
+/// The bounded session registry, the pending gate and the idle clock.
 pub struct AdmissionController {
     cfg: AdmissionConfig,
     slots: Mutex<HashMap<u64, SessionSlot>>,
@@ -254,8 +223,6 @@ impl AdmissionController {
                 epoch,
                 ep,
                 last_activity: now,
-                state_bytes: 0,
-                result_bytes: HashMap::new(),
                 traffic_bytes: 0,
             },
         );
@@ -315,70 +282,6 @@ impl AdmissionController {
         }
     }
 
-    /// Refresh the engine-side state estimate for a slot.
-    pub fn set_state_bytes(&self, id: u64, bytes: u64) {
-        if let Some(slot) = self.slots.lock().get_mut(&id) {
-            slot.state_bytes = bytes;
-        }
-    }
-
-    /// Apply one executed batch's table effects to the slot: rows loaded
-    /// into a Phoenix result table are charged, a dropped one is released.
-    pub fn account(&self, id: u64, effects: &[TableEffect]) {
-        for effect in effects {
-            match effect {
-                TableEffect::Loaded { table, rows } => {
-                    if let Some(t) = result_table(table) {
-                        self.charge_result(id, &t, rows.saturating_mul(RESULT_ROW_BYTES));
-                    }
-                }
-                TableEffect::Dropped { table } => {
-                    if let Some(t) = result_table(table) {
-                        self.release_result(id, &t);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Charge a materialized Phoenix result table against the budget.
-    fn charge_result(&self, id: u64, table: &str, bytes: u64) {
-        if let Some(slot) = self.slots.lock().get_mut(&id) {
-            let e = slot.result_bytes.entry(table.to_string()).or_insert(0);
-            *e = e.saturating_add(bytes);
-        }
-    }
-
-    /// Release a dropped result table's charge.
-    fn release_result(&self, id: u64, table: &str) {
-        if let Some(slot) = self.slots.lock().get_mut(&id) {
-            slot.result_bytes.remove(table);
-        }
-    }
-
-    /// Batch-level budget gate: `Some(ServerBusy)` when the session's
-    /// charge, less the charges of the result tables the batch drops
-    /// (`retiring`), is over its memory budget. The session itself is
-    /// preserved — only the batch is shed, and dropping state (or the
-    /// idle sweep) restores service.
-    pub fn over_budget(&self, id: u64, retiring: &[&str]) -> Option<Error> {
-        let over = {
-            let slots = self.slots.lock();
-            slots.get(&id).is_some_and(|s| {
-                let released: u64 = retiring
-                    .iter()
-                    .filter_map(|t| s.result_bytes.get(&t.to_ascii_lowercase()))
-                    .sum();
-                s.charged_bytes().saturating_sub(released) > self.cfg.session_budget_bytes
-            })
-        };
-        if over {
-            Some(self.shed(Duration::from_millis(10)))
-        } else {
-            None
-        }
-    }
-
     /// Evict every slot idle past the timeout: close its link (the
     /// client's next call finds a dead connection and runs full Phoenix
     /// recovery) and hand the engine-side cleanup to the caller. Evicts
@@ -417,11 +320,10 @@ impl AdmissionController {
 
     /// Per-controller statistics (see [`AdmissionStats`]).
     pub fn stats(&self) -> AdmissionStats {
-        let (active, bytes_active, traffic_live) = {
+        let (active, traffic_live) = {
             let slots = self.slots.lock();
-            let bytes = slots.values().map(SessionSlot::charged_bytes).sum();
             let traffic = slots.values().map(|s| s.traffic_bytes).sum::<u64>();
-            (slots.len(), bytes, traffic)
+            (slots.len(), traffic)
         };
         AdmissionStats {
             active,
@@ -430,7 +332,6 @@ impl AdmissionController {
             admitted: self.admitted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
-            bytes_active,
             traffic_total: self.traffic_done.load(Ordering::Relaxed) + traffic_live,
         }
     }
@@ -446,7 +347,6 @@ mod tests {
             max_sessions,
             pending_accepts: pending,
             idle_timeout: idle,
-            session_budget_bytes: 10_000,
             handshake_timeout: Duration::from_secs(10),
         })
     }
@@ -462,6 +362,10 @@ mod tests {
         let a = ac.admit(1, ep()).unwrap();
         let _b = ac.admit(1, ep()).unwrap();
         let err = ac.admit(1, ep()).unwrap_err();
+        // A shed tears nothing down: the call may simply be issued again
+        // once the hint has passed.
+        assert!(err.is_retryable(), "a shed is retryable: {err:?}");
+        assert!(!err.is_connection_fatal(), "a shed is not fatal: {err:?}");
         let Error::ServerBusy { retry_after } = err else {
             panic!("expected ServerBusy, got {err:?}");
         };
@@ -518,48 +422,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(60));
         assert_eq!(ac.sweep_idle(Instant::now()).len(), 1);
         assert_eq!(ac.stats().traffic_total, 10);
-    }
-
-    #[test]
-    fn batch_effects_charge_and_release_result_tables() {
-        let ac = tiny(8, 8, Duration::from_secs(60));
-        let id = ac.admit(1, ep()).unwrap();
-        let loaded = |t: &str, rows| TableEffect::Loaded {
-            table: t.into(),
-            rows,
-        };
-        let dropped = |t: &str| TableEffect::Dropped { table: t.into() };
-        let bytes = || ac.stats().bytes_active;
-        ac.account(id, &[loaded("phx_res_1_1", 3), loaded("orders", 1000)]);
-        assert_eq!(bytes(), SLOT_BASE_BYTES + 3 * RESULT_ROW_BYTES);
-        // Drop the old result and load the next one in a single batch.
-        ac.account(id, &[dropped("phx_res_1_1"), loaded("PHX_RES_1_2", 5)]);
-        assert_eq!(bytes(), SLOT_BASE_BYTES + 5 * RESULT_ROW_BYTES);
-        // Dropping a table that was never charged releases nothing else.
-        ac.account(id, &[dropped("phx_res_9_9"), dropped("orders")]);
-        assert_eq!(bytes(), SLOT_BASE_BYTES + 5 * RESULT_ROW_BYTES);
-        ac.account(id, &[dropped("phx_res_1_2")]);
-        assert_eq!(bytes(), SLOT_BASE_BYTES);
-    }
-
-    #[test]
-    fn budget_charges_and_releases() {
-        let ac = tiny(8, 8, Duration::from_secs(60));
-        let id = ac.admit(1, ep()).unwrap();
-        assert!(ac.over_budget(id, &[]).is_none(), "base charge fits");
-        ac.charge_result(id, "phx_res_1_1", 20_000);
-        assert!(matches!(
-            ac.over_budget(id, &[]),
-            Some(Error::ServerBusy { .. })
-        ));
-        // A batch that drops the table it is over budget for is let in.
-        assert!(ac.over_budget(id, &["PHX_RES_1_1"]).is_none());
-        assert!(ac.over_budget(id, &["phx_res_1_2"]).is_some());
-        ac.release_result(id, "phx_res_1_1");
-        assert!(ac.over_budget(id, &[]).is_none());
-        ac.set_state_bytes(id, 50_000);
-        assert!(ac.over_budget(id, &[]).is_some());
-        ac.set_state_bytes(id, 0);
-        assert!(ac.over_budget(id, &[]).is_none());
     }
 }

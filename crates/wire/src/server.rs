@@ -11,8 +11,6 @@ use faultkit::net::NetPlan;
 use parking_lot::Mutex;
 
 use sqlengine::engine::{Cursor, Durable, Engine, ExecOutcome};
-use sqlengine::sql::ast::Stmt;
-use sqlengine::sql::parser::parse_statements;
 use sqlengine::storage::disk::{DiskModel, IoSnapshot};
 use sqlengine::wal::recovery::{RecoveryConfig, RecoveryStats};
 use sqlengine::{Error, Result, Row};
@@ -47,8 +45,8 @@ pub struct ServerConfig {
     /// crash/restart (it is server tuning, not volatile state).
     pub group_commit: GroupCommit,
     /// Admission control: bounded session registry, pending-accept gate,
-    /// idle eviction and per-session memory budgets (see
-    /// [`crate::admission`]). Defaults are permissive.
+    /// handshake bound and idle eviction (see [`crate::admission`]).
+    /// Defaults are permissive.
     pub admission: AdmissionConfig,
 }
 
@@ -205,7 +203,7 @@ impl DbServer {
         self.inner.epoch.load(Ordering::Relaxed)
     }
 
-    /// The admission controller (stats, budgets, sweep bookkeeping).
+    /// The admission controller (stats, gate bounds, sweep bookkeeping).
     pub fn admission(&self) -> &AdmissionController {
         &self.inner.admission
     }
@@ -491,93 +489,60 @@ fn connection_loop(server: DbServer, engine: Arc<Engine>, ep: Arc<Endpoint>, cfg
             }
             Request::Exec { stmt, sql, skip } => {
                 faultkit::crashpoint!("wire.exec.pre");
-                let stmts = match parse_statements(&sql) {
-                    Ok(stmts) => stmts,
-                    Err(e) => {
-                        reply(&ep, Response::Error { stmt, error: e }, None);
-                        continue;
-                    }
-                };
-                // Memory-budget gate, judged on the whole batch: an
-                // over-budget session has the batch shed (nothing
-                // executes, session preserved) unless the result tables
-                // the batch drops bring it back under budget — the gate
-                // must never block the only way out of it.
-                let retiring: Vec<&str> = stmts
-                    .iter()
-                    .filter_map(|s| match s {
-                        Stmt::DropTable { table, .. } => Some(table.name.as_str()),
-                        _ => None,
-                    })
-                    .collect();
-                if let Some(e) = admission.over_budget(admit_id, &retiring) {
-                    reply(&ep, Response::Error { stmt, error: e }, None);
-                    continue;
-                }
-                let res = engine.execute_parsed(sid, &stmts);
-                if let Ok(res) = &res {
-                    // Phoenix result tables the batch loaded or dropped
-                    // move the session's memory charge; the engine-side
-                    // state estimate is refreshed on the same cadence.
-                    admission.account(admit_id, &res.tables);
-                    admission.set_state_bytes(admit_id, engine.session_state_bytes(sid));
-                }
-                match res {
+                match engine.execute(sid, &sql) {
                     Err(e) => {
                         reply(&ep, Response::Error { stmt, error: e }, None);
                     }
-                    Ok(res) => match res.outcome {
-                        ExecOutcome::Affected(n) => {
-                            // Executed (and, for modifications, committed)
-                            // but the reply has not been sent: the
-                            // paper's "crash after commit, before reply"
-                            // window that the status table masks.
-                            faultkit::crashpoint!("wire.exec.post");
-                            reply(
-                                &ep,
-                                Response::Done {
-                                    stmt,
-                                    kind: DoneKind::Affected(n),
-                                },
-                                None,
-                            );
-                        }
-                        ExecOutcome::Ok => {
-                            faultkit::crashpoint!("wire.exec.post.ok");
-                            reply(
-                                &ep,
-                                Response::Done {
-                                    stmt,
-                                    kind: DoneKind::Ok,
-                                },
-                                None,
-                            );
-                        }
-                        ExecOutcome::ShutdownRequested { nowait } => {
-                            if !nowait {
-                                // Graceful: checkpoint so restart redo is
-                                // trivial, then stop.
-                                if let Some(e) = server.engine() {
-                                    // lint:allow(discard): a failed shutdown checkpoint only costs redo time at restart
-                                    let _ = e.checkpoint();
-                                }
-                            }
-                            server.crash();
-                            return;
-                        }
-                        ExecOutcome::Rows(cursor) => {
-                            let mut stream = ResultStream::new(
-                                Arc::clone(&ep),
+                    Ok(ExecOutcome::Affected(n)) => {
+                        // Executed (and, for modifications, committed)
+                        // but the reply has not been sent: the
+                        // paper's "crash after commit, before reply"
+                        // window that the status table masks.
+                        faultkit::crashpoint!("wire.exec.post");
+                        reply(
+                            &ep,
+                            Response::Done {
                                 stmt,
-                                cursor,
-                                skip,
-                                cfg.row_batch.max(1),
-                            );
-                            if stream.pump(false) == Pumped::Full {
-                                spill(stream, &cancels);
+                                kind: DoneKind::Affected(n),
+                            },
+                            None,
+                        );
+                    }
+                    Ok(ExecOutcome::Ok) => {
+                        faultkit::crashpoint!("wire.exec.post.ok");
+                        reply(
+                            &ep,
+                            Response::Done {
+                                stmt,
+                                kind: DoneKind::Ok,
+                            },
+                            None,
+                        );
+                    }
+                    Ok(ExecOutcome::ShutdownRequested { nowait }) => {
+                        if !nowait {
+                            // Graceful: checkpoint so restart redo is
+                            // trivial, then stop.
+                            if let Some(e) = server.engine() {
+                                // lint:allow(discard): a failed shutdown checkpoint only costs redo time at restart
+                                let _ = e.checkpoint();
                             }
                         }
-                    },
+                        server.crash();
+                        return;
+                    }
+                    Ok(ExecOutcome::Rows(cursor)) => {
+                        let mut stream = ResultStream::new(
+                            Arc::clone(&ep),
+                            stmt,
+                            cursor,
+                            skip,
+                            cfg.row_batch.max(1),
+                        );
+                        if stream.pump(false) == Pumped::Full {
+                            spill(stream, &cancels);
+                        }
+                    }
                 }
             }
             Request::Connect { .. } => {

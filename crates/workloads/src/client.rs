@@ -98,7 +98,7 @@ impl Drop for EngineClient {
 
 impl SqlClient for EngineClient {
     fn execute(&self, sql: &str) -> Result<ExecResult> {
-        match self.engine.execute(self.session, sql)?.outcome {
+        match self.engine.execute(self.session, sql)? {
             sqlengine::ExecOutcome::Rows(cursor) => {
                 let rows: Result<Vec<Row>> = cursor.collect();
                 Ok(ExecResult::Rows(rows?))

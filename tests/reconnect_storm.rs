@@ -11,12 +11,11 @@
 //! * every shed session eventually recovers (or surfaces a resumable
 //!   `RecoveryExhausted`, proven separately below).
 //!
-//! Satellites live here too: idle eviction vs. the temp-table liveness
-//! probe (an evicted session's next call routes through full phase-1/2
-//! recovery, repositioned at `delivered`), per-session memory budgets
-//! (statement-level shed, session preserved), `retry_after` clipping to
-//! the recovery deadline, and single-crash enumeration over the
-//! `admission.{admit,shed,evict}` crashpoint family.
+//! Satellites live here too: idle eviction (an evicted session's next
+//! call routes through full phase-1/2 recovery, repositioned at
+//! `delivered`), `retry_after` clipping to the recovery deadline, and
+//! single-crash enumeration over the `admission.{admit,shed,evict}`
+//! crashpoint family.
 //!
 //! A failing storm seed prints a one-line
 //! `FAULTKIT_REPLAY='reconnect_storm:seed#<n>'` reproduction.
@@ -143,7 +142,6 @@ fn run_storm(seed: u64) {
         max_sessions: sessions * 4,
         pending_accepts: PENDING_CAP,
         idle_timeout: Duration::from_secs(2),
-        session_budget_bytes: u64::MAX,
         handshake_timeout: Duration::from_secs(10),
     };
     let server = DbServer::start(cfg).unwrap();
@@ -224,12 +222,11 @@ fn run_storm(seed: u64) {
     );
 
     // Every slot drains once the fleet disconnects — no leaked sessions,
-    // no leaked bytes.
+    // no handshake left in the gate.
     let t = Instant::now();
     loop {
         let st = server.admission_stats();
         if st.active == 0 && st.pending == 0 {
-            assert_eq!(st.bytes_active, 0, "byte charge must drain with the slots");
             break;
         }
         assert!(
@@ -317,13 +314,12 @@ fn write_snapshot_if_requested(base: u64, count: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: idle eviction vs. the temp-table liveness probe
+// Satellite: idle eviction
 // ---------------------------------------------------------------------------
 
-/// An evicted session's next call must route through *full* phase-1/2
-/// recovery (the liveness probe finds the session dead — no false
-/// alarm), reposition the open result at `delivered`, and keep the
-/// exactly-once ledger intact.
+/// An evicted session's next call finds its link closed and must route
+/// through *full* phase-1/2 recovery, reposition the open result at
+/// `delivered`, and keep the exactly-once ledger intact.
 #[test]
 fn evicted_idle_session_runs_full_recovery_repositioned_at_delivered() {
     let _fk = faultkit::session();
@@ -333,7 +329,6 @@ fn evicted_idle_session_runs_full_recovery_repositioned_at_delivered() {
         max_sessions: 64,
         pending_accepts: 64,
         idle_timeout: Duration::from_millis(250),
-        session_budget_bytes: u64::MAX,
         handshake_timeout: Duration::from_secs(10),
     };
     let server = DbServer::start(cfg).unwrap();
@@ -393,53 +388,6 @@ fn evicted_idle_session_runs_full_recovery_repositioned_at_delivered() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: per-session memory budget
-// ---------------------------------------------------------------------------
-
-/// A session over its memory budget has statements shed (`ServerBusy`,
-/// retryable, *not* connection-fatal — the session survives) until it
-/// drops the materialized state; the dropping statement itself is always
-/// admitted.
-#[test]
-fn over_budget_session_sheds_statements_until_state_dropped() {
-    let _fk = faultkit::session();
-    let mut cfg = ServerConfig::instant_net();
-    cfg.admission.session_budget_bytes = wire::admission::SLOT_BASE_BYTES + 512;
-    let server = DbServer::start(cfg).unwrap();
-    let conn = OdbcConnection::connect(&server, DriverConfig::default()).unwrap();
-    conn.exec_direct("CREATE TABLE t (a INT PRIMARY KEY)")
-        .unwrap();
-    conn.exec_direct("CREATE TABLE phx_res_7_1 (a INT PRIMARY KEY)")
-        .unwrap();
-    // Materializing 9 result rows charges 9 * 64 = 576 bytes > the 512
-    // the budget leaves above the base slot charge.
-    let vals: Vec<String> = (0..9).map(|i| format!("({i})")).collect();
-    conn.exec_direct(&format!(
-        "INSERT INTO phx_res_7_1 VALUES {}",
-        vals.join(",")
-    ))
-    .unwrap();
-
-    let err = conn.exec_direct("INSERT INTO t VALUES (1)").unwrap_err();
-    assert!(err.is_retryable(), "budget shed is retryable: {err:?}");
-    assert!(
-        !err.is_connection_fatal(),
-        "budget shed must not kill the session: {err:?}"
-    );
-    let Error::ServerBusy { retry_after } = err else {
-        panic!("expected ServerBusy, got {err:?}")
-    };
-    assert!(retry_after > Duration::ZERO);
-
-    // The way out is never gated: dropping the result table is admitted
-    // even while over budget, and service resumes.
-    conn.exec_direct("DROP TABLE phx_res_7_1").unwrap();
-    let st = conn.exec_direct("INSERT INTO t VALUES (1)").unwrap();
-    assert_eq!(st.row_count(), Some(1));
-    assert!(server.admission_stats().shed >= 1);
-}
-
-// ---------------------------------------------------------------------------
 // Satellite: retry_after clipping + resumable exhaustion
 // ---------------------------------------------------------------------------
 
@@ -458,7 +406,6 @@ fn shed_hint_is_clipped_to_recovery_budget_and_exhaustion_resumes() {
         max_sessions: 4,
         pending_accepts: 64,
         idle_timeout: Duration::from_secs(60),
-        session_budget_bytes: u64::MAX,
         handshake_timeout: Duration::from_secs(10),
     };
     let server = DbServer::start(cfg).unwrap();
@@ -547,7 +494,6 @@ fn lifecycle_setup() -> (DbServer, PhoenixConnection) {
         max_sessions: 1,
         pending_accepts: 64,
         idle_timeout: Duration::from_millis(120),
-        session_budget_bytes: u64::MAX,
         handshake_timeout: Duration::from_secs(10),
     };
     let server = DbServer::start(cfg).unwrap();
