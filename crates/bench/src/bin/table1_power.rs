@@ -2,8 +2,11 @@
 //! (RF1/RF2) running times under native ODBC and under Phoenix/ODBC
 //! (server-side result persistence), with difference and ratio columns.
 //!
+//! Each time is the median over the measured runs, next to the runs'
+//! min–max.
+//!
 //! Environment overrides: `PHX_SF` (scale factor, default 0.01),
-//! `PHX_RUNS` (repetitions averaged, default 2), `PHX_SEED`.
+//! `PHX_RUNS` (measured repetitions, default 3), `PHX_SEED`.
 
 use std::time::Duration;
 
@@ -42,14 +45,32 @@ fn power_run(
     out
 }
 
-fn averaged(runs: Vec<Vec<(String, Duration, u64)>>) -> Vec<(String, Duration, u64)> {
+/// One item over the measured runs: its time's median and min–max.
+struct Spread {
+    median: Duration,
+    min: Duration,
+    max: Duration,
+}
+
+impl Spread {
+    fn range(&self) -> String {
+        format!("{}-{}", fmt_secs(self.min), fmt_secs(self.max))
+    }
+}
+
+/// Per item, in suite order: label, result size and time spread.
+fn averaged(runs: Vec<Vec<(String, Duration, u64)>>) -> Vec<(String, Spread, u64)> {
     let n = runs[0].len();
     (0..n)
         .map(|i| {
             let label = runs[0][i].0.clone();
             let times: Vec<Duration> = runs.iter().map(|r| r[i].1).collect();
-            let size = runs[0][i].2;
-            (label, median(times), size)
+            let spread = Spread {
+                min: times.iter().min().copied().unwrap_or_default(),
+                max: times.iter().max().copied().unwrap_or_default(),
+                median: median(times),
+            };
+            (label, spread, runs[0][i].2)
         })
         .collect()
 }
@@ -98,12 +119,14 @@ fn main() {
     let phoenix = averaged((0..runs).map(|_| power_run(&px, &mut rf_state)).collect());
 
     let mut table = TextTable::new(
-        format!("Table 1: TPC-H power test (sf={sf}, median of {runs} runs)"),
+        format!("Table 1: TPC-H power test (sf={sf}, median and min-max of {runs} runs)"),
         &[
             "Query/Update",
             "Result/Updates",
             "Native ODBC (s)",
+            "Native min-max",
             "Phoenix/ODBC (s)",
+            "Phoenix min-max",
             "Difference (s)",
             "Ratio",
         ],
@@ -112,29 +135,34 @@ fn main() {
     let mut tot_q_px = Duration::ZERO;
     let mut tot_u_native = Duration::ZERO;
     let mut tot_u_px = Duration::ZERO;
-    for ((label, tn, size), (_, tp, _)) in native.iter().zip(&phoenix) {
+    for ((label, n, size), (_, p, _)) in native.iter().zip(&phoenix) {
+        let (tn, tp) = (n.median, p.median);
         let diff = tp.as_secs_f64() - tn.as_secs_f64();
         table.row(vec![
             label.clone(),
             size.to_string(),
-            fmt_secs(*tn),
-            fmt_secs(*tp),
+            fmt_secs(tn),
+            n.range(),
+            fmt_secs(tp),
+            p.range(),
             format!("{diff:.3}"),
-            fmt_ratio(*tp, *tn),
+            fmt_ratio(tp, tn),
         ]);
         if label.starts_with('Q') {
-            tot_q_native += *tn;
-            tot_q_px += *tp;
+            tot_q_native += tn;
+            tot_q_px += tp;
         } else {
-            tot_u_native += *tn;
-            tot_u_px += *tp;
+            tot_u_native += tn;
+            tot_u_px += tp;
         }
     }
     table.row(vec![
         "Total (Query)".into(),
         String::new(),
         fmt_secs(tot_q_native),
+        String::new(),
         fmt_secs(tot_q_px),
+        String::new(),
         format!("{:.3}", tot_q_px.as_secs_f64() - tot_q_native.as_secs_f64()),
         fmt_ratio(tot_q_px, tot_q_native),
     ]);
@@ -142,7 +170,9 @@ fn main() {
         "Total (Updates)".into(),
         String::new(),
         fmt_secs(tot_u_native),
+        String::new(),
         fmt_secs(tot_u_px),
+        String::new(),
         format!("{:.3}", tot_u_px.as_secs_f64() - tot_u_native.as_secs_f64()),
         fmt_ratio(tot_u_px, tot_u_native),
     ]);

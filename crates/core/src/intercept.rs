@@ -12,8 +12,11 @@ pub enum RequestClass {
     /// A SELECT: generates a result set that must be made recoverable.
     /// (`SELECT … INTO` creates a table instead: it passes through.)
     ResultGenerating,
-    /// INSERT/UPDATE/DELETE: wrapped in a transaction together with a
-    /// status-table write so completion is testable after a crash.
+    /// INSERT/UPDATE/DELETE. Outside an application transaction it is
+    /// sent as one request: a transaction around the statement and a
+    /// status-table write of its `@@ROWCOUNT`, then a read of that row,
+    /// so completion is testable after a crash. Inside one it passes
+    /// through: a crash aborts the transaction instead.
     Modification,
     /// BEGIN TRAN.
     TxnBegin,

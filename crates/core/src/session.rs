@@ -639,10 +639,12 @@ impl PhoenixConnection {
         })
     }
 
-    /// Modification statement with exactly-once semantics: wrap in a
-    /// transaction that also records the affected count in the status
-    /// table; on failure, the status row tells recovery whether the
-    /// statement completed.
+    /// Modification statement with exactly-once semantics (paper §2.1),
+    /// in one request: the statement runs in a transaction that also
+    /// records its affected count in the status table, and the batch
+    /// ends by reading that record back. Any failure of the batch is
+    /// settled by reading the record: the error may have come after the
+    /// COMMIT, from the read itself.
     fn wrapped_modification(
         &self,
         inner: &mut Inner,
@@ -656,59 +658,44 @@ impl PhoenixConnection {
         let ledger = format!(
             "SELECT affected FROM {STATUS_TABLE} WHERE app_key = '{key}' AND req_id = {req_id}"
         );
+        let batch = wrapped_batch_sql(sql, &key, req_id, &ledger);
+        let run = |i: &mut Inner, q: &str| query_all(&i.app, q).map(|rows| ledger_count(&rows));
 
         loop {
-            let mut status_sent = false;
-            let e = match (|| -> Result<u64> {
-                inner.app.exec_direct("BEGIN TRAN")?;
-                let st = inner.app.exec_direct(sql)?;
-                let n = st.row_count().unwrap_or(0);
-                // The two windows the status table exists to close: crash
-                // before the status row is written (txn aborts, safe to
-                // re-execute) and crash after commit but before the client
-                // learns of it (status row says "done", don't re-execute).
-                faultkit::crashpoint!("phoenix.status.write");
-                status_sent = true;
-                inner.app.exec_direct(&format!(
-                    "INSERT INTO {STATUS_TABLE} VALUES ('{key}', {req_id}, {n})"
-                ))?;
-                faultkit::crashpoint!("phoenix.status.commit");
-                inner.app.exec_direct("COMMIT")?;
-                Ok(n)
-            })() {
-                Ok(n) => return Ok(n),
+            // The batch is about to leave: a crash here means the server
+            // never saw it. Its server-side windows are the engine's own
+            // points: the log append and force at the COMMIT, and the
+            // reply after it.
+            faultkit::crashpoint!("phoenix.status.batch");
+            let e = match run(inner, &batch) {
+                Ok(Some(n)) => return Ok(n),
+                Ok(None) => Error::Internal("wrapped batch committed no status row".into()),
                 Err(e) => e,
             };
-            // A wait-die victim is rolled back, and an attempt that failed
-            // before its status INSERT cannot have committed: either way no
-            // status row exists for `req_id`.
-            let not_applied = !status_sent || matches!(e, Error::Deadlock);
-            let action = classify_failure(&e, false, true);
-            let committed = if action == Action::RecoverRetry {
-                // Did the wrapped transaction commit before the crash? The
-                // check itself runs over the network and can hit the next
-                // fault, so it is masked too, on the same budget.
-                self.apply(inner, budget, action, e)
-                    .and_then(|()| self.masked(inner, budget, true, |i| query_all(&i.app, &ledger)))
-                    .map(|check| match check.first().and_then(|row| row.first()) {
-                        Some(Value::Int(n)) => Some(*n as u64),
-                        _ => None,
-                    })
-            } else {
-                // lint:allow(discard): ROLLBACK after a failed txn is best-effort; the error to act on is `e`
-                let _ = inner.app.exec_direct("ROLLBACK");
-                self.apply(inner, budget, action, e).map(|()| None)
+            // Recover a lost link or back off a wait-die victim (`Ok`: the
+            // batch may run again); `Err` surfaces unless the ledger says
+            // the batch committed.
+            let verdict = match self.apply(inner, budget, classify_failure(&e, false, true), e) {
+                // No session to read the ledger on: the outcome stays
+                // unknown, and `req_id` stays spent.
+                Err(e) if inner.app.is_dead() => return Err(e),
+                verdict => verdict,
             };
-            // A request that definitively did not apply returns its req_id
-            // to the pool: an application-level retry keeps the ledger dense.
-            if committed.is_err() && not_applied {
-                inner.next_req = req_id;
+            // The ledger read runs over the network and can hit the next
+            // fault, so it is masked too, on the same budget.
+            let applied = self.masked(inner, budget, true, |i| run(i, &ledger));
+            match (applied, verdict) {
+                (Ok(Some(n)), _) => return Ok(n),
+                // Not applied: re-execute.
+                (Ok(None), Ok(())) => {}
+                // Not applied and surfaced: the request hands its req_id
+                // back, so an application-level retry keeps the ledger dense.
+                (Ok(None), Err(e)) => {
+                    inner.next_req = req_id;
+                    return Err(e);
+                }
+                (Err(e), _) => return Err(e),
             }
-            if let Some(n) = committed? {
-                return Ok(n);
-            }
-            // Not recorded (the transaction aborted) or a wait-die victim
-            // backed off: re-execute.
         }
     }
 
@@ -927,8 +914,8 @@ enum Action {
 
 /// The masking policy's one classifier. `in_txn`: the step runs inside
 /// an application transaction. `replay_safe`: the step may run again
-/// after losing a wait-die conflict (the wrapped transaction once rolled
-/// back, and the ledger read).
+/// after losing a wait-die conflict (the wrapped batch, once its ledger
+/// read shows it not applied, and the ledger read).
 fn classify_failure(e: &Error, in_txn: bool, replay_safe: bool) -> Action {
     if e.is_connection_fatal() {
         if in_txn {
@@ -985,6 +972,26 @@ fn recovery_wait(backoff: &mut Backoff, phases: &mut RecoveryPhases, e: Error) -
     }
 }
 
+/// The wrapped-modification batch: `BEGIN TRAN`, the application's
+/// request, the status row with the request's `@@ROWCOUNT`, `COMMIT`,
+/// then the `ledger` read. The request stands on lines of its own, so a
+/// trailing `--` comment or `;` cannot swallow what follows it.
+fn wrapped_batch_sql(sql: &str, key: &str, req_id: u64, ledger: &str) -> String {
+    format!(
+        "BEGIN TRAN;\n{sql}\n;\n\
+         INSERT INTO {STATUS_TABLE} VALUES ('{key}', {req_id}, @@ROWCOUNT);\n\
+         COMMIT;\n{ledger}"
+    )
+}
+
+/// The affected count a ledger read found, if its status row exists.
+fn ledger_count(rows: &[Row]) -> Option<u64> {
+    match rows.first().and_then(|row| row.first()) {
+        Some(Value::Int(n)) => Some(*n as u64),
+        _ => None,
+    }
+}
+
 /// Run a query on a raw driver connection and collect all rows.
 pub(crate) fn query_all(conn: &OdbcConnection, sql: &str) -> Result<Vec<Row>> {
     let mut st = conn.exec_direct(sql)?;
@@ -999,6 +1006,29 @@ pub(crate) fn query_all(conn: &OdbcConnection, sql: &str) -> Result<Vec<Row>> {
 mod tests {
     use super::*;
     use crate::config::ReconnectPolicy;
+
+    #[test]
+    fn wrapped_batch_keeps_the_request_on_lines_of_its_own() {
+        let ledger = "SELECT affected FROM phx_status WHERE app_key = 'phx_1' AND req_id = 7";
+        let sql = wrapped_batch_sql("UPDATE t SET a = 1 -- note", "phx_1", 7, ledger);
+        assert_eq!(
+            sql,
+            "BEGIN TRAN;\nUPDATE t SET a = 1 -- note\n;\n\
+             INSERT INTO phx_status VALUES ('phx_1', 7, @@ROWCOUNT);\n\
+             COMMIT;\n\
+             SELECT affected FROM phx_status WHERE app_key = 'phx_1' AND req_id = 7"
+        );
+        for (request, stmts) in [
+            ("UPDATE t SET a = 1 -- note", 5),
+            ("UPDATE t SET a = 1;", 5),
+            ("UPDATE t SET a = 1; -- done", 5),
+            ("INSERT INTO t VALUES (1); DELETE FROM t WHERE a = 2;", 6),
+        ] {
+            let sql = wrapped_batch_sql(request, "phx_1", 7, ledger);
+            let parsed = sqlengine::sql::parser::parse_statements(&sql).unwrap();
+            assert_eq!(parsed.len(), stmts, "{request}");
+        }
+    }
 
     #[test]
     fn classifier_table() {

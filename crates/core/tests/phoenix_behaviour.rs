@@ -674,6 +674,50 @@ fn failed_wrapped_update_keeps_the_ledger_dense() {
     assert_eq!(ids, vec![1, 2], "a failed insert left a gap in the ledger");
 }
 
+/// The `affected` column of every ledger row `px` wrote, in `req_id` order.
+fn ledger(px: &PhoenixConnection) -> Vec<i64> {
+    px.query_all(&format!(
+        "SELECT affected FROM phx_status WHERE app_key = '{}' ORDER BY req_id",
+        px.app_key()
+    ))
+    .unwrap()
+    .iter()
+    .map(|r| r[0].as_i64().unwrap())
+    .collect()
+}
+
+/// The application's request ends however it likes: a trailing `;` or
+/// `-- comment` swallows neither the status write nor the COMMIT, and a
+/// batch of modifications answers with its last statement's count.
+#[test]
+fn wrapped_requests_keep_their_own_endings_and_counts() {
+    let server = server_with_rows(10);
+    let px = PhoenixConnection::connect(
+        &server,
+        cfg_with(RepositionMode::Server, CacheMode::Disabled),
+    )
+    .unwrap();
+    let cases = [
+        ("UPDATE items SET v = 'semi' WHERE k < 2;", 2),
+        ("UPDATE items SET v = 'note' WHERE k < 4 -- four rows", 4),
+        ("UPDATE items SET v = 'both' WHERE k < 5; -- five rows", 5),
+        (
+            "INSERT INTO items VALUES (100, 'a'); DELETE FROM items WHERE k >= 7",
+            4,
+        ),
+    ];
+    for (i, (sql, n)) in cases.iter().enumerate() {
+        assert_eq!(px.exec(sql).unwrap(), ExecKind::RowCount(*n), "{sql}");
+        let want: Vec<i64> = cases[..=i].iter().map(|(_, n)| *n as i64).collect();
+        assert_eq!(ledger(&px), want, "one ledger row per request: {sql}");
+    }
+    let kept = px.query_all("SELECT k FROM items ORDER BY k").unwrap();
+    assert_eq!(kept.len(), 7, "k 0..6 are left: {kept:?}");
+    // No transaction is left open: an explicit one begins and commits.
+    px.exec("BEGIN TRAN").unwrap();
+    px.exec("COMMIT").unwrap();
+}
+
 /// A SELECT that fails inside an application transaction rolls the
 /// transaction back, through Phoenix exactly as through the native driver:
 /// the native cursor, and with `persist_txn_results` the persist batch,

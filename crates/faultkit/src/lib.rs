@@ -367,6 +367,18 @@ impl Armed<'_> {
             _ => None,
         }
     }
+
+    /// How often the crashpoint `name` has been hit since arming, before
+    /// and after the plan fired.
+    pub fn hits(&self, name: &str) -> u64 {
+        match &*state() {
+            State::Armed { counts, .. } => counts
+                .iter()
+                .find(|(n, _)| **n == name)
+                .map_or(0, |(_, c)| *c),
+            _ => 0,
+        }
+    }
 }
 
 impl Drop for Armed<'_> {
@@ -432,6 +444,8 @@ mod tests {
         run_scenario(); // alpha hits 3 and 4: must not re-fire
         assert_eq!(fired.load(Ordering::SeqCst), 1);
         assert_eq!(armed.fired().map(|p| p.spec()), Some("test.alpha#2".into()));
+        assert_eq!((armed.hits("test.alpha"), armed.hits("test.gamma")), (4, 2));
+        assert_eq!(armed.hits("test.delta"), 0);
     }
 
     #[test]

@@ -21,9 +21,13 @@ use crate::storage::disk::{DiskModel, IoSnapshot, MemDisk};
 use crate::storage::heap::DdlBatch;
 use crate::storage::Storage;
 use crate::txn::TxnHandle;
-use crate::types::Row;
+use crate::types::{Row, Value};
 use crate::wal::log::LogStore;
 use crate::wal::recovery::{recover, RecoveryConfig, RecoveryStats};
+
+/// `@@ROWCOUNT`'s key among a statement's parameters (see
+/// [`Engine::execute`]).
+const ROWCOUNT: &str = "@rowcount";
 
 /// Durable server state: survives crashes.
 #[derive(Clone)]
@@ -243,13 +247,21 @@ impl Engine {
     /// appended as they run and forced once, here, before the batch
     /// returns, whether it succeeded or not: one force covers every DDL
     /// statement of the batch.
+    ///
+    /// `@@ROWCOUNT` reads the rows affected by the batch's previous
+    /// statement: 0 in its first statement, and after one that affects
+    /// no rows (a SELECT, `BEGIN TRAN`, DDL).
     pub fn execute(&self, sid: SessionId, sql: &str) -> Result<ExecOutcome> {
         self.check_alive()?;
         let stmts = parse_statements(sql)?;
         let ddl = Arc::new(Mutex::new(DdlBatch::default()));
         let mut last = Ok(ExecOutcome::Ok);
         for stmt in &stmts {
-            last = self.execute_one(sid, stmt, &ddl);
+            let rowcount = match last {
+                Ok(ExecOutcome::Affected(n)) => n,
+                _ => 0,
+            };
+            last = self.execute_one(sid, stmt, &ddl, rowcount);
             if matches!(last, Err(_) | Ok(ExecOutcome::ShutdownRequested { .. })) {
                 break;
             }
@@ -265,6 +277,7 @@ impl Engine {
         sid: SessionId,
         stmt: &Stmt,
         ddl: &Arc<Mutex<DdlBatch>>,
+        rowcount: u64,
     ) -> Result<ExecOutcome> {
         self.check_alive()?;
         let (temps, cur_txn) = self.session_handles(sid)?;
@@ -305,7 +318,10 @@ impl Engine {
                     storage: Arc::clone(&self.storage),
                     txn: Arc::clone(&txn),
                     temps,
-                    params: Arc::new(HashMap::new()),
+                    params: Arc::new(HashMap::from([(
+                        ROWCOUNT.to_string(),
+                        Value::Int(rowcount as i64),
+                    )])),
                     depth: 0,
                     ddl: Arc::clone(ddl),
                 };
@@ -661,6 +677,79 @@ mod tests {
         e.execute(sid, "COMMIT").unwrap();
         let (_, rows) = e.execute_collect(sid, "SELECT * FROM t").unwrap();
         assert_eq!(rows.len(), 4);
+    }
+
+    /// `@@ROWCOUNT` reads the rows the batch's previous statement
+    /// affected: 0 where no statement precedes it, and after a statement
+    /// that affects no rows.
+    #[test]
+    fn rowcount_reads_the_previous_statement_of_the_batch() {
+        let (_d, e) = fresh();
+        let sid = e.create_session().unwrap();
+        setup_t(&e, sid);
+        e.execute(sid, "CREATE TABLE log (step INT, n INT)")
+            .unwrap();
+        let (_, rows) = e
+            .execute_collect(
+                sid,
+                "INSERT INTO log VALUES (0, @@ROWCOUNT);\n\
+                 UPDATE t SET x = x + 1 WHERE id > 1;\n\
+                 INSERT INTO log VALUES (1, @@ROWCOUNT);\n\
+                 BEGIN TRAN;\n\
+                 INSERT INTO log VALUES (2, @@rowcount);\n\
+                 SELECT * FROM t;\n\
+                 INSERT INTO log VALUES (3, @@ROWCOUNT);\n\
+                 DELETE FROM t WHERE id = 3;\n\
+                 INSERT INTO log VALUES (4, @@ROWCOUNT);\n\
+                 COMMIT;\n\
+                 SELECT @@ROWCOUNT",
+            )
+            .unwrap();
+        assert_eq!(rows, [[Value::Int(0)]], "after COMMIT");
+        let (_, log) = e
+            .execute_collect(sid, "SELECT step, n FROM log ORDER BY step")
+            .unwrap();
+        let want: Vec<Vec<Value>> = [(0, 0), (1, 2), (2, 0), (3, 0), (4, 1)]
+            .into_iter()
+            .map(|(step, n)| vec![Value::Int(step), Value::Int(n)])
+            .collect();
+        assert_eq!(log, want);
+
+        // The count does not outlive its request.
+        e.execute(sid, "UPDATE t SET x = 0").unwrap();
+        let (_, rows) = e.execute_collect(sid, "SELECT @@ROWCOUNT").unwrap();
+        assert_eq!(rows, [[Value::Int(0)]], "outside a batch");
+    }
+
+    /// A batch stops at its first failing statement, and the failure
+    /// rolls back the transaction the batch opened: the session is left
+    /// outside any transaction, with none of the batch's writes.
+    #[test]
+    fn a_failing_batch_leaves_no_transaction_open() {
+        let (_d, e) = fresh();
+        let sid = e.create_session().unwrap();
+        setup_t(&e, sid);
+        e.execute(sid, "CREATE TABLE log (n INT)").unwrap();
+        let err = e
+            .execute(
+                sid,
+                "BEGIN TRAN;\n\
+                 UPDATE t SET x = 9.0 WHERE id = 1;\n\
+                 INSERT INTO t VALUES (1, 'dup', 0.0);\n\
+                 INSERT INTO log VALUES (@@ROWCOUNT);\n\
+                 COMMIT",
+            )
+            .err();
+        assert!(matches!(err, Some(Error::DuplicateKey(_))), "{err:?}");
+        assert!(e.session_handles(sid).unwrap().1.is_none(), "txn left open");
+        let (_, x) = e
+            .execute_collect(sid, "SELECT x FROM t WHERE id = 1")
+            .unwrap();
+        assert_eq!(x, [[Value::Float(1.5)]], "the batch's update survived");
+        let (_, log) = e.execute_collect(sid, "SELECT n FROM log").unwrap();
+        assert!(log.is_empty(), "statements after the failure ran");
+        e.execute(sid, "BEGIN TRAN").unwrap();
+        e.execute(sid, "COMMIT").unwrap();
     }
 
     #[test]

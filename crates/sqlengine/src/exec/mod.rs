@@ -81,7 +81,8 @@ pub struct ExecCtx {
     pub txn: Arc<TxnHandle>,
     /// The session's temp tables.
     pub temps: Arc<Mutex<TempTables>>,
-    /// Procedure parameters (lowercased names).
+    /// Parameters by lowercased name: a procedure's arguments, or, for a
+    /// statement of a batch, `@rowcount` (`@@ROWCOUNT`).
     pub params: Arc<HashMap<String, Value>>,
     /// Procedure call depth (recursion guard).
     pub depth: u32,

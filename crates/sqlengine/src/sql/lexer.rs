@@ -12,7 +12,8 @@ pub enum Tok {
     /// Identifier or keyword (keywords are matched case-insensitively by
     /// the parser against the identifier text).
     Ident(String),
-    /// `@name` parameter reference.
+    /// `@name` parameter reference; `@@name`, a system variable, is the
+    /// parameter named `@name`.
     Param(String),
     /// `#name` temp-table identifier (kept distinct so the engine can
     /// route it to session-local storage).
@@ -147,11 +148,15 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                 }
             }
             b'@' | b'#' => {
-                let mut j = i + 1;
+                // `@@name` is a system variable: a parameter whose name
+                // keeps one '@', so no procedure parameter can shadow it.
+                let system = c == b'@' && b.get(i + 1) == Some(&b'@');
+                let first = if system { i + 2 } else { i + 1 };
+                let mut j = first;
                 while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_') {
                     j += 1;
                 }
-                if j == i + 1 {
+                if j == first {
                     return Err(Error::Syntax(format!(
                         "dangling '{}' at byte {i}",
                         c as char
@@ -277,6 +282,22 @@ mod tests {
             ]
         );
         assert!(lex("@ x").is_err());
+    }
+
+    #[test]
+    fn system_variables() {
+        assert_eq!(
+            kinds("@@ROWCOUNT, @x"),
+            vec![
+                Tok::Param("@ROWCOUNT".into()),
+                Tok::Comma,
+                Tok::Param("x".into()),
+                Tok::Eof
+            ]
+        );
+        for bare in ["@@", "@@ x", "SELECT @@;"] {
+            assert!(lex(bare).is_err(), "{bare} lexed");
+        }
     }
 
     #[test]

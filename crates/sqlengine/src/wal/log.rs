@@ -728,7 +728,8 @@ struct Tail {
 /// a batch leader performs one fsync covering every waiter whose record
 /// is in the flushed tail. A parked committer leads as soon as every
 /// transaction that could still join the batch has parked (see
-/// [`LogManager::join_company`]); `max_batch` releases the batch once
+/// [`LogManager::join_company`] and [`LogManager::in_flight`]);
+/// `max_batch` releases the batch once
 /// that many commits are parked, and `max_wait` bounds how long a
 /// committer waits for company that is still running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -806,6 +807,9 @@ pub struct LogManager {
     /// update. An atomic, so a join under a page latch never takes
     /// `group`; leaves take `group` so no waiter misses one.
     company: AtomicUsize,
+    /// Requests delivered to the server and not yet served (see
+    /// [`LogManager::in_flight`]).
+    in_flight: Arc<AtomicUsize>,
 }
 
 impl LogManager {
@@ -835,6 +839,7 @@ impl LogManager {
             }),
             group_cv: Condvar::new(),
             company: AtomicUsize::new(0),
+            in_flight: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -863,6 +868,18 @@ impl LogManager {
     /// Open transactions that may still join a commit batch.
     pub fn company(&self) -> usize {
         self.company.load(Ordering::SeqCst)
+    }
+
+    /// The count of requests delivered to the server and not yet
+    /// served: queued on a connection, or taken up by a connection thread
+    /// that has not asked for its next one. The server's transport keeps
+    /// it. A parked committer waits for them as for company: a request
+    /// that opens, writes and commits a transaction in one batch begins
+    /// its transaction too late to be waited for otherwise. A served
+    /// request leaves the count without a wake-up; the group's ticked
+    /// wait re-checks it.
+    pub fn in_flight(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.in_flight)
     }
 
     /// Whether a failed flush has poisoned this manager (fail-stop).
@@ -1007,8 +1024,15 @@ impl LogManager {
                 let parked = g.pending.len();
                 let trigger = if parked >= self.group_cfg.max_batch {
                     Some("wal.group.lead.batch")
-                } else if parked >= self.company.load(Ordering::SeqCst) {
-                    // Nobody who could still join the batch is running.
+                } else if parked
+                    >= self
+                        .company
+                        .load(Ordering::SeqCst)
+                        .max(self.in_flight.load(Ordering::SeqCst))
+                {
+                    // Nobody who could still join the batch is running:
+                    // as many commits have parked as there are open
+                    // transactions and as requests are in flight.
                     Some("wal.group.lead.company")
                 } else if Instant::now() >= deadline {
                     Some("wal.group.lead.window")
@@ -1466,6 +1490,44 @@ mod tests {
         assert_eq!(store.records_from(0).unwrap().len(), 1);
         log.leave_company();
         assert_eq!(log.company(), 0);
+    }
+
+    #[test]
+    fn group_waits_for_requests_in_flight() {
+        let (_store, log) = grouped(8, 10_000_000);
+        let in_flight = log.in_flight();
+        // The committer's own request, and its transaction.
+        in_flight.fetch_add(1, Ordering::SeqCst);
+        log.join_company();
+        // Another session's request, which has not begun a transaction.
+        in_flight.fetch_add(1, Ordering::SeqCst);
+        let lsn = log.append(&LogRecord::Commit { txn: 1 });
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                log.commit_flush(lsn).unwrap();
+                done.store(true, Ordering::SeqCst);
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(
+                !done.load(Ordering::SeqCst),
+                "a request in flight was not waited for"
+            );
+            // It is served without committing: the committer leads
+            // within a tick, not at the window.
+            let t0 = Instant::now();
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            while !done.load(Ordering::SeqCst) {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(1),
+                    "waited out the window"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        in_flight.fetch_sub(1, Ordering::SeqCst);
+        log.leave_company();
+        assert!(log.flushed_lsn() > lsn);
     }
 
     #[test]

@@ -257,19 +257,36 @@ impl AdmissionController {
     }
 
     /// Release a slot. Returns whether this call removed it (false when
-    /// an eviction got there first), so release-on-every-exit-path and
-    /// eviction can race without double-decrementing `sessions.active`.
+    /// an eviction or a crash got there first), so release-on-every-exit-
+    /// path, eviction and [`release_epoch`](Self::release_epoch) can race
+    /// without double-decrementing `sessions.active`.
     pub fn release(&self, id: u64) -> bool {
         let removed = self.slots.lock().remove(&id);
-        match removed {
-            Some(slot) => {
-                self.traffic_done
-                    .fetch_add(slot.traffic_bytes, Ordering::Relaxed);
-                obskit::metrics::global().gauge("sessions.active").add(-1);
-                true
-            }
-            None => false,
+        removed.map(|slot| self.retire(&slot)).is_some()
+    }
+
+    /// Release every slot admitted under `epoch` or before: the server
+    /// process holding their sessions crashed, so they free their slots
+    /// now rather than when each connection thread notices its closed
+    /// link. Returns the number released.
+    pub fn release_epoch(&self, epoch: u64) -> usize {
+        let dead: Vec<SessionSlot> = self
+            .slots
+            .lock()
+            .extract_if(|_, s| s.epoch <= epoch)
+            .map(|(_, s)| s)
+            .collect();
+        for slot in &dead {
+            self.retire(slot);
         }
+        dead.len()
+    }
+
+    /// Fold a removed slot into the totals and the `sessions.active` gauge.
+    fn retire(&self, slot: &SessionSlot) {
+        self.traffic_done
+            .fetch_add(slot.traffic_bytes, Ordering::Relaxed);
+        obskit::metrics::global().gauge("sessions.active").add(-1);
     }
 
     /// Record inbound traffic on a slot (any request frame counts as
@@ -304,11 +321,8 @@ impl AdmissionController {
                 return out;
             };
             self.evicted.fetch_add(1, Ordering::Relaxed);
-            self.traffic_done
-                .fetch_add(slot.traffic_bytes, Ordering::Relaxed);
-            let g = obskit::metrics::global();
-            g.counter("admission.evict").incr();
-            g.gauge("sessions.active").add(-1);
+            self.retire(&slot);
+            obskit::metrics::global().counter("admission.evict").incr();
             faultkit::crashpoint!("admission.evict");
             slot.ep.close();
             out.push(Evicted {
@@ -409,6 +423,24 @@ mod tests {
         assert!(!ac.release(id));
         assert_eq!(ac.stats().active, 0);
         assert_eq!(ac.stats().evicted, 1);
+    }
+
+    #[test]
+    fn a_crashed_epoch_releases_its_slots_once() {
+        let ac = tiny(2, 8, Duration::from_secs(60));
+        let old = ac.admit(1, ep()).unwrap();
+        ac.touch(old, 10);
+        let _older = ac.admit(0, ep()).unwrap();
+        assert_eq!(ac.release_epoch(1), 2, "every slot up to the dead epoch");
+        // The dead connection's guard fires later and finds nothing.
+        assert!(!ac.release(old));
+        let live = ac.admit(2, ep()).unwrap();
+        ac.admit(2, ep()).unwrap();
+        assert_eq!(ac.release_epoch(1), 0, "the live epoch keeps its slots");
+        ac.touch(live, 5);
+        let st = ac.stats();
+        assert_eq!((st.active, st.shed), (2, 0));
+        assert_eq!(st.traffic_total, 15);
     }
 
     #[test]

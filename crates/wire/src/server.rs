@@ -214,15 +214,22 @@ impl DbServer {
     }
 
     /// Kill the server immediately: every connection breaks, all volatile
-    /// state is lost, durable state is fenced against stragglers.
+    /// state is lost, durable state is fenced against stragglers, and the
+    /// dead incarnation's admission slots are free for the next one.
     pub fn crash(&self) {
-        let proc = self.inner.process.lock().take();
+        // `restart` bumps the epoch under the process lock: read under it,
+        // the epoch is the one `proc` ran.
+        let (proc, epoch) = {
+            let mut slot = self.inner.process.lock();
+            (slot.take(), self.epoch())
+        };
         if let Some(p) = proc {
             p.engine.mark_shutdown();
             self.inner.durable.fence();
             for ep in p.conns.lock().iter() {
                 ep.close();
             }
+            self.inner.admission.release_epoch(epoch);
         }
     }
 
@@ -280,13 +287,19 @@ impl DbServer {
     /// full — before any endpoint, thread, or engine resource is spent —
     /// bounding the concurrent (re)connects a post-crash herd can land.
     pub fn connect(&self) -> Result<ClientConn> {
-        let proc = {
+        let (proc, epoch) = {
             let slot = self.inner.process.lock();
-            slot.as_ref().cloned().ok_or(Error::ServerShutdown)?
+            let proc = slot.as_ref().cloned().ok_or(Error::ServerShutdown)?;
+            (proc, self.epoch())
         };
         self.inner.admission.begin_pending()?;
         let (client_ep, server_ep) =
             Endpoint::pair(self.inner.config.net_c2s, self.inner.config.net_s2c);
+        // A request the connection thread has not served yet may be a
+        // commit that group commit should wait for.
+        server_ep
+            .rx
+            .count_in_flight(proc.engine.storage().log.in_flight());
         if let Some(plan) = *self.inner.faults.lock() {
             let i = self.inner.pipe_seq.fetch_add(2, Ordering::Relaxed);
             client_ep.tx.inject(plan.schedule(i)); // client → server
@@ -297,7 +310,7 @@ impl DbServer {
         let engine = Arc::clone(&proc.engine);
         let server = self.clone();
         let cfg = self.inner.config;
-        std::thread::spawn(move || connection_loop(server, engine, server_ep, cfg));
+        std::thread::spawn(move || connection_loop(server, engine, server_ep, cfg, epoch));
         Ok(ClientConn { ep: client_ep })
     }
 }
@@ -366,8 +379,9 @@ impl Drop for PendingGuard<'_> {
 /// Releases an admitted session — registry slot and engine session — on
 /// every connection-loop exit path (disconnect, link death, corrupt
 /// frame, shutdown statement, panic). `release` reports whether the slot
-/// was still registered; an idle eviction may have removed it (and closed
-/// the engine session) first, in which case both cleanups are no-ops.
+/// was still registered; an idle eviction (which also closed the engine
+/// session) or a crash may have removed it first, in which case both
+/// cleanups are no-ops.
 struct SlotGuard<'a> {
     admission: &'a AdmissionController,
     engine: &'a Engine,
@@ -382,9 +396,15 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
-fn connection_loop(server: DbServer, engine: Arc<Engine>, ep: Arc<Endpoint>, cfg: ServerConfig) {
+/// Serve one connection of the incarnation `epoch` that runs `engine`.
+fn connection_loop(
+    server: DbServer,
+    engine: Arc<Engine>,
+    ep: Arc<Endpoint>,
+    cfg: ServerConfig,
+    epoch: u64,
+) {
     let admission = server.admission();
-    let epoch = server.epoch();
     // Handshake. The pending-gate slot taken in `connect()` is held until
     // this resolves, bounding concurrent handshakes under a herd — so the
     // wait for the `Connect` frame is itself bounded: a link whose hello

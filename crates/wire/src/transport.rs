@@ -21,14 +21,18 @@
 //! Closing a pipe (server crash) wakes all blocked parties with a
 //! disconnect error.
 //!
+//! A server's inbound pipes can count their frames in flight into one
+//! counter ([`Pipe::count_in_flight`]): the requests delivered to the
+//! server that no connection thread has finished serving yet.
+//!
 //! A pipe can additionally carry a deterministic fault schedule
 //! ([`Pipe::inject`], driven by [`faultkit::net::NetPlan`]): message
 //! drops, frame truncation, latency spikes, link flaps, and stalled
 //! delivery — the messy failures a clean `close()` cannot express.
 
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -149,6 +153,9 @@ struct PipeState {
     /// While set, delivery of everything queued is withheld (stalled
     /// link): receivers see silence, not an error.
     stall_until: Option<Instant>,
+    /// A frame was handed to the receiver, which has not asked for the
+    /// next one yet: the request is still being served.
+    taken: bool,
 }
 
 /// One direction of a connection.
@@ -159,6 +166,10 @@ pub struct Pipe {
     writable: Condvar,
     /// `wire.link.late_us`, held so delivery skips the registry lookup.
     late: Arc<Histogram>,
+    /// Raised for each frame queued, lowered when the receiver comes
+    /// back for the next one or the frame is discarded (see
+    /// [`Pipe::count_in_flight`]).
+    in_flight: OnceLock<Arc<AtomicUsize>>,
 }
 
 impl Pipe {
@@ -173,11 +184,38 @@ impl Pipe {
                 link_free_at: Instant::now(),
                 faults: None,
                 stall_until: None,
+                taken: false,
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
             late: obskit::metrics::global().histogram("wire.link.late_us"),
+            in_flight: OnceLock::new(),
         })
+    }
+
+    /// Count this pipe's frames in flight in `counter`, from now until
+    /// the pipe is dropped: a frame raises it when queued, and lowers it
+    /// when the receiver asks for the next frame (a server's connection
+    /// thread has then served it) or when it is discarded unread. Holes
+    /// (dropped frames) never count. A later call is ignored.
+    pub fn count_in_flight(&self, counter: Arc<AtomicUsize>) {
+        let st = self.state.lock();
+        let queued = Self::counted(&st);
+        if self.in_flight.set(Arc::clone(&counter)).is_ok() {
+            counter.fetch_add(queued, Ordering::SeqCst);
+        }
+    }
+
+    /// Frames queued (holes excluded), plus the one being served.
+    fn counted(st: &PipeState) -> usize {
+        st.queue.iter().filter(|f| !f.hole).count() + usize::from(st.taken)
+    }
+
+    /// Take `n` frames off the in-flight count.
+    fn departed(&self, n: usize) {
+        if let Some(c) = self.in_flight.get() {
+            c.fetch_sub(n, Ordering::SeqCst);
+        }
     }
 
     /// Install a fault schedule; evaluated once per [`Pipe::send`].
@@ -288,6 +326,8 @@ impl Pipe {
             Some(NetFault::Flap) => {
                 // Link reset: both sides see the connection die.
                 st.closed = true;
+                self.departed(Self::counted(&st));
+                st.taken = false;
                 st.queue.clear();
                 st.bytes = 0;
                 drop(st);
@@ -314,6 +354,9 @@ impl Pipe {
             deliver_at,
             hole: false,
         });
+        if let Some(c) = self.in_flight.get() {
+            c.fetch_add(1, Ordering::SeqCst);
+        }
         drop(st);
         self.readable.notify_one();
         Ok(())
@@ -325,6 +368,9 @@ impl Pipe {
     pub fn recv(&self, timeout: Option<Duration>) -> Result<Vec<u8>, Error> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut st = self.state.lock();
+        if std::mem::take(&mut st.taken) {
+            self.departed(1);
+        }
         loop {
             // A hole at the front withholds everything behind it: the
             // receiver sees silence, not an error (fall through to the
@@ -343,6 +389,7 @@ impl Pipe {
                         continue;
                     };
                     st.bytes -= frame.payload.len().max(1);
+                    st.taken = true;
                     drop(st);
                     self.writable.notify_one();
                     let late = now.saturating_duration_since(deliver_at).as_micros();
@@ -384,6 +431,8 @@ impl Pipe {
     pub fn close(&self) {
         let mut st = self.state.lock();
         st.closed = true;
+        self.departed(Self::counted(&st));
+        st.taken = false;
         st.queue.clear();
         st.bytes = 0;
         drop(st);
@@ -399,6 +448,14 @@ impl Pipe {
     /// Bytes currently buffered (tests/metrics).
     pub fn buffered_bytes(&self) -> usize {
         self.state.lock().bytes
+    }
+}
+
+impl Drop for Pipe {
+    fn drop(&mut self) {
+        // Frames nobody will serve leave the in-flight count.
+        let unread = Self::counted(self.state.get_mut());
+        self.departed(unread);
     }
 }
 
@@ -443,6 +500,37 @@ mod tests {
         assert_eq!(s.rx.recv(Some(Duration::from_secs(1))).unwrap(), b"hello");
         s.tx.send(b"world".to_vec(), None).unwrap();
         assert_eq!(c.rx.recv(Some(Duration::from_secs(1))).unwrap(), b"world");
+    }
+
+    #[test]
+    fn in_flight_counts_frames_until_served_or_discarded() {
+        let counter = Arc::new(AtomicUsize::new(0));
+        let load = || counter.load(Ordering::SeqCst);
+        let (c, s) = Endpoint::pair(NetConfig::instant(), NetConfig::instant());
+        s.rx.count_in_flight(Arc::clone(&counter));
+        c.tx.send(b"a".to_vec(), None).unwrap();
+        c.tx.send(b"b".to_vec(), None).unwrap();
+        s.tx.send(b"reply".to_vec(), None).unwrap();
+        assert_eq!(load(), 2, "the inbound frames only");
+        s.rx.recv(Some(Duration::from_secs(1))).unwrap();
+        assert_eq!(load(), 2, "a received frame is served until the next recv");
+        s.rx.recv(Some(Duration::from_secs(1))).unwrap();
+        assert_eq!(load(), 1);
+        assert!(s.rx.recv(Some(Duration::from_millis(1))).is_err());
+        assert_eq!(load(), 0, "asking again ends the last one");
+        c.tx.send(b"c".to_vec(), None).unwrap();
+        s.rx.recv(Some(Duration::from_secs(1))).unwrap();
+        c.tx.send(b"d".to_vec(), None).unwrap();
+        assert_eq!(load(), 2);
+        s.rx.close();
+        assert_eq!(load(), 0, "a closed pipe discards its frames");
+        // A pipe dropped with a frame queued discards it too.
+        let (c, s) = Endpoint::pair(NetConfig::instant(), NetConfig::instant());
+        s.rx.count_in_flight(Arc::clone(&counter));
+        c.tx.send(b"x".to_vec(), None).unwrap();
+        assert_eq!(load(), 1);
+        drop((c, s));
+        assert_eq!(load(), 0);
     }
 
     #[test]

@@ -108,6 +108,34 @@ fn crash_with_many_live_connections_then_restart() {
     assert_eq!(exec_ok(&c, 1, "SELECT k FROM t"), 3);
 }
 
+/// A crash frees its incarnation's admission slots at once, not when
+/// each connection thread notices its closed link: right after the
+/// restart, `max_sessions` fresh connects are all admitted, and no slot
+/// of the old epoch is left.
+#[test]
+fn a_crash_frees_every_admission_slot_of_its_incarnation() {
+    let mut config = ServerConfig::instant_net();
+    config.admission.max_sessions = 4;
+    let server = DbServer::start(config).unwrap();
+    let old: Vec<_> = (0..4).map(|_| connect(&server)).collect();
+    assert_eq!(server.admission_stats().active, 4);
+    server.crash();
+    assert_eq!(
+        server.admission_stats().active,
+        0,
+        "the dead epoch holds slots"
+    );
+    server.restart().unwrap();
+    let fresh: Vec<_> = (0..4).map(|_| connect(&server)).collect();
+    let st = server.admission_stats();
+    assert_eq!((st.active, st.admitted, st.shed), (4, 8, 0));
+    for (i, c) in fresh.iter().enumerate() {
+        exec_ok(c, 1, &format!("CREATE TABLE t{i} (k INT)"));
+    }
+    drop(old);
+    assert_eq!(server.admission_stats().active, 4);
+}
+
 #[test]
 fn decode_never_panics_on_garbage() {
     use rand::RngCore;

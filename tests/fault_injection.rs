@@ -462,9 +462,58 @@ fn update_scenario_setup() -> (DbServer, PhoenixConnection) {
     (server, px)
 }
 
+/// The trace's first wrapped update went out as one request, and the
+/// request held both windows the status table exists to close: the
+/// COMMIT's log force (`wal.flush.post`: the update is durable) and,
+/// after it, the reply (`wire.stream.meta`: the batch answers with its
+/// ledger read, so the client has not yet learnt of the commit). The
+/// request's points run from Phoenix's point before the send to the next
+/// request's `odbc.send`: the server answers before the client sends
+/// again.
+fn assert_wrapped_batch_commits_before_its_reply(trace: &[faultkit::TracePoint]) {
+    let names: Vec<&str> = trace.iter().map(|p| p.name).collect();
+    let start = names
+        .iter()
+        .position(|&n| n == "phoenix.status.batch")
+        .unwrap_or_else(|| panic!("no wrapped batch was sent; trace: {names:?}"));
+    let sends: Vec<usize> = (start..names.len())
+        .filter(|&i| names[i] == "odbc.send")
+        .take(2)
+        .collect();
+    assert_eq!(sends.first(), Some(&(start + 1)), "trace: {names:?}");
+    let batch = &names[start..sends.get(1).copied().unwrap_or(names.len())];
+    let at = |point: &str| {
+        batch
+            .iter()
+            .position(|&n| n == point)
+            .unwrap_or_else(|| panic!("{point} not hit during the wrapped batch: {batch:?}"))
+    };
+    assert!(
+        at("wal.append") < at("wal.flush.post") && at("wal.flush.post") < at("wire.stream.meta"),
+        "the batch must log, force, then reply: {batch:?}"
+    );
+}
+
 fn run_update_scenario(px: &PhoenixConnection) {
     let r = px.exec("UPDATE acc SET n = n + 1 WHERE id = 1").unwrap();
     assert_eq!(r, phoenix::ExecKind::RowCount(1));
+}
+
+/// A wrapped autocommit UPDATE is one request on the application
+/// connection: the transaction, the statement, its status row and the
+/// ledger read travel together.
+#[test]
+fn a_wrapped_update_costs_one_round_trip() {
+    let fk = faultkit::session();
+    let (_server, px) = update_scenario_setup();
+    let trace = record_trace(&fk, || run_update_scenario(&px));
+    let names: Vec<&str> = trace.iter().map(|p| p.name).collect();
+    let count = |name| names.iter().filter(|n| **n == name).count();
+    assert_eq!(count("odbc.send"), 1, "{names:?}");
+    assert_eq!(count("phoenix.status.batch"), 1, "{names:?}");
+    let status = px.query_all("SELECT affected FROM phx_status").unwrap();
+    assert_eq!(status, [[Value::Int(1)]], "one status row, affected 1");
+    px.close();
 }
 
 /// The status table prevents double-apply wherever the crash lands —
@@ -479,10 +528,7 @@ fn exactly_once_updates_at_every_crashpoint() {
     let trace = record_trace(&fk, || run_update_scenario(&px));
     px.close();
     drop(server);
-    assert!(
-        trace.iter().any(|p| p.name == "phoenix.status.commit"),
-        "wrapped update must hit the status-table window; trace: {trace:?}"
-    );
+    assert_wrapped_batch_commits_before_its_reply(&trace);
 
     explore("wrapped_update", &trace, |plan| {
         let (server, px) = update_scenario_setup();
@@ -503,6 +549,72 @@ fn exactly_once_updates_at_every_crashpoint() {
         assert_eq!(status[0][0], Value::Int(1));
         px.close();
     });
+}
+
+/// A wait-die conflict can hit the wrapped batch's trailing ledger read,
+/// after its COMMIT: the update is durable, yet the batch fails with
+/// `Deadlock`. Phoenix must settle that failure by reading the ledger and
+/// return the recorded count, never re-run the update. An older
+/// transaction takes the status row's lock between the COMMIT and the
+/// read (the read's `Begin` append), so the read, younger, dies; the
+/// lock is released a little later, and the settling read gets through.
+#[test]
+fn a_wait_die_loss_after_the_commit_does_not_re_run_the_update() {
+    let fk = faultkit::session();
+    let setup = || {
+        let (server, px) = update_scenario_setup();
+        let older = EngineClient::new(server.engine().unwrap()).unwrap();
+        older.execute("BEGIN TRAN").unwrap();
+        (server, px, std::sync::Arc::new(older))
+    };
+    let (server, px, older) = setup();
+    let trace = record_trace(&fk, || run_update_scenario(&px));
+    older.execute("ROLLBACK").unwrap();
+    px.close();
+    drop(server);
+    let forced = trace
+        .iter()
+        .position(|p| p.name == "wal.flush.post")
+        .unwrap_or_else(|| panic!("the batch never forced the log: {trace:?}"));
+    let read_begins = trace[forced..]
+        .iter()
+        .find(|p| p.name == "wal.append")
+        .unwrap_or_else(|| panic!("no log append after the COMMIT: {trace:?}"));
+
+    let (_server, px, older) = setup();
+    let key = px.app_key();
+    let lock_holder = std::sync::Arc::clone(&older);
+    let armed = fk.arm(
+        &FaultPlan::at(read_begins.name, read_begins.nth),
+        move || {
+            let locked = lock_holder
+                .execute(&format!(
+                    "UPDATE phx_status SET affected = affected WHERE app_key = '{key}'"
+                ))
+                .unwrap();
+            assert_eq!(locked, workloads::ExecResult::Affected(1));
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                lock_holder.execute("ROLLBACK").unwrap();
+            });
+        },
+    );
+    run_update_scenario(&px);
+    assert!(armed.fired().is_some(), "the lock was never taken");
+    // One send of the batch, and at least one more request: the ledger
+    // read that settled its failure.
+    let (batches, sends) = (armed.hits("phoenix.status.batch"), armed.hits("odbc.send"));
+    drop(armed);
+    assert_eq!(batches, 1, "the batch was sent again");
+    assert!(
+        sends >= 2,
+        "the batch did not fail: no ledger read settled it ({sends} sends)"
+    );
+    let n = px.query_all("SELECT n FROM acc WHERE id = 1").unwrap();
+    assert_eq!(n, [[Value::Int(1)]], "the update ran again");
+    let status = px.query_all("SELECT affected FROM phx_status").unwrap();
+    assert_eq!(status, [[Value::Int(1)]], "one status row, affected 1");
+    px.close();
 }
 
 // ---------------------------------------------------------------------------
@@ -591,9 +703,11 @@ fn crash_at_each_point_of_a_transaction_with_a_native_cursor() {
     px.close();
     drop(server);
     let names: BTreeSet<&str> = trace.iter().map(|p| p.name).collect();
-    for point in ["phoenix.status.commit", "odbc.recv"] {
-        assert!(names.contains(point), "{point} never hit; trace: {names:?}");
-    }
+    assert_wrapped_batch_commits_before_its_reply(&trace);
+    assert!(
+        names.contains("odbc.recv"),
+        "odbc.recv never hit; trace: {names:?}"
+    );
     assert!(
         !names.iter().any(|n| n.starts_with("persist.")),
         "an in-transaction SELECT was persisted; trace: {names:?}"

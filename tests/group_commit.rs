@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use integration_tests::{crash_restart_action, explore, record_trace, restart_with_retry};
 use phoenix::{ExecKind, PhoenixConfig, PhoenixConnection, ReconnectPolicy};
@@ -287,20 +287,16 @@ fn four_session_commit_mix_batches_fsyncs() {
     want.sort_unstable();
     assert_eq!(got, want, "acked commits diverged after recovery");
 
-    // The crashed incarnation's connection threads release their
-    // admission slots on their own schedule; export once they have, so
-    // the snapshot's `sessions.active` reads the drained value.
-    let deadline = Instant::now() + DRAIN_GRACE;
-    while server.admission_stats().active != 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // The crash released its incarnation's admission slots, so the
+    // snapshot's `sessions.active` reads the drained value.
+    assert_eq!(
+        server.admission_stats().active,
+        0,
+        "slots outlived the crash"
+    );
     write_snapshot_if_requested(commits);
     drop(pxs);
 }
-
-/// How long the commit mix waits for the crashed incarnation's
-/// connections to release their admission slots before it exports.
-const DRAIN_GRACE: Duration = Duration::from_secs(3);
 
 /// When `OBSKIT_SNAPSHOT=<path>` is set, export the global metrics
 /// registry plus the trace timeline, with the mix's commit count as
